@@ -97,7 +97,8 @@ def _eigen_text(obj: dict) -> str:
 def _cmd_ring(args):
     _require(args.genus >= 1, "--genus must be >= 1")
     ring = floer_cohomology(args.genus)
-    payload = ring.to_json(include_rings=not args.invariant_only)
+    # only the JSON output carries the level rings and their spectra
+    payload = ring.to_json(include_rings=args.format == "json" and not args.invariant_only)
     if args.invariant_only:
         payload["invariant_ring"] = invariant_ring(args.genus).to_json()
 
@@ -259,7 +260,10 @@ def _parse_homology_class(spec: str, g: int) -> fukaya.YHomologyClass:
 def _cmd_mu(args):
     _require(args.genus >= 1, "--genus must be >= 1")
     _require(abs(args.i) <= args.genus - 1, "--i must satisfy |i| <= genus-1")
-    cls = _parse_homology_class(args.cls, args.genus)
+    try:
+        cls = _parse_homology_class(args.cls, args.genus)
+    except (KeyError, ValueError, TypeError) as exc:
+        raise UsageError(f"malformed class spec {args.cls!r}: {exc}") from exc
     value = fukaya.mu_action(args.i, cls, order=args.trunc)
     payload = {
         "genus": args.genus,
@@ -281,7 +285,7 @@ def _load_series(path: str) -> donaldson.DonaldsonSeries:
             return donaldson.DonaldsonSeries.from_json(json.load(fh))
     except OSError as exc:
         raise UsageError(f"cannot read series file {path}: {exc}") from exc
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError, ZeroDivisionError) as exc:
         raise UsageError(f"malformed series file {path}: {exc}") from exc
 
 

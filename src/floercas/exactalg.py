@@ -182,7 +182,6 @@ class GaussianRational:
 
 GR_ZERO = GaussianRational(0)
 GR_ONE = GaussianRational(1)
-SQRT_MINUS_ONE = GaussianRational(0, 1)
 
 
 def gq_arith(x: GaussianRational, y, op: str) -> GaussianRational:

@@ -1,17 +1,19 @@
 """Dense exact linear algebra over Q(i): rank, kernel, solving, and
 characteristic polynomials.
 
-Dimensions in this package stay below ~70, so dense storage and cubic
-elimination are fine.  Characteristic polynomials use the Samuelson-
-Berkowitz scheme, which needs no divisions at all; everything else is
-plain Gauss-Jordan over the exact field.
+The largest matrices are the level-ring multiplication matrices, dim 84
+at level 7 and 120 at genus 8, so dense storage and cubic elimination are
+fine.  Characteristic polynomials come from Hessenberg reduction over the
+field, run on the rational real parts when every entry is real (as for
+all level-ring matrices); everything else is plain Gauss-Jordan over the
+exact field.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exactalg import GR_ONE, GR_ZERO, GaussianRational
+from .exactalg import GR_ONE, GR_ZERO, GaussianRational, rational
 
 
 class Matrix:
@@ -176,46 +178,20 @@ class Matrix:
 
     # -- characteristic polynomial ---------------------------------------
     def charpoly(self) -> "UniPoly":
-        """Monic characteristic polynomial det(x*I - A), Berkowitz scheme."""
+        """Monic characteristic polynomial det(x*I - A).
+
+        Hessenberg reduction followed by the Hessenberg determinant
+        recurrence (Cohen, A Course in Computational Algebraic Number
+        Theory, GTM 138, Alg. 2.2.9).  A matrix whose entries all have zero
+        imaginary part is reduced on the rational real parts.
+        """
         n = self.nrows
         if n != self.ncols:
             raise ValueError("characteristic polynomial of a non-square matrix")
-        if n == 0:
-            return UniPoly([GR_ONE])
-        a = self.rows
-        # poly coefficients, highest power first; start with x - a00
-        poly = [GR_ONE, -a[0][0]]
-        for i in range(1, n):
-            # vector V of length i+2 driving the Toeplitz multiplication
-            row = a[i][:i]
-            col = [a[k][i] for k in range(i)]
-            v = [GR_ONE, -a[i][i]]
-            cur = col
-            for _ in range(i):
-                dot = GR_ZERO
-                for x, y in zip(row, cur):
-                    if x and y:
-                        dot = dot + x * y
-                v.append(-dot)
-                nxt = [GR_ZERO] * i
-                for r_ in range(i):
-                    s = GR_ZERO
-                    ar = a[r_]
-                    for c_ in range(i):
-                        if ar[c_] and cur[c_]:
-                            s = s + ar[c_] * cur[c_]
-                    nxt[r_] = s
-                cur = nxt
-            new = [GR_ZERO] * (i + 2)
-            for j in range(i + 2):
-                s = GR_ZERO
-                for k in range(min(j, i + 1) + 1):
-                    if k < len(v) and j - k < len(poly):
-                        if v[k] and poly[j - k]:
-                            s = s + v[k] * poly[j - k]
-                new[j] = s
-            poly = new
-        return UniPoly(list(reversed(poly)))
+        if all(not x.im for row in self.rows for x in row):
+            rows = [[x.re for x in row] for row in self.rows]
+            return UniPoly(_hessenberg_charpoly(rows, rational(1), rational(0)))
+        return UniPoly(_hessenberg_charpoly([list(r) for r in self.rows], GR_ONE, GR_ZERO))
 
     # -- serialization ------------------------------------------------------
     def to_json(self) -> list:
@@ -224,17 +200,63 @@ class Matrix:
 
 def kernel_rank(m: Matrix):
     """(rank, kernel basis) of an exact matrix."""
-    rows, pivots = m.rref()
-    pivot_set = set(pivots)
-    free = [j for j in range(m.ncols) if j not in pivot_set]
-    basis = []
-    for f in free:
-        v = [GR_ZERO] * m.ncols
-        v[f] = GR_ONE
-        for i, pc in enumerate(pivots):
-            v[pc] = -rows[i][f]
-        basis.append(v)
-    return len(pivots), basis
+    basis = m.kernel_basis()
+    return m.ncols - len(basis), basis
+
+
+def _hessenberg_charpoly(h: list, one, zero) -> list:
+    """Coefficients, lowest degree first, of det(x*I - H) over a field.
+
+    `h` is a square list of row lists, reduced in place; `one` and `zero`
+    are the field's unit and zero, so the same code runs on rationals and
+    on Gaussian rationals.
+    """
+    n = len(h)
+    # similarity to upper Hessenberg form, one column at a time
+    for m in range(1, n - 1):
+        piv = next((i for i in range(m, n) if h[i][m - 1]), None)
+        if piv is None:
+            continue
+        if piv != m:
+            h[piv], h[m] = h[m], h[piv]
+            for row in h:
+                row[piv], row[m] = row[m], row[piv]
+        inv = one / h[m][m - 1]
+        hm = h[m]
+        for i in range(m + 1, n):
+            hi = h[i]
+            u = hi[m - 1]
+            if not u:
+                continue
+            u = u * inv
+            # row i -= u * row m, then column m += u * column i
+            for j in range(m - 1, n):
+                if hm[j]:
+                    hi[j] = hi[j] - u * hm[j]
+            for row in h:
+                if row[i]:
+                    row[m] = row[m] + u * row[i]
+    # 1-based, with polys[m] = p_m the charpoly of the leading m x m block:
+    # p_m = (x - h_mm) p_{m-1} - sum_i h_im (h_{i+1,i} ... h_{m,m-1}) p_{i-1}
+    polys = [[one]]
+    for m in range(n):
+        prev = polys[m]
+        p = [zero] + prev
+        d = h[m][m]
+        if d:
+            for k, c in enumerate(prev):
+                p[k] = p[k] - d * c
+        t = one
+        for i in range(m - 1, -1, -1):
+            t = t * h[i + 1][i]
+            if not t:
+                break
+            u = h[i][m] * t
+            if u:
+                for k, c in enumerate(polys[i]):
+                    p[k] = p[k] - u * c
+        polys.append(p)
+    return polys[n]
 
 
 class UniPoly:

@@ -31,6 +31,13 @@ class TestRing:
         assert code == 0
         assert payload["invariant_ring"]["dim"] == 4
 
+    def test_text_skips_level_rings(self, capsys):
+        code, full, _ = run(capsys, "ring", "--genus", "4")
+        assert code == 0
+        code, invariant_only, _ = run(capsys, "ring", "--genus", "4", "--invariant-only")
+        assert code == 0
+        assert full == invariant_only
+
     def test_bad_genus(self, capsys):
         code, out, err = run(capsys, "ring", "--genus", "0")
         assert code == 1
@@ -230,6 +237,29 @@ class TestUsageErrors:
     def test_unknown_subcommand(self, capsys):
         code, _, err = run(capsys, "frobnicate")
         assert code == 1
+
+    def assert_one_line_usage_error(self, code, err):
+        assert code == 1
+        assert "Traceback" not in err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_non_integer_class_multiple(self, capsys):
+        code, _, err = run(capsys, "mu", "--genus", "2", "--i", "1", "--class", "pt:x")
+        self.assert_one_line_usage_error(code, err)
+
+    def test_malformed_json_class(self, capsys):
+        code, _, err = run(capsys, "mu", "--genus", "2", "--i", "1", "--class", "{bad")
+        self.assert_one_line_usage_error(code, err)
+
+    def test_zero_denominator_in_series(self, capsys, tmp_path):
+        obj = product_series(1, 1).to_json()
+        obj["terms"][0]["a"] = "1/0"
+        path = tmp_path / "series.json"
+        path.write_text(json.dumps(obj))
+        code, _, err = run(
+            capsys, "donaldson", "eval", "--series", str(path), "--class", "1,0"
+        )
+        self.assert_one_line_usage_error(code, err)
 
     def test_malformed_vector(self, capsys, tmp_path):
         path = tmp_path / "series.json"
