@@ -11,10 +11,7 @@ from .exactalg import (
     DEFAULT_ORDER,
     GaussianRational,
     TruncatedSeries,
-    gq_arith,
     rational,
-    series_exp,
-    series_mul,
 )
 from .poly import (
     ALPHA,
@@ -26,8 +23,6 @@ from .poly import (
     Monomial,
     MonomialOrder,
     SparsePoly,
-    order_compare,
-    poly_mul,
 )
 from .linalg import Matrix, UniPoly, EigenReport
 from .groebner import (
@@ -38,8 +33,6 @@ from .groebner import (
     char_poly,
     default_candidates,
     factor_over_candidates,
-    kernel_rank,
-    mult_matrix,
     normal_form,
     staircase_basis,
 )

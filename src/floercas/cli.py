@@ -14,8 +14,9 @@ import json
 import sys
 
 from . import checks, donaldson, fukaya
-from .exactalg import DEFAULT_ORDER
+from .exactalg import DEFAULT_ORDER, GaussianRational
 from .floer import (
+    FalsificationError,
     filtration_step,
     floer_cohomology,
     gamma_quotient_ring,
@@ -57,24 +58,12 @@ def _require(cond: bool, message: str):
 # renderers
 
 
-def _scalar_text(obj: dict) -> str:
-    re, im = obj["re"], obj["im"]
-    if im == "0":
-        return re
-    if re == "0":
-        return f"{im}*i" if im not in ("1", "-1") else ("i" if im == "1" else "-i")
-    sign = "+" if not im.startswith("-") else "-"
-    mag = im.lstrip("-")
-    istr = "i" if mag == "1" else f"{mag}*i"
-    return f"{re}{sign}{istr}"
-
-
 def _series_text(obj: dict) -> str:
     parts = []
     for k, c in enumerate(obj["coeffs"]):
         if c["re"] == "0" and c["im"] == "0":
             continue
-        cs = _scalar_text(c)
+        cs = str(GaussianRational.from_json(c))
         tk = "" if k == 0 else ("t" if k == 1 else f"t^{k}")
         parts.append(cs if not tk else (tk if cs == "1" else f"-{tk}" if cs == "-1" else f"({cs})*{tk}"))
     return " + ".join(parts) if parts else "0"
@@ -82,7 +71,7 @@ def _series_text(obj: dict) -> str:
 
 def _eigen_text(obj: dict) -> str:
     roots = ", ".join(
-        f"{_scalar_text(r['value'])} (x{r['mult']})" for r in obj["roots"]
+        f"{GaussianRational.from_json(r['value'])} (x{r['mult']})" for r in obj["roots"]
     )
     rem = obj["remainder"]["coeffs"]
     trivial = len(rem) == 1 and rem[0]["re"] == "1" and rem[0]["im"] == "0"
@@ -174,7 +163,7 @@ def _cmd_rhff(args):
         for c in p["components"]:
             lines.append(
                 f"  i={c['i']:+d}  alpha = {_series_text(c['alpha'])}  "
-                f"beta = {_scalar_text(c['beta'])}"
+                f"beta = {GaussianRational.from_json(c['beta'])}"
             )
         return "\n".join(lines)
 
@@ -191,7 +180,8 @@ def _cmd_effective(args):
         for v in p["eigenvalues"]:
             lines.append(
                 f"  (alpha, beta, gamma) = ({_series_text(v['alpha'])}, "
-                f"{_scalar_text(v['beta'])}, {_scalar_text(v['gamma'])})"
+                f"{GaussianRational.from_json(v['beta'])}, "
+                f"{GaussianRational.from_json(v['gamma'])})"
             )
         return "\n".join(lines)
 
@@ -208,7 +198,7 @@ def _cmd_delta(args):
         for c in p["components"]:
             lines.append(
                 f"  k={c['k']}  i={c['i']:+d}  mult {c['mult']}  alpha = "
-                f"{_series_text(c['alpha'])}  beta = {_scalar_text(c['beta'])}"
+                f"{_series_text(c['alpha'])}  beta = {GaussianRational.from_json(c['beta'])}"
             )
         return "\n".join(lines)
 
@@ -225,6 +215,7 @@ def _parse_homology_class(spec: str, g: int) -> fukaya.YHomologyClass:
             return fukaya.YHomologyClass.surface(obj.get("sigma", 0), torus)
         if grade == 1:
             surface = tuple(obj.get("curves", [0] * (2 * g)))
+            _require(len(surface) == 2 * g, f"curve coefficient list must have length {2 * g}")
             return fukaya.YHomologyClass.curve(obj.get("circle", 0), surface)
         if grade == 0:
             return fukaya.YHomologyClass.point(obj.get("mult", 1))
@@ -490,6 +481,9 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except FalsificationError as exc:
+        print(f"falsified: {exc}", file=sys.stderr)
+        return EXIT_FALSIFIED
     _emit(payload, args.format, text_fn)
     return code
 

@@ -211,6 +211,8 @@ class FiberSumInput:
             raise ValueError("need one split per result basis class")
         n = len(self.basis_names)
         result = DonaldsonSeries(self.basis_names, self.q, ())
+        if Matrix(result.q).rank() < n:
+            raise ValueError("intersection form Q must be nondegenerate")
         for idx, sp in enumerate(self.splits):
             d = tuple(1 if j == idx else 0 for j in range(n))
             lhs = result.quadratic_form(d)

@@ -8,21 +8,17 @@ with a uniform truncation order N inside one computation context.
 The rational backend is selected at import time: gmpy2.mpq when available
 (much faster on large numerators), else fractions.Fraction.  Both are
 exact and produce identical string forms, so results and serializations do
-not depend on the backend.  Set FLOERCAS_PURE=1 to force the stdlib path.
+not depend on the backend.
 """
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
 
-if os.environ.get("FLOERCAS_PURE"):
+try:
+    from gmpy2 import mpq as _RAT  # type: ignore[import-not-found]
+except ImportError:
     _RAT = Fraction
-else:
-    try:
-        from gmpy2 import mpq as _RAT  # type: ignore[import-not-found]
-    except ImportError:
-        _RAT = Fraction
 
 #: default truncation order; every acceptance computation needs <= t^8
 DEFAULT_ORDER = 16
@@ -133,15 +129,9 @@ class GaussianRational:
             n >>= 1
         return out
 
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
-
     # -- predicates ---------------------------------------------------
     def __bool__(self) -> bool:
         return self.re != 0 or self.im != 0
-
-    def is_rational(self) -> bool:
-        return self.im == 0
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int,)) or type(other) is _RAT or isinstance(other, Fraction):
@@ -184,17 +174,32 @@ GR_ZERO = GaussianRational(0)
 GR_ONE = GaussianRational(1)
 
 
-def gq_arith(x: GaussianRational, y, op: str) -> GaussianRational:
-    """Dispatch form of the field operations: op in {add, mul, inv, neg}."""
-    if op == "add":
-        return x + y
-    if op == "mul":
-        return x * y
-    if op == "inv":
-        return x.inv()
-    if op == "neg":
-        return -x
-    raise ValueError(f"unknown op {op!r}")
+def render_terms(terms) -> str:
+    """Render (coefficient, unit) pairs as a signed sum of c*unit terms.
+
+    A unit "1" marks the constant term, which prints as its coefficient.
+    Coefficients 1 and -1 are left implicit, a coefficient with an inner
+    sign is parenthesized, zero coefficients are skipped, and the empty
+    sum is "0".
+    """
+    parts = []
+    for c, unit in terms:
+        if not c:
+            continue
+        cs = str(c)
+        if unit == "1":
+            parts.append(cs)
+        elif cs == "1":
+            parts.append(unit)
+        elif cs == "-1":
+            parts.append(f"-{unit}")
+        elif ("+" in cs[1:]) or ("-" in cs[1:]):
+            parts.append(f"({cs})*{unit}")
+        else:
+            parts.append(f"{cs}*{unit}")
+    if not parts:
+        return "0"
+    return parts[0] + "".join(p if p.startswith("-") else "+" + p for p in parts[1:])
 
 
 class TruncatedSeries:
@@ -303,7 +308,7 @@ class TruncatedSeries:
     def exp(self) -> "TruncatedSeries":
         """exp of a series with zero constant term, truncated at t^N."""
         if self.coeffs[0]:
-            raise ValueError("series_exp requires zero constant term")
+            raise ValueError("exp requires zero constant term")
         out = TruncatedSeries.constant(GR_ONE, self.order)
         term = TruncatedSeries.constant(GR_ONE, self.order)
         for k in range(1, self.order):
@@ -342,29 +347,9 @@ class TruncatedSeries:
 
     # -- rendering ------------------------------------------------------
     def __str__(self) -> str:
-        parts = []
-        for k, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            cs = str(c)
-            if k == 0:
-                parts.append(cs)
-            else:
-                tk = "t" if k == 1 else f"t^{k}"
-                if cs == "1":
-                    parts.append(tk)
-                elif cs == "-1":
-                    parts.append(f"-{tk}")
-                elif ("+" in cs[1:]) or ("-" in cs[1:]):
-                    parts.append(f"({cs})*{tk}")
-                else:
-                    parts.append(f"{cs}*{tk}")
-        if not parts:
-            return "0"
-        out = parts[0]
-        for p in parts[1:]:
-            out += p if p.startswith("-") else "+" + p
-        return out
+        return render_terms(
+            (c, "1" if k == 0 else "t" if k == 1 else f"t^{k}") for k, c in enumerate(self.coeffs)
+        )
 
     def __repr__(self) -> str:
         return f"TruncatedSeries({self!s}, order={self.order})"
@@ -378,13 +363,3 @@ class TruncatedSeries:
         return TruncatedSeries(
             [GaussianRational.from_json(c) for c in obj["coeffs"]], obj["order"]
         )
-
-
-def series_mul(x: TruncatedSeries, y: TruncatedSeries) -> TruncatedSeries:
-    """Cauchy product truncated at t^N; orders must match."""
-    return x * y
-
-
-def series_exp(x: TruncatedSeries) -> TruncatedSeries:
-    """Sum of x^k/k! truncated at t^N; x must have zero constant term."""
-    return x.exp()

@@ -23,7 +23,6 @@ from .groebner import (
     char_poly,
     default_candidates,
     factor_over_candidates,
-    kernel_rank,
 )
 from .poly import ALPHA, BETA, GAMMA, GRLEX, MonomialOrder, SparsePoly
 
@@ -146,40 +145,38 @@ def basis_matrix(ring: QuotientRing, monomials) -> Matrix:
 
 
 def _independent_subset(vectors, seed=()):
-    """Greedy deterministic choice of vectors independent from seed and each other."""
-    kept = list(seed)
-    base_rank = Matrix.from_columns(kept).rank() if kept else 0
-    out = []
-    for v in vectors:
-        cand = kept + [v]
-        r = Matrix.from_columns(cand).rank()
-        if r > base_rank:
-            kept = cand
-            base_rank = r
-            out.append(v)
-    return out
+    """Greedy deterministic choice of vectors independent from seed and each other.
 
-
-def induced_action(m: Matrix, numerator, denominator) -> Matrix:
-    """Action induced by m on span(numerator)/span(denominator).
-
-    denominator must be contained in the numerator span and m must
-    preserve the subquotient; violation raises FalsificationError.
+    Column j of [seed | vectors] is a pivot of its reduced echelon form
+    exactly when it is not in the span of the columns before it, so one
+    elimination makes the greedy choice.
     """
-    reps = _independent_subset(numerator, seed=list(denominator))
+    vectors = list(vectors)
+    if not vectors:
+        return []
+    d = len(seed)
+    _, pivots = Matrix.from_columns([*seed, *vectors]).rref()
+    return [vectors[j - d] for j in pivots if j >= d]
+
+
+def induced_action(m: Matrix, reps, denominator) -> Matrix:
+    """Action induced by m on span(denominator + reps)/span(denominator).
+
+    reps must be independent modulo the denominator.  One elimination of
+    [denominator | reps | m*reps]: a pivot among the m*reps columns means
+    m does not preserve the subquotient, which raises FalsificationError;
+    otherwise each image column is a combination of the pivot columns, and
+    its coefficients on the reps pivots are the induced action.
+    """
     if not reps:
         return Matrix([])
-    b = Matrix.from_columns(list(denominator) + reps)
-    d = len(denominator)
-    cols = []
-    for v in reps:
-        w = m.matvec(v)
-        try:
-            x = b.solve(w)
-        except ValueError as exc:
-            raise FalsificationError("action does not preserve the subquotient") from exc
-        cols.append(x[d:])
-    return Matrix.from_columns(cols)
+    d, n = len(denominator), len(reps)
+    images = [m.matvec(v) for v in reps]
+    rows, pivots = Matrix.from_columns([*denominator, *reps, *images]).rref()
+    if pivots and pivots[-1] >= d + n:
+        raise FalsificationError("action does not preserve the subquotient")
+    rep_rows = [rows[pivots.index(d + k)] for k in range(n)]
+    return Matrix([[row[d + n + j] for j in range(n)] for row in rep_rows])
 
 
 @dataclass(frozen=True)
@@ -195,14 +192,14 @@ class SubquotientModule:
 
     @staticmethod
     def build(ambient: QuotientRing, numerator, denominator, candidate_bound: int) -> "SubquotientModule":
-        reps = _independent_subset(numerator, seed=list(denominator))
+        reps = _independent_subset(numerator, seed=denominator)
         den = tuple(tuple(v) for v in denominator)
         num = tuple(tuple(v) for v in numerator)
         actions = {}
         eigen = {}
         cands = default_candidates(candidate_bound)
         for name in ("alpha", "beta", "gamma"):
-            m = induced_action(ambient.mult_matrix(name), list(numerator), list(denominator))
+            m = induced_action(ambient.mult_matrix(name), reps, denominator)
             actions[name] = m
             eigen[name] = factor_over_candidates(char_poly(m), cands)
         return SubquotientModule(ambient, num, den, len(reps), actions, eigen)
@@ -232,8 +229,7 @@ def filtration_step(r: int) -> SubquotientModule:
     if small.dim == 0:
         numerator = [col_vec for col_vec in Matrix.identity(big.dim).columns()]
     else:
-        proj = Matrix.from_columns(cols)
-        _, numerator = kernel_rank(proj)
+        numerator = Matrix.from_columns(cols).kernel_basis()
     return SubquotientModule.build(big, numerator, [], candidate_bound=r + 1)
 
 
@@ -247,8 +243,8 @@ def psi1_block(r: int) -> SubquotientModule:
         raise ValueError("level must be >= 1")
     ring = invariant_ring(r)
     mg = ring.mult_matrix("gamma")
-    _, ker_g = kernel_rank(mg)
-    _, ker_g2 = kernel_rank(mg @ mg)
+    ker_g = mg.kernel_basis()
+    ker_g2 = (mg @ mg).kernel_basis()
     image = _independent_subset([mg.matvec(v) for v in ker_g2])
     return SubquotientModule.build(ring, ker_g, image, candidate_bound=r)
 
@@ -258,9 +254,7 @@ def gamma_kernel_dims(r: int) -> tuple:
     C(r+1,2)+C(r,2)."""
     ring = invariant_ring(r)
     mg = ring.mult_matrix("gamma")
-    rank1, _ = kernel_rank(mg)
-    rank2, _ = kernel_rank(mg @ mg)
-    return ring.dim - rank1, ring.dim - rank2
+    return ring.dim - mg.rank(), ring.dim - (mg @ mg).rank()
 
 
 def socle_quotient_ring(r: int) -> QuotientRing:
@@ -323,8 +317,7 @@ def primitive_dim_exact(g: int, k: int) -> int:
         _, _, step = _wedge_step_matrix(g, m)
         composite = step if composite is None else step @ composite
         m += 2
-    rank, _ = kernel_rank(composite)
-    return composite.ncols - rank
+    return composite.ncols - composite.rank()
 
 
 # ---------------------------------------------------------------------------

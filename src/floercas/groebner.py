@@ -21,7 +21,6 @@ from .linalg import (
     UniPoly,
     default_candidates,
     factor_over_candidates,
-    kernel_rank,
 )
 from .poly import GRLEX, Monomial, MonomialOrder, SparsePoly
 
@@ -32,9 +31,7 @@ __all__ = [
     "buchberger",
     "normal_form",
     "staircase_basis",
-    "mult_matrix",
     "char_poly",
-    "kernel_rank",
     "factor_over_candidates",
     "default_candidates",
     "EigenReport",
@@ -257,11 +254,6 @@ class QuotientRing:
             self._mult[var] = Matrix.from_columns(cols) if cols else Matrix([])
         return self._mult[var]
 
-    def operator_matrix(self, p: SparsePoly) -> Matrix:
-        """Matrix of multiplication by an arbitrary polynomial."""
-        cols = [self.nf_coords(p.mul_monomial(m)) for m in self.basis]
-        return Matrix.from_columns(cols) if cols else Matrix([])
-
     def extend(self, extra: Sequence[SparsePoly]) -> "QuotientRing":
         """Quotient by the ideal enlarged with extra generators."""
         return QuotientRing.from_generators(list(self.gb.generators) + list(extra), self.order)
@@ -275,10 +267,6 @@ class QuotientRing:
             "staircase": [list(m) for m in self.basis],
             "dim": self.dim,
         }
-
-
-def mult_matrix(ring: QuotientRing, var) -> Matrix:
-    return ring.mult_matrix(var)
 
 
 def char_poly(m: Matrix) -> UniPoly:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exactalg import GR_ONE, GR_ZERO, GaussianRational, rational
+from .exactalg import GR_ONE, GR_ZERO, GaussianRational, rational, render_terms
 
 
 class Matrix:
@@ -56,19 +56,6 @@ class Matrix:
         return [self.column(j) for j in range(self.ncols)]
 
     # -- arithmetic ---------------------------------------------------------
-    def __add__(self, other: "Matrix") -> "Matrix":
-        return Matrix(
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)]
-        )
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        return Matrix(
-            [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)]
-        )
-
-    def __neg__(self) -> "Matrix":
-        return Matrix([[-a for a in r] for r in self.rows])
-
     def scale(self, c) -> "Matrix":
         c = GaussianRational.coerce(c)
         return Matrix([[a * c for a in r] for r in self.rows])
@@ -102,9 +89,6 @@ class Matrix:
                     s = s + a * v[k]
             out.append(s)
         return out
-
-    def transpose(self) -> "Matrix":
-        return Matrix([[self.rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matrix):
@@ -196,12 +180,6 @@ class Matrix:
     # -- serialization ------------------------------------------------------
     def to_json(self) -> list:
         return [[x.to_json() for x in row] for row in self.rows]
-
-
-def kernel_rank(m: Matrix):
-    """(rank, kernel basis) of an exact matrix."""
-    basis = m.kernel_basis()
-    return m.ncols - len(basis), basis
 
 
 def _hessenberg_charpoly(h: list, one, zero) -> list:
@@ -323,38 +301,11 @@ class UniPoly:
         rem = out.pop()
         return UniPoly(list(reversed(out))), rem
 
-    @staticmethod
-    def from_roots(roots) -> "UniPoly":
-        p = UniPoly([GR_ONE])
-        for r in roots:
-            p = p * UniPoly([-GaussianRational.coerce(r), GR_ONE])
-        return p
-
     def __str__(self) -> str:
-        parts = []
-        for k in range(self.degree, -1, -1):
-            c = self.coeffs[k]
-            if not c:
-                continue
-            cs = str(c)
-            if k == 0:
-                parts.append(cs)
-                continue
-            xk = "x" if k == 1 else f"x^{k}"
-            if cs == "1":
-                parts.append(xk)
-            elif cs == "-1":
-                parts.append(f"-{xk}")
-            elif ("+" in cs[1:]) or ("-" in cs[1:]):
-                parts.append(f"({cs})*{xk}")
-            else:
-                parts.append(f"{cs}*{xk}")
-        if not parts:
-            return "0"
-        out = parts[0]
-        for p in parts[1:]:
-            out += p if p.startswith("-") else "+" + p
-        return out
+        return render_terms(
+            (self.coeffs[k], "1" if k == 0 else "x" if k == 1 else f"x^{k}")
+            for k in range(self.degree, -1, -1)
+        )
 
     def __repr__(self) -> str:
         return f"UniPoly({self})"

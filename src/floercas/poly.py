@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .exactalg import GR_ONE, GR_ZERO, GaussianRational, TruncatedSeries
+from .exactalg import GR_ONE, GaussianRational, TruncatedSeries, render_terms
 
 #: cohomological degrees of (alpha, beta, gamma)
 WEIGHTS = (2, 4, 6)
@@ -102,17 +102,6 @@ class MonomialOrder:
 GRLEX = MonomialOrder("grlex")
 GREVLEX = MonomialOrder("grevlex")
 WGREVLEX = MonomialOrder("wgrevlex")
-
-_ORDERS = {"grlex": GRLEX, "grevlex": GREVLEX, "wgrevlex": WGREVLEX}
-
-
-def order_by_name(name: str) -> MonomialOrder:
-    return _ORDERS[name]
-
-
-def order_compare(m1: Monomial, m2: Monomial, order: MonomialOrder = GRLEX) -> int:
-    """-1, 0 or +1 as m1 <, =, > m2 in the given order."""
-    return order.compare(m1, m2)
 
 
 def _coerce_coeff(c):
@@ -271,9 +260,6 @@ class SparsePoly:
     def __len__(self) -> int:
         return len(self.terms)
 
-    def coefficient(self, m: Monomial):
-        return self.terms.get(m, GR_ZERO)
-
     def sorted_terms(self, order: MonomialOrder = GRLEX) -> list:
         """(monomial, coeff) pairs, descending in the order."""
         return sorted(self.terms.items(), key=lambda mc: order.key(mc[0]), reverse=True)
@@ -286,17 +272,11 @@ class SparsePoly:
     def leading_coeff(self, order: MonomialOrder = GRLEX):
         return self.terms[self.leading_monomial(order)]
 
-    def constant_coeff(self):
-        return self.terms.get(MONOMIAL_ONE, GR_ZERO)
-
     def total_degree(self) -> int:
         return max((m.total_degree for m in self.terms), default=0)
 
     def monomials(self) -> Iterator[Monomial]:
         return iter(self.terms)
-
-    def map_coeffs(self, fn) -> "SparsePoly":
-        return SparsePoly({m: fn(c) for m, c in self.terms.items()})
 
     def is_homogeneous(self, degree: int | None = None) -> bool:
         """Exactly homogeneous in the weighted (cohomological) grading."""
@@ -324,26 +304,7 @@ class SparsePoly:
 
     # -- rendering ----------------------------------------------------------
     def render(self, names=("alpha", "beta", "gamma"), order: MonomialOrder = GRLEX) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for m, c in self.sorted_terms(order):
-            cs = str(c)
-            ms = m.render(names)
-            if ms == "1":
-                parts.append(cs)
-            elif cs == "1":
-                parts.append(ms)
-            elif cs == "-1":
-                parts.append(f"-{ms}")
-            elif ("+" in cs[1:]) or ("-" in cs[1:]):
-                parts.append(f"({cs})*{ms}")
-            else:
-                parts.append(f"{cs}*{ms}")
-        out = parts[0]
-        for p in parts[1:]:
-            out += p if p.startswith("-") else "+" + p
-        return out
+        return render_terms((c, m.render(names)) for m, c in self.sorted_terms(order))
 
     def __str__(self) -> str:
         return self.render()
@@ -375,8 +336,3 @@ class SparsePoly:
 ALPHA = SparsePoly.variable(0)
 BETA = SparsePoly.variable(1)
 GAMMA = SparsePoly.variable(2)
-
-
-def poly_mul(p: SparsePoly, q: SparsePoly) -> SparsePoly:
-    """Exact product in canonical form."""
-    return p * q

@@ -2,6 +2,7 @@ import json
 
 from floercas.cli import main
 from floercas.donaldson import product_series
+from floercas.floer import FalsificationError
 
 
 def run(capsys, *argv):
@@ -81,6 +82,16 @@ class TestEigen:
     def test_block_needs_positive_level(self, capsys):
         code, _, err = run(capsys, "eigen", "--r", "0", "--object", "K")
         assert code == 1
+
+    def test_falsified_action_exits_two(self, capsys, monkeypatch):
+        def fail(r):
+            raise FalsificationError("action does not preserve the subquotient")
+
+        monkeypatch.setattr("floercas.cli.psi1_block", fail)
+        code, out, err = run(capsys, "eigen", "--r", "2", "--object", "K")
+        assert code == 2
+        assert out == "" and "Traceback" not in err
+        assert err == "falsified: action does not preserve the subquotient\n"
 
 
 class TestFukayaCommands:
@@ -173,6 +184,30 @@ class TestDonaldsonCommands:
         assert code == 0
         assert payload["terms"] == product_series(2, 3).to_json()["terms"]
 
+    def test_fibersum_degenerate_form_rejected(self, capsys, tmp_path):
+        a = tmp_path / "a.json"
+        a.write_text(json.dumps(product_series(1, 1).to_json()))
+        pairing = json.dumps(
+            {
+                "sigma_a": [1, 0],
+                "sigma_b": [1, 0],
+                "basis": ["E", "F"],
+                "Q": [[0, 0], [0, 0]],
+                "splits": [
+                    {"d1": [1, 0], "d2": [0, 0], "sigma_dot": 0},
+                    {"d1": [0, 1], "d2": [0, 0], "sigma_dot": 0},
+                ],
+            }
+        )
+        code, out, err = run(
+            capsys,
+            "donaldson", "fibersum",
+            "--a", str(a), "--b", str(a),
+            "--genus", "1", "--pairing", pairing,
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "nondegenerate" in err
+
     def test_order(self, capsys):
         code, payload, _ = run_json(capsys, "donaldson", "order", "--genus", "2")
         assert code == 0 and payload["order"] == 2
@@ -249,6 +284,12 @@ class TestUsageErrors:
 
     def test_malformed_json_class(self, capsys):
         code, _, err = run(capsys, "mu", "--genus", "2", "--i", "1", "--class", "{bad")
+        self.assert_one_line_usage_error(code, err)
+
+    def test_curve_list_length(self, capsys):
+        code, _, err = run(
+            capsys, "mu", "--genus", "2", "--i", "0", "--class", '{"grade": 1, "curves": [1]}'
+        )
         self.assert_one_line_usage_error(code, err)
 
     def test_zero_denominator_in_series(self, capsys, tmp_path):

@@ -1,15 +1,19 @@
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from floercas.exactalg import GaussianRational as GR
 from floercas.floer import (
+    FalsificationError,
+    _independent_subset,
     basis_matrix,
     classical_ring,
     filtration_step,
     floer_cohomology,
     gamma_kernel_dims,
     gamma_quotient_ring,
+    induced_action,
     invariant_ring,
     monomial_simplex,
     primitive_dim,
@@ -25,7 +29,7 @@ from floercas.checks import (
     expected_filtration_alpha,
     expected_socle_charpoly,
 )
-from floercas.groebner import UniPoly
+from floercas.groebner import Matrix, UniPoly
 from floercas.poly import ALPHA, BETA, GAMMA, SparsePoly
 
 
@@ -198,6 +202,63 @@ class TestBlocks:
     def test_level_zero_rejected(self):
         with pytest.raises(ValueError):
             psi1_block(0)
+
+
+def greedy_independent(vectors, seed):
+    """Keep a vector exactly when it raises the rank of what is kept so far."""
+    kept, out = list(seed), []
+    rank = Matrix.from_columns(kept).rank() if kept else 0
+    for v in vectors:
+        r = Matrix.from_columns(kept + [v]).rank()
+        if r > rank:
+            kept, rank = kept + [v], r
+            out.append(v)
+    return out
+
+
+# mostly zero entries, so that zero and dependent columns are common
+sparse_entries = st.sampled_from(
+    [GR(0), GR(0), GR(0), GR(0), GR(1), GR(-1), GR(2), GR(0, 1), GR(1, -1)]
+)
+
+
+@st.composite
+def column_families(draw):
+    """(seed, vectors) over Q(i)^n drawn from a small pool, so vectors
+    repeat; the pool holds the zero vector, and a seed of two or more
+    vectors gets their sum appended, so it is dependent."""
+    n = draw(st.integers(1, 4))
+    column = st.lists(sparse_entries, min_size=n, max_size=n)
+    pool = draw(st.lists(column, min_size=1, max_size=4)) + [[GR(0)] * n]
+    vectors = draw(st.lists(st.sampled_from(pool), max_size=7))
+    seed = draw(st.lists(st.sampled_from(pool), max_size=3))
+    if len(seed) >= 2:
+        seed.append([a + b for a, b in zip(seed[0], seed[1])])
+    return seed, vectors
+
+
+class TestSubquotientReadout:
+    @settings(max_examples=150, deadline=None)
+    @given(column_families())
+    def test_independent_subset_is_greedy_choice(self, family):
+        seed, vectors = family
+        assert _independent_subset(vectors, seed) == greedy_independent(vectors, seed)
+
+    def test_action_leaving_subquotient_raises(self):
+        e1, e2 = [GR(1), GR(0)], [GR(0), GR(1)]
+        shift = Matrix.from_columns([e2, [GR(0), GR(0)]])  # e1 -> e2, e2 -> 0
+        with pytest.raises(FalsificationError):
+            induced_action(shift, [e1], [])
+
+    def test_action_on_quotient_by_a_line(self):
+        # Q^3/span(e1 + e3), classes of e1 and e2; the denominator is
+        # given twice over, as d and 2d
+        e1, e2 = [GR(1), GR(0), GR(0)], [GR(0), GR(1), GR(0)]
+        d = [GR(1), GR(0), GR(1)]
+        # m e1 = e2 + e3 = -e1 + e2 + d,  m e2 = 2 e1 + e3 = e1 + d,  m e3 = 0
+        m = Matrix.from_columns([[0, 1, 1], [2, 0, 1], [0, 0, 0]])
+        got = induced_action(m, [e1, e2], [d, [2 * x for x in d]])
+        assert got == Matrix([[-1, 1], [1, 0]])
 
 
 class TestGammaStructure:
