@@ -7,14 +7,25 @@ ideals involved have at most a handful of generators in three variables,
 so plain Buchberger with the sugar selection strategy and the coprimality
 criterion is entirely adequate; the returned basis is reduced, monic and
 sorted, hence canonical for the given monomial order.
+
+Reduction runs on a mutable map from monomials to coefficients, with a
+max-heap of order keys to find the next largest term: each step subtracts
+c * q * tail(g) from the map term by term, and only the final remainder
+becomes a SparsePoly.  When the polynomial and every generator have zero
+imaginary parts, as all level-ring relations do, the map holds the
+rational real parts and the result is wrapped back into Gaussian
+rationals.  Buchberger keeps its basis in that form, monic and split into
+leading monomial and tail, for the whole run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
+from operator import neg
 from typing import Sequence
 
-from .exactalg import GaussianRational, TruncatedSeries
+from .exactalg import GR_ONE, GaussianRational, TruncatedSeries, rational
 from .linalg import (
     EigenReport,
     Matrix,
@@ -69,39 +80,81 @@ class GroebnerBasis:
         }
 
 
-def _reduce_full(p: SparsePoly, gens: Sequence[SparsePoly], order: MonomialOrder) -> SparsePoly:
-    """Full normal form: no term of the result divisible by any leading monomial."""
-    lead = [(g.leading_monomial(order), g.leading_coeff(order), g) for g in gens if g]
-    tail_terms: dict = {}
-    work = p
-    while work:
-        m = work.leading_monomial(order)
-        c = work.terms[m]
-        hit = None
-        for lm, lc, g in lead:
+def _is_real(polys) -> bool:
+    """True when every coefficient is a GaussianRational with zero imaginary part."""
+    return all(type(c) is GaussianRational and not c.im for p in polys for c in p.terms.values())
+
+
+def _term_map(p: SparsePoly, real: bool) -> dict:
+    """A fresh mutable copy of p's terms, holding the rational real parts when `real`."""
+    if real:
+        return {m: c.re for m, c in p.terms.items()}
+    return dict(p.terms)
+
+
+def _to_poly(terms: dict, real: bool) -> SparsePoly:
+    if real:
+        return SparsePoly({m: GaussianRational(c) for m, c in terms.items()})
+    return SparsePoly(terms)
+
+
+def _divisor(terms: dict, lm: Monomial, one) -> tuple:
+    """The generator with term map `terms` and leading monomial lm, made monic,
+    as (lm, tail) with tail the list of its other (monomial, coefficient) pairs."""
+    lc = terms[lm]
+    if lc == one:
+        return lm, [(m, c) for m, c in terms.items() if m != lm]
+    inv = one / lc
+    return lm, [(m, c * inv) for m, c in terms.items() if m != lm]
+
+
+def _reduce(work: dict, divisors: Sequence[tuple], order: MonomialOrder) -> dict:
+    """Full remainder of the term map `work` (consumed) by monic divisors (lm, tail).
+
+    The largest term left is popped from a max-heap of order keys and either
+    cancelled by subtracting c * q * tail of the first divisor whose leading
+    monomial divides it (lm * q = m) or moved to the remainder.  A monomial
+    that cancels leaves its heap entry behind; the entry is skipped when
+    popped.  The remainder receives its terms in descending order, so its
+    first key is its leading monomial.
+    """
+    key = order.key
+    heap = [(tuple(map(neg, key(m))), m) for m in work]
+    heapify(heap)
+    rem: dict = {}
+    while heap:
+        m = heappop(heap)[1]
+        c = work.pop(m, None)
+        if c is None:
+            continue
+        for lm, tail in divisors:
             if lm.divides(m):
-                hit = (lm, lc, g)
+                q = m.divide(lm)
+                for tm, tc in tail:
+                    t = tm.mul(q)
+                    d = work.get(t)
+                    if d is None:
+                        work[t] = -(c * tc)
+                        heappush(heap, (tuple(map(neg, key(t))), t))
+                    else:
+                        d = d - c * tc
+                        if d:
+                            work[t] = d
+                        else:
+                            del work[t]
                 break
-        if hit is None:
-            tail_terms[m] = c
-            work = work - SparsePoly({m: c})
         else:
-            lm, lc, g = hit
-            factor = c * lc.inv()
-            work = work - g.mul_monomial(m.divide(lm), factor)
-    return SparsePoly(tail_terms)
+            rem[m] = c
+    return rem
 
 
 def normal_form(p: SparsePoly, gb: GroebnerBasis) -> SparsePoly:
     """Unique remainder of p modulo the ideal, w.r.t. gb's order."""
-    return _reduce_full(p, gb.generators, gb.order)
-
-
-def _spoly(f: SparsePoly, g: SparsePoly, order: MonomialOrder) -> SparsePoly:
-    lf, lg = f.leading_monomial(order), g.leading_monomial(order)
-    lcm = lf.lcm(lg)
-    cf, cg = f.leading_coeff(order), g.leading_coeff(order)
-    return f.mul_monomial(lcm.divide(lf), cf.inv()) - g.mul_monomial(lcm.divide(lg), cg.inv())
+    gens = [g for g in gb.generators if g]
+    real = _is_real([p, *gens])
+    one = rational(1) if real else GR_ONE
+    divisors = [_divisor(_term_map(g, real), g.leading_monomial(gb.order), one) for g in gens]
+    return _to_poly(_reduce(_term_map(p, real), divisors, gb.order), real)
 
 
 def buchberger(gens: Sequence[SparsePoly], order: MonomialOrder = GRLEX) -> GroebnerBasis:
@@ -116,64 +169,73 @@ def buchberger(gens: Sequence[SparsePoly], order: MonomialOrder = GRLEX) -> Groe
     for g in work:
         if g.coeff_kind() is TruncatedSeries:
             raise TypeError("Groebner bases require GaussianRational coefficients")
+    real = _is_real(work)
+    one = rational(1) if real else GR_ONE
+    key = order.key
 
-    basis: list[SparsePoly] = []
+    basis: list[tuple] = []  # monic (leading monomial, tail) pairs
     sugar: list[int] = []
-    pairs: list[tuple] = []  # (sugar, lcm key, i, j)
+    pairs: list[tuple] = []  # heap of (sugar, lcm key, i, j)
 
-    def add_poly(p: SparsePoly, s: int):
-        p = p * p.leading_coeff(order).inv()
+    def add_poly(r: dict, s: int):
+        lm = next(iter(r))
         k = len(basis)
-        lm = p.leading_monomial(order)
-        for i in range(k):
-            lmi = basis[i].leading_monomial(order)
+        for i, (lmi, _) in enumerate(basis):
             if lmi.coprime(lm):
                 continue  # first Buchberger criterion
             l = lmi.lcm(lm)
             s_pair = max(
-                sugar[i] + l.divide(lmi).total_degree,
-                s + l.divide(lm).total_degree,
+                sugar[i] + l.total_degree - lmi.total_degree,
+                s + l.total_degree - lm.total_degree,
             )
-            pairs.append((s_pair, order.key(l), i, k))
-        basis.append(p)
+            heappush(pairs, (s_pair, key(l), i, k))
+        basis.append(_divisor(r, lm, one))
         sugar.append(s)
 
-    for g in sorted(work, key=lambda q: order.key(q.leading_monomial(order))):
-        r = _reduce_full(g, basis, order) if basis else g
+    for g in sorted(work, key=lambda q: key(q.leading_monomial(order))):
+        r = _reduce(_term_map(g, real), basis, order)
         if r:
-            add_poly(r, r.total_degree())
+            add_poly(r, max(m.total_degree for m in r))
 
     while pairs:
-        pairs.sort()
-        _, _, i, j = pairs.pop(0)
-        s = _spoly(basis[i], basis[j], order)
-        if not s:
-            continue
-        r = _reduce_full(s, basis, order)
+        _, _, i, j = heappop(pairs)
+        (lmi, tail_i), (lmj, tail_j) = basis[i], basis[j]
+        l = lmi.lcm(lmj)
+        ui, uj = l.divide(lmi), l.divide(lmj)
+        # S-polynomial ui * basis[i] - uj * basis[j]; the leading terms cancel
+        spoly = {m.mul(ui): c for m, c in tail_i}
+        for m, c in tail_j:
+            t = m.mul(uj)
+            d = spoly.get(t)
+            if d is None:
+                spoly[t] = -c
+            elif d == c:
+                del spoly[t]
+            else:
+                spoly[t] = d - c
+        r = _reduce(spoly, basis, order)
         if r:
-            lcm = basis[i].leading_monomial(order).lcm(basis[j].leading_monomial(order))
             s_new = max(
-                sugar[i] + lcm.divide(basis[i].leading_monomial(order)).total_degree,
-                sugar[j] + lcm.divide(basis[j].leading_monomial(order)).total_degree,
-                r.total_degree(),
+                sugar[i] + ui.total_degree,
+                sugar[j] + uj.total_degree,
+                max(m.total_degree for m in r),
             )
             add_poly(r, s_new)
 
     # minimalize: drop generators whose leading monomial another one divides
-    by_lm = sorted(basis, key=lambda q: order.key(q.leading_monomial(order)))
-    minimal: list[SparsePoly] = []
-    for g in by_lm:
-        lm = g.leading_monomial(order)
-        if not any(h.leading_monomial(order).divides(lm) for h in minimal):
-            minimal.append(g)
+    minimal: list[tuple] = []
+    for lm, tail in sorted(basis, key=lambda d: key(d[0])):
+        if not any(h.divides(lm) for h, _ in minimal):
+            minimal.append((lm, tail))
 
-    # inter-reduce tails; leading monomials are already pairwise indivisible
-    reduced: list[SparsePoly] = []
-    for idx, g in enumerate(minimal):
-        others = minimal[:idx] + minimal[idx + 1 :]
-        r = _reduce_full(g, others, order)
-        reduced.append(r * r.leading_coeff(order).inv())
-    reduced.sort(key=lambda q: order.key(q.leading_monomial(order)))
+    # inter-reduce tails; leading monomials are already pairwise indivisible,
+    # so each result keeps its monic leading term and the sorted order
+    reduced = []
+    for idx, (lm, tail) in enumerate(minimal):
+        work_map = dict(tail)
+        work_map[lm] = one
+        r = _reduce(work_map, minimal[:idx] + minimal[idx + 1 :], order)
+        reduced.append(_to_poly(r, real))
     return GroebnerBasis(tuple(reduced), order)
 
 

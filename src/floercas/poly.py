@@ -70,10 +70,6 @@ M_BETA = Monomial(0, 1, 0)
 M_GAMMA = Monomial(0, 0, 1)
 
 
-def _GRLEX_KEY(m: Monomial):
-    return (m.total_degree, m[0], m[1], m[2])
-
-
 @dataclass(frozen=True)
 class MonomialOrder:
     """Total multiplicative well-founded order on monomials.
@@ -132,7 +128,7 @@ class SparsePoly:
             elif m in acc:
                 del acc[m]
         object.__setattr__(
-            self, "terms", dict(sorted(acc.items(), key=lambda mc: _GRLEX_KEY(mc[0])))
+            self, "terms", dict(sorted(acc.items(), key=lambda mc: GRLEX.key(mc[0])))
         )
 
     def __setattr__(self, name, value):
@@ -238,10 +234,8 @@ class SparsePoly:
             n >>= 1
         return out
 
-    def mul_monomial(self, m: Monomial, c=None) -> "SparsePoly":
-        if c is None:
-            return SparsePoly({mm.mul(m): cc for mm, cc in self.terms.items()})
-        return SparsePoly({mm.mul(m): cc * c for mm, cc in self.terms.items()})
+    def mul_monomial(self, m: Monomial) -> "SparsePoly":
+        return SparsePoly({mm.mul(m): cc for mm, cc in self.terms.items()})
 
     # -- predicates / access ------------------------------------------------
     def __bool__(self) -> bool:

@@ -15,7 +15,7 @@ from floercas.groebner import (
     normal_form,
     staircase_basis,
 )
-from floercas.poly import ALPHA, BETA, GAMMA, GRLEX, WGREVLEX, Monomial, SparsePoly
+from floercas.poly import ALPHA, BETA, GAMMA, GREVLEX, GRLEX, WGREVLEX, Monomial, SparsePoly
 
 J2_GENS = [ALPHA**2 + BETA - 8, ALPHA * BETA + 8 * ALPHA + GAMMA, ALPHA * GAMMA]
 
@@ -98,6 +98,15 @@ class TestNormalForm:
     def test_generator_reduces_to_zero(self):
         gb = buchberger(J2_GENS)
         assert not normal_form(ALPHA * GAMMA, gb)
+
+    def test_series_coefficients_against_scalar_basis(self):
+        from floercas.exactalg import TruncatedSeries
+
+        t = TruncatedSeries.t(4)
+        p = SparsePoly({Monomial(2, 0, 0): 1 + t, Monomial(0, 0, 0): 2 * t})
+        nf = normal_form(p, buchberger(J2_GENS))
+        assert nf.coeff_kind() is TruncatedSeries
+        assert str(nf) == "(-1-t)*beta+8+10*t"
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -183,11 +192,13 @@ class TestCharPoly:
         assert cp == UniPoly([0, 0, 0, 0, 1])  # x^4
 
     def test_order_independence(self):
-        for r in range(1, 5):
+        for r in range(1, 6):
             a = QuotientRing.from_generators(relations("R", r).generators(), GRLEX)
-            b = QuotientRing.from_generators(relations("R", r).generators(), WGREVLEX)
-            for v in ("alpha", "beta", "gamma"):
-                assert char_poly(a.mult_matrix(v)) == char_poly(b.mult_matrix(v))
+            for order in (WGREVLEX, GREVLEX):
+                b = QuotientRing.from_generators(relations("R", r).generators(), order)
+                assert a.dim == b.dim
+                for v in ("alpha", "beta", "gamma"):
+                    assert char_poly(a.mult_matrix(v)) == char_poly(b.mult_matrix(v))
 
     def test_empty_matrix(self):
         assert char_poly(Matrix([])) == UniPoly([1])
@@ -279,15 +290,50 @@ class TestAgainstIndependentCAS:
             expr += q * al ** m[0] * be ** m[1] * ga ** m[2]
         return sp.expand(expr)
 
-    def test_level_three_reduced_basis(self):
+    def _assert_same_basis(self, gens, order, domain=None):
         import sympy as sp
 
         al, be, ga = sp.symbols("al be ga")
-        gens = [self._to_sympy(p) for p in relations("R", 3).generators()]
-        oracle = sp.groebner(gens, al, be, ga, order="grlex")
-        mine = {self._to_sympy(p) for p in invariant_ring(3).gb.generators}
-        theirs = {sp.expand(g) for g in oracle.exprs}
-        assert mine == theirs
+        options = {} if domain is None else {"domain": domain}
+        oracle = sp.groebner([self._to_sympy(p) for p in gens], al, be, ga, order=order.kind, **options)
+        mine = {self._to_sympy(p) for p in buchberger(gens, order).generators}
+        assert mine == {sp.expand(g) for g in oracle.exprs}
+
+    def test_level_three_reduced_basis(self):
+        # levels 3..5, in grlex and grevlex
+        for r in (3, 4, 5):
+            for order in (GRLEX, GREVLEX):
+                self._assert_same_basis(relations("R", r).generators(), order)
+
+    def test_gaussian_reduced_basis(self):
+        import sympy as sp
+
+        i = GR(0, 1)
+        ideals = [
+            [ALPHA**2 + i * BETA - 2, ALPHA * BETA + GAMMA, i * GAMMA**2 - ALPHA],
+            # leading coefficients 1+2i and 3-i
+            [GR(1, 2) * ALPHA * BETA - GAMMA, ALPHA**2 + i * BETA, GR(3, -1) * BETA**2 + ALPHA],
+        ]
+        for gens in ideals:
+            for order in (GRLEX, GREVLEX):
+                self._assert_same_basis(gens, order, sp.QQ_I)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.dictionaries(
+            st.builds(Monomial, st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)),
+            st.builds(GR, st.integers(-5, 5), st.integers(-5, 5)),
+            max_size=4,
+        ).map(SparsePoly)
+    )
+    def test_gaussian_normal_form_mod_real_basis(self, p):
+        import sympy as sp
+
+        al, be, ga = sp.symbols("al be ga")
+        gb = invariant_ring(3).gb
+        basis = [self._to_sympy(g) for g in gb.generators]
+        _, rem = sp.reduced(self._to_sympy(p), basis, al, be, ga, order="grlex", domain=sp.QQ_I)
+        assert self._to_sympy(normal_form(p, gb)) == sp.expand(rem)
 
     def test_dims_match_oracle(self):
         import sympy as sp
