@@ -24,15 +24,12 @@ from .poly import (
     MonomialOrder,
     SparsePoly,
 )
-from .linalg import Matrix, UniPoly, EigenReport
+from .linalg import Matrix, UniPoly, EigenReport, factor_over_candidates
 from .groebner import (
     GroebnerBasis,
     InfiniteStaircaseError,
     QuotientRing,
     buchberger,
-    char_poly,
-    default_candidates,
-    factor_over_candidates,
     normal_form,
     staircase_basis,
 )
@@ -41,6 +38,10 @@ from .floer import (
     FloerRing,
     RelationTriple,
     SubquotientModule,
+    alpha_eigenvalue,
+    beta_eigenvalue,
+    default_candidates,
+    eigen_reports,
     filtration_step,
     floer_cohomology,
     gamma_kernel_dims,

@@ -15,6 +15,9 @@ from math import comb
 from . import donaldson, fukaya
 from .exactalg import GaussianRational
 from .floer import (
+    alpha_eigenvalue,
+    beta_eigenvalue,
+    default_candidates,
     filtration_step,
     floer_cohomology,
     gamma_kernel_dims,
@@ -29,7 +32,8 @@ from .floer import (
     relations,
     socle_quotient_charpoly,
 )
-from .groebner import QuotientRing, UniPoly, char_poly, default_candidates, factor_over_candidates
+from .groebner import QuotientRing
+from .linalg import Matrix, UniPoly, factor_over_candidates
 from .poly import BETA, GAMMA, GRLEX
 
 
@@ -65,27 +69,9 @@ def _result(name, claim, failures, detail="") -> CheckResult:
 
 
 def expected_filtration_alpha(r: int) -> dict:
-    """alpha spectrum of the r-th filtration layer: 4k (r odd) or
-    4k*sqrt(-1) (r even) for k = r mod 2, |k| <= r, multiplicity one."""
-    out = {}
-    for k in range(-r, r + 1):
-        if (k - r) % 2:
-            continue
-        val = GaussianRational(4 * k) if r % 2 else GaussianRational(0, 4 * k)
-        out[val] = out.get(val, 0) + 1
-    return out
-
-
-def expected_block_alpha(r: int) -> dict:
-    """alpha spectrum of the level-r torsion block: indices k = r-1 mod 2,
-    |k| <= r-1, acting as 4k (k odd) or 4k*sqrt(-1) (k even)."""
-    out = {}
-    for k in range(-(r - 1), r):
-        if (k - (r - 1)) % 2:
-            continue
-        val = GaussianRational(4 * k) if k % 2 else GaussianRational(0, 4 * k)
-        out[val] = out.get(val, 0) + 1
-    return out
+    """alpha spectrum of the r-th filtration layer, and of the level-(r+1)
+    torsion block: one line of each index k = r mod 2 with |k| <= r."""
+    return {alpha_eigenvalue(k): 1 for k in range(-r, r + 1, 2)}
 
 
 def expected_socle_charpoly(r: int) -> UniPoly:
@@ -100,10 +86,6 @@ def expected_socle_charpoly(r: int) -> UniPoly:
         for k in range(1, r + 1, 2):
             p = p * UniPoly([GaussianRational(-16 * k * k), GaussianRational(0), GaussianRational(1)])
     return p
-
-
-def _spectrum_dict(report) -> dict:
-    return {root: mult for root, mult in report.roots}
 
 
 # ---------------------------------------------------------------------------
@@ -169,14 +151,14 @@ def check_filtration(max_step: int = 4) -> CheckResult:
         alpha = step.spectrum("alpha")
         if not alpha.complete():
             failures.append(f"step {r}: alpha spectrum has unexplained factor {alpha.remainder}")
-        if _spectrum_dict(alpha) != expected_filtration_alpha(r):
+        if alpha.root_set() != expected_filtration_alpha(r):
             failures.append(f"step {r}: alpha spectrum mismatch")
         beta = step.spectrum("beta")
-        want_beta = GaussianRational(-8 if r % 2 else 8)
-        if not beta.complete() or _spectrum_dict(beta) != {want_beta: r + 1}:
+        want_beta = beta_eigenvalue(r)
+        if not beta.complete() or beta.root_set() != {want_beta: r + 1}:
             failures.append(f"step {r}: beta does not act as {want_beta}")
         gamma = step.spectrum("gamma")
-        if not gamma.complete() or _spectrum_dict(gamma) != {GaussianRational(0): r + 1}:
+        if not gamma.complete() or gamma.root_set() != {GaussianRational(0): r + 1}:
             failures.append(f"step {r}: gamma spectrum not zero")
     return _result(
         "filtration-spectra",
@@ -209,14 +191,14 @@ def check_blocks(max_level: int = 5, max_genus: int = 4) -> CheckResult:
             failures.append(f"block {r} dim {block.dim} != {r}")
             continue
         alpha = block.spectrum("alpha")
-        if not alpha.complete() or _spectrum_dict(alpha) != expected_block_alpha(r):
+        if not alpha.complete() or alpha.root_set() != expected_filtration_alpha(r - 1):
             failures.append(f"block {r}: alpha spectrum mismatch")
-        want_beta = GaussianRational(8 if (r - 1) % 2 == 0 else -8)
+        want_beta = beta_eigenvalue(r - 1)
         beta = block.spectrum("beta")
-        if not beta.complete() or _spectrum_dict(beta) != {want_beta: r}:
+        if not beta.complete() or beta.root_set() != {want_beta: r}:
             failures.append(f"block {r}: beta does not act as {want_beta}")
         gamma = block.spectrum("gamma")
-        if not gamma.complete() or _spectrum_dict(gamma) != {GaussianRational(0): r}:
+        if not gamma.complete() or gamma.root_set() != {GaussianRational(0): r}:
             failures.append(f"block {r}: gamma not zero")
     for g in range(1, max_genus + 1):
         total = psi1_homology_dims(g)["total"]
@@ -263,21 +245,18 @@ def check_reduced_consistency(max_genus: int = 5) -> CheckResult:
         if ring.dim != 2 * g - 1:
             failures.append(f"genus {g}: reduced ring dim {ring.dim} != {2 * g - 1}")
             continue
-        cp = char_poly(ring.mult_matrix("alpha"))
+        cp = ring.mult_matrix("alpha").charpoly()
         report = factor_over_candidates(cp, default_candidates(g))
         module = fukaya.reduced_module(g, 1)
         want = {}
         for c in module.components:
             v = c.alpha.constant_term()
             want[v] = want.get(v, 0) + 1
-        if not report.complete() or _spectrum_dict(report) != want:
+        if not report.complete() or report.root_set() != want:
             failures.append(f"genus {g}: t=0 alpha spectrum mismatch")
         mb = ring.mult_matrix("beta")
         sq = mb @ mb
-        n = ring.dim
-        from .linalg import Matrix
-
-        if sq != Matrix.identity(n).scale(64):
+        if sq != Matrix.identity(ring.dim).scale(64):
             failures.append(f"genus {g}: beta^2 - 64 does not annihilate the reduced ring")
         for c in module.components:
             if c.beta * c.beta != GaussianRational(64):
@@ -378,7 +357,7 @@ def _fresh_payload(max_genus: int) -> str:
     payload = {}
     for g in range(1, max_genus + 1):
         ring = QuotientRing.from_generators(relations("R", g).generators(), GRLEX)
-        cp = char_poly(ring.mult_matrix("alpha"))
+        cp = ring.mult_matrix("alpha").charpoly()
         payload[f"ring{g}"] = ring.to_json()
         payload[f"alpha_cp{g}"] = cp.to_json()
         payload[f"reduced{g}"] = fukaya.reduced_module(g).to_json()

@@ -17,6 +17,7 @@ from . import checks, donaldson, fukaya
 from .exactalg import DEFAULT_ORDER, GaussianRational
 from .floer import (
     FalsificationError,
+    eigen_reports,
     filtration_step,
     floer_cohomology,
     gamma_quotient_ring,
@@ -24,7 +25,6 @@ from .floer import (
     psi1_block,
     relations,
 )
-from .groebner import char_poly, default_candidates, factor_over_candidates
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -123,11 +123,9 @@ def _cmd_eigen(args):
     code = EXIT_OK
     if args.object in ("F", "Fbar"):
         ring = invariant_ring(args.r) if args.object == "F" else gamma_quotient_ring(args.r)
-        cands = default_candidates(args.r + 1)
-        payload = {"object": args.object, "r": args.r, "dim": ring.dim, "eigen": {}}
-        for name in ("alpha", "beta", "gamma"):
-            rep = factor_over_candidates(char_poly(ring.mult_matrix(name)), cands)
-            payload["eigen"][name] = rep.to_json()
+        reports = eigen_reports(ring.mult_matrix, args.r + 1)
+        payload = {"object": args.object, "r": args.r, "dim": ring.dim}
+        payload["eigen"] = {name: rep.to_json() for name, rep in reports.items()}
     else:
         if args.object == "filtration":
             module = filtration_step(args.r)
@@ -205,20 +203,25 @@ def _cmd_delta(args):
     return EXIT_OK, payload, text
 
 
+def _integer(value, name: str):
+    _require(isinstance(value, int) and not isinstance(value, bool), f"{name} must be an integer")
+    return value
+
+
 def _parse_homology_class(spec: str, g: int) -> fukaya.YHomologyClass:
     if spec.startswith("{"):
         obj = json.loads(spec)
         grade = obj["grade"]
         if grade == 2:
-            torus = tuple(obj.get("torus", [0] * (2 * g)))
+            torus = tuple(_integer(c, "torus entry") for c in obj.get("torus", [0] * (2 * g)))
             _require(len(torus) == 2 * g, f"torus coefficient list must have length {2 * g}")
-            return fukaya.YHomologyClass.surface(obj.get("sigma", 0), torus)
+            return fukaya.YHomologyClass.surface(_integer(obj.get("sigma", 0), "sigma"), torus)
         if grade == 1:
-            surface = tuple(obj.get("curves", [0] * (2 * g)))
+            surface = tuple(_integer(c, "curves entry") for c in obj.get("curves", [0] * (2 * g)))
             _require(len(surface) == 2 * g, f"curve coefficient list must have length {2 * g}")
-            return fukaya.YHomologyClass.curve(obj.get("circle", 0), surface)
+            return fukaya.YHomologyClass.curve(_integer(obj.get("circle", 0), "circle"), surface)
         if grade == 0:
-            return fukaya.YHomologyClass.point(obj.get("mult", 1))
+            return fukaya.YHomologyClass.point(_integer(obj.get("mult", 1), "mult"))
         raise UsageError("grade must be 0, 1 or 2")
     parts = spec.split(":")
     kind = parts[0]

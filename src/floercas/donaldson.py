@@ -116,10 +116,19 @@ class DonaldsonSeries:
     def from_json(obj: dict) -> "DonaldsonSeries":
         return DonaldsonSeries(
             basis_names=tuple(obj["basis"]),
-            q=tuple(tuple(row) for row in obj["Q"]),
-            terms=tuple((rational(t["a"]), tuple(t["K"])) for t in obj["terms"]),
+            q=tuple(_integers(row, "Q") for row in obj["Q"]),
+            terms=tuple((rational(t["a"]), _integers(t["K"], "K")) for t in obj["terms"]),
             simple_type=bool(obj.get("simple_type", True)),
         )
+
+
+def _integers(values, name: str) -> tuple:
+    """values as a tuple, rejecting any entry that is not an integer: int()
+    would truncate a fractional class or form entry without a word."""
+    out = tuple(values)
+    if not all(isinstance(x, int) and not isinstance(x, bool) for x in out):
+        raise ValueError(f"{name} entries must be integers")
+    return out
 
 
 _HYPERBOLIC_Q = ((0, 1), (1, 0))

@@ -15,15 +15,8 @@ from itertools import combinations
 from math import comb
 
 from .exactalg import GR_ONE, GR_ZERO, GaussianRational, rational
-from .groebner import (
-    EigenReport,
-    Matrix,
-    QuotientRing,
-    UniPoly,
-    char_poly,
-    default_candidates,
-    factor_over_candidates,
-)
+from .groebner import VAR_NAMES, QuotientRing
+from .linalg import EigenReport, Matrix, UniPoly, factor_over_candidates
 from .poly import ALPHA, BETA, GAMMA, GRLEX, MonomialOrder, SparsePoly
 
 FLAVORS = ("q", "R", "Rbar")
@@ -91,6 +84,42 @@ def relations(flavor: str, r: int) -> RelationTriple:
             n3 = GAMMA * p1
         p1, p2, p3 = n1, n2, n3
     return RelationTriple(flavor, r, p1, p2, p3)
+
+
+# ---------------------------------------------------------------------------
+# the spectrum rule: the eigenvalues of alpha and beta on the index-k line
+
+
+def alpha_eigenvalue(k: int) -> GaussianRational:
+    """alpha acts on the index-k line as 4k for k odd, 4k*sqrt(-1) for k even."""
+    return GaussianRational(4 * k) if k % 2 else GaussianRational(0, 4 * k)
+
+
+def beta_eigenvalue(k: int) -> GaussianRational:
+    """beta acts on the index-k line as (-1)^k 8."""
+    return GaussianRational(-8 if k % 2 else 8)
+
+
+def default_candidates(bound: int) -> list:
+    """Candidate eigenvalues 0, +-8 and +-4k, +-4k*i for k <= bound."""
+    out = [GaussianRational(0), GaussianRational(8), GaussianRational(-8)]
+    for k in range(1, bound + 1):
+        for val in (
+            GaussianRational(4 * k),
+            GaussianRational(-4 * k),
+            GaussianRational(0, 4 * k),
+            GaussianRational(0, -4 * k),
+        ):
+            if val not in out:
+                out.append(val)
+    return out
+
+
+def eigen_reports(matrix_of, bound: int) -> dict:
+    """The alpha, beta and gamma spectra: the characteristic polynomial of
+    each matrix_of(name), factored over default_candidates(bound)."""
+    cands = default_candidates(bound)
+    return {name: factor_over_candidates(matrix_of(name).charpoly(), cands) for name in VAR_NAMES}
 
 
 # ---------------------------------------------------------------------------
@@ -195,13 +224,10 @@ class SubquotientModule:
         reps = _independent_subset(numerator, seed=denominator)
         den = tuple(tuple(v) for v in denominator)
         num = tuple(tuple(v) for v in numerator)
-        actions = {}
-        eigen = {}
-        cands = default_candidates(candidate_bound)
-        for name in ("alpha", "beta", "gamma"):
-            m = induced_action(ambient.mult_matrix(name), reps, denominator)
-            actions[name] = m
-            eigen[name] = factor_over_candidates(char_poly(m), cands)
+        actions = {
+            name: induced_action(ambient.mult_matrix(name), reps, denominator) for name in VAR_NAMES
+        }
+        eigen = eigen_reports(actions.get, candidate_bound)
         return SubquotientModule(ambient, num, den, len(reps), actions, eigen)
 
     def spectrum(self, name: str) -> EigenReport:
@@ -265,8 +291,7 @@ def socle_quotient_ring(r: int) -> QuotientRing:
 
 
 def socle_quotient_charpoly(r: int) -> UniPoly:
-    ring = socle_quotient_ring(r)
-    return char_poly(ring.mult_matrix("alpha"))
+    return socle_quotient_ring(r).mult_matrix("alpha").charpoly()
 
 
 # ---------------------------------------------------------------------------
@@ -365,13 +390,8 @@ class FloerRing:
                 entry["relations"] = [p.to_json() for p in tri.generators()]
                 entry["ring"] = s.ring.to_json()
                 if s.ring.dim:
-                    cands = default_candidates(s.level + 1)
-                    entry["spectra"] = {
-                        v: factor_over_candidates(
-                            char_poly(s.ring.mult_matrix(v)), cands
-                        ).to_json()
-                        for v in ("alpha", "beta", "gamma")
-                    }
+                    reports = eigen_reports(s.ring.mult_matrix, s.level + 1)
+                    entry["spectra"] = {v: rep.to_json() for v, rep in reports.items()}
         return out
 
 
@@ -396,13 +416,13 @@ def floer_cohomology(g: int) -> FloerRing:
 
 def psi1_homology_dims(g: int) -> dict:
     """Summands (k, multiplicity, block dim) of the degree-3 homology and
-    their total; multiplicity C(2g-2,k) - C(2g-2,k-2), block dim g-k."""
+    their total; multiplicity primitive_dim(g-1, k), block dim g-k."""
     if g < 1:
         raise ValueError("genus must be >= 1")
     rows = []
     total = 0
     for k in range(g):
-        mult = comb(2 * g - 2, k) - (comb(2 * g - 2, k - 2) if k >= 2 else 0)
+        mult = primitive_dim(g - 1, k)
         dim_block = g - k
         rows.append({"k": k, "multiplicity": mult, "block_dim": dim_block})
         total += mult * dim_block

@@ -11,9 +11,9 @@ eigenvalue statements, which are exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 
 from .exactalg import DEFAULT_ORDER, GaussianRational, TruncatedSeries
+from .floer import alpha_eigenvalue, beta_eigenvalue, primitive_dim
 
 __all__ = [
     "RhffComponent",
@@ -28,20 +28,12 @@ __all__ = [
 ]
 
 
-def _alpha_eigen(i: int, n: int, order: int) -> TruncatedSeries:
-    """alpha eigenvalue on the index-i line for loop multiple n:
-    4i + 2nt (i odd), 4i*sqrt(-1) - 2nt (i even)."""
-    if i % 2:
-        const = GaussianRational(4 * i)
-        slope = GaussianRational(2 * n)
-    else:
-        const = GaussianRational(0, 4 * i)
-        slope = GaussianRational(-2 * n)
-    return TruncatedSeries([const, slope], order)
-
-
-def _beta_eigen(i: int) -> GaussianRational:
-    return GaussianRational(8 if i % 2 == 0 else -8)
+def _deformed_alpha(i: int, sigma: int, n: int, order: int) -> TruncatedSeries:
+    """alpha on the index-i line, deformed to first order in t, for sigma
+    copies of the surface and a loop running n times around the circle:
+    sigma * alpha_eigenvalue(i) + 2nt (i odd) or - 2nt (i even)."""
+    slope = GaussianRational(2 * n if i % 2 else -2 * n)
+    return TruncatedSeries([alpha_eigenvalue(i) * sigma, slope], order)
 
 
 @dataclass(frozen=True)
@@ -67,9 +59,6 @@ class RhffModule:
     def rank(self) -> int:
         return len(self.components)
 
-    def alpha_values_at_zero(self) -> list:
-        return [c.alpha.constant_term() for c in self.components]
-
     def to_json(self) -> dict:
         return {
             "genus": self.genus,
@@ -85,7 +74,7 @@ def reduced_module(g: int, n: int = 1, order: int = DEFAULT_ORDER) -> RhffModule
     if g < 1:
         raise ValueError("genus must be >= 1")
     comps = tuple(
-        RhffComponent(i, _alpha_eigen(i, n, order), _beta_eigen(i))
+        RhffComponent(i, _deformed_alpha(i, 1, n, order), beta_eigenvalue(i))
         for i in range(-(g - 1), g)
     )
     return RhffModule(genus=g, n=n, components=comps)
@@ -118,7 +107,7 @@ def effective_eigenvalues(g: int, order: int = DEFAULT_ORDER) -> tuple:
     for mag in range(g):
         for i in ([0] if mag == 0 else [mag, -mag]):
             out.append(
-                EffectiveEigenvalue(i, _alpha_eigen(i, 1, order), _beta_eigen(i), zero)
+                EffectiveEigenvalue(i, _deformed_alpha(i, 1, 1, order), beta_eigenvalue(i), zero)
             )
     return tuple(out)
 
@@ -163,25 +152,18 @@ class DeltaHffModule:
         }
 
 
-def _reduced_primitive_mult(g: int, k: int) -> int:
-    """Primitive multiplicity over the (2g-2)-dimensional reduced space."""
-    return comb(2 * g - 2, k) - (comb(2 * g - 2, k - 2) if k >= 2 else 0)
-
-
 def delta_module(g: int) -> DeltaHffModule:
-    """Components (k, i) with 0 <= k <= g-1, |i| <= g-k-1, i = g-k-1 mod 2;
-    alpha acts as 4i*sqrt(-1) (i even) or 4i (i odd), beta as (-1)^i 8."""
+    """Components (k, i) with 0 <= k <= g-1, |i| <= g-k-1, i = g-k-1 mod 2,
+    of multiplicity primitive_dim(g-1, k); alpha and beta act on the line
+    by alpha_eigenvalue(i) and beta_eigenvalue(i)."""
     if g < 1:
         raise ValueError("genus must be >= 1")
     comps = []
     for k in range(g):
-        mult = _reduced_primitive_mult(g, k)
+        mult = primitive_dim(g - 1, k)
         bound = g - k - 1
-        for i in range(-bound, bound + 1):
-            if (i - bound) % 2:
-                continue
-            alpha = GaussianRational(4 * i) if i % 2 else GaussianRational(0, 4 * i)
-            comps.append(DeltaComponent(k, i, mult, alpha, _beta_eigen(i)))
+        for i in range(-bound, bound + 1, 2):
+            comps.append(DeltaComponent(k, i, mult, alpha_eigenvalue(i), beta_eigenvalue(i)))
     return DeltaHffModule(genus=g, components=tuple(comps))
 
 
@@ -243,16 +225,7 @@ def mu_action(i: int, cls: YHomologyClass, order: int = DEFAULT_ORDER) -> Trunca
     if cls.grade == 1:
         return TruncatedSeries.constant(0, order)
     if cls.grade == 0:
-        val = GaussianRational((8 if i % 2 == 0 else -8) * cls.point_mult)
-        return TruncatedSeries.constant(val, order)
+        return TruncatedSeries.constant(beta_eigenvalue(i) * cls.point_mult, order)
     if cls.grade != 2:
         raise ValueError("grade must be 0, 1 or 2")
-    a_s1 = cls.circle_pairing()
-    a_delta = cls.loop_pairing()
-    if i % 2:
-        const = GaussianRational(4 * a_s1 * i)
-        slope = GaussianRational(2 * a_delta)
-    else:
-        const = GaussianRational(0, 4 * a_s1 * i)
-        slope = GaussianRational(-2 * a_delta)
-    return TruncatedSeries([const, slope], order)
+    return _deformed_alpha(i, cls.circle_pairing(), cls.loop_pairing(), order)

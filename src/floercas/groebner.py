@@ -26,13 +26,7 @@ from operator import neg
 from typing import Sequence
 
 from .exactalg import GR_ONE, GaussianRational, TruncatedSeries, rational
-from .linalg import (
-    EigenReport,
-    Matrix,
-    UniPoly,
-    default_candidates,
-    factor_over_candidates,
-)
+from .linalg import Matrix
 from .poly import GRLEX, Monomial, MonomialOrder, SparsePoly
 
 __all__ = [
@@ -42,12 +36,6 @@ __all__ = [
     "buchberger",
     "normal_form",
     "staircase_basis",
-    "char_poly",
-    "factor_over_candidates",
-    "default_candidates",
-    "EigenReport",
-    "Matrix",
-    "UniPoly",
 ]
 
 VAR_NAMES = ("alpha", "beta", "gamma")
@@ -329,8 +317,3 @@ class QuotientRing:
             "staircase": [list(m) for m in self.basis],
             "dim": self.dim,
         }
-
-
-def char_poly(m: Matrix) -> UniPoly:
-    """Exact monic characteristic polynomial of a square matrix."""
-    return m.charpoly()

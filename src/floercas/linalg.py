@@ -355,18 +355,3 @@ def factor_over_candidates(cp: UniPoly, candidates) -> EigenReport:
         if mult:
             roots.append((cand, mult))
     return EigenReport(tuple(roots), rem)
-
-
-def default_candidates(bound: int) -> list:
-    """Candidate eigenvalues 0, +-8 and +-4k, +-4k*i for k <= bound."""
-    out = [GaussianRational(0), GaussianRational(8), GaussianRational(-8)]
-    for k in range(1, bound + 1):
-        for val in (
-            GaussianRational(4 * k),
-            GaussianRational(-4 * k),
-            GaussianRational(0, 4 * k),
-            GaussianRational(0, -4 * k),
-        ):
-            if val not in out:
-                out.append(val)
-    return out

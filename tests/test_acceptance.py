@@ -15,6 +15,7 @@ from floercas.checks import CheckResult
 from floercas.exactalg import GaussianRational as GR
 from floercas.floer import (
     basis_matrix,
+    default_candidates,
     filtration_step,
     gamma_quotient_ring,
     invariant_ring,
@@ -25,7 +26,7 @@ from floercas.floer import (
     psi1_homology_dims,
     socle_quotient_charpoly,
 )
-from floercas.groebner import char_poly, default_candidates, factor_over_candidates
+from floercas.linalg import factor_over_candidates
 from floercas.poly import BETA, GAMMA
 
 
@@ -162,7 +163,7 @@ def test_block_and_loop_totals_spot():
 def test_reduced_spot():
     ring = invariant_ring(5).extend([GAMMA, BETA * BETA - 64])
     assert ring.dim == 9
-    rep = factor_over_candidates(char_poly(ring.mult_matrix("alpha")), default_candidates(5))
+    rep = factor_over_candidates(ring.mult_matrix("alpha").charpoly(), default_candidates(5))
     assert rep.complete()
     want = {GR(0), GR(4), GR(-4), GR(0, 8), GR(0, -8), GR(12), GR(-12), GR(0, 16), GR(0, -16)}
     assert {root for root, _ in rep.roots} == want

@@ -286,6 +286,18 @@ class TestUsageErrors:
         code, _, err = run(capsys, "mu", "--genus", "2", "--i", "1", "--class", "{bad")
         self.assert_one_line_usage_error(code, err)
 
+    def test_non_integer_json_surface_coefficient(self, capsys):
+        code, _, err = run(
+            capsys, "mu", "--genus", "2", "--i", "1", "--class", '{"grade": 2, "sigma": "x"}'
+        )
+        self.assert_one_line_usage_error(code, err)
+
+    def test_non_integer_json_point_multiple(self, capsys):
+        code, _, err = run(
+            capsys, "mu", "--genus", "2", "--i", "1", "--class", '{"grade": 0, "mult": [1]}'
+        )
+        self.assert_one_line_usage_error(code, err)
+
     def test_curve_list_length(self, capsys):
         code, _, err = run(
             capsys, "mu", "--genus", "2", "--i", "0", "--class", '{"grade": 1, "curves": [1]}'
@@ -301,6 +313,18 @@ class TestUsageErrors:
             capsys, "donaldson", "eval", "--series", str(path), "--class", "1,0"
         )
         self.assert_one_line_usage_error(code, err)
+
+    def test_non_integer_class_or_form_in_series(self, capsys, tmp_path):
+        # int() would truncate these to K = [1] and Q = [[0]] and answer "value: 1"
+        for q, k in (([[0]], [1.5]), ([[0.5]], [1])):
+            obj = {"basis": ["E"], "Q": q, "terms": [{"a": "1", "K": k}]}
+            path = tmp_path / "series.json"
+            path.write_text(json.dumps(obj))
+            code, out, err = run(
+                capsys, "donaldson", "eval", "--series", str(path), "--class", "1"
+            )
+            self.assert_one_line_usage_error(code, err)
+            assert out == ""
 
     def test_malformed_vector(self, capsys, tmp_path):
         path = tmp_path / "series.json"

@@ -7,8 +7,11 @@ from floercas.exactalg import GaussianRational as GR
 from floercas.floer import (
     FalsificationError,
     _independent_subset,
+    alpha_eigenvalue,
     basis_matrix,
+    beta_eigenvalue,
     classical_ring,
+    default_candidates,
     filtration_step,
     floer_cohomology,
     gamma_kernel_dims,
@@ -25,11 +28,10 @@ from floercas.floer import (
     socle_quotient_ring,
 )
 from floercas.checks import (
-    expected_block_alpha,
     expected_filtration_alpha,
     expected_socle_charpoly,
 )
-from floercas.groebner import Matrix, UniPoly
+from floercas.linalg import Matrix, UniPoly
 from floercas.poly import ALPHA, BETA, GAMMA, SparsePoly
 
 
@@ -128,6 +130,45 @@ class TestLevelRings:
                 assert not direct.normal_form(g)
 
 
+class TestSpectrumRule:
+    # (k, alpha on the index-k line, beta on it), written out by hand
+    TABLE = [
+        (-6, GR(0, -24), GR(8)),
+        (-5, GR(-20), GR(-8)),
+        (-4, GR(0, -16), GR(8)),
+        (-3, GR(-12), GR(-8)),
+        (-2, GR(0, -8), GR(8)),
+        (-1, GR(-4), GR(-8)),
+        (0, GR(0), GR(8)),
+        (1, GR(4), GR(-8)),
+        (2, GR(0, 8), GR(8)),
+        (3, GR(12), GR(-8)),
+        (4, GR(0, 16), GR(8)),
+        (5, GR(20), GR(-8)),
+        (6, GR(0, 24), GR(8)),
+    ]
+
+    def test_literal_values(self):
+        for k, alpha, beta in self.TABLE:
+            assert alpha_eigenvalue(k) == alpha
+            assert beta_eigenvalue(k) == beta
+
+    def test_candidates_contain_rule(self):
+        for bound in range(8):
+            cands = default_candidates(bound)
+            for k in range(-bound, bound + 1):
+                assert alpha_eigenvalue(k) in cands
+                assert beta_eigenvalue(k) in cands
+
+    def test_displayed_product_over_line_spectrum(self):
+        for r in range(1, 9):
+            product = UniPoly([1])
+            for v, mult in expected_filtration_alpha(r).items():
+                assert mult == 1
+                product = product * UniPoly([-v, GR(1)])
+            assert expected_socle_charpoly(r) == product
+
+
 class TestFiltration:
     def test_step_zero(self):
         step = filtration_step(0)
@@ -197,7 +238,7 @@ class TestBlocks:
             block = psi1_block(r)
             assert block.dim == r
             assert block.complete()
-            assert spectrum(block.eigen["alpha"]) == expected_block_alpha(r)
+            assert spectrum(block.eigen["alpha"]) == expected_filtration_alpha(r - 1)
 
     def test_level_zero_rejected(self):
         with pytest.raises(ValueError):

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from floercas.exactalg import GaussianRational as GR, TruncatedSeries as TS
-from floercas.floer import invariant_ring
+from floercas.floer import default_candidates, invariant_ring
 from floercas.fukaya import (
     YHomologyClass,
     delta_module,
@@ -11,7 +11,7 @@ from floercas.fukaya import (
     mu_action,
     reduced_module,
 )
-from floercas.groebner import char_poly, default_candidates, factor_over_candidates
+from floercas.linalg import factor_over_candidates
 from floercas.poly import BETA, GAMMA
 
 
@@ -50,7 +50,7 @@ class TestReducedModule:
         vals = sorted(str(c.alpha) for c in module.components)
         assert vals == ["-4", "0", "4"]
         ring = invariant_ring(2).extend([GAMMA, BETA * BETA - 64])
-        rep = factor_over_candidates(char_poly(ring.mult_matrix("alpha")), default_candidates(2))
+        rep = factor_over_candidates(ring.mult_matrix("alpha").charpoly(), default_candidates(2))
         assert rep.complete()
         assert {r: m for r, m in rep.roots} == {GR(-4): 1, GR(0): 1, GR(4): 1}
 
@@ -64,7 +64,7 @@ class TestReducedModule:
             ring = invariant_ring(g).extend([GAMMA, BETA * BETA - 64])
             assert ring.dim == 2 * g - 1
             rep = factor_over_candidates(
-                char_poly(ring.mult_matrix("alpha")), default_candidates(g)
+                ring.mult_matrix("alpha").charpoly(), default_candidates(g)
             )
             assert rep.complete()
             want = {}

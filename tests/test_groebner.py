@@ -2,19 +2,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from floercas.exactalg import GaussianRational as GR
-from floercas.floer import invariant_ring, gamma_quotient_ring, relations
+from floercas.floer import (
+    classical_ring,
+    default_candidates,
+    gamma_quotient_ring,
+    invariant_ring,
+    relations,
+)
 from floercas.groebner import (
     InfiniteStaircaseError,
-    Matrix,
-    QuotientRing,
-    UniPoly,
     buchberger,
-    char_poly,
-    default_candidates,
-    factor_over_candidates,
     normal_form,
     staircase_basis,
 )
+from floercas.linalg import Matrix, UniPoly, factor_over_candidates
 from floercas.poly import ALPHA, BETA, GAMMA, GREVLEX, GRLEX, WGREVLEX, Monomial, SparsePoly
 
 J2_GENS = [ALPHA**2 + BETA - 8, ALPHA * BETA + 8 * ALPHA + GAMMA, ALPHA * GAMMA]
@@ -181,27 +182,28 @@ class TestMultMatrices:
 
 class TestCharPoly:
     def test_identity(self):
-        assert char_poly(Matrix.identity(2)) == UniPoly([1, -2, 1])
+        assert Matrix.identity(2).charpoly() == UniPoly([1, -2, 1])
 
     def test_alpha_on_gamma_quotient_two(self):
-        cp = char_poly(gamma_quotient_ring(2).mult_matrix("alpha"))
+        cp = gamma_quotient_ring(2).mult_matrix("alpha").charpoly()
         assert cp == UniPoly([0, -16, 0, 1])  # x^3 - 16x
 
     def test_gamma_nilpotent_on_level_two(self):
-        cp = char_poly(invariant_ring(2).mult_matrix("gamma"))
+        cp = invariant_ring(2).mult_matrix("gamma").charpoly()
         assert cp == UniPoly([0, 0, 0, 0, 1])  # x^4
 
     def test_order_independence(self):
-        for r in range(1, 6):
-            a = QuotientRing.from_generators(relations("R", r).generators(), GRLEX)
-            for order in (WGREVLEX, GREVLEX):
-                b = QuotientRing.from_generators(relations("R", r).generators(), order)
-                assert a.dim == b.dim
-                for v in ("alpha", "beta", "gamma"):
-                    assert char_poly(a.mult_matrix(v)) == char_poly(b.mult_matrix(v))
+        for ring_of in (invariant_ring, gamma_quotient_ring, classical_ring):
+            for r in range(1, 6):
+                a = ring_of(r, GRLEX)
+                for order in (WGREVLEX, GREVLEX):
+                    b = ring_of(r, order)
+                    assert a.dim == b.dim
+                    for v in ("alpha", "beta", "gamma"):
+                        assert a.mult_matrix(v).charpoly() == b.mult_matrix(v).charpoly()
 
     def test_empty_matrix(self):
-        assert char_poly(Matrix([])) == UniPoly([1])
+        assert Matrix([]).charpoly() == UniPoly([1])
 
 
 class TestFactorOverCandidates:
@@ -233,7 +235,7 @@ class TestFactorOverCandidates:
     def test_product_reconstructs_charpoly(self):
         # (x - root)^mult over all roots, times the remainder, is the input
         for r in range(1, 5):
-            cp = char_poly(invariant_ring(r).mult_matrix("alpha"))
+            cp = invariant_ring(r).mult_matrix("alpha").charpoly()
             rep = factor_over_candidates(cp, default_candidates(r + 1))
             product = rep.remainder
             for root, mult in rep.roots:
