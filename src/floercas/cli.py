@@ -234,20 +234,14 @@ def _parse_homology_class(spec: str, g: int) -> fukaya.YHomologyClass:
     if kind == "S1":
         c = int(parts[1]) if len(parts) > 1 else 1
         return fukaya.YHomologyClass.curve(circle_coeff=c)
-    if kind == "gamma":
-        _require(len(parts) >= 2, "gamma:<j> needs a curve index")
+    if kind in ("gamma", "torus"):
+        _require(len(parts) >= 2, f"{kind}:<j> needs a curve index")
         j = int(parts[1])
         _require(1 <= j <= 2 * g, f"curve index must be in 1..{2 * g}")
         coeffs = [0] * (2 * g)
         coeffs[j - 1] = int(parts[2]) if len(parts) > 2 else 1
-        return fukaya.YHomologyClass.curve(0, coeffs)
-    if kind == "torus":
-        _require(len(parts) >= 2, "torus:<j> needs a curve index")
-        j = int(parts[1])
-        _require(1 <= j <= 2 * g, f"curve index must be in 1..{2 * g}")
-        coeffs = [0] * (2 * g)
-        coeffs[j - 1] = int(parts[2]) if len(parts) > 2 else 1
-        return fukaya.YHomologyClass.surface(0, coeffs)
+        make = fukaya.YHomologyClass.curve if kind == "gamma" else fukaya.YHomologyClass.surface
+        return make(0, coeffs)
     raise UsageError(f"unknown class spec {spec!r}")
 
 

@@ -19,7 +19,6 @@ from .exactalg import (
     GaussianRational,
     TruncatedSeries,
     rational,
-    rational_str,
 )
 from .linalg import Matrix
 
@@ -101,14 +100,14 @@ class DonaldsonSeries:
             ks = "+".join(
                 f"{c}{n}" if c != 1 else n for c, n in zip(k, names) if c
             ) or "0"
-            parts.append(f"{rational_str(a)}*e^({ks})")
+            parts.append(f"{a}*e^({ks})")
         return "e^(Q/2)*(" + " + ".join(parts) + ")"
 
     def to_json(self) -> dict:
         return {
             "basis": list(self.basis_names),
             "Q": [list(row) for row in self.q],
-            "terms": [{"a": rational_str(a), "K": list(k)} for a, k in self.terms],
+            "terms": [{"a": str(a), "K": list(k)} for a, k in self.terms],
             "simple_type": self.simple_type,
         }
 
@@ -233,18 +232,21 @@ class FiberSumInput:
 
     @staticmethod
     def from_json(a: DonaldsonSeries, b: DonaldsonSeries, genus: int, obj: dict) -> "FiberSumInput":
+        splits = []
+        for s in obj["splits"]:
+            dot = s["sigma_dot"]
+            if not isinstance(dot, int) or isinstance(dot, bool):
+                raise ValueError("sigma_dot must be an integer")
+            splits.append(SplitClass(_integers(s["d1"], "d1"), _integers(s["d2"], "d2"), dot))
         return FiberSumInput(
             a=a,
             b=b,
             genus=genus,
-            sigma_in_a=tuple(obj["sigma_a"]),
-            sigma_in_b=tuple(obj["sigma_b"]),
+            sigma_in_a=_integers(obj["sigma_a"], "sigma_a"),
+            sigma_in_b=_integers(obj["sigma_b"], "sigma_b"),
             basis_names=tuple(obj["basis"]),
             q=tuple(tuple(row) for row in obj["Q"]),
-            splits=tuple(
-                SplitClass(tuple(s["d1"]), tuple(s["d2"]), int(s["sigma_dot"]))
-                for s in obj["splits"]
-            ),
+            splits=tuple(splits),
         )
 
 

@@ -9,6 +9,11 @@ The rational backend is selected at import time: gmpy2.mpq when available
 (much faster on large numerators), else fractions.Fraction.  Both are
 exact and produce identical string forms, so results and serializations do
 not depend on the backend.
+
+A GaussianRational whose imaginary part is zero does its +, * and unary -
+as one operation on the real parts, so callers need not lower real data
+to rationals themselves: a matrix or polynomial with rational entries
+costs rational arithmetic plus a zero test or two per operation.
 """
 
 from __future__ import annotations
@@ -28,6 +33,8 @@ def rational(value=0, den=None):
     """Exact rational from an int, a decimal string like '-3/4', or another rational."""
     if den is not None:
         return _RAT(value) / _RAT(den)
+    if type(value) is _RAT:
+        return value
     if isinstance(value, str):
         if "/" in value:
             num, _, d = value.partition("/")
@@ -38,9 +45,7 @@ def rational(value=0, den=None):
     return _RAT(value)
 
 
-def rational_str(q) -> str:
-    """Canonical 'p/q' or 'p' string, positive denominator, lowest terms."""
-    return str(q)
+_ZERO = _RAT(0)
 
 
 def _scalar_like(x) -> bool:
@@ -60,7 +65,7 @@ class GaussianRational:
 
     __slots__ = ("re", "im")
 
-    def __init__(self, re=0, im=0):
+    def __init__(self, re=0, im=_ZERO):
         object.__setattr__(self, "re", rational(re))
         object.__setattr__(self, "im", rational(im))
 
@@ -79,11 +84,15 @@ class GaussianRational:
         if not _scalar_like(other):
             return NotImplemented
         other = GaussianRational.coerce(other)
+        if not (self.im or other.im):
+            return GaussianRational(self.re + other.re)
         return GaussianRational(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
 
     def __neg__(self):
+        if not self.im:
+            return GaussianRational(-self.re)
         return GaussianRational(-self.re, -self.im)
 
     def __sub__(self, other):
@@ -98,6 +107,8 @@ class GaussianRational:
         if not _scalar_like(other):
             return NotImplemented
         other = GaussianRational.coerce(other)
+        if not (self.im or other.im):
+            return GaussianRational(self.re * other.re)
         return GaussianRational(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
@@ -146,24 +157,24 @@ class GaussianRational:
     # -- rendering ----------------------------------------------------
     def __str__(self) -> str:
         if self.im == 0:
-            return rational_str(self.re)
+            return str(self.re)
         if self.re == 0:
             if self.im == 1:
                 return "i"
             if self.im == -1:
                 return "-i"
-            return f"{rational_str(self.im)}*i"
+            return f"{self.im}*i"
         sign = "+" if self.im > 0 else "-"
         mag = abs(self.im)
-        istr = "i" if mag == 1 else f"{rational_str(mag)}*i"
-        return f"{rational_str(self.re)}{sign}{istr}"
+        istr = "i" if mag == 1 else f"{mag}*i"
+        return f"{self.re}{sign}{istr}"
 
     def __repr__(self) -> str:
         return f"GaussianRational({self.re!r}, {self.im!r})"
 
     # -- serialization ------------------------------------------------
     def to_json(self) -> dict:
-        return {"re": rational_str(self.re), "im": rational_str(self.im)}
+        return {"re": str(self.re), "im": str(self.im)}
 
     @staticmethod
     def from_json(obj: dict) -> "GaussianRational":

@@ -269,18 +269,23 @@ def psi1_block(r: int) -> SubquotientModule:
         raise ValueError("level must be >= 1")
     ring = invariant_ring(r)
     mg = ring.mult_matrix("gamma")
-    ker_g = mg.kernel_basis()
-    ker_g2 = (mg @ mg).kernel_basis()
+    ker_g, ker_g2 = _gamma_kernels(r)
     image = _independent_subset([mg.matvec(v) for v in ker_g2])
     return SubquotientModule.build(ring, ker_g, image, candidate_bound=r)
+
+
+@lru_cache(maxsize=None)
+def _gamma_kernels(r: int) -> tuple:
+    """Bases of ker gamma and ker gamma^2 on F_r, one elimination each."""
+    mg = invariant_ring(r).mult_matrix("gamma")
+    return tuple(map(tuple, mg.kernel_basis())), tuple(map(tuple, (mg @ mg).kernel_basis()))
 
 
 def gamma_kernel_dims(r: int) -> tuple:
     """(dim ker gamma, dim ker gamma^2) on F_r; expected C(r+1,2) and
     C(r+1,2)+C(r,2)."""
-    ring = invariant_ring(r)
-    mg = ring.mult_matrix("gamma")
-    return ring.dim - mg.rank(), ring.dim - (mg @ mg).rank()
+    ker_g, ker_g2 = _gamma_kernels(r)
+    return len(ker_g), len(ker_g2)
 
 
 def socle_quotient_ring(r: int) -> QuotientRing:

@@ -4,16 +4,17 @@ characteristic polynomials.
 The largest matrices are the level-ring multiplication matrices, dim 84
 at level 7 and 120 at genus 8, so dense storage and cubic elimination are
 fine.  Characteristic polynomials come from Hessenberg reduction over the
-field, run on the rational real parts when every entry is real (as for
-all level-ring matrices); everything else is plain Gauss-Jordan over the
-exact field.
+field; everything else is plain Gauss-Jordan over the exact field.  No
+operation here lowers real matrices to rationals: the level-ring matrices
+are real, and GaussianRational itself does one rational operation when
+both imaginary parts are zero.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exactalg import GR_ONE, GR_ZERO, GaussianRational, rational, render_terms
+from .exactalg import GR_ONE, GR_ZERO, GaussianRational, render_terms
 
 
 class Matrix:
@@ -166,28 +167,21 @@ class Matrix:
 
         Hessenberg reduction followed by the Hessenberg determinant
         recurrence (Cohen, A Course in Computational Algebraic Number
-        Theory, GTM 138, Alg. 2.2.9).  A matrix whose entries all have zero
-        imaginary part is reduced on the rational real parts.
+        Theory, GTM 138, Alg. 2.2.9).
         """
-        n = self.nrows
-        if n != self.ncols:
+        if self.nrows != self.ncols:
             raise ValueError("characteristic polynomial of a non-square matrix")
-        if all(not x.im for row in self.rows for x in row):
-            rows = [[x.re for x in row] for row in self.rows]
-            return UniPoly(_hessenberg_charpoly(rows, rational(1), rational(0)))
-        return UniPoly(_hessenberg_charpoly([list(r) for r in self.rows], GR_ONE, GR_ZERO))
+        return UniPoly(_hessenberg_charpoly([list(r) for r in self.rows]))
 
     # -- serialization ------------------------------------------------------
     def to_json(self) -> list:
         return [[x.to_json() for x in row] for row in self.rows]
 
 
-def _hessenberg_charpoly(h: list, one, zero) -> list:
-    """Coefficients, lowest degree first, of det(x*I - H) over a field.
+def _hessenberg_charpoly(h: list) -> list:
+    """Coefficients, lowest degree first, of det(x*I - H) over Q(i).
 
-    `h` is a square list of row lists, reduced in place; `one` and `zero`
-    are the field's unit and zero, so the same code runs on rationals and
-    on Gaussian rationals.
+    `h` is a square list of row lists, reduced in place.
     """
     n = len(h)
     # similarity to upper Hessenberg form, one column at a time
@@ -199,7 +193,7 @@ def _hessenberg_charpoly(h: list, one, zero) -> list:
             h[piv], h[m] = h[m], h[piv]
             for row in h:
                 row[piv], row[m] = row[m], row[piv]
-        inv = one / h[m][m - 1]
+        inv = h[m][m - 1].inv()
         hm = h[m]
         for i in range(m + 1, n):
             hi = h[i]
@@ -216,15 +210,15 @@ def _hessenberg_charpoly(h: list, one, zero) -> list:
                     row[m] = row[m] + u * row[i]
     # 1-based, with polys[m] = p_m the charpoly of the leading m x m block:
     # p_m = (x - h_mm) p_{m-1} - sum_i h_im (h_{i+1,i} ... h_{m,m-1}) p_{i-1}
-    polys = [[one]]
+    polys = [[GR_ONE]]
     for m in range(n):
         prev = polys[m]
-        p = [zero] + prev
+        p = [GR_ZERO] + prev
         d = h[m][m]
         if d:
             for k, c in enumerate(prev):
                 p[k] = p[k] - d * c
-        t = one
+        t = GR_ONE
         for i in range(m - 1, -1, -1):
             t = t * h[i + 1][i]
             if not t:

@@ -326,6 +326,36 @@ class TestUsageErrors:
             self.assert_one_line_usage_error(code, err)
             assert out == ""
 
+    def test_fractional_fibersum_pairing(self, capsys, tmp_path):
+        # int() would truncate each of these and print the unperturbed series
+        path = tmp_path / "series.json"
+        path.write_text(json.dumps(product_series(2, 1).to_json()))
+        for field in ("sigma_a", "d1", "sigma_dot"):
+            pairing = {
+                "sigma_a": [1, 0],
+                "sigma_b": [1, 0],
+                "basis": ["E", "F"],
+                "Q": [[0, 1], [1, 0]],
+                "splits": [
+                    {"d1": [1, 0], "d2": [0, 0], "sigma_dot": 0},
+                    {"d1": [0, 1], "d2": [0, 1], "sigma_dot": 1},
+                ],
+            }
+            if field == "sigma_a":
+                pairing["sigma_a"][0] = 1.5
+            elif field == "d1":
+                pairing["splits"][0]["d1"][0] = 1.5
+            else:
+                pairing["splits"][1]["sigma_dot"] = 1.5
+            code, out, err = run(
+                capsys,
+                "donaldson", "fibersum",
+                "--a", str(path), "--b", str(path),
+                "--genus", "2", "--pairing", json.dumps(pairing),
+            )
+            self.assert_one_line_usage_error(code, err)
+            assert field in err and out == ""
+
     def test_malformed_vector(self, capsys, tmp_path):
         path = tmp_path / "series.json"
         path.write_text(json.dumps(product_series(1, 1).to_json()))

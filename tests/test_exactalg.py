@@ -70,6 +70,49 @@ class TestGaussianRational:
         assert x * y == y * x
 
 
+# about half of the drawn values are real, so the real shortcut of +, * and
+# unary - meets both real and non-real operands
+parts = st.tuples(rationals, st.one_of(st.just(Fraction(0)), rationals))
+
+
+def _textbook(op, x, y):
+    """op on Fraction pairs (re, im) by the textbook formulas of Q(i)."""
+    (a, b), (c, d) = x, y
+    if op == "+":
+        return a + c, b + d
+    if op == "-":
+        return a - c, b - d
+    if op == "*":
+        return a * c - b * d, a * d + b * c
+    n = c * c + d * d
+    return (a * c + b * d) / n, (b * c - a * d) / n
+
+
+def _assert_is(value, re, im):
+    fresh = GR(re, im)
+    assert (value.re, value.im) == (re, im)
+    assert value == fresh and str(value) == str(fresh) and hash(value) == hash(fresh)
+
+
+class TestScalarOracle:
+    @given(parts, parts)
+    def test_binary_ops(self, x, y):
+        gx, gy = GR(*x), GR(*y)
+        for op, value in (("+", gx + gy), ("-", gx - gy), ("*", gx * gy)):
+            _assert_is(value, *_textbook(op, x, y))
+        if any(y):
+            _assert_is(gx / gy, *_textbook("/", x, y))
+
+    @given(parts)
+    def test_negation_and_cancellation(self, x):
+        gx = GR(*x)
+        _assert_is(-gx, -x[0], -x[1])
+        _assert_is(gx + (-gx), Fraction(0), Fraction(0))
+        conj = (x[0], -x[1])
+        # (a+bi)(a-bi): the imaginary part cancels to zero
+        _assert_is(gx * GR(*conj), *_textbook("*", x, conj))
+
+
 class TestTruncatedSeries:
     def test_product_truncates(self):
         one_plus = TS([1, 1], 4)
