@@ -141,25 +141,35 @@ def check_grading(max_level: int = 6) -> CheckResult:
     )
 
 
+def layer_failures(name: str, layer, k: int) -> list:
+    """Why `layer` is not shaped like the k-th filtration layer, or [] if it is.
+
+    The shape: dim k+1, alpha spectrum expected_filtration_alpha(k), beta
+    acting as beta_eigenvalue(k) and gamma acting as zero.  Each failure is
+    prefixed with `name`.
+    """
+    if layer.dim != k + 1:
+        return [f"{name} dim {layer.dim} != {k + 1}"]
+    failures = []
+    alpha = layer.spectrum("alpha")
+    if not alpha.complete():
+        failures.append(f"{name}: alpha spectrum has unexplained factor {alpha.remainder}")
+    if alpha.root_set() != expected_filtration_alpha(k):
+        failures.append(f"{name}: alpha spectrum mismatch")
+    beta = layer.spectrum("beta")
+    want_beta = beta_eigenvalue(k)
+    if not beta.complete() or beta.root_set() != {want_beta: k + 1}:
+        failures.append(f"{name}: beta does not act as {want_beta}")
+    gamma = layer.spectrum("gamma")
+    if not gamma.complete() or gamma.root_set() != {GaussianRational(0): k + 1}:
+        failures.append(f"{name}: gamma spectrum not zero")
+    return failures
+
+
 def check_filtration(max_step: int = 4) -> CheckResult:
     failures = []
     for r in range(max_step + 1):
-        step = filtration_step(r)
-        if step.dim != r + 1:
-            failures.append(f"step {r} dim {step.dim} != {r + 1}")
-            continue
-        alpha = step.spectrum("alpha")
-        if not alpha.complete():
-            failures.append(f"step {r}: alpha spectrum has unexplained factor {alpha.remainder}")
-        if alpha.root_set() != expected_filtration_alpha(r):
-            failures.append(f"step {r}: alpha spectrum mismatch")
-        beta = step.spectrum("beta")
-        want_beta = beta_eigenvalue(r)
-        if not beta.complete() or beta.root_set() != {want_beta: r + 1}:
-            failures.append(f"step {r}: beta does not act as {want_beta}")
-        gamma = step.spectrum("gamma")
-        if not gamma.complete() or gamma.root_set() != {GaussianRational(0): r + 1}:
-            failures.append(f"step {r}: gamma spectrum not zero")
+        failures += layer_failures(f"step {r}", filtration_step(r), r)
     return _result(
         "filtration-spectra",
         f"filtration layers have dim r+1 and the stated alpha/beta spectra, "
@@ -186,20 +196,7 @@ def check_socle_charpoly(max_step: int = 5) -> CheckResult:
 def check_blocks(max_level: int = 5, max_genus: int = 4) -> CheckResult:
     failures = []
     for r in range(1, max_level + 1):
-        block = psi1_block(r)
-        if block.dim != r:
-            failures.append(f"block {r} dim {block.dim} != {r}")
-            continue
-        alpha = block.spectrum("alpha")
-        if not alpha.complete() or alpha.root_set() != expected_filtration_alpha(r - 1):
-            failures.append(f"block {r}: alpha spectrum mismatch")
-        want_beta = beta_eigenvalue(r - 1)
-        beta = block.spectrum("beta")
-        if not beta.complete() or beta.root_set() != {want_beta: r}:
-            failures.append(f"block {r}: beta does not act as {want_beta}")
-        gamma = block.spectrum("gamma")
-        if not gamma.complete() or gamma.root_set() != {GaussianRational(0): r}:
-            failures.append(f"block {r}: gamma not zero")
+        failures += layer_failures(f"block {r}", psi1_block(r), r - 1)
     for g in range(1, max_genus + 1):
         total = psi1_homology_dims(g)["total"]
         rank = fukaya.delta_module(g).total_rank

@@ -48,6 +48,17 @@ def rational(value=0, den=None):
 _ZERO = _RAT(0)
 
 
+def power(base, n: int, one):
+    """base**n for an int n >= 0 by square and multiply; one is the unit."""
+    out = one
+    while n:
+        if n & 1:
+            out = out * base
+        base = base * base
+        n >>= 1
+    return out
+
+
 def _scalar_like(x) -> bool:
     """True for values a GaussianRational may absorb in arithmetic."""
     return (
@@ -98,10 +109,13 @@ class GaussianRational:
     def __sub__(self, other):
         if not _scalar_like(other):
             return NotImplemented
-        return self + (-GaussianRational.coerce(other))
+        other = GaussianRational.coerce(other)
+        if not (self.im or other.im):
+            return GaussianRational(self.re - other.re)
+        return GaussianRational(self.re - other.re, self.im - other.im)
 
     def __rsub__(self, other):
-        return GaussianRational.coerce(other) + (-self)
+        return GaussianRational.coerce(other) - self
 
     def __mul__(self, other):
         if not _scalar_like(other):
@@ -131,14 +145,7 @@ class GaussianRational:
     def __pow__(self, n: int):
         if n < 0:
             return self.inv() ** (-n)
-        out = GR_ONE
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return power(self, n, GR_ONE)
 
     # -- predicates ---------------------------------------------------
     def __bool__(self) -> bool:
@@ -216,9 +223,7 @@ def render_terms(terms) -> str:
 class TruncatedSeries:
     """Element of Q(i)[t] modulo t^N; coeffs[k] is the coefficient of t^k.
 
-    All arithmetic requires matching truncation orders. t carries
-    cohomological degree -2, which the polynomial layer uses for the mod-4
-    degree bookkeeping; this class is pure coefficient arithmetic.
+    All arithmetic requires matching truncation orders.
     """
 
     __slots__ = ("coeffs", "order")
@@ -307,14 +312,7 @@ class TruncatedSeries:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative powers of series are not supported")
-        out = TruncatedSeries.constant(GR_ONE, self.order)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return power(self, n, TruncatedSeries.constant(GR_ONE, self.order))
 
     def exp(self) -> "TruncatedSeries":
         """exp of a series with zero constant term, truncated at t^N."""

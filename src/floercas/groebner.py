@@ -32,7 +32,7 @@ from heapq import heapify, heappop, heappush
 from operator import neg
 from typing import Sequence
 
-from .exactalg import GR_ONE, GaussianRational, TruncatedSeries, rational
+from .exactalg import GR_ONE, GaussianRational, rational
 from .linalg import Matrix
 from .poly import GRLEX, Monomial, MonomialOrder, SparsePoly
 
@@ -134,10 +134,7 @@ def buchberger(gens: Sequence[SparsePoly], order: MonomialOrder = GRLEX) -> Groe
     work = [g for g in gens if g]
     if not work:
         raise ValueError("no nonzero generators")
-    for g in work:
-        if g.coeff_kind() is TruncatedSeries:
-            raise TypeError("Groebner bases require GaussianRational coefficients")
-    real = all(type(c) is GaussianRational and not c.im for g in work for c in g.terms.values())
+    real = all(not c.im for g in work for c in g.terms.values())
     one = rational(1) if real else GR_ONE
     key = order.key
 
@@ -278,7 +275,7 @@ class QuotientRing:
         nf = self.normal_form(p)
         v = [GaussianRational(0)] * self.dim
         for m, c in nf.terms.items():
-            v[self._index[m]] = GaussianRational.coerce(c)
+            v[self._index[m]] = c
         return v
 
     def mult_matrix(self, var) -> Matrix:

@@ -122,11 +122,12 @@ class Matrix:
                 continue
             rows[pr], rows[pivot] = rows[pivot], rows[pr]
             inv = rows[pr][pc].inv()
-            rows[pr] = [x * inv for x in rows[pr]]
+            # zero entries of the pivot row change nothing: skip them
+            rows[pr] = [x * inv if x else x for x in rows[pr]]
             for i in range(self.nrows):
                 if i != pr and rows[i][pc]:
                     f = rows[i][pc]
-                    rows[i] = [a - f * b for a, b in zip(rows[i], rows[pr])]
+                    rows[i] = [a - f * b if b else a for a, b in zip(rows[i], rows[pr])]
             pivots.append(pc)
             pr += 1
             if pr == self.nrows:
@@ -268,13 +269,6 @@ class UniPoly:
     def __hash__(self):
         return hash(self.coeffs)
 
-    def evaluate(self, x) -> GaussianRational:
-        x = GaussianRational.coerce(x)
-        acc = GR_ZERO
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
     def __mul__(self, other: "UniPoly") -> "UniPoly":
         out = [GR_ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
@@ -343,8 +337,11 @@ def factor_over_candidates(cp: UniPoly, candidates) -> EigenReport:
     for cand in candidates:
         cand = GaussianRational.coerce(cand)
         mult = 0
-        while rem.degree > 0 and not rem.evaluate(cand):
-            rem, _ = rem.synthetic_division(cand)
+        while rem.degree > 0:
+            quotient, value = rem.synthetic_division(cand)
+            if value:  # the remainder of division by (x - cand) is rem(cand)
+                break
+            rem = quotient
             mult += 1
         if mult:
             roots.append((cand, mult))

@@ -3,16 +3,16 @@
 The three variables are the generators of the invariant ring: alpha, beta,
 gamma of cohomological degree 2, 4, 6 (written a, b, c in the classical
 undeformed ring — same arithmetic, different display name).  Coefficients
-are either GaussianRational or TruncatedSeries, fixed per polynomial; a t
-inside a series coefficient counts as degree -2 in the grading.
+lie in Q(i), as GaussianRationals.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Iterator
 
-from .exactalg import GR_ONE, GaussianRational, TruncatedSeries, render_terms
+from .exactalg import GR_ONE, GaussianRational, power, render_terms
 
 #: cohomological degrees of (alpha, beta, gamma)
 WEIGHTS = (2, 4, 6)
@@ -100,27 +100,24 @@ GREVLEX = MonomialOrder("grevlex")
 WGREVLEX = MonomialOrder("wgrevlex")
 
 
-def _coerce_coeff(c):
-    if isinstance(c, (GaussianRational, TruncatedSeries)):
-        return c
-    return GaussianRational.coerce(c)
-
-
 class SparsePoly:
     """Map from monomials to nonzero coefficients, canonical and immutable."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: dict | Iterable = ()):
+        """Sum the (monomial, coefficient) pairs of terms; zero sums are dropped.
+
+        This is the one place that merges terms: sums and products hand
+        their unmerged pairs to it.
+        """
         if isinstance(terms, dict):
-            items = terms.items()
-        else:
-            items = terms
-        acc: dict[Monomial, object] = {}
-        for m, c in items:
+            terms = terms.items()
+        acc: dict[Monomial, GaussianRational] = {}
+        for m, c in terms:
             if not isinstance(m, Monomial):
                 m = Monomial(*m)
-            c = _coerce_coeff(c)
+            c = GaussianRational.coerce(c)
             if m in acc:
                 c = acc[m] + c
             if c:
@@ -155,32 +152,10 @@ class SparsePoly:
             return value
         return SparsePoly.constant(value)
 
-    def coeff_kind(self):
-        """The coefficient type, or None for the zero polynomial."""
-        for c in self.terms.values():
-            return type(c)
-        return None
-
-    def _check_kind(self, other: "SparsePoly"):
-        k1, k2 = self.coeff_kind(), other.coeff_kind()
-        if k1 is not None and k2 is not None and k1 is not k2:
-            raise TypeError("mixed coefficient kinds (scalar vs series)")
-
     # -- arithmetic -------------------------------------------------------
     def __add__(self, other):
         other = SparsePoly.coerce(other)
-        self._check_kind(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            if m in out:
-                s = out[m] + c
-                if s:
-                    out[m] = s
-                else:
-                    del out[m]
-            else:
-                out[m] = c
-        return SparsePoly(out)
+        return SparsePoly(chain(self.terms.items(), other.terms.items()))
 
     __radd__ = __add__
 
@@ -194,45 +169,19 @@ class SparsePoly:
         return SparsePoly.coerce(other) + (-self)
 
     def __mul__(self, other):
-        if isinstance(other, (GaussianRational, TruncatedSeries, int)):
-            c0 = _coerce_coeff(other)
-            if not c0:
-                return SparsePoly.zero()
-            return SparsePoly({m: c * c0 for m, c in self.terms.items()})
         other = SparsePoly.coerce(other)
-        self._check_kind(other)
-        out: dict[Monomial, object] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = m1.mul(m2)
-                c = c1 * c2
-                if m in out:
-                    s = out[m] + c
-                    if s:
-                        out[m] = s
-                    else:
-                        del out[m]
-                elif c:
-                    out[m] = c
-        return SparsePoly(out)
+        return SparsePoly(
+            (m1.mul(m2), c1 * c2)
+            for m1, c1 in self.terms.items()
+            for m2, c2 in other.terms.items()
+        )
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        one = GR_ONE
-        if self.coeff_kind() is TruncatedSeries:
-            order = next(iter(self.terms.values())).order
-            one = TruncatedSeries.constant(GR_ONE, order)
-        out = SparsePoly.constant(one)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return power(self, n, SparsePoly.constant(GR_ONE))
 
     def mul_monomial(self, m: Monomial) -> "SparsePoly":
         return SparsePoly({mm.mul(m): cc for mm, cc in self.terms.items()})
@@ -242,7 +191,7 @@ class SparsePoly:
         return bool(self.terms)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, GaussianRational, TruncatedSeries)):
+        if isinstance(other, (int, GaussianRational)):
             other = SparsePoly.coerce(other)
         if not isinstance(other, SparsePoly):
             return NotImplemented
@@ -282,18 +231,10 @@ class SparsePoly:
         return len(degs) == 1
 
     def mod4_degree(self):
-        """Common degree class mod 4 of all terms (t counts as -2), else None."""
-        classes = set()
-        for m, c in self.terms.items():
-            w = m.weighted_degree
-            if isinstance(c, TruncatedSeries):
-                for d, cd in enumerate(c.coeffs):
-                    if cd:
-                        classes.add((w - 2 * d) % 4)
-            else:
-                classes.add(w % 4)
-            if len(classes) > 1:
-                return None
+        """Common weighted degree class mod 4 of all terms, else None."""
+        classes = {m.weighted_degree % 4 for m in self.terms}
+        if len(classes) > 1:
+            return None
         return classes.pop() if classes else 0
 
     # -- rendering ----------------------------------------------------------
@@ -316,15 +257,9 @@ class SparsePoly:
 
     @staticmethod
     def from_json(obj: dict) -> "SparsePoly":
-        terms = {}
-        for t in obj["terms"]:
-            c = t["c"]
-            if "coeffs" in c:
-                coeff = TruncatedSeries.from_json(c)
-            else:
-                coeff = GaussianRational.from_json(c)
-            terms[Monomial(*t["m"])] = coeff
-        return SparsePoly(terms)
+        return SparsePoly(
+            (Monomial(*t["m"]), GaussianRational.from_json(t["c"])) for t in obj["terms"]
+        )
 
 
 ALPHA = SparsePoly.variable(0)

@@ -6,12 +6,14 @@ from hypothesis import given, settings, strategies as st
 from floercas.exactalg import GaussianRational as GR
 from floercas.floer import (
     FalsificationError,
+    SubquotientModule,
     _independent_subset,
     alpha_eigenvalue,
     basis_matrix,
     beta_eigenvalue,
     classical_ring,
     default_candidates,
+    eigen_reports,
     filtration_step,
     floer_cohomology,
     gamma_kernel_dims,
@@ -30,6 +32,7 @@ from floercas.floer import (
 from floercas.checks import (
     expected_filtration_alpha,
     expected_socle_charpoly,
+    layer_failures,
 )
 from floercas.linalg import Matrix, UniPoly
 from floercas.poly import ALPHA, BETA, GAMMA, SparsePoly
@@ -276,6 +279,34 @@ def column_families(draw):
     if len(seed) >= 2:
         seed.append([a + b for a, b in zip(seed[0], seed[1])])
     return seed, vectors
+
+
+class TestLayerFailures:
+    """checks.layer_failures on hand-built modules of dim 2, against layer 1:
+    alpha eigenvalues 4 and -4, beta acting as -8, gamma zero."""
+
+    @staticmethod
+    def layer(alpha, beta):
+        actions = {"alpha": Matrix(alpha), "beta": Matrix(beta), "gamma": Matrix.zero(2, 2)}
+        return SubquotientModule(None, (), (), 2, actions, eigen_reports(actions.get, 2))
+
+    def test_layer_one_passes(self):
+        assert layer_failures("step 1", self.layer([[4, 0], [0, -4]], [[-8, 0], [0, -8]]), 1) == []
+
+    def test_wrong_beta(self):
+        layer = self.layer([[4, 0], [0, -4]], [[8, 0], [0, 8]])
+        assert layer_failures("step 1", layer, 1) == ["step 1: beta does not act as -8"]
+
+    def test_unexplained_alpha_factor(self):
+        layer = self.layer([[0, 1], [3, 0]], [[-8, 0], [0, -8]])
+        assert layer_failures("block 2", layer, 1) == [
+            "block 2: alpha spectrum has unexplained factor x^2-3",
+            "block 2: alpha spectrum mismatch",
+        ]
+
+    def test_wrong_dim_stops_early(self):
+        layer = self.layer([[4, 0], [0, -4]], [[-8, 0], [0, -8]])
+        assert layer_failures("step 2", layer, 2) == ["step 2 dim 2 != 3"]
 
 
 class TestSubquotientReadout:
