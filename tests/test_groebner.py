@@ -78,6 +78,12 @@ class TestBuchberger:
                         assert not lm.divides(m)
             assert g.leading_coeff() == GR(1)
 
+    def test_series_coefficients_rejected(self):
+        from floercas.exactalg import TruncatedSeries
+
+        with pytest.raises(TypeError):
+            buchberger([SparsePoly({Monomial(1, 0, 0): TruncatedSeries([1, 1], 4)})])
+
 
 class TestNormalForm:
     def test_one_survives(self):

@@ -75,6 +75,14 @@ class TestArithmetic:
         with pytest.raises(TypeError):
             SparsePoly({M_ALPHA: TS([1, 1], 2)})
 
+    def test_mixed_kinds_rejected(self):
+        with pytest.raises(TypeError):
+            ALPHA + TS([1, 1], 2)
+        with pytest.raises(TypeError):
+            ALPHA * TS([1, 1], 2)
+        with pytest.raises(TypeError):
+            TS([1, 1], 2) * ALPHA
+
     def test_difference_of_squares(self):
         assert (ALPHA + BETA) * (ALPHA - BETA) == ALPHA**2 - BETA**2
 
