@@ -151,16 +151,16 @@ def layer_failures(name: str, layer, k: int) -> list:
     if layer.dim != k + 1:
         return [f"{name} dim {layer.dim} != {k + 1}"]
     failures = []
-    alpha = layer.spectrum("alpha")
+    alpha = layer.eigen["alpha"]
     if not alpha.complete():
         failures.append(f"{name}: alpha spectrum has unexplained factor {alpha.remainder}")
     if alpha.root_set() != expected_filtration_alpha(k):
         failures.append(f"{name}: alpha spectrum mismatch")
-    beta = layer.spectrum("beta")
+    beta = layer.eigen["beta"]
     want_beta = beta_eigenvalue(k)
     if not beta.complete() or beta.root_set() != {want_beta: k + 1}:
         failures.append(f"{name}: beta does not act as {want_beta}")
-    gamma = layer.spectrum("gamma")
+    gamma = layer.eigen["gamma"]
     if not gamma.complete() or gamma.root_set() != {GaussianRational(0): k + 1}:
         failures.append(f"{name}: gamma spectrum not zero")
     return failures

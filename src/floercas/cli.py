@@ -5,6 +5,9 @@ Exit codes: 0 success, 1 usage error, 2 a verified structural claim
 failed (the tool is a referee as well as a calculator, and the two
 failure modes are kept machine-distinguishable).  Output is deterministic
 byte for byte for identical invocations.
+
+Each handler builds its text from the result objects it computed; the
+JSON output is those objects' to_json, and nothing reads it back.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import json
 import sys
 
 from . import checks, donaldson, fukaya
-from .exactalg import DEFAULT_ORDER, GaussianRational
+from .exactalg import DEFAULT_ORDER, TruncatedSeries
 from .floer import (
     FalsificationError,
     eigen_reports,
@@ -25,6 +28,7 @@ from .floer import (
     psi1_block,
     relations,
 )
+from .linalg import EigenReport
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -42,13 +46,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _emit(payload, fmt: str, text_fn) -> None:
-    if fmt == "json":
-        print(json.dumps(payload, indent=2))
-    else:
-        print(text_fn(payload))
-
-
 def _require(cond: bool, message: str):
     if not cond:
         raise UsageError(message)
@@ -58,29 +55,31 @@ def _require(cond: bool, message: str):
 # renderers
 
 
-def _series_text(obj: dict) -> str:
+def _series_text(series: TruncatedSeries) -> str:
     parts = []
-    for k, c in enumerate(obj["coeffs"]):
-        if c["re"] == "0" and c["im"] == "0":
+    for k, c in enumerate(series.coeffs):
+        if not c:
             continue
-        cs = str(GaussianRational.from_json(c))
+        cs = str(c)
         tk = "" if k == 0 else ("t" if k == 1 else f"t^{k}")
         parts.append(cs if not tk else (tk if cs == "1" else f"-{tk}" if cs == "-1" else f"({cs})*{tk}"))
     return " + ".join(parts) if parts else "0"
 
 
-def _eigen_text(obj: dict) -> str:
-    roots = ", ".join(
-        f"{GaussianRational.from_json(r['value'])} (x{r['mult']})" for r in obj["roots"]
-    )
-    rem = obj["remainder"]["coeffs"]
-    trivial = len(rem) == 1 and rem[0]["re"] == "1" and rem[0]["im"] == "0"
-    tail = "" if trivial else "  UNEXPLAINED-FACTOR"
+def _eigen_text(report: EigenReport) -> str:
+    roots = ", ".join(f"{value} (x{mult})" for value, mult in report.roots)
+    tail = "" if report.complete() else "  UNEXPLAINED-FACTOR"
     return f"roots: {roots or '-'}{tail}"
 
 
+def _series_payload_text(series: donaldson.DonaldsonSeries) -> str:
+    terms = ", ".join(f"({a}, {list(k)})" for a, k in series.terms) or "0"
+    return f"basis {list(series.basis_names)}, Q {[list(row) for row in series.q]}\nterms: {terms}"
+
+
 # ---------------------------------------------------------------------------
-# subcommand handlers; each returns (exit_code, payload, text renderer)
+# subcommand handlers; each returns (exit_code, JSON payload, text), the
+# payload from the results' to_json and the text from the results themselves
 
 
 def _cmd_ring(args):
@@ -90,42 +89,33 @@ def _cmd_ring(args):
     payload = ring.to_json(include_rings=args.format == "json" and not args.invariant_only)
     if args.invariant_only:
         payload["invariant_ring"] = invariant_ring(args.genus).to_json()
-
-    def text(p):
-        lines = [f"genus {p['genus']}: total_dim {p['total_dim']}"]
-        for s in p["summands"]:
-            lines.append(
-                f"  k={s['k']}  multiplicity {s['multiplicity']}  level {s['level']}"
-                f"  level_dim {s['level_dim']}  contributes {s['dim']}"
-            )
-        return "\n".join(lines)
-
-    return EXIT_OK, payload, text
+    lines = [f"genus {ring.genus}: total_dim {ring.total_dim}"]
+    for s in ring.summands:
+        lines.append(
+            f"  k={s.k}  multiplicity {s.multiplicity}  level {s.level}"
+            f"  level_dim {s.ring.dim}  contributes {s.dim}"
+        )
+    return EXIT_OK, payload, "\n".join(lines)
 
 
 def _cmd_relations(args):
     _require(args.r >= 0, "--r must be >= 0")
     tri = relations(args.flavor, args.r)
-    payload = tri.to_json()
     names = tri.variable_names()
-
-    def text(p):
-        lines = [f"flavor {p['flavor']}, level {p['r']}:"]
-        for key, poly in zip(("p1", "p2", "p3"), (tri.p1, tri.p2, tri.p3)):
-            lines.append(f"  {key} = {poly.render(names)}")
-        return "\n".join(lines)
-
-    return EXIT_OK, payload, text
+    lines = [f"flavor {tri.flavor}, level {tri.r}:"]
+    for key, poly in zip(("p1", "p2", "p3"), (tri.p1, tri.p2, tri.p3)):
+        lines.append(f"  {key} = {poly.render(names)}")
+    return EXIT_OK, tri.to_json(), "\n".join(lines)
 
 
 def _cmd_eigen(args):
     _require(args.r >= 0, "--r must be >= 0")
     code = EXIT_OK
+    want_dim = None
     if args.object in ("F", "Fbar"):
         ring = invariant_ring(args.r) if args.object == "F" else gamma_quotient_ring(args.r)
         reports = eigen_reports(ring.mult_matrix, args.r + 1)
-        payload = {"object": args.object, "r": args.r, "dim": ring.dim}
-        payload["eigen"] = {name: rep.to_json() for name, rep in reports.items()}
+        dim = ring.dim
     else:
         if args.object == "filtration":
             module = filtration_step(args.r)
@@ -134,73 +124,48 @@ def _cmd_eigen(args):
             _require(args.r >= 1, "--r must be >= 1 for the torsion block")
             module = psi1_block(args.r)
             want_dim = args.r
-        payload = {"object": args.object, "r": args.r, "dim": module.dim}
-        payload["expected_dim"] = want_dim
-        payload["eigen"] = {k: v.to_json() for k, v in module.eigen.items()}
-        if module.dim != want_dim or not module.complete():
+        reports, dim = module.eigen, module.dim
+        if dim != want_dim or not module.complete():
             code = EXIT_FALSIFIED
-
-    def text(p):
-        lines = [f"{p['object']} at r={p['r']}: dim {p['dim']}"]
-        if "expected_dim" in p and p["expected_dim"] != p["dim"]:
-            lines.append(f"  EXPECTED dim {p['expected_dim']}")
-        for name in ("alpha", "beta", "gamma"):
-            lines.append(f"  {name}: {_eigen_text(p['eigen'][name])}")
-        return "\n".join(lines)
-
-    return code, payload, text
+    payload = {"object": args.object, "r": args.r, "dim": dim}
+    if want_dim is not None:
+        payload["expected_dim"] = want_dim
+    payload["eigen"] = {name: rep.to_json() for name, rep in reports.items()}
+    lines = [f"{args.object} at r={args.r}: dim {dim}"]
+    if want_dim not in (None, dim):
+        lines.append(f"  EXPECTED dim {want_dim}")
+    lines += [f"  {name}: {_eigen_text(reports[name])}" for name in ("alpha", "beta", "gamma")]
+    return code, payload, "\n".join(lines)
 
 
 def _cmd_rhff(args):
     _require(args.genus >= 1, "--genus must be >= 1")
     module = fukaya.reduced_module(args.genus, args.n, order=args.trunc)
-    payload = module.to_json()
-
-    def text(p):
-        lines = [f"genus {p['genus']}, loop multiple {p['n']}: rank {p['rank']}"]
-        for c in p["components"]:
-            lines.append(
-                f"  i={c['i']:+d}  alpha = {_series_text(c['alpha'])}  "
-                f"beta = {GaussianRational.from_json(c['beta'])}"
-            )
-        return "\n".join(lines)
-
-    return EXIT_OK, payload, text
+    lines = [f"genus {module.genus}, loop multiple {module.n}: rank {module.rank}"]
+    for c in module.components:
+        lines.append(f"  i={c.i:+d}  alpha = {_series_text(c.alpha)}  beta = {c.beta}")
+    return EXIT_OK, module.to_json(), "\n".join(lines)
 
 
 def _cmd_effective(args):
     _require(args.genus >= 1, "--genus must be >= 1")
     vals = fukaya.effective_eigenvalues(args.genus, order=args.trunc)
     payload = {"genus": args.genus, "eigenvalues": [v.to_json() for v in vals]}
-
-    def text(p):
-        lines = [f"genus {p['genus']}: {len(p['eigenvalues'])} joint eigenvalues"]
-        for v in p["eigenvalues"]:
-            lines.append(
-                f"  (alpha, beta, gamma) = ({_series_text(v['alpha'])}, "
-                f"{GaussianRational.from_json(v['beta'])}, "
-                f"{GaussianRational.from_json(v['gamma'])})"
-            )
-        return "\n".join(lines)
-
-    return EXIT_OK, payload, text
+    lines = [f"genus {args.genus}: {len(vals)} joint eigenvalues"]
+    for v in vals:
+        lines.append(f"  (alpha, beta, gamma) = ({_series_text(v.alpha)}, {v.beta}, {v.gamma})")
+    return EXIT_OK, payload, "\n".join(lines)
 
 
 def _cmd_delta(args):
     _require(args.genus >= 1, "--genus must be >= 1")
     module = fukaya.delta_module(args.genus)
-    payload = module.to_json()
-
-    def text(p):
-        lines = [f"genus {p['genus']}: total rank {p['total_rank']}"]
-        for c in p["components"]:
-            lines.append(
-                f"  k={c['k']}  i={c['i']:+d}  mult {c['mult']}  alpha = "
-                f"{_series_text(c['alpha'])}  beta = {GaussianRational.from_json(c['beta'])}"
-            )
-        return "\n".join(lines)
-
-    return EXIT_OK, payload, text
+    lines = [f"genus {module.genus}: total rank {module.total_rank}"]
+    for c in module.components:
+        lines.append(
+            f"  k={c.k}  i={c.i:+d}  mult {c.multiplicity}  alpha = {c.alpha}  beta = {c.beta}"
+        )
+    return EXIT_OK, module.to_json(), "\n".join(lines)
 
 
 def _integer(value, name: str):
@@ -260,11 +225,7 @@ def _cmd_mu(args):
         "grade": cls.grade,
         "value": value.to_json(),
     }
-
-    def text(p):
-        return f"action on the i={p['i']} line: {_series_text(p['value'])}"
-
-    return EXIT_OK, payload, text
+    return EXIT_OK, payload, f"action on the i={args.i} line: {_series_text(value)}"
 
 
 def _load_series(path: str) -> donaldson.DonaldsonSeries:
@@ -284,15 +245,10 @@ def _parse_vector(text: str) -> tuple:
         raise UsageError(f"malformed integer vector {text!r}") from exc
 
 
-def _series_payload_text(p):
-    terms = ", ".join(f"({t['a']}, {t['K']})" for t in p["terms"]) or "0"
-    return f"basis {p['basis']}, Q {p['Q']}\nterms: {terms}"
-
-
 def _cmd_don_product(args):
     _require(args.g >= 1 and args.h >= 1, "--g and --h must be >= 1")
     series = donaldson.product_series(args.g, args.h)
-    return EXIT_OK, series.to_json(), _series_payload_text
+    return EXIT_OK, series.to_json(), _series_payload_text(series)
 
 
 def _cmd_don_eval(args):
@@ -303,11 +259,7 @@ def _cmd_don_eval(args):
     _require(order >= 1, "--order must be >= 1")
     value = donaldson.evaluate(series, d, order)
     payload = {"class": list(d), "order": order, "value": value.to_json()}
-
-    def text(p):
-        return f"value: {_series_text(p['value'])}"
-
-    return EXIT_OK, payload, text
+    return EXIT_OK, payload, f"value: {_series_text(value)}"
 
 
 def _cmd_don_fibersum(args):
@@ -326,14 +278,14 @@ def _cmd_don_fibersum(args):
         result = donaldson.fiber_sum(inp)
     except (KeyError, ValueError, TypeError) as exc:
         raise UsageError(f"invalid fiber-sum input: {exc}") from exc
-    return EXIT_OK, result.to_json(), _series_payload_text
+    return EXIT_OK, result.to_json(), _series_payload_text(result)
 
 
 def _cmd_don_order(args):
     _require(args.genus >= 0, "--genus must be >= 0")
     n = donaldson.finite_type_order(args.genus, args.b1_zero)
     payload = {"genus": args.genus, "b1_zero": args.b1_zero, "order": n}
-    return EXIT_OK, payload, lambda p: f"finite-type order bound: {p['order']}"
+    return EXIT_OK, payload, f"finite-type order bound: {n}"
 
 
 def _cmd_don_congruence(args):
@@ -346,15 +298,12 @@ def _cmd_don_congruence(args):
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     code = EXIT_OK if report.passed else EXIT_FALSIFIED
-
-    def text(p):
-        lines = [f"target residue {p['target']} mod 4: " + ("pass" if p["passed"] else "FAIL")]
-        for c in p["classes"]:
-            mark = "ok" if c["pass"] else "FAIL"
-            lines.append(f"  K={c['K']}  K.Sigma={c['pairing']}  residue {c['residue']}  {mark}")
-        return "\n".join(lines)
-
-    return code, report.to_json(), text
+    lines = [f"target residue {report.target} mod 4: " + ("pass" if report.passed else "FAIL")]
+    for k, pairing, residue, ok in report.verdicts:
+        lines.append(
+            f"  K={list(k)}  K.Sigma={pairing}  residue {residue}  {'ok' if ok else 'FAIL'}"
+        )
+    return code, report.to_json(), "\n".join(lines)
 
 
 def _cmd_check(args):
@@ -366,16 +315,12 @@ def _cmd_check(args):
         "results": [r.to_json() for r in results],
         "passed": passed,
     }
-
-    def text(p):
-        lines = [checks.CheckResult(**r).line() for r in p["results"]]
-        lines.append(
-            f"{'all claims verified' if p['passed'] else 'SOME CLAIMS FAILED'} "
-            f"({sum(1 for r in p['results'] if r['passed'])}/{len(p['results'])})"
-        )
-        return "\n".join(lines)
-
-    return (EXIT_OK if passed else EXIT_FALSIFIED), payload, text
+    lines = [r.line() for r in results]
+    lines.append(
+        f"{'all claims verified' if passed else 'SOME CLAIMS FAILED'} "
+        f"({sum(1 for r in results if r.passed)}/{len(results)})"
+    )
+    return (EXIT_OK if passed else EXIT_FALSIFIED), payload, "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -474,14 +419,14 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         _require(args.trunc >= 1, "--trunc must be >= 1")
-        code, payload, text_fn = args.fn(args)
+        code, payload, text = args.fn(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except FalsificationError as exc:
         print(f"falsified: {exc}", file=sys.stderr)
         return EXIT_FALSIFIED
-    _emit(payload, args.format, text_fn)
+    print(json.dumps(payload, indent=2) if args.format == "json" else text)
     return code
 
 

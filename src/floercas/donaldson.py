@@ -91,18 +91,6 @@ class DonaldsonSeries:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        names = self.basis_names
-        parts = []
-        for a, k in self.terms:
-            ks = "+".join(
-                f"{c}{n}" if c != 1 else n for c, n in zip(k, names) if c
-            ) or "0"
-            parts.append(f"{a}*e^({ks})")
-        return "e^(Q/2)*(" + " + ".join(parts) + ")"
-
     def to_json(self) -> dict:
         return {
             "basis": list(self.basis_names),
@@ -113,11 +101,15 @@ class DonaldsonSeries:
 
     @staticmethod
     def from_json(obj: dict) -> "DonaldsonSeries":
+        simple_type = obj.get("simple_type", True)
+        if not isinstance(simple_type, bool):
+            # bool() would read the string "false" as simple type
+            raise ValueError("simple_type must be a boolean")
         return DonaldsonSeries(
             basis_names=tuple(obj["basis"]),
             q=tuple(_integers(row, "Q") for row in obj["Q"]),
             terms=tuple((rational(t["a"]), _integers(t["K"], "K")) for t in obj["terms"]),
-            simple_type=bool(obj.get("simple_type", True)),
+            simple_type=simple_type,
         )
 
 
@@ -245,7 +237,7 @@ class FiberSumInput:
             sigma_in_a=_integers(obj["sigma_a"], "sigma_a"),
             sigma_in_b=_integers(obj["sigma_b"], "sigma_b"),
             basis_names=tuple(obj["basis"]),
-            q=tuple(tuple(row) for row in obj["Q"]),
+            q=tuple(_integers(row, "Q") for row in obj["Q"]),
             splits=tuple(splits),
         )
 

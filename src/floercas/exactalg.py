@@ -183,10 +183,6 @@ class GaussianRational:
     def to_json(self) -> dict:
         return {"re": str(self.re), "im": str(self.im)}
 
-    @staticmethod
-    def from_json(obj: dict) -> "GaussianRational":
-        return GaussianRational(rational(obj["re"]), rational(obj["im"]))
-
 
 GR_ZERO = GaussianRational(0)
 GR_ONE = GaussianRational(1)
@@ -254,12 +250,6 @@ class TruncatedSeries:
     def t(order: int = DEFAULT_ORDER, coeff=1) -> "TruncatedSeries":
         """The series coeff * t."""
         return TruncatedSeries([GR_ZERO, GaussianRational.coerce(coeff)], order)
-
-    @staticmethod
-    def coerce(value, order: int = DEFAULT_ORDER) -> "TruncatedSeries":
-        if isinstance(value, TruncatedSeries):
-            return value
-        return TruncatedSeries.constant(value, order)
 
     def _check(self, other: "TruncatedSeries"):
         if self.order != other.order:
@@ -366,9 +356,3 @@ class TruncatedSeries:
     # -- serialization ----------------------------------------------------
     def to_json(self) -> dict:
         return {"coeffs": [c.to_json() for c in self.coeffs], "order": self.order}
-
-    @staticmethod
-    def from_json(obj: dict) -> "TruncatedSeries":
-        return TruncatedSeries(
-            [GaussianRational.from_json(c) for c in obj["coeffs"]], obj["order"]
-        )

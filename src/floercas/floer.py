@@ -16,7 +16,7 @@ from math import comb
 
 from .exactalg import GR_ONE, GR_ZERO, GaussianRational, rational
 from .groebner import VAR_NAMES, QuotientRing
-from .linalg import EigenReport, Matrix, UniPoly, factor_over_candidates
+from .linalg import Matrix, UniPoly, factor_over_candidates
 from .poly import ALPHA, BETA, GAMMA, GRLEX, MonomialOrder, SparsePoly
 
 FLAVORS = ("q", "R", "Rbar")
@@ -210,28 +210,19 @@ def induced_action(m: Matrix, reps, denominator) -> Matrix:
 
 @dataclass(frozen=True)
 class SubquotientModule:
-    """A subquotient of a level ring with its variable actions and spectra."""
+    """A subquotient of a level ring: its dimension and the spectra of the
+    variable actions."""
 
-    ambient: QuotientRing
-    numerator: tuple
-    denominator: tuple
     dim: int
-    actions: dict
     eigen: dict
 
     @staticmethod
     def build(ambient: QuotientRing, numerator, denominator, candidate_bound: int) -> "SubquotientModule":
         reps = _independent_subset(numerator, seed=denominator)
-        den = tuple(tuple(v) for v in denominator)
-        num = tuple(tuple(v) for v in numerator)
         actions = {
             name: induced_action(ambient.mult_matrix(name), reps, denominator) for name in VAR_NAMES
         }
-        eigen = eigen_reports(actions.get, candidate_bound)
-        return SubquotientModule(ambient, num, den, len(reps), actions, eigen)
-
-    def spectrum(self, name: str) -> EigenReport:
-        return self.eigen[name]
+        return SubquotientModule(len(reps), eigen_reports(actions.get, candidate_bound))
 
     def complete(self) -> bool:
         return all(rep.complete() for rep in self.eigen.values())

@@ -255,12 +255,6 @@ class SparsePoly:
             ]
         }
 
-    @staticmethod
-    def from_json(obj: dict) -> "SparsePoly":
-        return SparsePoly(
-            (Monomial(*t["m"]), GaussianRational.from_json(t["c"])) for t in obj["terms"]
-        )
-
 
 ALPHA = SparsePoly.variable(0)
 BETA = SparsePoly.variable(1)

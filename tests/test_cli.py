@@ -1,8 +1,23 @@
+import hashlib
 import json
 
 from floercas.cli import main
 from floercas.donaldson import product_series
 from floercas.floer import FalsificationError
+
+
+#: sigma_a, sigma_b, basis, Q and splits of a sum of two products of surfaces
+#: along their common factor E, whose result basis is E and the glued base F
+PRODUCT_SUM_PAIRING = {
+    "sigma_a": [1, 0],
+    "sigma_b": [1, 0],
+    "basis": ["E", "F"],
+    "Q": [[0, 1], [1, 0]],
+    "splits": [
+        {"d1": [1, 0], "d2": [0, 0], "sigma_dot": 0},
+        {"d1": [0, 1], "d2": [0, 1], "sigma_dot": 1},
+    ],
+}
 
 
 def run(capsys, *argv):
@@ -243,6 +258,30 @@ class TestDonaldsonCommands:
         assert code == 2
         assert not payload["passed"]
 
+    def test_text_output_digests(self, capsys, tmp_path):
+        # SHA-256 of the text-mode stdout, pinned so that the text renderers
+        # of the series calculators cannot drift
+        paths = {}
+        for name, (g, h) in {"a": (2, 1), "b": (2, 2), "s": (2, 3)}.items():
+            paths[name] = tmp_path / f"{name}.json"
+            paths[name].write_text(json.dumps(product_series(g, h).to_json()))
+        pairing = json.dumps(PRODUCT_SUM_PAIRING)
+        cases = [
+            (("eval", "--series", str(paths["s"]), "--class", "1,1", "--order", "6"), 0,
+             "97847527cc9388181389aaea7faec93e0d7dd8cabbe18788b6bb0efe21fafcc2"),
+            (("fibersum", "--a", str(paths["a"]), "--b", str(paths["b"]), "--genus", "2",
+              "--pairing", pairing), 0,
+             "ea13d9491115c09db9886b092f26e6a41eca714c27e00a756818ea9cd021d657"),
+            (("congruence", "--series", str(paths["s"]), "--sigma", "1,0", "--genus", "2"), 0,
+             "fef5f80ce468557394ecdcc029aab2ce4c7c2eb750f055edd2bcc7445e2160c2"),
+            (("congruence", "--series", str(paths["s"]), "--sigma", "0,1", "--genus", "2"), 2,
+             "2b8c6ae6d5862e914542805f6bc496d811954e7f86aedc36a9a7efbeaee8c27d"),
+        ]
+        for argv, want_code, digest in cases:
+            code, out, _ = run(capsys, "donaldson", *argv)
+            assert code == want_code
+            assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_missing_series_file(self, capsys):
         code, _, err = run(capsys, "donaldson", "eval", "--series", "/nonexistent.json",
                            "--class", "1,0")
@@ -355,6 +394,36 @@ class TestUsageErrors:
             )
             self.assert_one_line_usage_error(code, err)
             assert field in err and out == ""
+
+    def test_fractional_fibersum_form(self, capsys, tmp_path):
+        # int() would truncate Q to the hyperbolic form and print "terms: 0"
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        a.write_text(json.dumps(product_series(2, 2).to_json()))
+        b.write_text(json.dumps(product_series(2, 3).to_json()))
+        pairing = dict(PRODUCT_SUM_PAIRING, sigma_b=[0, 1], Q=[[0.5, 1], [1, 0]])
+        code, out, err = run(
+            capsys,
+            "donaldson", "fibersum",
+            "--a", str(a), "--b", str(b),
+            "--genus", "2", "--pairing", json.dumps(pairing),
+        )
+        self.assert_one_line_usage_error(code, err)
+        assert "Q entries must be integers" in err and out == ""
+
+    def test_simple_type_must_be_boolean(self, capsys, tmp_path):
+        # bool("false") is True, so the string would pass as simple type
+        obj = product_series(2, 2).to_json()
+        obj["simple_type"] = "false"
+        path = tmp_path / "series.json"
+        path.write_text(json.dumps(obj))
+        code, out, err = run(
+            capsys,
+            "donaldson", "fibersum",
+            "--a", str(path), "--b", str(path),
+            "--genus", "2", "--pairing", json.dumps(PRODUCT_SUM_PAIRING),
+        )
+        self.assert_one_line_usage_error(code, err)
+        assert "simple_type must be a boolean" in err and out == ""
 
     def test_malformed_vector(self, capsys, tmp_path):
         path = tmp_path / "series.json"

@@ -288,7 +288,7 @@ class TestLayerFailures:
     @staticmethod
     def layer(alpha, beta):
         actions = {"alpha": Matrix(alpha), "beta": Matrix(beta), "gamma": Matrix.zero(2, 2)}
-        return SubquotientModule(None, (), (), 2, actions, eigen_reports(actions.get, 2))
+        return SubquotientModule(2, eigen_reports(actions.get, 2))
 
     def test_layer_one_passes(self):
         assert layer_failures("step 1", self.layer([[4, 0], [0, -4]], [[-8, 0], [0, -8]]), 1) == []
