@@ -17,12 +17,9 @@ from .poly import (
     ALPHA,
     BETA,
     GAMMA,
-    GRLEX,
-    GREVLEX,
-    WGREVLEX,
     Monomial,
-    MonomialOrder,
     SparsePoly,
+    grlex_key,
 )
 from .linalg import Matrix, UniPoly, EigenReport, factor_over_candidates
 from .groebner import (

@@ -17,7 +17,7 @@ import json
 import sys
 
 from . import checks, donaldson, fukaya
-from .exactalg import DEFAULT_ORDER, TruncatedSeries
+from .exactalg import DEFAULT_ORDER
 from .floer import (
     FalsificationError,
     eigen_reports,
@@ -53,17 +53,6 @@ def _require(cond: bool, message: str):
 
 # ---------------------------------------------------------------------------
 # renderers
-
-
-def _series_text(series: TruncatedSeries) -> str:
-    parts = []
-    for k, c in enumerate(series.coeffs):
-        if not c:
-            continue
-        cs = str(c)
-        tk = "" if k == 0 else ("t" if k == 1 else f"t^{k}")
-        parts.append(cs if not tk else (tk if cs == "1" else f"-{tk}" if cs == "-1" else f"({cs})*{tk}"))
-    return " + ".join(parts) if parts else "0"
 
 
 def _eigen_text(report: EigenReport) -> str:
@@ -143,7 +132,7 @@ def _cmd_rhff(args):
     module = fukaya.reduced_module(args.genus, args.n, order=args.trunc)
     lines = [f"genus {module.genus}, loop multiple {module.n}: rank {module.rank}"]
     for c in module.components:
-        lines.append(f"  i={c.i:+d}  alpha = {_series_text(c.alpha)}  beta = {c.beta}")
+        lines.append(f"  i={c.i:+d}  alpha = {c.alpha}  beta = {c.beta}")
     return EXIT_OK, module.to_json(), "\n".join(lines)
 
 
@@ -153,7 +142,7 @@ def _cmd_effective(args):
     payload = {"genus": args.genus, "eigenvalues": [v.to_json() for v in vals]}
     lines = [f"genus {args.genus}: {len(vals)} joint eigenvalues"]
     for v in vals:
-        lines.append(f"  (alpha, beta, gamma) = ({_series_text(v.alpha)}, {v.beta}, {v.gamma})")
+        lines.append(f"  (alpha, beta, gamma) = ({v.alpha}, {v.beta}, {v.gamma})")
     return EXIT_OK, payload, "\n".join(lines)
 
 
@@ -225,7 +214,7 @@ def _cmd_mu(args):
         "grade": cls.grade,
         "value": value.to_json(),
     }
-    return EXIT_OK, payload, f"action on the i={args.i} line: {_series_text(value)}"
+    return EXIT_OK, payload, f"action on the i={args.i} line: {value}"
 
 
 def _load_series(path: str) -> donaldson.DonaldsonSeries:
@@ -259,7 +248,7 @@ def _cmd_don_eval(args):
     _require(order >= 1, "--order must be >= 1")
     value = donaldson.evaluate(series, d, order)
     payload = {"class": list(d), "order": order, "value": value.to_json()}
-    return EXIT_OK, payload, f"value: {_series_text(value)}"
+    return EXIT_OK, payload, f"value: {value}"
 
 
 def _cmd_don_fibersum(args):

@@ -203,6 +203,12 @@ class FiberSumInput:
             raise ValueError("gluing genus must be >= 1")
         if not (self.a.simple_type and self.b.simple_type):
             raise ValueError("fiber sum requires simple-type inputs")
+        na, nb = len(self.a.basis_names), len(self.b.basis_names)
+        if len(self.sigma_in_a) != na or len(self.sigma_in_b) != nb:
+            raise ValueError("glued surface vector does not match its side's basis")
+        for name, sp in zip(self.basis_names, self.splits):
+            if len(sp.d1) != na or len(sp.d2) != nb:
+                raise ValueError(f"split of {name} does not match the sides' bases")
         if self.a.quadratic_form(self.sigma_in_a) != 0:
             raise ValueError("glued surface must have self-intersection zero")
         if self.b.quadratic_form(self.sigma_in_b) != 0:

@@ -346,9 +346,18 @@ class TruncatedSeries:
 
     # -- rendering ------------------------------------------------------
     def __str__(self) -> str:
-        return render_terms(
-            (c, "1" if k == 0 else "t" if k == 1 else f"t^{k}") for k, c in enumerate(self.coeffs)
-        )
+        """Nonzero terms joined by " + ", each c, t^k, -t^k or (c)*t^k."""
+        parts = []
+        for k, c in enumerate(self.coeffs):
+            if not c:
+                continue
+            cs = str(c)
+            if k == 0:
+                parts.append(cs)
+                continue
+            tk = "t" if k == 1 else f"t^{k}"
+            parts.append(tk if cs == "1" else f"-{tk}" if cs == "-1" else f"({cs})*{tk}")
+        return " + ".join(parts) if parts else "0"
 
     def __repr__(self) -> str:
         return f"TruncatedSeries({self!s}, order={self.order})"

@@ -17,7 +17,7 @@ from math import comb
 from .exactalg import GR_ONE, GR_ZERO, GaussianRational, rational
 from .groebner import VAR_NAMES, QuotientRing
 from .linalg import Matrix, UniPoly, factor_over_candidates
-from .poly import ALPHA, BETA, GAMMA, GRLEX, MonomialOrder, SparsePoly
+from .poly import ALPHA, BETA, GAMMA, Monomial, SparsePoly, grlex_key
 
 FLAVORS = ("q", "R", "Rbar")
 
@@ -127,28 +127,25 @@ def eigen_reports(matrix_of, bound: int) -> dict:
 
 
 @lru_cache(maxsize=None)
-def invariant_ring(r: int, order: MonomialOrder = GRLEX) -> QuotientRing:
+def invariant_ring(r: int) -> QuotientRing:
     """F_r: the invariant part of the level-r ring, dim C(r+2,3)."""
-    return QuotientRing.from_generators(relations("R", r).generators(), order)
+    return QuotientRing.from_generators(relations("R", r).generators())
 
 
 @lru_cache(maxsize=None)
-def gamma_quotient_ring(r: int, order: MonomialOrder = GRLEX) -> QuotientRing:
+def gamma_quotient_ring(r: int) -> QuotientRing:
     """Fbar_r = F_r/(gamma), presented by the two-term recursion; dim C(r+1,2)."""
-    gens = relations("Rbar", r).generators() + [GAMMA]
-    return QuotientRing.from_generators(gens, order)
+    return QuotientRing.from_generators(relations("Rbar", r).generators() + [GAMMA])
 
 
 @lru_cache(maxsize=None)
-def classical_ring(r: int, order: MonomialOrder = GRLEX) -> QuotientRing:
+def classical_ring(r: int) -> QuotientRing:
     """The undeformed level-r ring C[a,b,c]/(q-relations); dim C(r+2,3)."""
-    return QuotientRing.from_generators(relations("q", r).generators(), order)
+    return QuotientRing.from_generators(relations("q", r).generators())
 
 
 def monomial_simplex(r: int, nvars: int = 3) -> list:
     """The monomials of total degree < r claimed to be a basis of the level ring."""
-    from .poly import Monomial
-
     out = []
     for a in range(r):
         for b in range(r - a):
@@ -157,7 +154,7 @@ def monomial_simplex(r: int, nvars: int = 3) -> list:
             else:
                 for c in range(r - a - b):
                     out.append(Monomial(a, b, c))
-    out.sort(key=GRLEX.key)
+    out.sort(key=grlex_key)
     return out
 
 
@@ -226,12 +223,6 @@ class SubquotientModule:
 
     def complete(self) -> bool:
         return all(rep.complete() for rep in self.eigen.values())
-
-    def to_json(self) -> dict:
-        return {
-            "dim": self.dim,
-            "eigen": {k: v.to_json() for k, v in self.eigen.items()},
-        }
 
 
 def filtration_step(r: int) -> SubquotientModule:

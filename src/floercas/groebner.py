@@ -6,10 +6,11 @@ reduces to a normal-form or exact linear-algebra statement here.  The
 ideals involved have at most a handful of generators in three variables,
 so plain Buchberger with the sugar selection strategy and the coprimality
 criterion is entirely adequate; the returned basis is reduced, monic and
-sorted, hence canonical for the given monomial order.
+sorted, hence canonical.  The term order is grlex throughout, by the one
+key `poly.grlex_key`.
 
 Reduction runs on a mutable map from monomials to coefficients, with a
-max-heap of order keys to find the next largest term: each step subtracts
+max-heap of grlex keys to find the next largest term: each step subtracts
 c * q * tail(g) from the map term by term, and only the final remainder
 becomes a SparsePoly.  Divisors are monic and split into leading monomial
 and tail; a GroebnerBasis carries its own, so a normal form is one
@@ -34,7 +35,7 @@ from typing import Sequence
 
 from .exactalg import GR_ONE, GaussianRational, rational
 from .linalg import Matrix
-from .poly import GRLEX, Monomial, MonomialOrder, SparsePoly
+from .poly import Monomial, SparsePoly, grlex_key
 
 __all__ = [
     "GroebnerBasis",
@@ -67,31 +68,26 @@ class GroebnerBasis:
     """
 
     generators: tuple
-    order: MonomialOrder
     divisors: tuple = field(compare=False, repr=False)
 
     def leading_monomials(self) -> list:
-        return [g.leading_monomial(self.order) for g in self.generators]
+        return [g.leading_monomial() for g in self.generators]
 
     def to_json(self) -> dict:
-        return {
-            "order": self.order.kind,
-            "generators": [g.to_json(self.order) for g in self.generators],
-        }
+        return {"order": "grlex", "generators": [g.to_json() for g in self.generators]}
 
 
-def _reduce(work: dict, divisors: Sequence[tuple], order: MonomialOrder) -> dict:
+def _reduce(work: dict, divisors: Sequence[tuple]) -> dict:
     """Full remainder of the term map `work` (consumed) by monic divisors (lm, tail).
 
-    The largest term left is popped from a max-heap of order keys and either
+    The largest term left is popped from a max-heap of grlex keys and either
     cancelled by subtracting c * q * tail of the first divisor whose leading
     monomial divides it (lm * q = m) or moved to the remainder.  A monomial
     that cancels leaves its heap entry behind; the entry is skipped when
     popped.  The remainder receives its terms in descending order, so its
     first key is its leading monomial.
     """
-    key = order.key
-    heap = [(tuple(map(neg, key(m))), m) for m in work]
+    heap = [(tuple(map(neg, grlex_key(m))), m) for m in work]
     heapify(heap)
     rem: dict = {}
     while heap:
@@ -107,7 +103,7 @@ def _reduce(work: dict, divisors: Sequence[tuple], order: MonomialOrder) -> dict
                     d = work.get(t)
                     if d is None:
                         work[t] = -(c * tc)
-                        heappush(heap, (tuple(map(neg, key(t))), t))
+                        heappush(heap, (tuple(map(neg, grlex_key(t))), t))
                     else:
                         d = d - c * tc
                         if d:
@@ -121,11 +117,11 @@ def _reduce(work: dict, divisors: Sequence[tuple], order: MonomialOrder) -> dict
 
 
 def normal_form(p: SparsePoly, gb: GroebnerBasis) -> SparsePoly:
-    """Unique remainder of p modulo the ideal, w.r.t. gb's order."""
-    return SparsePoly(_reduce(dict(p.terms), gb.divisors, gb.order))
+    """Unique remainder of p modulo the ideal of gb."""
+    return SparsePoly(_reduce(dict(p.terms), gb.divisors))
 
 
-def buchberger(gens: Sequence[SparsePoly], order: MonomialOrder = GRLEX) -> GroebnerBasis:
+def buchberger(gens: Sequence[SparsePoly]) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal generated by gens.
 
     Sugar selection strategy, coprimality criterion, full inter-reduction.
@@ -136,7 +132,6 @@ def buchberger(gens: Sequence[SparsePoly], order: MonomialOrder = GRLEX) -> Groe
         raise ValueError("no nonzero generators")
     real = all(not c.im for g in work for c in g.terms.values())
     one = rational(1) if real else GR_ONE
-    key = order.key
 
     basis: list[tuple] = []  # monic (leading monomial, tail) pairs
     sugar: list[int] = []
@@ -153,16 +148,16 @@ def buchberger(gens: Sequence[SparsePoly], order: MonomialOrder = GRLEX) -> Groe
                 sugar[i] + l.total_degree - lmi.total_degree,
                 s + l.total_degree - lm.total_degree,
             )
-            heappush(pairs, (s_pair, key(l), i, k))
+            heappush(pairs, (s_pair, grlex_key(l), i, k))
         lc = r.pop(lm)  # made monic: the divisor is (lm, tail / lc)
         if lc != one:
             r = {m: c / lc for m, c in r.items()}
         basis.append((lm, list(r.items())))
         sugar.append(s)
 
-    for g in sorted(work, key=lambda q: key(q.leading_monomial(order))):
+    for g in sorted(work, key=lambda q: grlex_key(q.leading_monomial())):
         terms = {m: c.re for m, c in g.terms.items()} if real else dict(g.terms)
-        r = _reduce(terms, basis, order)
+        r = _reduce(terms, basis)
         if r:
             add_poly(r, max(m.total_degree for m in r))
 
@@ -182,7 +177,7 @@ def buchberger(gens: Sequence[SparsePoly], order: MonomialOrder = GRLEX) -> Groe
                 del spoly[t]
             else:
                 spoly[t] = d - c
-        r = _reduce(spoly, basis, order)
+        r = _reduce(spoly, basis)
         if r:
             s_new = max(
                 sugar[i] + ui.total_degree,
@@ -193,7 +188,7 @@ def buchberger(gens: Sequence[SparsePoly], order: MonomialOrder = GRLEX) -> Groe
 
     # minimalize: drop generators whose leading monomial another one divides
     minimal: list[tuple] = []
-    for lm, tail in sorted(basis, key=lambda d: key(d[0])):
+    for lm, tail in sorted(basis, key=lambda d: grlex_key(d[0])):
         if not any(h.divides(lm) for h, _ in minimal):
             minimal.append((lm, tail))
 
@@ -203,16 +198,16 @@ def buchberger(gens: Sequence[SparsePoly], order: MonomialOrder = GRLEX) -> Groe
     for idx, (lm, tail) in enumerate(minimal):
         work_map = dict(tail)
         work_map[lm] = one
-        r = _reduce(work_map, minimal[:idx] + minimal[idx + 1 :], order)
+        r = _reduce(work_map, minimal[:idx] + minimal[idx + 1 :])
         if real:
             r = {m: GaussianRational(c) for m, c in r.items()}
         reduced.append(SparsePoly(r))
         divisors.append((lm, tuple((m, c) for m, c in r.items() if m != lm)))
-    return GroebnerBasis(tuple(reduced), order, tuple(divisors))
+    return GroebnerBasis(tuple(reduced), tuple(divisors))
 
 
 def staircase_basis(gb: GroebnerBasis) -> tuple:
-    """Monomials outside the leading-term ideal, ascending in gb's order.
+    """Monomials outside the leading-term ideal, ascending in grlex.
 
     The staircase is finite exactly when every variable has a pure power
     among the leading monomials; otherwise InfiniteStaircaseError names a
@@ -232,7 +227,7 @@ def staircase_basis(gb: GroebnerBasis) -> tuple:
                 m = Monomial(a, b, c)
                 if not any(lm.divides(m) for lm in lms):
                     out.append(m)
-    out.sort(key=gb.order.key)
+    out.sort(key=grlex_key)
     return tuple(out)
 
 
@@ -256,16 +251,12 @@ class QuotientRing:
         raise AttributeError("QuotientRing is immutable")
 
     @staticmethod
-    def from_generators(gens: Sequence[SparsePoly], order: MonomialOrder = GRLEX) -> "QuotientRing":
-        return QuotientRing(buchberger(gens, order))
+    def from_generators(gens: Sequence[SparsePoly]) -> "QuotientRing":
+        return QuotientRing(buchberger(gens))
 
     @property
     def dim(self) -> int:
         return len(self.basis)
-
-    @property
-    def order(self) -> MonomialOrder:
-        return self.gb.order
 
     def normal_form(self, p: SparsePoly) -> SparsePoly:
         return normal_form(p, self.gb)
@@ -290,7 +281,7 @@ class QuotientRing:
 
     def extend(self, extra: Sequence[SparsePoly]) -> "QuotientRing":
         """Quotient by the ideal enlarged with extra generators."""
-        return QuotientRing.from_generators(list(self.gb.generators) + list(extra), self.order)
+        return QuotientRing.from_generators(list(self.gb.generators) + list(extra))
 
     def element_from_coords(self, v) -> SparsePoly:
         return SparsePoly({m: c for m, c in zip(self.basis, v) if c})

@@ -174,10 +174,6 @@ class Matrix:
             raise ValueError("characteristic polynomial of a non-square matrix")
         return UniPoly(_hessenberg_charpoly([list(r) for r in self.rows]))
 
-    # -- serialization ------------------------------------------------------
-    def to_json(self) -> list:
-        return [[x.to_json() for x in row] for row in self.rows]
-
 
 def _hessenberg_charpoly(h: list) -> list:
     """Coefficients, lowest degree first, of det(x*I - H) over Q(i).

@@ -1,4 +1,4 @@
-"""Sparse polynomials in three graded variables with monomial orders.
+"""Sparse polynomials in three graded variables, stored in grlex order.
 
 The three variables are the generators of the invariant ring: alpha, beta,
 gamma of cohomological degree 2, 4, 6 (written a, b, c in the classical
@@ -8,16 +8,10 @@ lie in Q(i), as GaussianRationals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Iterator
 
 from .exactalg import GR_ONE, GaussianRational, power, render_terms
-
-#: cohomological degrees of (alpha, beta, gamma)
-WEIGHTS = (2, 4, 6)
-
-LT, EQ, GT = -1, 0, 1
 
 
 class Monomial(tuple):
@@ -66,42 +60,19 @@ class Monomial(tuple):
 
 MONOMIAL_ONE = Monomial(0, 0, 0)
 M_ALPHA = Monomial(1, 0, 0)
-M_BETA = Monomial(0, 1, 0)
-M_GAMMA = Monomial(0, 0, 1)
 
 
-@dataclass(frozen=True)
-class MonomialOrder:
-    """Total multiplicative well-founded order on monomials.
-
-    kinds: grlex (total degree, lex tie alpha>beta>gamma), grevlex,
-    wgrevlex (weights 2,4,6 with grevlex tie-break).
-    """
-
-    kind: str = "grlex"
-
-    def key(self, m: Monomial):
-        """Sort key; bigger key = bigger monomial."""
-        if self.kind == "grlex":
-            return (m.total_degree, m[0], m[1], m[2])
-        if self.kind == "grevlex":
-            return (m.total_degree, -m[2], -m[1], -m[0])
-        if self.kind == "wgrevlex":
-            return (m.weighted_degree, -m[2], -m[1], -m[0])
-        raise ValueError(f"unknown order kind {self.kind!r}")
-
-    def compare(self, m1: Monomial, m2: Monomial) -> int:
-        k1, k2 = self.key(m1), self.key(m2)
-        return LT if k1 < k2 else (GT if k1 > k2 else EQ)
-
-
-GRLEX = MonomialOrder("grlex")
-GREVLEX = MonomialOrder("grevlex")
-WGREVLEX = MonomialOrder("wgrevlex")
+def grlex_key(m: Monomial) -> tuple:
+    """Sort key of grlex, the one term order: total degree, then lex with
+    alpha > beta > gamma.  A bigger key is a bigger monomial."""
+    return (m[0] + m[1] + m[2], m[0], m[1], m[2])
 
 
 class SparsePoly:
-    """Map from monomials to nonzero coefficients, canonical and immutable."""
+    """Map from monomials to nonzero coefficients, canonical and immutable.
+
+    The terms are stored ascending in grlex, so the last one leads.
+    """
 
     __slots__ = ("terms",)
 
@@ -125,7 +96,7 @@ class SparsePoly:
             elif m in acc:
                 del acc[m]
         object.__setattr__(
-            self, "terms", dict(sorted(acc.items(), key=lambda mc: GRLEX.key(mc[0])))
+            self, "terms", dict(sorted(acc.items(), key=lambda mc: grlex_key(mc[0])))
         )
 
     def __setattr__(self, name, value):
@@ -200,23 +171,17 @@ class SparsePoly:
     def __hash__(self):
         return hash(tuple(self.terms.items()))
 
-    def __len__(self) -> int:
-        return len(self.terms)
+    def sorted_terms(self) -> list:
+        """(monomial, coeff) pairs, descending in grlex."""
+        return list(reversed(self.terms.items()))
 
-    def sorted_terms(self, order: MonomialOrder = GRLEX) -> list:
-        """(monomial, coeff) pairs, descending in the order."""
-        return sorted(self.terms.items(), key=lambda mc: order.key(mc[0]), reverse=True)
-
-    def leading_monomial(self, order: MonomialOrder = GRLEX) -> Monomial:
+    def leading_monomial(self) -> Monomial:
         if not self.terms:
             raise ValueError("zero polynomial has no leading monomial")
-        return max(self.terms, key=order.key)
+        return next(reversed(self.terms))
 
-    def leading_coeff(self, order: MonomialOrder = GRLEX):
-        return self.terms[self.leading_monomial(order)]
-
-    def total_degree(self) -> int:
-        return max((m.total_degree for m in self.terms), default=0)
+    def leading_coeff(self):
+        return self.terms[self.leading_monomial()]
 
     def monomials(self) -> Iterator[Monomial]:
         return iter(self.terms)
@@ -238,8 +203,8 @@ class SparsePoly:
         return classes.pop() if classes else 0
 
     # -- rendering ----------------------------------------------------------
-    def render(self, names=("alpha", "beta", "gamma"), order: MonomialOrder = GRLEX) -> str:
-        return render_terms((c, m.render(names)) for m, c in self.sorted_terms(order))
+    def render(self, names=("alpha", "beta", "gamma")) -> str:
+        return render_terms((c, m.render(names)) for m, c in self.sorted_terms())
 
     def __str__(self) -> str:
         return self.render()
@@ -248,12 +213,8 @@ class SparsePoly:
         return f"SparsePoly({self})"
 
     # -- serialization ---------------------------------------------------
-    def to_json(self, order: MonomialOrder = GRLEX) -> dict:
-        return {
-            "terms": [
-                {"m": list(m), "c": c.to_json()} for m, c in self.sorted_terms(order)
-            ]
-        }
+    def to_json(self) -> dict:
+        return {"terms": [{"m": list(m), "c": c.to_json()} for m, c in self.sorted_terms()]}
 
 
 ALPHA = SparsePoly.variable(0)

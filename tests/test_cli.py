@@ -395,6 +395,35 @@ class TestUsageErrors:
             self.assert_one_line_usage_error(code, err)
             assert field in err and out == ""
 
+    def _fibersum_genus2(self, tmp_path, pairing):
+        path = tmp_path / "series.json"
+        path.write_text(json.dumps(product_series(2, 1).to_json()))
+        return [
+            "donaldson", "fibersum",
+            "--a", str(path), "--b", str(path),
+            "--genus", "2", "--pairing", json.dumps(pairing),
+        ]
+
+    def test_short_fibersum_vector(self, capsys, tmp_path):
+        # indexing the basis past the end of the vector raised IndexError
+        pairing = dict(PRODUCT_SUM_PAIRING, sigma_a=[1])
+        code, out, err = run(capsys, *self._fibersum_genus2(tmp_path, pairing))
+        self.assert_one_line_usage_error(code, err)
+        assert "glued surface vector" in err and out == ""
+
+    def test_long_fibersum_vector(self, capsys, tmp_path):
+        # the extra entries were ignored and a sum printed with exit 0
+        pairing = json.loads(json.dumps(PRODUCT_SUM_PAIRING))
+        pairing["sigma_a"] = [1, 0, 5]
+        pairing["splits"][0]["d2"] = [0, 0, 9]
+        code, out, err = run(capsys, *self._fibersum_genus2(tmp_path, pairing))
+        self.assert_one_line_usage_error(code, err)
+        assert out == ""
+        pairing["sigma_a"] = [1, 0]
+        code, out, err = run(capsys, *self._fibersum_genus2(tmp_path, pairing))
+        self.assert_one_line_usage_error(code, err)
+        assert "split of" in err and out == ""
+
     def test_fractional_fibersum_form(self, capsys, tmp_path):
         # int() would truncate Q to the hyperbolic form and print "terms: 0"
         a, b = tmp_path / "a.json", tmp_path / "b.json"

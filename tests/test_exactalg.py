@@ -172,7 +172,7 @@ class TestTruncatedSeries:
         assert x.exp() * y.exp() == (x + y).exp()
 
     def test_str(self):
-        assert str(TS([1, -1, 0, Fraction(1, 3)], 4)) == "1-t+1/3*t^3"
+        assert str(TS([1, -1, 0, Fraction(1, 3)], 4)) == "1 + -t + (1/3)*t^3"
         assert str(TS.constant(0, 2)) == "0"
 
 

@@ -24,6 +24,10 @@ GOLDEN = {
         "279598fa9b015d90ec705163e9dc7ea6542e87737852c7a330ec49bf008b7e95",
     "relations --flavor R --r 6":
         "5981e262562e223b8b83dfeabb2de3d160880e16df7a2e978167111790f3f0c2",
+    "relations --flavor q --r 5 --format json":
+        "d5a133237aea13ed6cfe45432a089da516b0779a195634fea4ab1a6111cf2561",
+    "relations --flavor Rbar --r 5 --format json":
+        "783f88d0388243a4802739ab0b10199a9c2ae805405e087c4141ac95e4001cc3",
     "rhff --genus 3 --n 2 --format json":
         "f8b6c8c18de5ac47cccd19d9de849e7b3d80976d4740162112c77025b74bb88b",
     "donaldson product --g 2 --h 3 --format json":

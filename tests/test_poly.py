@@ -7,15 +7,10 @@ from floercas.poly import (
     ALPHA,
     BETA,
     GAMMA,
-    GRLEX,
-    GREVLEX,
-    WGREVLEX,
-    EQ,
-    GT,
-    LT,
     M_ALPHA,
     Monomial,
     SparsePoly,
+    grlex_key,
 )
 
 A2 = Monomial(2, 0, 0)
@@ -49,25 +44,26 @@ def to_sympy(p):
 
 class TestMonomialOrder:
     def test_grlex_degree_first(self):
-        assert GRLEX.compare(A2, B1) == GT
+        assert grlex_key(A2) > grlex_key(B1)
 
-    def test_reflexive(self):
-        assert GRLEX.compare(B1, B1) == EQ
-        assert WGREVLEX.compare(B1, B1) == EQ
+    @given(monomials, monomials)
+    def test_reflexive(self, m1, m2):
+        # the key is a total order: equal keys only for equal monomials
+        assert (grlex_key(m1) == grlex_key(m2)) == (m1 == m2)
 
-    def test_weighted_tie_break(self):
-        # alpha^2 and beta both have weight 4; precedence breaks the tie
-        assert A2.weighted_degree == B1.weighted_degree == 4
-        assert WGREVLEX.compare(A2, B1) == GT
-
-    def test_grevlex(self):
-        assert GREVLEX.compare(Monomial(1, 0, 1), Monomial(0, 2, 0)) == LT
+    @given(polys)
+    def test_stored_order(self, p):
+        # terms are kept ascending, so the descending list needs no sort
+        want = sorted(p.terms.items(), key=lambda mc: grlex_key(mc[0]), reverse=True)
+        assert p.sorted_terms() == want
+        if p:
+            assert p.leading_monomial() == want[0][0]
 
     @given(monomials, monomials, monomials)
     def test_multiplicative(self, m1, m2, m3):
-        for order in (GRLEX, GREVLEX, WGREVLEX):
-            c = order.compare(m1, m2)
-            assert order.compare(m1.mul(m3), m2.mul(m3)) == c
+        k1, k2 = grlex_key(m1), grlex_key(m2)
+        p1, p2 = grlex_key(m1.mul(m3)), grlex_key(m2.mul(m3))
+        assert (k1 < k2, k1 == k2) == (p1 < p2, p1 == p2)
 
 
 class TestArithmetic:
