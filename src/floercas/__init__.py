@@ -2,9 +2,10 @@
 surface times a circle, their t-deformations, and the resulting
 Donaldson-series calculators.
 
-All arithmetic is exact over Q(i); every structural claim the package
-implements can be re-verified with `floercas check` or the claim suite in
-floercas.checks.
+All arithmetic is exact: over Q for the rings, their matrices and
+characteristic polynomials, and over Q(i) for the spectra and the series.
+Every structural claim the package implements can be re-verified with
+`floercas check` or the claim suite in floercas.checks.
 """
 
 from .exactalg import (

@@ -77,14 +77,14 @@ def expected_filtration_alpha(r: int) -> dict:
 def expected_socle_charpoly(r: int) -> UniPoly:
     """The displayed product: (x^2+16r^2)...(x^2+16*2^2)*x for r even,
     (x^2-16r^2)...(x^2-16*1^2) for r odd."""
-    p = UniPoly([GaussianRational(1)])
+    p = UniPoly([1])
     if r % 2 == 0:
         for k in range(2, r + 1, 2):
-            p = p * UniPoly([GaussianRational(16 * k * k), GaussianRational(0), GaussianRational(1)])
-        p = p * UniPoly([GaussianRational(0), GaussianRational(1)])
+            p = p * UniPoly([16 * k * k, 0, 1])
+        p = p * UniPoly([0, 1])
     else:
         for k in range(1, r + 1, 2):
-            p = p * UniPoly([GaussianRational(-16 * k * k), GaussianRational(0), GaussianRational(1)])
+            p = p * UniPoly([-16 * k * k, 0, 1])
     return p
 
 

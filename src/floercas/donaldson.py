@@ -88,9 +88,6 @@ class DonaldsonSeries:
     def classes(self) -> list:
         return [k for _, k in self.terms]
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def to_json(self) -> dict:
         return {
             "basis": list(self.basis_names),
@@ -252,12 +249,12 @@ def _solve_class(q, pairings) -> tuple:
     """Integer vector K with K^T Q e_m = pairings[m] for all basis vectors."""
     n = len(pairings)
     mat = Matrix([[q[i][j] for j in range(n)] for i in range(n)])
-    sol = mat.solve([GaussianRational(p) for p in pairings])
+    sol = mat.solve(pairings)
     out = []
     for c in sol:
-        if c.im != 0 or c.re.denominator != 1:
+        if c.denominator != 1:
             raise ValueError("result class does not lie in the tracked lattice")
-        out.append(int(c.re))
+        out.append(int(c))
     return tuple(out)
 
 

@@ -1,19 +1,29 @@
-"""Exact scalar arithmetic over Q(i) and truncated formal power series in t.
+"""Exact scalar arithmetic over Q and Q(i), and truncated formal power
+series in t.
 
-Every computation in the package bottoms out here.  Scalars are Gaussian
-rationals a + b*i with arbitrary-precision rational parts; there is no
-floating point anywhere.  Truncated series are elements of Q(i)[t]/(t^N)
-with a uniform truncation order N inside one computation context.
+Every computation in the package bottoms out here; there is no floating
+point anywhere.  Each layer has one scalar type:
+
+* the rings -- polynomials, Groebner bases, matrices and characteristic
+  polynomials -- hold backend rationals, made by `rational`, which refuses
+  a value with a nonzero imaginary part;
+* the spectra (candidate eigenvalues and the roots of an eigenvalue
+  report) and the truncated series hold GaussianRationals a + b*i, since
+  sqrt(-1) enters the theory only there.
+
+Truncated series are elements of Q(i)[t]/(t^N) with a uniform truncation
+order N inside one computation context.
 
 The rational backend is selected at import time: gmpy2.mpq when available
 (much faster on large numerators), else fractions.Fraction.  Both are
 exact and produce identical string forms, so results and serializations do
-not depend on the backend.
+not depend on the backend.  A rational renders in JSON as the Q(i) scalar
+{"re": ..., "im": "0"} (`rational_json`), the same as a real
+GaussianRational, so the output does not show which layer a number came from.
 
 A GaussianRational whose imaginary part is zero does its +, * and unary -
-as one operation on the real parts, so callers need not lower real data
-to rationals themselves: a matrix or polynomial with rational entries
-costs rational arithmetic plus a zero test or two per operation.
+as one operation on the real parts, which keeps the mostly real series
+cheap.
 """
 
 from __future__ import annotations
@@ -30,11 +40,19 @@ DEFAULT_ORDER = 16
 
 
 def rational(value=0, den=None):
-    """Exact rational from an int, a decimal string like '-3/4', or another rational."""
+    """Exact rational from an int, a decimal string like '-3/4', another
+    rational, or a GaussianRational whose imaginary part is zero.
+
+    A nonreal GaussianRational, a float or any other type raises TypeError.
+    """
     if den is not None:
         return _RAT(value) / _RAT(den)
     if type(value) is _RAT:
         return value
+    if isinstance(value, GaussianRational):
+        if value.im:
+            raise TypeError(f"nonreal value {value} where a rational is required")
+        return value.re
     if isinstance(value, str):
         if "/" in value:
             num, _, d = value.partition("/")
@@ -45,7 +63,13 @@ def rational(value=0, den=None):
     return _RAT(value)
 
 
-_ZERO = _RAT(0)
+Q_ZERO = _RAT(0)
+Q_ONE = _RAT(1)
+
+
+def rational_json(q) -> dict:
+    """A rational as the JSON form of a Q(i) scalar."""
+    return {"re": str(q), "im": "0"}
 
 
 def power(base, n: int, one):
@@ -76,7 +100,7 @@ class GaussianRational:
 
     __slots__ = ("re", "im")
 
-    def __init__(self, re=0, im=_ZERO):
+    def __init__(self, re=0, im=Q_ZERO):
         object.__setattr__(self, "re", rational(re))
         object.__setattr__(self, "im", rational(im))
 
@@ -129,6 +153,9 @@ class GaussianRational:
         )
 
     __rmul__ = __mul__
+
+    def conjugate(self) -> "GaussianRational":
+        return GaussianRational(self.re, -self.im)
 
     def inv(self) -> "GaussianRational":
         n = self.re * self.re + self.im * self.im

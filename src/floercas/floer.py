@@ -14,7 +14,7 @@ from functools import lru_cache
 from itertools import combinations
 from math import comb
 
-from .exactalg import GR_ONE, GR_ZERO, GaussianRational, rational
+from .exactalg import GaussianRational, rational
 from .groebner import VAR_NAMES, QuotientRing
 from .linalg import Matrix, UniPoly, factor_over_candidates
 from .poly import ALPHA, BETA, GAMMA, Monomial, SparsePoly, grlex_key
@@ -70,7 +70,7 @@ def relations(flavor: str, r: int) -> RelationTriple:
         raise ValueError(f"unknown flavor {flavor!r}")
     if r < 0:
         raise ValueError("level must be >= 0")
-    one = SparsePoly.constant(GR_ONE)
+    one = SparsePoly.constant(1)
     zero = SparsePoly.zero()
     p1, p2, p3 = one, zero, zero
     for k in range(r):
@@ -80,7 +80,7 @@ def relations(flavor: str, r: int) -> RelationTriple:
             n2 = shift * p1
             n3 = zero
         else:
-            n2 = shift * p1 + GaussianRational(rational(2 * k, k + 1)) * p3
+            n2 = shift * p1 + rational(2 * k, k + 1) * p3
             n3 = GAMMA * p1
         p1, p2, p3 = n1, n2, n3
     return RelationTriple(flavor, r, p1, p2, p3)
@@ -160,7 +160,7 @@ def monomial_simplex(r: int, nvars: int = 3) -> list:
 
 def basis_matrix(ring: QuotientRing, monomials) -> Matrix:
     """Coordinates of the normal forms of the given monomials (columns)."""
-    cols = [ring.nf_coords(SparsePoly({m: GR_ONE})) for m in monomials]
+    cols = [ring.nf_coords(SparsePoly({m: 1})) for m in monomials]
     if not cols:
         return Matrix([])
     return Matrix.from_columns(cols)
@@ -233,7 +233,7 @@ def filtration_step(r: int) -> SubquotientModule:
     """
     big = gamma_quotient_ring(r + 1)
     small = gamma_quotient_ring(r)
-    cols = [small.nf_coords(SparsePoly({m: GR_ONE})) for m in big.basis]
+    cols = [small.nf_coords(SparsePoly({m: 1})) for m in big.basis]
     if small.dim == 0:
         numerator = [col_vec for col_vec in Matrix.identity(big.dim).columns()]
     else:
@@ -299,8 +299,7 @@ def _wedge_step_matrix(g: int, m: int):
     dom = list(combinations(range(n), m))
     cod = list(combinations(range(n), m + 2))
     cod_index = {s: i for i, s in enumerate(cod)}
-    rows = [[GR_ZERO] * len(dom) for _ in range(len(cod))]
-    minus_two = GaussianRational(-2)
+    rows = [[0] * len(dom) for _ in range(len(cod))]
     for j, s in enumerate(dom):
         sset = set(s)
         for i in range(g):
@@ -311,7 +310,7 @@ def _wedge_step_matrix(g: int, m: int):
             below_a = sum(1 for x in s if x < a)
             sign = -1 if (below_a + below_b) % 2 else 1
             target = tuple(sorted(s + (a, b)))
-            rows[cod_index[target]][j] = rows[cod_index[target]][j] + sign * minus_two
+            rows[cod_index[target]][j] += -2 * sign
     return dom, cod, Matrix(rows)
 
 

@@ -16,14 +16,9 @@ becomes a SparsePoly.  Divisors are monic and split into leading monomial
 and tail; a GroebnerBasis carries its own, so a normal form is one
 reduction.
 
-Buchberger is the one place that still lowers to rationals: when every
-generator has zero imaginary part, as all level-ring relations do, its
-term maps hold the rational real parts for the whole run.  Its inner loop
-makes most of the scalar operations of a presentation, and running it on
-GaussianRationals, even with their real shortcut, took 1.74 s of CPU
-instead of 0.93 s for `ring --genus 7 --invariant-only --format json`
-(median of 7 runs, Python 3.11, Fraction backend).  Normal forms reduce in
-Q(i) through that shortcut.
+Coefficients are backend rationals throughout, as in poly: the term maps of
+Buchberger and of every normal form hold the coefficients of the
+SparsePolys themselves, with no conversion on the way in or out.
 """
 
 from __future__ import annotations
@@ -33,7 +28,7 @@ from heapq import heapify, heappop, heappush
 from operator import neg
 from typing import Sequence
 
-from .exactalg import GR_ONE, GaussianRational, rational
+from .exactalg import Q_ONE, Q_ZERO
 from .linalg import Matrix
 from .poly import Monomial, SparsePoly, grlex_key
 
@@ -130,8 +125,6 @@ def buchberger(gens: Sequence[SparsePoly]) -> GroebnerBasis:
     work = [g for g in gens if g]
     if not work:
         raise ValueError("no nonzero generators")
-    real = all(not c.im for g in work for c in g.terms.values())
-    one = rational(1) if real else GR_ONE
 
     basis: list[tuple] = []  # monic (leading monomial, tail) pairs
     sugar: list[int] = []
@@ -150,14 +143,13 @@ def buchberger(gens: Sequence[SparsePoly]) -> GroebnerBasis:
             )
             heappush(pairs, (s_pair, grlex_key(l), i, k))
         lc = r.pop(lm)  # made monic: the divisor is (lm, tail / lc)
-        if lc != one:
+        if lc != 1:
             r = {m: c / lc for m, c in r.items()}
         basis.append((lm, list(r.items())))
         sugar.append(s)
 
     for g in sorted(work, key=lambda q: grlex_key(q.leading_monomial())):
-        terms = {m: c.re for m, c in g.terms.items()} if real else dict(g.terms)
-        r = _reduce(terms, basis)
+        r = _reduce(dict(g.terms), basis)
         if r:
             add_poly(r, max(m.total_degree for m in r))
 
@@ -197,10 +189,8 @@ def buchberger(gens: Sequence[SparsePoly]) -> GroebnerBasis:
     reduced, divisors = [], []
     for idx, (lm, tail) in enumerate(minimal):
         work_map = dict(tail)
-        work_map[lm] = one
+        work_map[lm] = Q_ONE
         r = _reduce(work_map, minimal[:idx] + minimal[idx + 1 :])
-        if real:
-            r = {m: GaussianRational(c) for m, c in r.items()}
         reduced.append(SparsePoly(r))
         divisors.append((lm, tuple((m, c) for m, c in r.items() if m != lm)))
     return GroebnerBasis(tuple(reduced), tuple(divisors))
@@ -232,7 +222,7 @@ def staircase_basis(gb: GroebnerBasis) -> tuple:
 
 
 class QuotientRing:
-    """A zero-dimensional quotient of Q(i)[alpha,beta,gamma].
+    """A zero-dimensional quotient of Q[alpha,beta,gamma].
 
     Holds the reduced Groebner basis, the staircase monomial basis and the
     multiplication matrices of the three variables (computed on demand,
@@ -264,7 +254,7 @@ class QuotientRing:
     def nf_coords(self, p: SparsePoly) -> list:
         """Coordinates of the normal form of p in the staircase basis."""
         nf = self.normal_form(p)
-        v = [GaussianRational(0)] * self.dim
+        v = [Q_ZERO] * self.dim
         for m, c in nf.terms.items():
             v[self._index[m]] = c
         return v
@@ -282,9 +272,6 @@ class QuotientRing:
     def extend(self, extra: Sequence[SparsePoly]) -> "QuotientRing":
         """Quotient by the ideal enlarged with extra generators."""
         return QuotientRing.from_generators(list(self.gb.generators) + list(extra))
-
-    def element_from_coords(self, v) -> SparsePoly:
-        return SparsePoly({m: c for m, c in zip(self.basis, v) if c})
 
     def to_json(self) -> dict:
         return {

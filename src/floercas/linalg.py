@@ -1,29 +1,31 @@
-"""Dense exact linear algebra over Q(i): rank, kernel, solving, and
-characteristic polynomials.
+"""Dense exact linear algebra over Q: rank, kernel, solving,
+characteristic polynomials, and their roots among Q(i) candidates.
 
-The largest matrices are the level-ring multiplication matrices, dim 84
-at level 7 and 120 at genus 8, so dense storage and cubic elimination are
-fine.  Characteristic polynomials come from Hessenberg reduction over the
-field; everything else is plain Gauss-Jordan over the exact field.  No
-operation here lowers real matrices to rationals: the level-ring matrices
-are real, and GaussianRational itself does one rational operation when
-both imaginary parts are zero.
+Every matrix the package builds is real -- the multiplication matrices of
+the level rings, the wedge maps, the intersection forms -- so entries are
+backend rationals and a nonreal entry raises TypeError.  The largest
+matrices are the level-ring multiplication matrices, dim 84 at level 7 and
+120 at genus 8, so dense storage and cubic elimination are fine.
+Characteristic polynomials come from Hessenberg reduction; everything else
+is plain Gauss-Jordan.  Q(i) enters only in factor_over_candidates, whose
+candidates and reported roots are GaussianRationals: a pair of conjugate
+roots is one rational quadratic factor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exactalg import GR_ONE, GR_ZERO, GaussianRational, render_terms
+from .exactalg import Q_ONE, Q_ZERO, GaussianRational, rational, rational_json, render_terms
 
 
 class Matrix:
-    """Immutable dense matrix with GaussianRational entries, row-major."""
+    """Immutable dense matrix with rational entries, row-major."""
 
     __slots__ = ("rows", "nrows", "ncols")
 
     def __init__(self, rows):
-        rows = tuple(tuple(GaussianRational.coerce(x) for x in row) for row in rows)
+        rows = tuple(tuple(map(rational, row)) for row in rows)
         ncols = len(rows[0]) if rows else 0
         if any(len(r) != ncols for r in rows):
             raise ValueError("ragged rows")
@@ -37,11 +39,11 @@ class Matrix:
     # -- constructors -----------------------------------------------------
     @staticmethod
     def identity(n: int) -> "Matrix":
-        return Matrix([[GR_ONE if i == j else GR_ZERO for j in range(n)] for i in range(n)])
+        return Matrix([[Q_ONE if i == j else Q_ZERO for j in range(n)] for i in range(n)])
 
     @staticmethod
     def zero(nrows: int, ncols: int) -> "Matrix":
-        return Matrix([[GR_ZERO] * ncols for _ in range(nrows)])
+        return Matrix([[Q_ZERO] * ncols for _ in range(nrows)])
 
     @staticmethod
     def from_columns(cols) -> "Matrix":
@@ -58,7 +60,7 @@ class Matrix:
 
     # -- arithmetic ---------------------------------------------------------
     def scale(self, c) -> "Matrix":
-        c = GaussianRational.coerce(c)
+        c = rational(c)
         return Matrix([[a * c for a in r] for r in self.rows])
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
@@ -70,7 +72,7 @@ class Matrix:
             row = []
             ri = self.rows[i]
             for j in range(cols):
-                s = GR_ZERO
+                s = Q_ZERO
                 for k in range(self.ncols):
                     a = ri[k]
                     if a:
@@ -84,7 +86,7 @@ class Matrix:
             raise ValueError("shape mismatch")
         out = []
         for i in range(self.nrows):
-            s = GR_ZERO
+            s = Q_ZERO
             for k, a in enumerate(self.rows[i]):
                 if a and v[k]:
                     s = s + a * v[k]
@@ -98,9 +100,6 @@ class Matrix:
 
     def __hash__(self):
         return hash(self.rows)
-
-    def commutes_with(self, other: "Matrix") -> bool:
-        return self @ other == other @ self
 
     def __repr__(self) -> str:
         body = "; ".join(", ".join(str(x) for x in r) for r in self.rows)
@@ -121,7 +120,7 @@ class Matrix:
             if pivot is None:
                 continue
             rows[pr], rows[pivot] = rows[pivot], rows[pr]
-            inv = rows[pr][pc].inv()
+            inv = 1 / rows[pr][pc]
             # zero entries of the pivot row change nothing: skip them
             rows[pr] = [x * inv if x else x for x in rows[pr]]
             for i in range(self.nrows):
@@ -144,8 +143,8 @@ class Matrix:
         free = [j for j in range(self.ncols) if j not in pivot_set]
         basis = []
         for f in free:
-            v = [GR_ZERO] * self.ncols
-            v[f] = GR_ONE
+            v = [Q_ZERO] * self.ncols
+            v[f] = Q_ONE
             for i, pc in enumerate(pivots):
                 v[pc] = -rows[i][f]
             basis.append(v)
@@ -157,7 +156,7 @@ class Matrix:
         rows, pivots = aug.rref()
         if self.ncols in pivots:
             raise ValueError("inconsistent linear system")
-        x = [GR_ZERO] * self.ncols
+        x = [Q_ZERO] * self.ncols
         for i, pc in enumerate(pivots):
             x[pc] = rows[i][self.ncols]
         return x
@@ -175,47 +174,61 @@ class Matrix:
         return UniPoly(_hessenberg_charpoly([list(r) for r in self.rows]))
 
 
-def _hessenberg_charpoly(h: list) -> list:
-    """Coefficients, lowest degree first, of det(x*I - H) over Q(i).
+def _height(q) -> int:
+    """Bit height of a rational: bits of numerator plus bits of denominator."""
+    return q.numerator.bit_length() + q.denominator.bit_length()
 
-    `h` is a square list of row lists, reduced in place.
+
+def _hessenberg_charpoly(h: list) -> list:
+    """Coefficients, lowest degree first, of det(x*I - H) over Q.
+
+    `h` is a square list of row lists of rationals, reduced in place.  The
+    pivot of each column is its nonzero subdiagonal entry of smallest bit
+    height (the first such on a tie): dividing by it and scaling by the
+    multipliers it yields keeps the entries of the reduced matrix short.
     """
     n = len(h)
     # similarity to upper Hessenberg form, one column at a time
     for m in range(1, n - 1):
-        piv = next((i for i in range(m, n) if h[i][m - 1]), None)
-        if piv is None:
+        col = m - 1
+        heights = [(_height(h[i][col]), i) for i in range(m, n) if h[i][col]]
+        if not heights:
             continue
+        piv = min(heights)[1]
         if piv != m:
             h[piv], h[m] = h[m], h[piv]
             for row in h:
                 row[piv], row[m] = row[m], row[piv]
-        inv = h[m][m - 1].inv()
         hm = h[m]
+        inv = 1 / hm[col]
+        # row m changes only in column m while the rows below are cleared
+        support = [j for j in range(m + 1, n) if hm[j]]
         for i in range(m + 1, n):
             hi = h[i]
-            u = hi[m - 1]
+            u = hi[col]
             if not u:
                 continue
             u = u * inv
-            # row i -= u * row m, then column m += u * column i
-            for j in range(m - 1, n):
-                if hm[j]:
-                    hi[j] = hi[j] - u * hm[j]
+            # row i -= u * row m, which clears hi[col]; then column m += u * column i
+            hi[col] = Q_ZERO
+            if hm[m]:
+                hi[m] = hi[m] - u * hm[m]
+            for j in support:
+                hi[j] = hi[j] - u * hm[j]
             for row in h:
                 if row[i]:
                     row[m] = row[m] + u * row[i]
     # 1-based, with polys[m] = p_m the charpoly of the leading m x m block:
     # p_m = (x - h_mm) p_{m-1} - sum_i h_im (h_{i+1,i} ... h_{m,m-1}) p_{i-1}
-    polys = [[GR_ONE]]
+    polys = [[Q_ONE]]
     for m in range(n):
         prev = polys[m]
-        p = [GR_ZERO] + prev
+        p = [Q_ZERO] + prev
         d = h[m][m]
         if d:
             for k, c in enumerate(prev):
                 p[k] = p[k] - d * c
-        t = GR_ONE
+        t = Q_ONE
         for i in range(m - 1, -1, -1):
             t = t * h[i + 1][i]
             if not t:
@@ -229,16 +242,16 @@ def _hessenberg_charpoly(h: list) -> list:
 
 
 class UniPoly:
-    """Univariate polynomial over Q(i), coefficients ascending in degree."""
+    """Univariate polynomial over Q, coefficients ascending in degree."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        coeffs = [GaussianRational.coerce(c) for c in coeffs]
+        coeffs = list(map(rational, coeffs))
         while len(coeffs) > 1 and not coeffs[-1]:
             coeffs.pop()
         if not coeffs:
-            coeffs = [GR_ZERO]
+            coeffs = [Q_ZERO]
         object.__setattr__(self, "coeffs", tuple(coeffs))
 
     def __setattr__(self, name, value):
@@ -249,10 +262,10 @@ class UniPoly:
         return len(self.coeffs) - 1
 
     def is_monic(self) -> bool:
-        return self.coeffs[-1] == GR_ONE
+        return self.coeffs[-1] == 1
 
     def is_one(self) -> bool:
-        return self.degree == 0 and self.coeffs[0] == GR_ONE
+        return self.degree == 0 and self.coeffs[0] == 1
 
     def __bool__(self) -> bool:
         return any(self.coeffs)
@@ -266,7 +279,7 @@ class UniPoly:
         return hash(self.coeffs)
 
     def __mul__(self, other: "UniPoly") -> "UniPoly":
-        out = [GR_ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
+        out = [Q_ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if not a:
                 continue
@@ -275,15 +288,20 @@ class UniPoly:
                     out[i + j] = out[i + j] + a * b
         return UniPoly(out)
 
-    def synthetic_division(self, root):
-        """Divide by (x - root); returns (quotient, remainder scalar)."""
-        root = GaussianRational.coerce(root)
-        rev = list(reversed(self.coeffs))
-        out = [rev[0]]
-        for c in rev[1:]:
-            out.append(c + out[-1] * root)
-        rem = out.pop()
-        return UniPoly(list(reversed(out))), rem
+    def __divmod__(self, divisor: "UniPoly"):
+        """(quotient, remainder) of the division by a monic divisor."""
+        if not divisor.is_monic():
+            raise ValueError("divisor must be monic")
+        d = divisor.degree
+        rem = list(self.coeffs)
+        quot = [Q_ZERO] * max(len(rem) - d, 1)
+        tail = [(j, c) for j, c in enumerate(divisor.coeffs[:d]) if c]
+        for k in range(len(rem) - 1 - d, -1, -1):
+            q = quot[k] = rem[k + d]
+            if q:
+                for j, c in tail:
+                    rem[k + j] = rem[k + j] - q * c
+        return UniPoly(quot), UniPoly(rem[:d])
 
     def __str__(self) -> str:
         return render_terms(
@@ -295,13 +313,14 @@ class UniPoly:
         return f"UniPoly({self})"
 
     def to_json(self) -> dict:
-        return {"coeffs": [c.to_json() for c in self.coeffs]}
+        return {"coeffs": [rational_json(c) for c in self.coeffs]}
 
 
 @dataclass(frozen=True)
 class EigenReport:
     """Roots found among the candidates, with whatever is left unfactored.
 
+    The roots are GaussianRationals and the remainder a polynomial over Q.
     The product of (x - root)^mult over all roots times `remainder` equals
     the characteristic polynomial exactly.  remainder == 1 means the
     candidate set explained the whole spectrum; anything else is surfaced
@@ -324,21 +343,43 @@ class EigenReport:
         }
 
 
+def _strip(p: UniPoly, factor: UniPoly) -> tuple:
+    """(m, p / factor^m) for the largest m with factor^m dividing p."""
+    mult = 0
+    while p.degree >= factor.degree:
+        quotient, rem = divmod(p, factor)
+        if rem:
+            break
+        p, mult = quotient, mult + 1
+    return mult, p
+
+
 def factor_over_candidates(cp: UniPoly, candidates) -> EigenReport:
-    """Strip linear factors (x - c) for each candidate c, in order."""
+    """Strip the factors of cp over Q that the Q(i) candidates give, in order.
+
+    A real candidate c gives the factor x - c.  A nonreal candidate z whose
+    conjugate is a candidate too gives (x - z)(x - conj z), the rational
+    quadratic x^2 - 2 Re(z) x + |z|^2; both roots get the multiplicity of
+    that factor, each reported at its own place in the candidate order.  A
+    nonreal candidate without its conjugate strips nothing, since its linear
+    factor is not over Q; any such factor stays in the remainder.
+    """
     if not cp.is_monic():
         raise ValueError("characteristic polynomial must be monic")
+    listed = dict.fromkeys(map(GaussianRational.coerce, candidates))  # in order, once each
+    paired: dict = {}  # conjugate of a stripped pair -> its multiplicity
     roots = []
     rem = cp
-    for cand in candidates:
-        cand = GaussianRational.coerce(cand)
-        mult = 0
-        while rem.degree > 0:
-            quotient, value = rem.synthetic_division(cand)
-            if value:  # the remainder of division by (x - cand) is rem(cand)
-                break
-            rem = quotient
-            mult += 1
+    for z in listed:
+        if z in paired:
+            mult = paired.pop(z)
+        elif not z.im:
+            mult, rem = _strip(rem, UniPoly([-z.re, 1]))
+        elif z.conjugate() in listed:
+            mult, rem = _strip(rem, UniPoly([z.re * z.re + z.im * z.im, -2 * z.re, 1]))
+            paired[z.conjugate()] = mult
+        else:
+            continue
         if mult:
-            roots.append((cand, mult))
+            roots.append((z, mult))
     return EigenReport(tuple(roots), rem)

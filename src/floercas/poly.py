@@ -3,15 +3,17 @@
 The three variables are the generators of the invariant ring: alpha, beta,
 gamma of cohomological degree 2, 4, 6 (written a, b, c in the classical
 undeformed ring — same arithmetic, different display name).  Coefficients
-lie in Q(i), as GaussianRationals.
+lie in Q, as backend rationals: every relation of the theory is real, and
+the constructor refuses a coefficient with a nonzero imaginary part.
 """
 
 from __future__ import annotations
 
 from itertools import chain
+from numbers import Rational
 from typing import Iterable, Iterator
 
-from .exactalg import GR_ONE, GaussianRational, power, render_terms
+from .exactalg import Q_ONE, power, rational, rational_json, render_terms
 
 
 class Monomial(tuple):
@@ -59,7 +61,6 @@ class Monomial(tuple):
 
 
 MONOMIAL_ONE = Monomial(0, 0, 0)
-M_ALPHA = Monomial(1, 0, 0)
 
 
 def grlex_key(m: Monomial) -> tuple:
@@ -80,15 +81,16 @@ class SparsePoly:
         """Sum the (monomial, coefficient) pairs of terms; zero sums are dropped.
 
         This is the one place that merges terms: sums and products hand
-        their unmerged pairs to it.
+        their unmerged pairs to it.  Coefficients go through
+        exactalg.rational, so a nonreal one raises TypeError.
         """
         if isinstance(terms, dict):
             terms = terms.items()
-        acc: dict[Monomial, GaussianRational] = {}
+        acc: dict = {}
         for m, c in terms:
             if not isinstance(m, Monomial):
                 m = Monomial(*m)
-            c = GaussianRational.coerce(c)
+            c = rational(c)
             if m in acc:
                 c = acc[m] + c
             if c:
@@ -115,7 +117,7 @@ class SparsePoly:
     def variable(i: int) -> "SparsePoly":
         e = [0, 0, 0]
         e[i] = 1
-        return SparsePoly({Monomial(*e): GR_ONE})
+        return SparsePoly({Monomial(*e): Q_ONE})
 
     @staticmethod
     def coerce(value) -> "SparsePoly":
@@ -152,7 +154,7 @@ class SparsePoly:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        return power(self, n, SparsePoly.constant(GR_ONE))
+        return power(self, n, SparsePoly.constant(Q_ONE))
 
     def mul_monomial(self, m: Monomial) -> "SparsePoly":
         return SparsePoly({mm.mul(m): cc for mm, cc in self.terms.items()})
@@ -162,8 +164,8 @@ class SparsePoly:
         return bool(self.terms)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, GaussianRational)):
-            other = SparsePoly.coerce(other)
+        if isinstance(other, Rational):
+            other = SparsePoly.constant(other)
         if not isinstance(other, SparsePoly):
             return NotImplemented
         return self.terms == other.terms
@@ -179,9 +181,6 @@ class SparsePoly:
         if not self.terms:
             raise ValueError("zero polynomial has no leading monomial")
         return next(reversed(self.terms))
-
-    def leading_coeff(self):
-        return self.terms[self.leading_monomial()]
 
     def monomials(self) -> Iterator[Monomial]:
         return iter(self.terms)
@@ -214,7 +213,7 @@ class SparsePoly:
 
     # -- serialization ---------------------------------------------------
     def to_json(self) -> dict:
-        return {"terms": [{"m": list(m), "c": c.to_json()} for m, c in self.sorted_terms()]}
+        return {"terms": [{"m": list(m), "c": rational_json(c)} for m, c in self.sorted_terms()]}
 
 
 ALPHA = SparsePoly.variable(0)

@@ -1,3 +1,4 @@
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -34,7 +35,7 @@ from floercas.checks import (
     expected_socle_charpoly,
     layer_failures,
 )
-from floercas.linalg import Matrix, UniPoly
+from floercas.linalg import Matrix, UniPoly, factor_over_candidates
 from floercas.poly import ALPHA, BETA, GAMMA, SparsePoly
 
 
@@ -164,12 +165,15 @@ class TestSpectrumRule:
                 assert beta_eigenvalue(k) in cands
 
     def test_displayed_product_over_line_spectrum(self):
+        # the displayed product is prod (x - v) over the line spectrum: it
+        # factors completely over those candidates, each root once
         for r in range(1, 9):
-            product = UniPoly([1])
-            for v, mult in expected_filtration_alpha(r).items():
-                assert mult == 1
-                product = product * UniPoly([-v, GR(1)])
-            assert expected_socle_charpoly(r) == product
+            want = expected_filtration_alpha(r)
+            assert set(want.values()) == {1}
+            cp = expected_socle_charpoly(r)
+            rep = factor_over_candidates(cp, list(want))
+            assert rep.complete() and rep.root_set() == want
+            assert cp.degree == len(want)
 
 
 class TestFiltration:
@@ -261,19 +265,17 @@ def greedy_independent(vectors, seed):
 
 
 # mostly zero entries, so that zero and dependent columns are common
-sparse_entries = st.sampled_from(
-    [GR(0), GR(0), GR(0), GR(0), GR(1), GR(-1), GR(2), GR(0, 1), GR(1, -1)]
-)
+sparse_entries = st.sampled_from([0, 0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 4)])
 
 
 @st.composite
 def column_families(draw):
-    """(seed, vectors) over Q(i)^n drawn from a small pool, so vectors
+    """(seed, vectors) over Q^n drawn from a small pool, so vectors
     repeat; the pool holds the zero vector, and a seed of two or more
     vectors gets their sum appended, so it is dependent."""
     n = draw(st.integers(1, 4))
     column = st.lists(sparse_entries, min_size=n, max_size=n)
-    pool = draw(st.lists(column, min_size=1, max_size=4)) + [[GR(0)] * n]
+    pool = draw(st.lists(column, min_size=1, max_size=4)) + [[0] * n]
     vectors = draw(st.lists(st.sampled_from(pool), max_size=7))
     seed = draw(st.lists(st.sampled_from(pool), max_size=3))
     if len(seed) >= 2:
@@ -317,16 +319,16 @@ class TestSubquotientReadout:
         assert _independent_subset(vectors, seed) == greedy_independent(vectors, seed)
 
     def test_action_leaving_subquotient_raises(self):
-        e1, e2 = [GR(1), GR(0)], [GR(0), GR(1)]
-        shift = Matrix.from_columns([e2, [GR(0), GR(0)]])  # e1 -> e2, e2 -> 0
+        e1, e2 = [1, 0], [0, 1]
+        shift = Matrix.from_columns([e2, [0, 0]])  # e1 -> e2, e2 -> 0
         with pytest.raises(FalsificationError):
             induced_action(shift, [e1], [])
 
     def test_action_on_quotient_by_a_line(self):
         # Q^3/span(e1 + e3), classes of e1 and e2; the denominator is
         # given twice over, as d and 2d
-        e1, e2 = [GR(1), GR(0), GR(0)], [GR(0), GR(1), GR(0)]
-        d = [GR(1), GR(0), GR(1)]
+        e1, e2 = [1, 0, 0], [0, 1, 0]
+        d = [1, 0, 1]
         # m e1 = e2 + e3 = -e1 + e2 + d,  m e2 = 2 e1 + e3 = e1 + d,  m e3 = 0
         m = Matrix.from_columns([[0, 1, 1], [2, 0, 1], [0, 0, 0]])
         got = induced_action(m, [e1, e2], [d, [2 * x for x in d]])

@@ -1,12 +1,15 @@
-"""Characteristic polynomials checked against sympy as an independent oracle."""
+"""Characteristic polynomials and spectra checked against sympy as an
+independent oracle."""
+
+from fractions import Fraction
 
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from floercas.exactalg import GaussianRational as GR
-from floercas.floer import gamma_quotient_ring, invariant_ring
-from floercas.linalg import Matrix
+from floercas.exactalg import GaussianRational as GR, rational
+from floercas.floer import eigen_reports, gamma_quotient_ring, invariant_ring
+from floercas.linalg import Matrix, UniPoly, _hessenberg_charpoly
 
 X = sympy.Symbol("x")
 
@@ -16,14 +19,13 @@ def rat(q):
 
 
 def sympy_charpoly(m: Matrix) -> list:
-    """Coefficients of det(x*I - m), lowest degree first, as (re, im) pairs."""
-    entries = [[rat(x.re) + sympy.I * rat(x.im) for x in row] for row in m.rows]
-    cp = sympy.Matrix(entries).charpoly(X)
-    return [sympy.expand(c).as_real_imag() for c in reversed(cp.all_coeffs())]
+    """Coefficients of det(x*I - m), lowest degree first."""
+    cp = sympy.Matrix([[rat(x) for x in row] for row in m.rows]).charpoly(X)
+    return list(reversed(cp.all_coeffs()))
 
 
 def ours(m: Matrix) -> list:
-    return [(rat(c.re), rat(c.im)) for c in m.charpoly().coeffs]
+    return [rat(c) for c in m.charpoly().coeffs]
 
 
 @pytest.mark.parametrize("ring_fn", [invariant_ring, gamma_quotient_ring])
@@ -33,6 +35,19 @@ def test_level_ring_charpolys_match_sympy(ring_fn, r):
     for var in ("alpha", "beta", "gamma"):
         m = ring.mult_matrix(var)
         assert ours(m) == sympy_charpoly(m)
+
+
+@pytest.mark.parametrize("r", range(1, 7))
+def test_eigen_reports_match_sympy_roots(r):
+    # every root of the level-r charpolys, with its multiplicity, is found
+    # among the candidates, conjugate pairs included
+    ring = invariant_ring(r)
+    reports = eigen_reports(ring.mult_matrix, r + 1)
+    for var, report in reports.items():
+        assert report.complete()
+        mine = {rat(z.re) + sympy.I * rat(z.im): m for z, m in report.roots}
+        cp = sympy.Poly(list(reversed(sympy_charpoly(ring.mult_matrix(var)))), X)
+        assert mine == sympy.roots(cp)
 
 
 # sparse entries of Q(i): most are zero, the rest have small parts
@@ -50,20 +65,74 @@ _ENTRY = st.one_of(
 def gaussian_matrices(draw):
     n = draw(st.integers(1, 6))
     rows = [[draw(_ENTRY) for _ in range(n)] for _ in range(n)]
-    # at least one entry off the real line, so the Q(i) path runs
+    # at least one entry off the real line
     i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
     rows[i][j] = GR(draw(st.integers(-3, 3)), draw(st.sampled_from([-2, -1, 1, 2])))
-    return Matrix(rows)
+    return rows
 
 
 @settings(max_examples=60, deadline=None)
 @given(gaussian_matrices())
-def test_gaussian_charpolys_match_sympy(m):
+def test_gaussian_charpolys_match_sympy(rows):
+    # matrices and their characteristic polynomials are over Q: an entry
+    # off the real line is refused, not carried into the arithmetic
+    with pytest.raises(TypeError):
+        Matrix(rows)
+    with pytest.raises(TypeError):
+        UniPoly(rows[0] + [GR(0, 1)])
+
+
+def test_real_gaussian_entries_are_rationals():
+    m = Matrix([[GR(1), GR(Fraction(1, 2))]])
+    assert m.rows == ((Fraction(1), Fraction(1, 2)),)
+    assert all(type(x) is type(rational(0)) for x in m.rows[0])
+
+
+# sparse rational entries of very different bit heights, so that the
+# smallest-height pivot is often not the first nonzero one
+_BIG = 2**61 - 1
+_RATIONAL_ENTRY = st.one_of(
+    st.just(Fraction(0)),
+    st.just(Fraction(0)),
+    st.integers(-3, 3).map(Fraction),
+    st.builds(Fraction, st.integers(-_BIG, _BIG), st.integers(1, 3**40)),
+    st.builds(Fraction, st.integers(-5, 5), st.sampled_from([7, 2**33, 3**25])),
+)
+
+
+@st.composite
+def rational_matrices(draw):
+    n = draw(st.integers(1, 7))
+    return Matrix([[draw(_RATIONAL_ENTRY) for _ in range(n)] for _ in range(n)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(rational_matrices())
+def test_rational_charpolys_of_mixed_heights_match_sympy(m):
     assert ours(m) == sympy_charpoly(m)
 
 
 def test_pivot_swap_and_pivot_free_column():
     # column 0 has its only subdiagonal entry in row 2, so rows 1 and 2 swap;
     # column 1 then has no pivot below the diagonal
-    m = Matrix([[1, GR(0, 1), 0, 2], [0, 0, 0, 0], [3, 0, GR(1, 1), 0], [0, 0, 0, GR(0, -2)]])
+    m = Matrix([[1, 5, 0, 2], [0, 0, 0, 0], [3, 0, Fraction(1, 2), 0], [0, 0, 0, -2]])
     assert ours(m) == sympy_charpoly(m)
+
+
+def test_smallest_height_pivot_is_chosen():
+    # column 0 below the diagonal holds 1234567/89 first and 3 last: the
+    # pivot is 3, so the reduction swaps rows and columns 1 and 3 and leaves
+    # 3 on the subdiagonal
+    m = Matrix(
+        [
+            [1, 2, 0, 1],
+            [Fraction(1234567, 89), 0, 1, 0],
+            [0, 1, 2, 0],
+            [3, 0, 1, Fraction(1, 5)],
+        ]
+    )
+    h = [list(r) for r in m.rows]
+    coeffs = _hessenberg_charpoly(h)
+    assert h[1][0] == 3
+    assert all(not h[i][j] for i in range(4) for j in range(i - 1))
+    assert [rat(c) for c in coeffs] == sympy_charpoly(m)

@@ -7,7 +7,6 @@ from floercas.poly import (
     ALPHA,
     BETA,
     GAMMA,
-    M_ALPHA,
     Monomial,
     SparsePoly,
     grlex_key,
@@ -27,19 +26,16 @@ monomials = st.builds(
     st.integers(0, 3),
     st.integers(0, 3),
 )
-coeffs = st.builds(GR, st.integers(-9, 9), st.integers(-9, 9))
+coeffs = st.fractions(min_value=-9, max_value=9, max_denominator=6)
 polys = st.dictionaries(monomials, coeffs, max_size=4).map(SparsePoly)
 
 SYMBOLS = sympy.symbols("a b c")
 
 
 def to_sympy(p):
-    """p as a sympy polynomial over Q(i), built term by term."""
-    terms = {
-        tuple(m): sympy.Rational(str(c.re)) + sympy.I * sympy.Rational(str(c.im))
-        for m, c in p.terms.items()
-    }
-    return sympy.Poly.from_dict(terms, *SYMBOLS, domain=sympy.QQ_I)
+    """p as a sympy polynomial over Q, built term by term."""
+    terms = {tuple(m): sympy.Rational(str(c)) for m, c in p.terms.items()}
+    return sympy.Poly.from_dict(terms, *SYMBOLS, domain=sympy.QQ)
 
 
 class TestMonomialOrder:
@@ -69,7 +65,15 @@ class TestMonomialOrder:
 class TestArithmetic:
     def test_series_coefficient_rejected(self):
         with pytest.raises(TypeError):
-            SparsePoly({M_ALPHA: TS([1, 1], 2)})
+            SparsePoly({Monomial(1, 0, 0): TS([1, 1], 2)})
+
+    def test_nonreal_coefficient_rejected(self):
+        with pytest.raises(TypeError):
+            SparsePoly({Monomial(1, 0, 0): GR(1, 1)})
+        with pytest.raises(TypeError):
+            ALPHA * GR(0, 1)
+        # a real GaussianRational is its rational real part
+        assert SparsePoly({Monomial(1, 0, 0): GR(3)}) == 3 * ALPHA
 
     def test_mixed_kinds_rejected(self):
         with pytest.raises(TypeError):
