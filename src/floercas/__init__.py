@@ -72,8 +72,6 @@ from .donaldson import (
     finite_type_order,
     product_series,
     product_sum_input,
-    rotated_combination,
-    w_sigma_combine,
 )
 
 __version__ = "0.1.0"

@@ -5,21 +5,17 @@ order bounds and the basic-class congruence test.
 A series is stored as exp(Q/2) * sum_i a_i exp(K_i) over a named, finitely
 generated sublattice of the second homology: Q is the intersection form on
 that sublattice, the K_i are integer vectors in it and the a_i plain
-rationals.  sqrt(-1) never enters stored coefficients; it only appears in
-evaluations through rotated arguments.
+rationals.  Evaluation and fiber sums work over Q throughout; an evaluated
+series is handed back as a truncated series over Q(i) with real
+coefficients.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from math import comb, lcm
 
-from .exactalg import (
-    DEFAULT_ORDER,
-    GaussianRational,
-    TruncatedSeries,
-    rational,
-)
+from .exactalg import DEFAULT_ORDER, Q_ONE, Q_ZERO, TruncatedSeries, rational
 from .linalg import Matrix
 
 __all__ = [
@@ -33,8 +29,6 @@ __all__ = [
     "fiber_sum",
     "finite_type_order",
     "congruence_check",
-    "w_sigma_combine",
-    "rotated_combination",
 ]
 
 
@@ -152,18 +146,32 @@ def product_series(g: int, h: int) -> DonaldsonSeries:
 
 
 def evaluate(series: DonaldsonSeries, d, order: int = DEFAULT_ORDER) -> TruncatedSeries:
-    """exp(Q(D) t^2/2) * sum a_i exp((K_i . D) t), truncated at t^order."""
+    """exp(Q(D) t^2/2) * sum a_i exp((K_i . D) t), truncated at t^order.
+
+    The coefficients are computed over Q in closed form: with c_i = K_i . D,
+    s[m] = sum_i a_i c_i^m / m! and e[j] = (Q(D)/2)^j / j!, coefficient n is
+    the sum of e[j] s[n - 2j] over 2j <= n.  That is O(terms * order +
+    order^2 / 4) rational operations; the result is wrapped in a series
+    over Q(i) only at the end.
+    """
     d = tuple(int(x) for x in d)
-    qd = series.quadratic_form(d)
-    quad = TruncatedSeries(
-        [0, 0, GaussianRational(rational(qd, 2))], order
-    ).exp()
-    acc = TruncatedSeries.constant(0, order)
+    s = [Q_ZERO] * order
     for a, k in series.terms:
-        pairing = series.pair(k, d)
-        expo = TruncatedSeries([0, GaussianRational(pairing)], order).exp()
-        acc = acc + GaussianRational(a) * expo
-    return quad * acc
+        c = series.pair(k, d)
+        s[0] += a
+        term = a  # a c^m / m!, one running term per class
+        for m in range(1, order if c else 1):  # c = 0 adds to s[0] only
+            term = term * c / m
+            s[m] += term
+    half = rational(series.quadratic_form(d), 2)
+    e = [Q_ONE]
+    for j in range(1, (order + 1) // 2 if half else 1):  # Q(D) = 0 leaves e = [1]
+        e.append(e[-1] * half / j)
+    coeffs = [
+        sum((e[j] * s[n - 2 * j] for j in range(min(n // 2 + 1, len(e)))), Q_ZERO)
+        for n in range(order)
+    ]
+    return TruncatedSeries(coeffs, order)
 
 
 @dataclass(frozen=True)
@@ -196,6 +204,9 @@ class FiberSumInput:
     splits: tuple
 
     def validate(self):
+        """Check the input; return the solver of result classes (see
+        `_class_solver`), whose one elimination of Q also proves Q
+        nondegenerate."""
         if self.genus < 1:
             raise ValueError("gluing genus must be >= 1")
         if not (self.a.simple_type and self.b.simple_type):
@@ -214,8 +225,7 @@ class FiberSumInput:
             raise ValueError("need one split per result basis class")
         n = len(self.basis_names)
         result = DonaldsonSeries(self.basis_names, self.q, ())
-        if Matrix(result.q).rank() < n:
-            raise ValueError("intersection form Q must be nondegenerate")
+        solve = _class_solver(result.q)
         for idx, sp in enumerate(self.splits):
             d = tuple(1 if j == idx else 0 for j in range(n))
             lhs = result.quadratic_form(d)
@@ -224,6 +234,7 @@ class FiberSumInput:
                 raise ValueError(
                     f"split of {self.basis_names[idx]} violates D^2 = D1^2 + D2^2"
                 )
+        return solve
 
     @staticmethod
     def from_json(a: DonaldsonSeries, b: DonaldsonSeries, genus: int, obj: dict) -> "FiberSumInput":
@@ -245,17 +256,31 @@ class FiberSumInput:
         )
 
 
-def _solve_class(q, pairings) -> tuple:
-    """Integer vector K with K^T Q e_m = pairings[m] for all basis vectors."""
-    n = len(pairings)
-    mat = Matrix([[q[i][j] for j in range(n)] for i in range(n)])
-    sol = mat.solve(pairings)
-    out = []
-    for c in sol:
-        if c.denominator != 1:
-            raise ValueError("result class does not lie in the tracked lattice")
-        out.append(int(c))
-    return tuple(out)
+def _class_solver(q):
+    """The map from a pairing vector p to the integer class K with Q K = p.
+
+    One elimination of [Q | I] gives Q^-1; scaled by the lcm L of its
+    denominators it is an integer matrix, so each class is L Q^-1 p divided
+    by L, and a nonzero remainder means the class is not integral.
+    """
+    n = len(q)
+    augmented = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(q)]
+    rows, pivots = Matrix(augmented).rref()
+    if any(pc >= n for pc in pivots):
+        raise ValueError("intersection form Q must be nondegenerate")
+    den = lcm(*(x.denominator for row in rows for x in row[n:]))
+    inverse = [[int(x * den) for x in row[n:]] for row in rows]
+
+    def solve(pairings) -> tuple:
+        out = []
+        for row in inverse:
+            k, rem = divmod(sum(x * p for x, p in zip(row, pairings)), den)
+            if rem:
+                raise ValueError("result class does not lie in the tracked lattice")
+            out.append(k)
+        return tuple(out)
+
+    return solve
 
 
 def fiber_sum(inp: FiberSumInput) -> DonaldsonSeries:
@@ -265,29 +290,32 @@ def fiber_sum(inp: FiberSumInput) -> DonaldsonSeries:
     the plus side gets weight 2^(7g-9) a_j b_k, the minus side the extra
     sign (-1)^(g-1), and the glued class is shifted by +-2 Sigma.  g = 1:
     every pair contributes the three-term expansion of sinh^2.
+
+    A result class is solved from its pairings with the result basis, by
+    one inverse of Q per call; each side's pairings with the splits are
+    computed once per class.
     """
-    inp.validate()
+    solve = inp.validate()
     g = inp.genus
     out_terms = []
+    dots = [sp.sigma_dot for sp in inp.splits]
+    pa = {k1: [inp.a.pair(k1, sp.d1) for sp in inp.splits] for k1 in inp.a.classes()}
+    pb = {k2: [inp.b.pair(k2, sp.d2) for sp in inp.splits] for k2 in inp.b.classes()}
 
     def result_class(k1, k2, sigma_mult):
-        pairings = [
-            inp.a.pair(k1, sp.d1) + inp.b.pair(k2, sp.d2) + sigma_mult * sp.sigma_dot
-            for sp in inp.splits
-        ]
-        return _solve_class(inp.q, pairings)
+        return solve([x + y + sigma_mult * z for x, y, z in zip(pa[k1], pb[k2], dots)])
 
     if g >= 2:
         target = 2 * g - 2
         weight = rational(2 ** (7 * g - 9))
         sign = (-1) ** (g - 1)
+        sigma_b = {k2: inp.b.pair(k2, inp.sigma_in_b) for k2 in inp.b.classes()}
         for a_c, k1 in inp.a.terms:
             p1 = inp.a.pair(k1, inp.sigma_in_a)
             if p1 != target and p1 != -target:
                 continue
             for b_c, k2 in inp.b.terms:
-                p2 = inp.b.pair(k2, inp.sigma_in_b)
-                if p2 != p1:
+                if sigma_b[k2] != p1:
                     continue
                 if p1 == target:
                     out_terms.append((weight * a_c * b_c, result_class(k1, k2, 2)))
@@ -373,29 +401,3 @@ def congruence_check(series: DonaldsonSeries, sigma, g: int) -> CongruenceReport
         ok_all = ok_all and ok
         verdicts.append((k, p, res, ok))
     return CongruenceReport(g, target, tuple(verdicts), ok_all)
-
-
-def w_sigma_combine(sa: DonaldsonSeries, sb: DonaldsonSeries) -> DonaldsonSeries:
-    """Termwise sum of the two bundle-twist series over the same lattice."""
-    if sa.basis_names != sb.basis_names or sa.q != sb.q:
-        raise ValueError("series live on different lattices")
-    return DonaldsonSeries(
-        sa.basis_names,
-        sa.q,
-        tuple(sa.terms) + tuple(sb.terms),
-        simple_type=sa.simple_type and sb.simple_type,
-    )
-
-
-def rotated_combination(
-    s: TruncatedSeries, d0: int, normalization: GaussianRational
-) -> TruncatedSeries:
-    """normalization * (s(t) + sqrt(-1)^d0 * s(sqrt(-1) t)).
-
-    Helper for recovering a single-bundle evaluation from the two-bundle
-    combination; the overall constant is supplied by the caller because
-    the normalization convention is not pinned down here.
-    """
-    i_unit = GaussianRational(0, 1)
-    rot = s.substitute_t(i_unit)
-    return (s + (i_unit ** (d0 % 4)) * rot) * normalization

@@ -22,8 +22,10 @@ not depend on the backend.  A rational renders in JSON as the Q(i) scalar
 GaussianRational, so the output does not show which layer a number came from.
 
 A GaussianRational whose imaginary part is zero does its +, * and unary -
-as one operation on the real parts, which keeps the mostly real series
-cheap.
+as one operation on the real parts.  The series calculators of `donaldson`
+compute over Q and make a TruncatedSeries only of their result, so Q(i)
+arithmetic is left to the spectra and the first-order t-deformed series of
+`fukaya`.
 """
 
 from __future__ import annotations
@@ -343,15 +345,6 @@ class TruncatedSeries:
                 break
             out = out + term
         return out
-
-    def substitute_t(self, unit: GaussianRational) -> "TruncatedSeries":
-        """Replace t by unit*t (coefficient k scaled by unit^k)."""
-        u = GR_ONE
-        out = []
-        for c in self.coeffs:
-            out.append(c * u)
-            u = u * unit
-        return TruncatedSeries(out, self.order)
 
     # -- predicates -----------------------------------------------------
     def __bool__(self) -> bool:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 
 from floercas.cli import main
 from floercas.donaldson import product_series
@@ -461,6 +462,40 @@ class TestUsageErrors:
             capsys, "donaldson", "eval", "--series", str(path), "--class", "x,y"
         )
         assert code == 1
+
+    def test_fractional_result_class(self, capsys, tmp_path):
+        # det Q = 3: the shifted pairings (3, 4) solve to K = (2/3, 5/3)
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        a.write_text(json.dumps({"basis": ["E", "F"], "Q": [[0, 1], [1, 0]],
+                                 "terms": [{"a": "1", "K": [1, 0]}]}))
+        b.write_text(json.dumps({"basis": ["E", "F"], "Q": [[0, 1], [1, 0]],
+                                 "terms": [{"a": "1", "K": [1, 1]}]}))
+        pairing = dict(PRODUCT_SUM_PAIRING, basis=["D1", "D2"], Q=[[2, 1], [1, 2]], splits=[
+            {"d1": [1, 1], "d2": [0, 0], "sigma_dot": 1},
+            {"d1": [0, 0], "d2": [1, 1], "sigma_dot": 1},
+        ])
+        argv = ["donaldson", "fibersum", "--a", str(a), "--b", str(b), "--genus", "1"]
+        code, out, err = run(capsys, *argv, "--pairing", json.dumps(pairing))
+        self.assert_one_line_usage_error(code, err)
+        assert "tracked lattice" in err and out == ""
+        # sigma_dot (1, 2) keeps every shifted pairing integral
+        pairing["splits"][1]["sigma_dot"] = 2
+        code, payload, _ = run_json(capsys, *argv, "--pairing", json.dumps(pairing))
+        assert code == 0
+        assert [t["K"] for t in payload["terms"]] == [[0, -1], [0, 1], [0, 3]]
+
+    def test_order_bounded_up_front(self, capsys, tmp_path):
+        path = tmp_path / "series.json"
+        path.write_text(json.dumps(product_series(2, 2).to_json()))
+        for argv in (("--order", "100000"), ("--trunc", "100000"), ("--order", "513")):
+            start = time.perf_counter()
+            code, out, err = run(capsys, "donaldson", "eval", "--series", str(path),
+                                 "--class", "1,0", *argv)
+            assert time.perf_counter() - start < 1.0
+            self.assert_one_line_usage_error(code, err)
+            assert "512" in err and out == ""
+        code, _, err = run(capsys, "rhff", "--genus", "1", "--trunc", "513")
+        self.assert_one_line_usage_error(code, err)
 
 
 class TestDeterminism:

@@ -1,8 +1,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import Phase, example, given, settings, strategies as st
 
+from floercas import donaldson
 from floercas.exactalg import GaussianRational as GR, TruncatedSeries as TS, rational
+from floercas.linalg import Matrix
 from floercas.donaldson import (
     DonaldsonSeries,
     FiberSumInput,
@@ -13,8 +16,6 @@ from floercas.donaldson import (
     finite_type_order,
     product_series,
     product_sum_input,
-    rotated_combination,
-    w_sigma_combine,
 )
 
 Q_HYP = ((0, 1), (1, 0))
@@ -101,6 +102,84 @@ class TestEvaluate:
                     for c in val.coeffs:
                         assert c.im == 0
                         assert factorial(8) % c.re.denominator == 0
+
+
+def evaluate_by_series_exp(series, d, order):
+    """The construction evaluate replaced, kept as its reference: every
+    exponential expanded by TruncatedSeries.exp over Q(i)."""
+    quad = TS([0, 0, GR(rational(series.quadratic_form(d), 2))], order).exp()
+    acc = TS.constant(0, order)
+    for a, k in series.terms:
+        acc = acc + GR(a) * TS([0, GR(series.pair(k, d))], order).exp()
+    return quad * acc
+
+
+def evaluate_by_sympy(series, d, order):
+    """sympy.series of exp(Q(D) t^2/2) * sum a_i exp((K_i . D) t)."""
+    import sympy as sp
+
+    t = sp.Symbol("t")
+    half = sp.Rational(series.quadratic_form(d), 2)
+    body = sum(
+        (sp.Rational(a.numerator, a.denominator) * sp.exp(series.pair(k, d) * t)
+         for a, k in series.terms),
+        sp.Integer(0),
+    )
+    poly = sp.Poly(sp.series(sp.exp(half * t**2) * body, t, 0, order).removeO(), t)
+    return TS([Fraction(int(c.p), int(c.q)) for c in reversed(poly.all_coeffs())]
+              if poly.degree() >= 0 else [0], order)
+
+
+small_classes = st.tuples(st.integers(-4, 4), st.integers(-4, 4))
+random_series = st.builds(
+    lambda q, terms: DonaldsonSeries(("E", "F"), ((q[0], q[1]), (q[1], q[2])), terms),
+    st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(-3, 3)),
+    st.lists(
+        st.tuples(st.fractions(min_value=-20, max_value=20, max_denominator=9), small_classes),
+        min_size=1, max_size=6,
+    ),
+)
+orders = st.sampled_from([1, 2]) | st.integers(3, 40)
+
+# Q(D) = 0 (D isotropic for the hyperbolic form) and K.D = 0 (the zero
+# class, and K orthogonal to D) at the extreme orders
+EDGE_CASES = [
+    (series([(3, (2, 1)), (-1, (0, 0))]), (1, 0), 40),
+    (series([(Fraction(1, 2), (1, 0)), (2, (0, 3))]), (1, 0), 1),
+    (DonaldsonSeries(("E", "F"), ((1, 0), (0, 1)), [(5, (1, -1))]), (1, 1), 2),
+]
+
+
+class TestEvaluateOracles:
+    @settings(max_examples=60, deadline=None)
+    @given(random_series, small_classes, orders)
+    @example(*EDGE_CASES[0])
+    @example(*EDGE_CASES[1])
+    @example(*EDGE_CASES[2])
+    def test_matches_series_exp_construction(self, s, d, order):
+        assert evaluate(s, d, order) == evaluate_by_series_exp(s, d, order)
+
+    # sympy.series costs up to ~4 s at order 40 with six terms, so a failure
+    # is reported as found: shrinking it would take minutes
+    @settings(max_examples=6, deadline=None, phases=(Phase.explicit, Phase.generate))
+    @given(random_series, small_classes, orders)
+    @example(*EDGE_CASES[0])
+    @example(*EDGE_CASES[2])
+    def test_matches_sympy_series(self, s, d, order):
+        assert evaluate(s, d, order) == evaluate_by_sympy(s, d, order)
+
+    def test_no_gaussian_arithmetic_before_the_result(self, monkeypatch):
+        # the only Q(i) scalars made are the coefficients of the final series
+        made = []
+        init = GR.__init__
+
+        def counting_init(self, *args):
+            made.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(GR, "__init__", counting_init)
+        evaluate(product_series(1, 6), (3, -2), 58)
+        assert len(made) == 58
 
 
 class TestFiberSum:
@@ -236,6 +315,80 @@ class TestFiberSum:
             fiber_sum(inp)
 
 
+# A result lattice with det Q = 3: each result basis class D_m splits as
+# (1, 1) on one side and 0 on the other, so D_m^2 = 2 = D1^2 + D2^2.
+# A result class K solves Q K = p, which is integral iff p1 + p2 = 0 mod 3.
+Q_DET3 = ((2, 1), (1, 2))
+
+
+def det3_input(sigma_dots):
+    return FiberSumInput(
+        a=series([(1, (1, 0))]),
+        b=series([(1, (1, 1))]),
+        genus=1,
+        sigma_in_a=(1, 0),
+        sigma_in_b=(1, 0),
+        basis_names=("D1", "D2"),
+        q=Q_DET3,
+        splits=(
+            SplitClass((1, 1), (0, 0), sigma_dots[0]),
+            SplitClass((0, 0), (1, 1), sigma_dots[1]),
+        ),
+    )
+
+
+class TestLatticeSolver:
+    def test_integral_class_in_non_unimodular_lattice(self):
+        # pairings (1, 2) + m (1, 2) for the sinh^2 shifts m = 2, 0, -2
+        got = fiber_sum(det3_input((1, 2)))
+        assert got.terms == (
+            (rational(1, 4), (0, -1)),
+            (rational(-1, 2), (0, 1)),
+            (rational(1, 4), (0, 3)),
+        )
+        for m, k in ((2, (0, 3)), (0, (0, 1)), (-2, (0, -1))):
+            assert Matrix(Q_DET3).matvec(k) == [1 + m, 2 * (1 + m)]
+
+    def test_fractional_class_rejected(self):
+        # pairings (3, 4) at the shift m = 2: K = (2/3, 5/3)
+        with pytest.raises(ValueError, match="tracked lattice"):
+            fiber_sum(det3_input((1, 1)))
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.tuples(st.integers(-4, 4), st.integers(-4, 4), st.integers(-4, 4)),
+        st.tuples(st.integers(-30, 30), st.integers(-30, 30)),
+    )
+    def test_solver_matches_sympy(self, entries, p):
+        import sympy as sp
+
+        a, b, c = entries
+        q = ((a, b), (b, c))
+        if a * c == b * b:
+            with pytest.raises(ValueError, match="nondegenerate"):
+                donaldson._class_solver(q)
+            return
+        want = sp.Matrix(q).solve(sp.Matrix(p))
+        solve = donaldson._class_solver(q)
+        if all(x.is_integer for x in want):
+            assert solve(p) == tuple(int(x) for x in want)
+        else:
+            with pytest.raises(ValueError, match="tracked lattice"):
+                solve(p)
+
+    def test_one_elimination_per_sum(self, monkeypatch):
+        calls = []
+        rref = Matrix.rref
+
+        def counting_rref(self):
+            calls.append(self.nrows)
+            return rref(self)
+
+        monkeypatch.setattr(Matrix, "rref", counting_rref)
+        fiber_sum(product_sum_input(1, 3, 4))
+        assert calls == [2]
+
+
 class TestFiniteTypeOrder:
     def test_known_values(self):
         assert finite_type_order(1, False) == 1
@@ -294,39 +447,6 @@ class TestCongruence:
     def test_requires_square_zero(self):
         with pytest.raises(ValueError):
             congruence_check(product_series(2, 2), (1, 1), 2)
-
-
-class TestCombine:
-    def test_add_zero(self):
-        s = product_series(2, 2)
-        assert w_sigma_combine(s, series([])).terms == s.terms
-
-    def test_merge_same_class(self):
-        got = w_sigma_combine(series([(1, (2, 0))]), series([(2, (2, 0))]))
-        assert got.terms == ((rational(3), (2, 0)),)
-
-    def test_cancel_class(self):
-        got = w_sigma_combine(series([(1, (2, 0))]), series([(-1, (2, 0))]))
-        assert not got.terms
-
-    def test_lattice_mismatch(self):
-        other = DonaldsonSeries(("A",), ((0,),), [])
-        with pytest.raises(ValueError):
-            w_sigma_combine(series([]), other)
-
-
-class TestRotatedCombination:
-    def test_even_powers_double(self):
-        s = TS([1, 0, 3, 0, 5], 5)
-        got = rotated_combination(s, 0, GR(Fraction(1, 2)))
-        # odd powers cancel, t^2 picks up (1 + i^2)/2 = 0, t^4 doubles
-        assert got == TS([1, 0, 0, 0, 5], 5)
-
-    def test_linear(self):
-        a = TS([1, 2], 4)
-        b = TS([0, 1, 1], 4)
-        n = GR(3)
-        assert rotated_combination(a + b, 2, n) == rotated_combination(a, 2, n) + rotated_combination(b, 2, n)
 
 
 class TestSerialization:

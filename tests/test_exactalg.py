@@ -148,11 +148,6 @@ class TestTruncatedSeries:
         with pytest.raises(ValueError):
             TS.constant(1, 4).exp()
 
-    def test_substitute_t(self):
-        s = TS([1, 2, 3], 3)
-        rotated = s.substitute_t(GR(0, 1))
-        assert rotated == TS([GR(1), GR(0, 2), GR(-3)], 3)
-
     def test_json_round_trip(self):
         s = TS([GR(1), GR(0, Fraction(1, 2))], 3)
         blob = s.to_json()
