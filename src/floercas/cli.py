@@ -111,15 +111,17 @@ def _cmd_eigen(args):
         reports = eigen_reports(ring.mult_matrix, args.r + 1)
         dim = ring.dim
     else:
+        # filtration layer r and torsion block r have the shape of filtration
+        # layer k = r and k = r - 1; the claims' layer rule decides the exit code
         if args.object == "filtration":
-            module = filtration_step(args.r)
-            want_dim = args.r + 1
+            module, k = filtration_step(args.r), args.r
         else:
             _require(args.r >= 1, "--r must be >= 1 for the torsion block")
-            module = psi1_block(args.r)
-            want_dim = args.r
-        reports, dim = module.eigen, module.dim
-        if dim != want_dim or not module.complete():
+            module, k = psi1_block(args.r), args.r - 1
+        reports, dim, want_dim = module.eigen, module.dim, k + 1
+        failures = checks.layer_failures(f"{args.object} at r={args.r}", module, k)
+        if failures:
+            print(f"falsified: {'; '.join(failures)}", file=sys.stderr)
             code = EXIT_FALSIFIED
     payload = {"object": args.object, "r": args.r, "dim": dim}
     if want_dim is not None:
@@ -167,10 +169,21 @@ def _integer(value, name: str):
     return value
 
 
+#: the keys a JSON class spec of each grade reads besides "grade"
+_CLASS_KEYS = {2: {"sigma", "torus"}, 1: {"circle", "curves"}, 0: {"mult"}}
+#: the most colon-separated fields each kind of short class spec reads
+_CLASS_FIELDS = {"pt": 2, "Sigma": 2, "S1": 2, "gamma": 3, "torus": 3}
+
+
 def _parse_homology_class(spec: str, g: int) -> fukaya.YHomologyClass:
+    """A class spec as `mu --class` takes it; a key or field it would not
+    read is a usage error, not ignored."""
     if spec.startswith("{"):
         obj = json.loads(spec)
-        grade = obj["grade"]
+        grade = _integer(obj["grade"], "grade")
+        _require(grade in _CLASS_KEYS, "grade must be 0, 1 or 2")
+        unknown = sorted(set(obj) - _CLASS_KEYS[grade] - {"grade"})
+        _require(not unknown, f"unknown keys for a grade-{grade} class: {unknown}")
         if grade == 2:
             torus = tuple(_integer(c, "torus entry") for c in obj.get("torus", [0] * (2 * g)))
             _require(len(torus) == 2 * g, f"torus coefficient list must have length {2 * g}")
@@ -179,11 +192,11 @@ def _parse_homology_class(spec: str, g: int) -> fukaya.YHomologyClass:
             surface = tuple(_integer(c, "curves entry") for c in obj.get("curves", [0] * (2 * g)))
             _require(len(surface) == 2 * g, f"curve coefficient list must have length {2 * g}")
             return fukaya.YHomologyClass.curve(_integer(obj.get("circle", 0), "circle"), surface)
-        if grade == 0:
-            return fukaya.YHomologyClass.point(_integer(obj.get("mult", 1), "mult"))
-        raise UsageError("grade must be 0, 1 or 2")
+        return fukaya.YHomologyClass.point(_integer(obj.get("mult", 1), "mult"))
     parts = spec.split(":")
     kind = parts[0]
+    _require(kind in _CLASS_FIELDS, f"unknown class spec {spec!r}")
+    _require(len(parts) <= _CLASS_FIELDS[kind], f"too many fields in class spec {spec!r}")
     if kind == "pt":
         mult = int(parts[1]) if len(parts) > 1 else 1
         return fukaya.YHomologyClass.point(mult)
@@ -193,15 +206,13 @@ def _parse_homology_class(spec: str, g: int) -> fukaya.YHomologyClass:
     if kind == "S1":
         c = int(parts[1]) if len(parts) > 1 else 1
         return fukaya.YHomologyClass.curve(circle_coeff=c)
-    if kind in ("gamma", "torus"):
-        _require(len(parts) >= 2, f"{kind}:<j> needs a curve index")
-        j = int(parts[1])
-        _require(1 <= j <= 2 * g, f"curve index must be in 1..{2 * g}")
-        coeffs = [0] * (2 * g)
-        coeffs[j - 1] = int(parts[2]) if len(parts) > 2 else 1
-        make = fukaya.YHomologyClass.curve if kind == "gamma" else fukaya.YHomologyClass.surface
-        return make(0, coeffs)
-    raise UsageError(f"unknown class spec {spec!r}")
+    _require(len(parts) >= 2, f"{kind}:<j> needs a curve index")
+    j = int(parts[1])
+    _require(1 <= j <= 2 * g, f"curve index must be in 1..{2 * g}")
+    coeffs = [0] * (2 * g)
+    coeffs[j - 1] = int(parts[2]) if len(parts) > 2 else 1
+    make = fukaya.YHomologyClass.curve if kind == "gamma" else fukaya.YHomologyClass.surface
+    return make(0, coeffs)
 
 
 def _cmd_mu(args):

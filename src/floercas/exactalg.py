@@ -21,11 +21,10 @@ not depend on the backend.  A rational renders in JSON as the Q(i) scalar
 {"re": ..., "im": "0"} (`rational_json`), the same as a real
 GaussianRational, so the output does not show which layer a number came from.
 
-A GaussianRational whose imaginary part is zero does its +, * and unary -
-as one operation on the real parts.  The series calculators of `donaldson`
-compute over Q and make a TruncatedSeries only of their result, so Q(i)
-arithmetic is left to the spectra and the first-order t-deformed series of
-`fukaya`.
+The series calculators of `donaldson` compute over Q and make a
+TruncatedSeries only of their result, so Q(i) arithmetic is left to the
+spectra and the first-order t-deformed series of `fukaya`: a
+GaussianRational only needs + and *, the inverse and the conjugate.
 """
 
 from __future__ import annotations
@@ -74,17 +73,6 @@ def rational_json(q) -> dict:
     return {"re": str(q), "im": "0"}
 
 
-def power(base, n: int, one):
-    """base**n for an int n >= 0 by square and multiply; one is the unit."""
-    out = one
-    while n:
-        if n & 1:
-            out = out * base
-        base = base * base
-        n >>= 1
-    return out
-
-
 def _scalar_like(x) -> bool:
     """True for values a GaussianRational may absorb in arithmetic."""
     return (
@@ -96,7 +84,7 @@ def _scalar_like(x) -> bool:
 class GaussianRational:
     """An element a + b*i of Q(i), exact, immutable.
 
-    Supports +, -, *, /, ** with other GaussianRationals, ints and backend
+    Supports + and * with other GaussianRationals, ints and backend
     rationals.  Inversion of zero raises ZeroDivisionError.
     """
 
@@ -121,34 +109,14 @@ class GaussianRational:
         if not _scalar_like(other):
             return NotImplemented
         other = GaussianRational.coerce(other)
-        if not (self.im or other.im):
-            return GaussianRational(self.re + other.re)
         return GaussianRational(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
-
-    def __neg__(self):
-        if not self.im:
-            return GaussianRational(-self.re)
-        return GaussianRational(-self.re, -self.im)
-
-    def __sub__(self, other):
-        if not _scalar_like(other):
-            return NotImplemented
-        other = GaussianRational.coerce(other)
-        if not (self.im or other.im):
-            return GaussianRational(self.re - other.re)
-        return GaussianRational(self.re - other.re, self.im - other.im)
-
-    def __rsub__(self, other):
-        return GaussianRational.coerce(other) - self
 
     def __mul__(self, other):
         if not _scalar_like(other):
             return NotImplemented
         other = GaussianRational.coerce(other)
-        if not (self.im or other.im):
-            return GaussianRational(self.re * other.re)
         return GaussianRational(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
@@ -164,17 +132,6 @@ class GaussianRational:
         if n == 0:
             raise ZeroDivisionError("inverse of zero in Q(i)")
         return GaussianRational(self.re / n, -self.im / n)
-
-    def __truediv__(self, other):
-        return self * GaussianRational.coerce(other).inv()
-
-    def __rtruediv__(self, other):
-        return GaussianRational.coerce(other) * self.inv()
-
-    def __pow__(self, n: int):
-        if n < 0:
-            return self.inv() ** (-n)
-        return power(self, n, GR_ONE)
 
     # -- predicates ---------------------------------------------------
     def __bool__(self) -> bool:
@@ -275,11 +232,6 @@ class TruncatedSeries:
     def constant(c, order: int = DEFAULT_ORDER) -> "TruncatedSeries":
         return TruncatedSeries([GaussianRational.coerce(c)], order)
 
-    @staticmethod
-    def t(order: int = DEFAULT_ORDER, coeff=1) -> "TruncatedSeries":
-        """The series coeff * t."""
-        return TruncatedSeries([GR_ZERO, GaussianRational.coerce(coeff)], order)
-
     def _check(self, other: "TruncatedSeries"):
         if self.order != other.order:
             raise ValueError(f"truncation orders differ: {self.order} != {other.order}")
@@ -287,26 +239,9 @@ class TruncatedSeries:
     # -- arithmetic -----------------------------------------------------
     def __add__(self, other):
         if not isinstance(other, TruncatedSeries):
-            if not _scalar_like(other):
-                return NotImplemented
-            other = TruncatedSeries.constant(other, self.order)
+            return NotImplemented
         self._check(other)
         return TruncatedSeries([a + b for a, b in zip(self.coeffs, other.coeffs)], self.order)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return TruncatedSeries([-a for a in self.coeffs], self.order)
-
-    def __sub__(self, other):
-        if not isinstance(other, TruncatedSeries):
-            if not _scalar_like(other):
-                return NotImplemented
-            other = TruncatedSeries.constant(other, self.order)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return TruncatedSeries.constant(other, self.order) + (-self)
 
     def __mul__(self, other):
         if not isinstance(other, TruncatedSeries):
@@ -327,11 +262,6 @@ class TruncatedSeries:
         return TruncatedSeries(out, n)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative powers of series are not supported")
-        return power(self, n, TruncatedSeries.constant(GR_ONE, self.order))
 
     def exp(self) -> "TruncatedSeries":
         """exp of a series with zero constant term, truncated at t^N."""

@@ -160,10 +160,7 @@ def monomial_simplex(r: int, nvars: int = 3) -> list:
 
 def basis_matrix(ring: QuotientRing, monomials) -> Matrix:
     """Coordinates of the normal forms of the given monomials (columns)."""
-    cols = [ring.nf_coords(SparsePoly({m: 1})) for m in monomials]
-    if not cols:
-        return Matrix([])
-    return Matrix.from_columns(cols)
+    return Matrix.from_columns(ring.nf_coords(SparsePoly({m: 1})) for m in monomials)
 
 
 # ---------------------------------------------------------------------------
@@ -178,8 +175,6 @@ def _independent_subset(vectors, seed=()):
     elimination makes the greedy choice.
     """
     vectors = list(vectors)
-    if not vectors:
-        return []
     d = len(seed)
     _, pivots = Matrix.from_columns([*seed, *vectors]).rref()
     return [vectors[j - d] for j in pivots if j >= d]
@@ -194,8 +189,6 @@ def induced_action(m: Matrix, reps, denominator) -> Matrix:
     otherwise each image column is a combination of the pivot columns, and
     its coefficients on the reps pivots are the induced action.
     """
-    if not reps:
-        return Matrix([])
     d, n = len(denominator), len(reps)
     images = [m.matvec(v) for v in reps]
     rows, pivots = Matrix.from_columns([*denominator, *reps, *images]).rref()
@@ -221,9 +214,6 @@ class SubquotientModule:
         }
         return SubquotientModule(len(reps), eigen_reports(actions.get, candidate_bound))
 
-    def complete(self) -> bool:
-        return all(rep.complete() for rep in self.eigen.values())
-
 
 def filtration_step(r: int) -> SubquotientModule:
     """The r-th filtration layer: kernel of the projection Fbar_{r+1} -> Fbar_r.
@@ -232,12 +222,7 @@ def filtration_step(r: int) -> SubquotientModule:
     {4k*sqrt(-1)} for r even; beta acts as -8 (r odd) or +8 (r even).
     """
     big = gamma_quotient_ring(r + 1)
-    small = gamma_quotient_ring(r)
-    cols = [small.nf_coords(SparsePoly({m: 1})) for m in big.basis]
-    if small.dim == 0:
-        numerator = [col_vec for col_vec in Matrix.identity(big.dim).columns()]
-    else:
-        numerator = Matrix.from_columns(cols).kernel_basis()
+    numerator = basis_matrix(gamma_quotient_ring(r), big.basis).kernel_basis()
     return SubquotientModule.build(big, numerator, [], candidate_bound=r + 1)
 
 

@@ -265,8 +265,9 @@ class QuotientRing:
             var = VAR_NAMES.index(var)
         if var not in self._mult:
             xv = SparsePoly.variable(var)
-            cols = [self.nf_coords(xv.mul_monomial(m)) for m in self.basis]
-            self._mult[var] = Matrix.from_columns(cols) if cols else Matrix([])
+            self._mult[var] = Matrix.from_columns(
+                self.nf_coords(xv.mul_monomial(m)) for m in self.basis
+            )
         return self._mult[var]
 
     def extend(self, extra: Sequence[SparsePoly]) -> "QuotientRing":

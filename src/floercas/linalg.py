@@ -1,5 +1,5 @@
-"""Dense exact linear algebra over Q: rank, kernel, solving,
-characteristic polynomials, and their roots among Q(i) candidates.
+"""Dense exact linear algebra over Q: rank, kernel, characteristic
+polynomials, and their roots among Q(i) candidates.
 
 Every matrix the package builds is real -- the multiplication matrices of
 the level rings, the wedge maps, the intersection forms -- so entries are
@@ -20,13 +20,18 @@ from .exactalg import Q_ONE, Q_ZERO, GaussianRational, rational, rational_json, 
 
 
 class Matrix:
-    """Immutable dense matrix with rational entries, row-major."""
+    """Immutable dense matrix with rational entries, row-major.
+
+    A matrix with no rows keeps the column count it is given, so a 0 x n
+    matrix has the n-dimensional kernel of the zero map.
+    """
 
     __slots__ = ("rows", "nrows", "ncols")
 
-    def __init__(self, rows):
+    def __init__(self, rows, ncols: int = 0):
         rows = tuple(tuple(map(rational, row)) for row in rows)
-        ncols = len(rows[0]) if rows else 0
+        if rows:
+            ncols = len(rows[0])
         if any(len(r) != ncols for r in rows):
             raise ValueError("ragged rows")
         object.__setattr__(self, "rows", rows)
@@ -42,21 +47,10 @@ class Matrix:
         return Matrix([[Q_ONE if i == j else Q_ZERO for j in range(n)] for i in range(n)])
 
     @staticmethod
-    def zero(nrows: int, ncols: int) -> "Matrix":
-        return Matrix([[Q_ZERO] * ncols for _ in range(nrows)])
-
-    @staticmethod
     def from_columns(cols) -> "Matrix":
+        """The matrix with the given columns; n empty columns give 0 x n."""
         cols = list(cols)
-        if not cols:
-            return Matrix([])
-        return Matrix([[cols[j][i] for j in range(len(cols))] for i in range(len(cols[0]))])
-
-    def column(self, j: int) -> list:
-        return [self.rows[i][j] for i in range(self.nrows)]
-
-    def columns(self) -> list:
-        return [self.column(j) for j in range(self.ncols)]
+        return Matrix(zip(*cols, strict=True), len(cols))
 
     # -- arithmetic ---------------------------------------------------------
     def scale(self, c) -> "Matrix":
@@ -149,17 +143,6 @@ class Matrix:
                 v[pc] = -rows[i][f]
             basis.append(v)
         return basis
-
-    def solve(self, b: list) -> list:
-        """One exact solution of self @ x = b; raises on inconsistency."""
-        aug = Matrix([list(r) + [bb] for r, bb in zip(self.rows, b)])
-        rows, pivots = aug.rref()
-        if self.ncols in pivots:
-            raise ValueError("inconsistent linear system")
-        x = [Q_ZERO] * self.ncols
-        for i, pc in enumerate(pivots):
-            x[pc] = rows[i][self.ncols]
-        return x
 
     # -- characteristic polynomial ---------------------------------------
     def charpoly(self) -> "UniPoly":

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from itertools import chain
 from numbers import Rational
-from typing import Iterable, Iterator
+from typing import Iterable
 
-from .exactalg import Q_ONE, power, rational, rational_json, render_terms
+from .exactalg import Q_ONE, rational, rational_json, render_terms
 
 
 class Monomial(tuple):
@@ -152,9 +152,16 @@ class SparsePoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
+        """self**n for an int n >= 0, by square and multiply."""
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        return power(self, n, SparsePoly.constant(Q_ONE))
+        out, base = SparsePoly.constant(Q_ONE), self
+        while n:
+            if n & 1:
+                out = out * base
+            base = base * base
+            n >>= 1
+        return out
 
     def mul_monomial(self, m: Monomial) -> "SparsePoly":
         return SparsePoly({mm.mul(m): cc for mm, cc in self.terms.items()})
@@ -182,17 +189,9 @@ class SparsePoly:
             raise ValueError("zero polynomial has no leading monomial")
         return next(reversed(self.terms))
 
-    def monomials(self) -> Iterator[Monomial]:
-        return iter(self.terms)
-
-    def is_homogeneous(self, degree: int | None = None) -> bool:
-        """Exactly homogeneous in the weighted (cohomological) grading."""
-        degs = {m.weighted_degree for m in self.terms}
-        if not degs:
-            return True
-        if degree is not None:
-            return degs == {degree}
-        return len(degs) == 1
+    def is_homogeneous(self, degree: int) -> bool:
+        """Every term has the given weighted (cohomological) degree."""
+        return all(m.weighted_degree == degree for m in self.terms)
 
     def mod4_degree(self):
         """Common weighted degree class mod 4 of all terms, else None."""

@@ -2,9 +2,12 @@ import hashlib
 import json
 import time
 
+import pytest
+
 from floercas.cli import main
 from floercas.donaldson import product_series
-from floercas.floer import FalsificationError
+from floercas.floer import FalsificationError, SubquotientModule, eigen_reports
+from floercas.linalg import Matrix
 
 
 #: sigma_a, sigma_b, basis, Q and splits of a sum of two products of surfaces
@@ -108,6 +111,29 @@ class TestEigen:
         assert code == 2
         assert out == "" and "Traceback" not in err
         assert err == "falsified: action does not preserve the subquotient\n"
+
+    @pytest.mark.parametrize(
+        "obj, r, patched", [("filtration", 1, "filtration_step"), ("K", 2, "psi1_block")]
+    )
+    def test_wrong_layer_spectrum_exits_two(self, capsys, monkeypatch, obj, r, patched):
+        # a layer of the right dimension with alpha spectrum {12, -12}
+        # instead of {4, -4}: the claims' layer rule rejects it, so eigen does
+        actions = {
+            "alpha": Matrix([[12, 0], [0, -12]]),
+            "beta": Matrix([[-8, 0], [0, -8]]),
+            "gamma": Matrix([[0, 0], [0, 0]]),
+        }
+        module = SubquotientModule(2, eigen_reports(actions.get, 3))
+        monkeypatch.setattr(f"floercas.cli.{patched}", lambda _: module)
+        code, out, err = run(capsys, "eigen", "--r", str(r), "--object", obj)
+        assert code == 2
+        assert err == f"falsified: {obj} at r={r}: alpha spectrum mismatch\n"
+        assert out == (
+            f"{obj} at r={r}: dim 2\n"
+            "  alpha: roots: 12 (x1), -12 (x1)\n"
+            "  beta: roots: -8 (x2)\n"
+            "  gamma: roots: 0 (x2)\n"
+        )
 
 
 class TestFukayaCommands:
@@ -343,6 +369,30 @@ class TestUsageErrors:
             capsys, "mu", "--genus", "2", "--i", "0", "--class", '{"grade": 1, "curves": [1]}'
         )
         self.assert_one_line_usage_error(code, err)
+
+    def test_surplus_class_fields(self, capsys):
+        # each of these read its first fields and ignored the rest
+        for spec in ("pt:2:7", "Sigma:1:junk", "gamma:1:2:3", "S1:1:x"):
+            code, out, err = run(capsys, "mu", "--genus", "2", "--i", "1", "--class", spec)
+            self.assert_one_line_usage_error(code, err)
+            assert out == ""
+
+    def test_unknown_json_class_key(self, capsys):
+        # the misspelt "sigm" was ignored, and the class read as zero
+        code, out, err = run(
+            capsys, "mu", "--genus", "2", "--i", "1", "--class", '{"grade": 2, "sigm": 1}'
+        )
+        self.assert_one_line_usage_error(code, err)
+        assert "sigm" in err and out == ""
+
+    def test_non_integer_json_grade(self, capsys):
+        # true compared equal to 1 and 2.0 to 2, so both passed as grades
+        for grade in ("true", "2.0"):
+            code, out, err = run(
+                capsys, "mu", "--genus", "2", "--i", "1", "--class", f'{{"grade": {grade}}}'
+            )
+            self.assert_one_line_usage_error(code, err)
+            assert out == ""
 
     def test_zero_denominator_in_series(self, capsys, tmp_path):
         obj = product_series(1, 1).to_json()

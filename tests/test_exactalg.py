@@ -32,11 +32,6 @@ class TestGaussianRational:
         with pytest.raises(ZeroDivisionError):
             gr(0).inv()
 
-    def test_division_and_pow(self):
-        assert gr(1) / gr(0, 1) == gr(0, -1)
-        assert gr(0, 1) ** 2 == gr(-1)
-        assert gr(2) ** -2 == gr(Fraction(1, 4))
-
     def test_float_rejected(self):
         with pytest.raises(TypeError):
             GR(0.5)
@@ -69,8 +64,8 @@ class TestGaussianRational:
         assert x * y == y * x
 
 
-# about half of the drawn values are real, so the real shortcut of +, * and
-# unary - meets both real and non-real operands
+# about half of the drawn values are real, so + and * meet both real and
+# non-real operands
 parts = st.tuples(rationals, st.one_of(st.just(Fraction(0)), rationals))
 
 
@@ -79,12 +74,7 @@ def _textbook(op, x, y):
     (a, b), (c, d) = x, y
     if op == "+":
         return a + c, b + d
-    if op == "-":
-        return a - c, b - d
-    if op == "*":
-        return a * c - b * d, a * d + b * c
-    n = c * c + d * d
-    return (a * c + b * d) / n, (b * c - a * d) / n
+    return a * c - b * d, a * d + b * c
 
 
 def _assert_is(value, re, im):
@@ -97,16 +87,13 @@ class TestScalarOracle:
     @given(parts, parts)
     def test_binary_ops(self, x, y):
         gx, gy = GR(*x), GR(*y)
-        for op, value in (("+", gx + gy), ("-", gx - gy), ("*", gx * gy)):
+        for op, value in (("+", gx + gy), ("*", gx * gy)):
             _assert_is(value, *_textbook(op, x, y))
-        if any(y):
-            _assert_is(gx / gy, *_textbook("/", x, y))
 
     @given(parts)
     def test_negation_and_cancellation(self, x):
         gx = GR(*x)
-        _assert_is(-gx, -x[0], -x[1])
-        _assert_is(gx + (-gx), Fraction(0), Fraction(0))
+        _assert_is(gx + GR(-x[0], -x[1]), Fraction(0), Fraction(0))
         conj = (x[0], -x[1])
         # (a+bi)(a-bi): the imaginary part cancels to zero
         _assert_is(gx * GR(*conj), *_textbook("*", x, conj))
@@ -118,15 +105,6 @@ class TestTruncatedSeries:
         one_minus = TS([1, -1], 4)
         assert one_plus * one_minus == TS([1, 0, -1, 0], 4)
 
-    def test_top_power_vanishes(self):
-        n = 6
-        t = TS.t(n)
-        top = t ** (n - 1)
-        assert t * top == TS.constant(0, n)
-
-    def test_square(self):
-        assert TS([1, 2], 3) ** 2 == TS([1, 4, 4], 3)
-
     def test_order_mismatch(self):
         with pytest.raises(ValueError):
             TS([1], 3) + TS([1], 4)
@@ -137,7 +115,7 @@ class TestTruncatedSeries:
         assert TS.constant(0, 5).exp() == TS.constant(1, 5)
 
     def test_exp_2t(self):
-        got = TS.t(4, 2).exp()
+        got = TS([0, 2], 4).exp()
         assert got == TS([1, 2, 2, Fraction(4, 3)], 4)
 
     def test_exp_half_t_squared(self):

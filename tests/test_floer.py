@@ -199,7 +199,7 @@ class TestFiltration:
         for r in range(5):
             step = filtration_step(r)
             assert step.dim == r + 1
-            assert step.complete()
+            assert layer_failures(f"step {r}", step, r) == []
             assert spectrum(step.eigen["alpha"]) == expected_filtration_alpha(r)
             assert spectrum(step.eigen["gamma"]) == {GR(0): r + 1}
 
@@ -244,7 +244,7 @@ class TestBlocks:
         for r in range(1, 6):
             block = psi1_block(r)
             assert block.dim == r
-            assert block.complete()
+            assert layer_failures(f"block {r}", block, r - 1) == []
             assert spectrum(block.eigen["alpha"]) == expected_filtration_alpha(r - 1)
 
     def test_level_zero_rejected(self):
@@ -289,7 +289,8 @@ class TestLayerFailures:
 
     @staticmethod
     def layer(alpha, beta):
-        actions = {"alpha": Matrix(alpha), "beta": Matrix(beta), "gamma": Matrix.zero(2, 2)}
+        zero = Matrix([[0, 0], [0, 0]])
+        actions = {"alpha": Matrix(alpha), "beta": Matrix(beta), "gamma": zero}
         return SubquotientModule(2, eigen_reports(actions.get, 2))
 
     def test_layer_one_passes(self):

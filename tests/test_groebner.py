@@ -74,7 +74,7 @@ class TestBuchberger:
         gb = buchberger(J2_GENS)
         lms = gb.leading_monomials()
         for k, g in enumerate(gb.generators):
-            for m in g.monomials():
+            for m in g.terms:
                 for j, lm in enumerate(lms):
                     if j != k:
                         assert not lm.divides(m)
@@ -146,13 +146,13 @@ class TestStaircase:
 class TestMultMatrices:
     def test_alpha_on_level_one_is_zero(self):
         ring = invariant_ring(1)
-        assert ring.mult_matrix("alpha") == Matrix.zero(1, 1)
+        assert ring.mult_matrix("alpha") == Matrix([[0]])
 
     def test_gamma_column_on_level_two(self):
         ring = invariant_ring(2)
         one = ring.basis.index(Monomial(0, 0, 0))
         gam = ring.basis.index(Monomial(0, 0, 1))
-        col = ring.mult_matrix("gamma").column(one)
+        col = [row[one] for row in ring.mult_matrix("gamma").rows]
         expect = [GR(0)] * 4
         expect[gam] = GR(1)
         assert col == expect
@@ -160,7 +160,7 @@ class TestMultMatrices:
     def test_alpha_squared_column(self):
         ring = invariant_ring(2)
         al = ring.basis.index(Monomial(1, 0, 0))
-        col = ring.mult_matrix("alpha").column(al)
+        col = [row[al] for row in ring.mult_matrix("alpha").rows]
         assert SparsePoly(dict(zip(ring.basis, col))) == 8 - BETA
 
     def test_matrices_commute(self):
@@ -283,9 +283,16 @@ class TestKernelRank:
         assert rank == 3 and basis == []
 
     def test_zero(self):
-        m = Matrix.zero(3, 3)
+        m = Matrix([[0] * 3 for _ in range(3)])
         rank, basis = m.rank(), m.kernel_basis()
         assert rank == 0 and len(basis) == 3
+
+    def test_no_rows(self):
+        # three empty columns make a 0 x 3 matrix, whose kernel is everything
+        m = Matrix.from_columns([[], [], []])
+        assert (m.nrows, m.ncols) == (0, 3)
+        assert m.rank() == 0
+        assert m.kernel_basis() == [list(r) for r in Matrix.identity(3).rows]
 
     def test_gamma_kernel_level_two(self):
         mg = invariant_ring(2).mult_matrix("gamma")
@@ -293,13 +300,6 @@ class TestKernelRank:
         assert len(basis) == 3
         for v in basis:
             assert all(x == GR(0) for x in mg.matvec(v))
-
-    def test_solve(self):
-        m = Matrix([[1, 2], [3, 4]])
-        x = m.solve([GR(5), GR(11)])
-        assert m.matvec(x) == [GR(5), GR(11)]
-        with pytest.raises(ValueError):
-            Matrix([[1, 1], [1, 1]]).solve([GR(0), GR(1)])
 
 
 class TestAgainstIndependentCAS:

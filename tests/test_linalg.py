@@ -56,7 +56,10 @@ _ENTRY = st.one_of(
     st.just(GR(0)),
     st.builds(GR, st.integers(-3, 3), st.integers(-3, 3)),
     st.builds(
-        lambda a, b, d: GR(a, b) / d, st.integers(-3, 3), st.integers(-3, 3), st.integers(1, 4)
+        lambda a, b, d: GR(Fraction(a, d), Fraction(b, d)),
+        st.integers(-3, 3),
+        st.integers(-3, 3),
+        st.integers(1, 4),
     ),
 )
 

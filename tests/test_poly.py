@@ -130,7 +130,8 @@ class TestGrading:
 
     def test_exact_homogeneity(self):
         assert (ALPHA**2).is_homogeneous(4)
-        assert not (ALPHA**2 + BETA - 8).is_homogeneous()
+        assert not (ALPHA**2 + BETA - 8).is_homogeneous(4)
+        assert SparsePoly.zero().is_homogeneous(6)
 
 
 class TestSerialization:
