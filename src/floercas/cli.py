@@ -39,6 +39,16 @@ EXIT_FALSIFIED = 2
 #: takes about 1.3 s at 512 and 12-16 s at 1024)
 MAX_ORDER = 512
 
+#: largest level accepted by eigen --r; the level ring F_r has dimension
+#: C(r+2, 3), and its spectra cost about three times as much per level
+#: (eigen --object F takes 2-6 s at 9, 19 s at 10 and over 60 s at 11)
+MAX_EIGEN_R = 9
+
+#: largest level accepted by relations --r; the cost of the three relations
+#: grows more than tenfold when r doubles (relations --flavor R takes
+#: 1.6-1.9 s at 50 and 28 s at 100)
+MAX_RELATIONS_R = 50
+
 
 class UsageError(Exception):
     pass
@@ -93,7 +103,7 @@ def _cmd_ring(args):
 
 
 def _cmd_relations(args):
-    _require(args.r >= 0, "--r must be >= 0")
+    _require(0 <= args.r <= MAX_RELATIONS_R, f"--r must be in 0..{MAX_RELATIONS_R}")
     tri = relations(args.flavor, args.r)
     names = tri.variable_names()
     lines = [f"flavor {tri.flavor}, level {tri.r}:"]
@@ -103,7 +113,7 @@ def _cmd_relations(args):
 
 
 def _cmd_eigen(args):
-    _require(args.r >= 0, "--r must be >= 0")
+    _require(0 <= args.r <= MAX_EIGEN_R, f"--r must be in 0..{MAX_EIGEN_R}")
     code = EXIT_OK
     want_dim = None
     if args.object in ("F", "Fbar"):
@@ -351,11 +361,11 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("relations", help="relation polynomials of one level", parents=[common])
     p.add_argument("--flavor", choices=("q", "R", "Rbar"), required=True)
-    p.add_argument("--r", type=int, required=True)
+    p.add_argument("--r", type=int, required=True, help=f"level, 0..{MAX_RELATIONS_R}")
     p.set_defaults(fn=_cmd_relations)
 
     p = sub.add_parser("eigen", help="spectra of the variable actions", parents=[common])
-    p.add_argument("--r", type=int, required=True)
+    p.add_argument("--r", type=int, required=True, help=f"level, 0..{MAX_EIGEN_R}")
     p.add_argument("--object", choices=("F", "Fbar", "filtration", "K"), required=True)
     p.set_defaults(fn=_cmd_eigen)
 

@@ -18,19 +18,6 @@ from math import comb, lcm
 from .exactalg import DEFAULT_ORDER, Q_ONE, Q_ZERO, TruncatedSeries, rational
 from .linalg import Matrix
 
-__all__ = [
-    "DonaldsonSeries",
-    "FiberSumInput",
-    "SplitClass",
-    "CongruenceReport",
-    "product_series",
-    "product_sum_input",
-    "evaluate",
-    "fiber_sum",
-    "finite_type_order",
-    "congruence_check",
-]
-
 
 def _norm_terms(terms) -> tuple:
     acc: dict[tuple, object] = {}

@@ -15,18 +15,6 @@ from dataclasses import dataclass
 from .exactalg import DEFAULT_ORDER, GaussianRational, TruncatedSeries
 from .floer import alpha_eigenvalue, beta_eigenvalue, primitive_dim
 
-__all__ = [
-    "RhffComponent",
-    "RhffModule",
-    "DeltaComponent",
-    "DeltaHffModule",
-    "YHomologyClass",
-    "reduced_module",
-    "effective_eigenvalues",
-    "delta_module",
-    "mu_action",
-]
-
 
 def _deformed_alpha(i: int, sigma: int, n: int, order: int) -> TruncatedSeries:
     """alpha on the index-i line, deformed to first order in t, for sigma

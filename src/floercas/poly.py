@@ -48,7 +48,7 @@ class Monomial(tuple):
         return Monomial(max(self[0], other[0]), max(self[1], other[1]), max(self[2], other[2]))
 
     def coprime(self, other: "Monomial") -> bool:
-        return all(a == 0 or b == 0 for a, b in zip(self, other))
+        return not (self[0] and other[0] or self[1] and other[1] or self[2] and other[2])
 
     def render(self, names=("alpha", "beta", "gamma")) -> str:
         parts = []

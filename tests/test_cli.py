@@ -4,7 +4,8 @@ import time
 
 import pytest
 
-from floercas.cli import main
+from floercas import cli
+from floercas.cli import MAX_EIGEN_R, MAX_RELATIONS_R, main
 from floercas.donaldson import product_series
 from floercas.floer import FalsificationError, SubquotientModule, eigen_reports
 from floercas.linalg import Matrix
@@ -546,6 +547,27 @@ class TestUsageErrors:
             assert "512" in err and out == ""
         code, _, err = run(capsys, "rhff", "--genus", "1", "--trunc", "513")
         self.assert_one_line_usage_error(code, err)
+
+    def test_levels_bounded_up_front(self, capsys, monkeypatch):
+        code, _, _ = run(capsys, "eigen", "--object", "Fbar", "--r", str(MAX_EIGEN_R))
+        assert code == 0
+        code, _, _ = run(capsys, "relations", "--flavor", "q", "--r", str(MAX_RELATIONS_R))
+        assert code == 0
+
+        def no_work(*args):
+            raise AssertionError("work started past the level limit")
+
+        for name in ("relations", "invariant_ring", "gamma_quotient_ring",
+                     "filtration_step", "psi1_block"):
+            monkeypatch.setattr(cli, name, no_work)
+        argvs = [("eigen", "--object", obj, "--r", str(MAX_EIGEN_R + 1))
+                 for obj in ("F", "Fbar", "filtration", "K")]
+        argvs += [("relations", "--flavor", flavor, "--r", str(MAX_RELATIONS_R + 1))
+                  for flavor in ("q", "R", "Rbar")]
+        for argv in argvs:
+            code, out, err = run(capsys, *argv)
+            self.assert_one_line_usage_error(code, err)
+            assert "--r must be in 0.." in err and out == ""
 
 
 class TestDeterminism:

@@ -1,8 +1,9 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from floercas import groebner
 from floercas.exactalg import GaussianRational as GR
 from floercas.floer import (
     classical_ring,
@@ -10,6 +11,7 @@ from floercas.floer import (
     gamma_quotient_ring,
     invariant_ring,
     relations,
+    socle_quotient_ring,
 )
 from floercas.groebner import (
     InfiniteStaircaseError,
@@ -31,6 +33,21 @@ J2_REDUCED = [
     BETA * GAMMA - 8 * GAMMA,
     GAMMA**2,
 ]
+
+MONOMIALS = st.builds(Monomial, st.integers(0, 3), st.integers(0, 3), st.integers(0, 3))
+SMALL_RATIONALS = st.builds(Fraction, st.integers(-5, 5).filter(bool), st.integers(1, 4))
+SMALL_POLYS = st.dictionaries(MONOMIALS, SMALL_RATIONALS, min_size=1, max_size=4).map(SparsePoly)
+
+
+@st.composite
+def small_ideals(draw):
+    """2-4 generators, most of them not zero-dimensional in three variables;
+    a drawn fourth generator m * g0 + c * g1 is redundant."""
+    gens = draw(st.lists(SMALL_POLYS, min_size=2, max_size=3))
+    if draw(st.booleans()):
+        m = draw(st.builds(Monomial, st.integers(0, 1), st.integers(0, 1), st.integers(0, 1)))
+        gens.append(gens[0].mul_monomial(m) + draw(SMALL_RATIONALS) * gens[1])
+    return gens
 
 
 class TestBuchberger:
@@ -79,6 +96,19 @@ class TestBuchberger:
                     if j != k:
                         assert not lm.divides(m)
             assert g.terms[g.leading_monomial()] == 1
+
+    def test_pair_criteria_spare_zero_reductions(self, monkeypatch):
+        # without the Gebauer-Moeller criteria 576 of the S-polynomials at
+        # level 7 reduce to zero; with them 30 do
+        reduce, remainders = groebner._reduce, []
+
+        def recording(work, divisors):
+            remainders.append(reduce(work, divisors))
+            return remainders[-1]
+
+        monkeypatch.setattr(groebner, "_reduce", recording)
+        buchberger(relations("R", 7).generators())
+        assert sum(not r for r in remainders) < 100
 
     def test_series_coefficients_rejected(self):
         from floercas.exactalg import TruncatedSeries
@@ -319,7 +349,10 @@ class TestAgainstIndependentCAS:
         import sympy as sp
 
         al, be, ga = sp.symbols("al be ga")
-        oracle = sp.groebner([self._to_sympy(p) for p in gens], al, be, ga, order="grlex")
+        oracle = sp.groebner(
+            [self._to_sympy(p) for p in gens], al, be, ga,
+            order="grlex", domain="QQ", method="f5b",
+        )
         gb = buchberger(gens) if gb is None else gb
         mine = {self._to_sympy(p) for p in gb.generators}
         assert mine == {sp.expand(g) for g in oracle.exprs}
@@ -334,6 +367,22 @@ class TestAgainstIndependentCAS:
             gens = relations("Rbar", r).generators() + [GAMMA]
             self._assert_same_basis(gens, gamma_quotient_ring(r).gb)
             self._assert_same_basis(relations("q", r).generators(), classical_ring(r).gb)
+
+    def test_socle_quotient_bases(self):
+        # the extend() bases that check reads, against the relations themselves
+        for r in range(1, 5):
+            shift = BETA + (-1) ** (r + 1) * 8
+            gens = relations("R", r + 1).generators() + [shift, GAMMA]
+            self._assert_same_basis(gens, socle_quotient_ring(r).gb)
+
+    # derandomized: sympy itself takes up to 25 s on some of these ideals,
+    # so a fresh draw on every run would make the suite's time erratic
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(small_ideals())
+    @example([ALPHA * BETA - GAMMA, BETA * GAMMA])  # not zero-dimensional
+    @example([ALPHA**2 - BETA, ALPHA * BETA - GAMMA, ALPHA**3 - GAMMA])  # alpha*g0 + g1
+    def test_random_ideals(self, gens):
+        self._assert_same_basis(gens)
 
     def test_gaussian_reduced_basis(self):
         # ideals over Q(i) cannot be stated: a nonreal coefficient is refused
