@@ -366,14 +366,11 @@ def _fresh_payload(max_genus: int) -> str:
 
 
 def check_determinism(max_genus: int = 3) -> CheckResult:
-    first = _fresh_payload(max_genus)
-    second = _fresh_payload(max_genus)
-    ok = first == second
-    return CheckResult(
+    differ = _fresh_payload(max_genus) != _fresh_payload(max_genus)
+    return _result(
         "determinism",
         "rebuilding the presentation and series payload yields byte-identical output",
-        ok,
-        "" if ok else "payloads differ",
+        ["payloads differ"] if differ else [],
     )
 
 

@@ -5,8 +5,8 @@ Every computation in the package bottoms out here; there is no floating
 point anywhere.  Each layer has one scalar type:
 
 * the rings -- polynomials, Groebner bases, matrices and characteristic
-  polynomials -- hold backend rationals, made by `rational`, which refuses
-  a value with a nonzero imaginary part;
+  polynomials -- hold rationals (`fractions.Fraction`), made by `rational`,
+  which refuses a value with a nonzero imaginary part;
 * the spectra (candidate eigenvalues and the roots of an eigenvalue
   report) and the truncated series hold GaussianRationals a + b*i, since
   sqrt(-1) enters the theory only there.
@@ -14,12 +14,9 @@ point anywhere.  Each layer has one scalar type:
 Truncated series are elements of Q(i)[t]/(t^N) with a uniform truncation
 order N inside one computation context.
 
-The rational backend is selected at import time: gmpy2.mpq when available
-(much faster on large numerators), else fractions.Fraction.  Both are
-exact and produce identical string forms, so results and serializations do
-not depend on the backend.  A rational renders in JSON as the Q(i) scalar
-{"re": ..., "im": "0"} (`rational_json`), the same as a real
-GaussianRational, so the output does not show which layer a number came from.
+A rational renders in JSON as the Q(i) scalar {"re": ..., "im": "0"}
+(`rational_json`), the same as a real GaussianRational, so the output does
+not show which layer a number came from.
 
 The series calculators of `donaldson` compute over Q and make a
 TruncatedSeries only of their result, so Q(i) arithmetic is left to the
@@ -30,11 +27,6 @@ GaussianRational only needs + and *, the inverse and the conjugate.
 from __future__ import annotations
 
 from fractions import Fraction
-
-try:
-    from gmpy2 import mpq as _RAT  # type: ignore[import-not-found]
-except ImportError:
-    _RAT = Fraction
 
 #: default truncation order; every acceptance computation needs <= t^8
 DEFAULT_ORDER = 16
@@ -47,8 +39,8 @@ def rational(value=0, den=None):
     A nonreal GaussianRational, a float or any other type raises TypeError.
     """
     if den is not None:
-        return _RAT(value) / _RAT(den)
-    if type(value) is _RAT:
+        return Fraction(value) / Fraction(den)
+    if type(value) is Fraction:
         return value
     if isinstance(value, GaussianRational):
         if value.im:
@@ -57,15 +49,15 @@ def rational(value=0, den=None):
     if isinstance(value, str):
         if "/" in value:
             num, _, d = value.partition("/")
-            return _RAT(int(num)) / _RAT(int(d))
-        return _RAT(int(value))
+            return Fraction(int(num)) / Fraction(int(d))
+        return Fraction(int(value))
     if isinstance(value, float):
         raise TypeError("floating point input is not allowed in exact arithmetic")
-    return _RAT(value)
+    return Fraction(value)
 
 
-Q_ZERO = _RAT(0)
-Q_ONE = _RAT(1)
+Q_ZERO = Fraction(0)
+Q_ONE = Fraction(1)
 
 
 def rational_json(q) -> dict:
@@ -75,17 +67,14 @@ def rational_json(q) -> dict:
 
 def _scalar_like(x) -> bool:
     """True for values a GaussianRational may absorb in arithmetic."""
-    return (
-        isinstance(x, (int, GaussianRational, Fraction))
-        or type(x) is _RAT
-    )
+    return isinstance(x, (int, Fraction, GaussianRational))
 
 
 class GaussianRational:
     """An element a + b*i of Q(i), exact, immutable.
 
-    Supports + and * with other GaussianRationals, ints and backend
-    rationals.  Inversion of zero raises ZeroDivisionError.
+    Supports + and * with other GaussianRationals, ints and rationals
+    (`fractions.Fraction`).  Inversion of zero raises ZeroDivisionError.
     """
 
     __slots__ = ("re", "im")
@@ -138,7 +127,7 @@ class GaussianRational:
         return self.re != 0 or self.im != 0
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int,)) or type(other) is _RAT or isinstance(other, Fraction):
+        if isinstance(other, (int, Fraction)):
             other = GaussianRational(other)
         if not isinstance(other, GaussianRational):
             return NotImplemented

@@ -296,7 +296,7 @@ def _wedge_step_matrix(g: int, m: int):
             sign = -1 if (below_a + below_b) % 2 else 1
             target = tuple(sorted(s + (a, b)))
             rows[cod_index[target]][j] += -2 * sign
-    return dom, cod, Matrix(rows)
+    return Matrix(rows, len(dom))
 
 
 def primitive_dim_exact(g: int, k: int) -> int:
@@ -310,7 +310,7 @@ def primitive_dim_exact(g: int, k: int) -> int:
     composite = None
     m = k
     for _ in range(steps):
-        _, _, step = _wedge_step_matrix(g, m)
+        step = _wedge_step_matrix(g, m)
         composite = step if composite is None else step @ composite
         m += 2
     return composite.ncols - composite.rank()

@@ -18,9 +18,9 @@ becomes a SparsePoly.  Divisors are monic and split into leading monomial
 and tail; a GroebnerBasis carries its own, so a normal form is one
 reduction.
 
-Coefficients are backend rationals throughout, as in poly: the term maps of
-Buchberger and of every normal form hold the coefficients of the
-SparsePolys themselves, with no conversion on the way in or out.
+Coefficients are rationals (`fractions.Fraction`) throughout, as in poly:
+the term maps of Buchberger and of every normal form hold the coefficients
+of the SparsePolys themselves, with no conversion on the way in or out.
 """
 
 from __future__ import annotations

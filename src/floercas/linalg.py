@@ -3,7 +3,7 @@ polynomials, and their roots among Q(i) candidates.
 
 Every matrix the package builds is real -- the multiplication matrices of
 the level rings, the wedge maps, the intersection forms -- so entries are
-backend rationals and a nonreal entry raises TypeError.  The largest
+rationals (`fractions.Fraction`) and a nonreal entry raises TypeError.  The largest
 matrices are the level-ring multiplication matrices, dim 84 at level 7 and
 120 at genus 8, so dense storage and cubic elimination are fine.
 Characteristic polynomials come from Hessenberg reduction; everything else
@@ -47,33 +47,25 @@ class Matrix:
         return Matrix([[Q_ONE if i == j else Q_ZERO for j in range(n)] for i in range(n)])
 
     @staticmethod
-    def from_columns(cols) -> "Matrix":
-        """The matrix with the given columns; n empty columns give 0 x n."""
+    def from_columns(cols, nrows: int = 0) -> "Matrix":
+        """The matrix with the given columns; n empty columns give 0 x n,
+        and no columns give nrows x 0."""
         cols = list(cols)
-        return Matrix(zip(*cols, strict=True), len(cols))
+        return Matrix(zip(*cols, strict=True) if cols else [()] * nrows, len(cols))
 
     # -- arithmetic ---------------------------------------------------------
     def scale(self, c) -> "Matrix":
         c = rational(c)
-        return Matrix([[a * c for a in r] for r in self.rows])
+        return Matrix([[a * c for a in r] for r in self.rows], self.ncols)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
+        """The product, one column of `other` at a time through matvec."""
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch")
-        cols = other.ncols
-        out = []
-        for i in range(self.nrows):
-            row = []
-            ri = self.rows[i]
-            for j in range(cols):
-                s = Q_ZERO
-                for k in range(self.ncols):
-                    a = ri[k]
-                    if a:
-                        s = s + a * other.rows[k][j]
-                row.append(s)
-            out.append(row)
-        return Matrix(out)
+        return Matrix.from_columns(
+            (self.matvec([r[j] for r in other.rows]) for j in range(other.ncols)),
+            self.nrows,
+        )
 
     def matvec(self, v) -> list:
         if self.ncols != len(v):

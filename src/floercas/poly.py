@@ -3,14 +3,15 @@
 The three variables are the generators of the invariant ring: alpha, beta,
 gamma of cohomological degree 2, 4, 6 (written a, b, c in the classical
 undeformed ring — same arithmetic, different display name).  Coefficients
-lie in Q, as backend rationals: every relation of the theory is real, and
-the constructor refuses a coefficient with a nonzero imaginary part.
+lie in Q, as rationals (`fractions.Fraction`): every relation of the theory
+is real, and the constructor refuses a coefficient with a nonzero imaginary
+part.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import chain
-from numbers import Rational
 from typing import Iterable
 
 from .exactalg import Q_ONE, rational, rational_json, render_terms
@@ -171,7 +172,7 @@ class SparsePoly:
         return bool(self.terms)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, Rational):
+        if isinstance(other, (int, Fraction)):
             other = SparsePoly.constant(other)
         if not isinstance(other, SparsePoly):
             return NotImplemented

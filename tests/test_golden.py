@@ -14,6 +14,10 @@ from floercas import cli
 GOLDEN = {
     "check --max-genus 2":
         "99121b126c4bc52ade9697b6520b966af16ba0db8b0f98c0c883522cdd9d68e3",
+    "check --max-genus 3":
+        "eaba9e760bc808bb211694379b7f0e4067e8bfa07b14fccadb8982002000d07b",
+    "ring --genus 6 --format json":
+        "970e9acc754a6429ec9f7332f06512506c4816110aa345c6393ecad9e26bd8c7",
     "ring --genus 5 --format json":
         "bdc53d92fa2b6bcfca77b168060e6f6377609d81f1b336a01e6de85389b9d948",
     "ring --genus 4":

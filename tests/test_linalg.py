@@ -7,7 +7,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from floercas.exactalg import GaussianRational as GR, rational
+from floercas.exactalg import GaussianRational as GR
 from floercas.floer import eigen_reports, gamma_quotient_ring, invariant_ring
 from floercas.linalg import Matrix, UniPoly, _hessenberg_charpoly
 
@@ -88,7 +88,7 @@ def test_gaussian_charpolys_match_sympy(rows):
 def test_real_gaussian_entries_are_rationals():
     m = Matrix([[GR(1), GR(Fraction(1, 2))]])
     assert m.rows == ((Fraction(1), Fraction(1, 2)),)
-    assert all(type(x) is type(rational(0)) for x in m.rows[0])
+    assert all(type(x) is Fraction for x in m.rows[0])
 
 
 # sparse rational entries of very different bit heights, so that the
@@ -113,6 +113,40 @@ def rational_matrices(draw):
 @given(rational_matrices())
 def test_rational_charpolys_of_mixed_heights_match_sympy(m):
     assert ours(m) == sympy_charpoly(m)
+
+
+@st.composite
+def product_factors(draw):
+    """Rational factors A (n x k) and B (k x m); any of n, k, m may be 0."""
+    n, k, m = (draw(st.integers(0, 4)) for _ in range(3))
+    a = [[draw(_RATIONAL_ENTRY) for _ in range(k)] for _ in range(n)]
+    b = [[draw(_RATIONAL_ENTRY) for _ in range(m)] for _ in range(k)]
+    return a, b, (n, k, m)
+
+
+@settings(max_examples=120, deadline=None)
+@given(product_factors())
+def test_matmul_matches_the_triple_sum(factors):
+    a, b, (n, k, m) = factors
+    product = Matrix(a, k) @ Matrix(b, m)
+    want = tuple(
+        tuple(sum((a[i][l] * b[l][j] for l in range(k)), Fraction(0)) for j in range(m))
+        for i in range(n)
+    )
+    assert (product.nrows, product.ncols) == (n, m)
+    assert product.rows == want
+
+
+def test_products_with_no_rows_keep_their_columns():
+    product = Matrix([], 2) @ Matrix([[1, 2, 3], [4, 5, 6]])
+    assert (product.nrows, product.ncols) == (0, 3)
+    scaled = Matrix([], 3).scale(2)
+    assert (scaled.nrows, scaled.ncols) == (0, 3)
+
+
+def test_matmul_shape_mismatch():
+    with pytest.raises(ValueError):
+        Matrix([[1, 2]]) @ Matrix([[1, 2]])
 
 
 def test_pivot_swap_and_pivot_free_column():
