@@ -316,8 +316,9 @@ def check_fiber_sum() -> CheckResult:
         failures.append("genus-1 branch does not reproduce the sinh^2 expansion")
     return _result(
         "fiber-sum",
-        "summing products of surfaces along a factor reproduces the product "
-        "series termwise, including weights and signs",
+        "consistency of two transcribed formulas: donaldson.fiber_sum of two "
+        "products along a factor equals donaldson.product_series termwise, "
+        "including weights and signs",
         failures,
     )
 

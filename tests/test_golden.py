@@ -13,9 +13,9 @@ from floercas import cli
 
 GOLDEN = {
     "check --max-genus 2":
-        "99121b126c4bc52ade9697b6520b966af16ba0db8b0f98c0c883522cdd9d68e3",
+        "5980dd5261b00eb65809bec1a117a534a8859608d3c8444fe17465d25830ab70",
     "check --max-genus 3":
-        "eaba9e760bc808bb211694379b7f0e4067e8bfa07b14fccadb8982002000d07b",
+        "de0d4965d81bb6c97b44bbc29f0976da3acbe960c6a49239a96675cc540c4286",
     "ring --genus 6 --format json":
         "970e9acc754a6429ec9f7332f06512506c4816110aa345c6393ecad9e26bd8c7",
     "ring --genus 5 --format json":
