@@ -3,9 +3,10 @@ polynomials, and their roots among Q(i) candidates.
 
 Every matrix the package builds is real -- the multiplication matrices of
 the level rings, the wedge maps, the intersection forms -- so entries are
-rationals (`fractions.Fraction`) and a nonreal entry raises TypeError.  The largest
-matrices are the level-ring multiplication matrices, dim 84 at level 7 and
-120 at genus 8, so dense storage and cubic elimination are fine.
+rationals (`fractions.Fraction`) and a nonreal entry raises TypeError.  The
+largest matrices are the level-ring multiplication matrices, dim 84 at
+level 7 and 120 at genus 8, so dense storage and cubic elimination are
+fine.
 Characteristic polynomials come from Hessenberg reduction; everything else
 is plain Gauss-Jordan.  Q(i) enters only in factor_over_candidates, whose
 candidates and reported roots are GaussianRationals: a pair of conjugate
