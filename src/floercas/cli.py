@@ -40,9 +40,16 @@ EXIT_FALSIFIED = 2
 MAX_ORDER = 512
 
 #: largest level accepted by eigen --r; the level ring F_r has dimension
-#: C(r+2, 3), and its spectra cost about three times as much per level
-#: (eigen --object F takes 2-6 s at 9, 19 s at 10 and over 60 s at 11)
+#: C(r+2, 3), and the cost about doubles per level (eigen --object K, the
+#: slowest, takes 1.4-1.9 s at 9, 3.5 s at 10 and 5.4 s at 11; --object F
+#: takes 0.5 s at 9)
 MAX_EIGEN_R = 9
+
+#: largest genus accepted by donaldson product --g and --h; the series of
+#: two factors of genus > 1 has the weight 2^(7(g-1)(h-1)+2), which at
+#: g = h = 46 has 4268 decimal digits, and Python refuses to print an int
+#: of more than 4300 digits (sys.get_int_max_str_digits)
+MAX_PRODUCT_GENUS = 46
 
 #: largest level accepted by relations --r; the cost of the three relations
 #: grows more than tenfold when r doubles (relations --flavor R takes
@@ -261,7 +268,10 @@ def _parse_vector(text: str) -> tuple:
 
 
 def _cmd_don_product(args):
-    _require(args.g >= 1 and args.h >= 1, "--g and --h must be >= 1")
+    _require(
+        1 <= args.g <= MAX_PRODUCT_GENUS and 1 <= args.h <= MAX_PRODUCT_GENUS,
+        f"--g and --h must be in 1..{MAX_PRODUCT_GENUS}",
+    )
     series = donaldson.product_series(args.g, args.h)
     return EXIT_OK, series.to_json(), _series_payload_text(series)
 
@@ -393,8 +403,8 @@ def build_parser() -> _Parser:
     dsub = don.add_subparsers(dest="don_command", required=True)
 
     p = dsub.add_parser("product", help="series of a product of two surfaces", parents=[common])
-    p.add_argument("--g", type=int, required=True)
-    p.add_argument("--h", type=int, required=True)
+    p.add_argument("--g", type=int, required=True, help=f"genus, 1..{MAX_PRODUCT_GENUS}")
+    p.add_argument("--h", type=int, required=True, help=f"genus, 1..{MAX_PRODUCT_GENUS}")
     p.set_defaults(fn=_cmd_don_product)
 
     p = dsub.add_parser("eval", help="evaluate a series on a homology class", parents=[common])

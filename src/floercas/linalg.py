@@ -5,17 +5,24 @@ Every matrix the package builds is real -- the multiplication matrices of
 the level rings, the wedge maps, the intersection forms -- so entries are
 rationals (`fractions.Fraction`) and a nonreal entry raises TypeError.  The
 largest matrices are the level-ring multiplication matrices, dim 84 at
-level 7 and 120 at genus 8, so dense storage and cubic elimination are
-fine.
-Characteristic polynomials come from Hessenberg reduction; everything else
-is plain Gauss-Jordan.  Q(i) enters only in factor_over_candidates, whose
-candidates and reported roots are GaussianRationals: a pair of conjugate
-roots is one rational quadratic factor.
+level 7 and 120 at level 8.  Storage is dense and Gauss-Jordan skips zero
+entries, which is enough at these sizes.  The same matrices are mostly
+zeros (alpha at level 8 has 663 nonzero entries of 14400), and their
+strongly connected blocks are much smaller: alpha at level r splits into
+blocks of sizes C(k+1, 2) for k = 1..r, beta into blocks of at most r, and
+gamma into 1 x 1 blocks.  So a characteristic polynomial is the product of
+those of the diagonal blocks, each from Hessenberg reduction, and the
+cubic cost of the reduction is paid per block.  Q(i) enters only in
+factor_over_candidates, whose candidates and reported roots are
+GaussianRationals: a pair of conjugate roots is one rational quadratic
+factor.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .exactalg import Q_ONE, Q_ZERO, GaussianRational, rational, rational_json, render_terms
 
@@ -141,13 +148,85 @@ class Matrix:
     def charpoly(self) -> "UniPoly":
         """Monic characteristic polynomial det(x*I - A).
 
-        Hessenberg reduction followed by the Hessenberg determinant
-        recurrence (Cohen, A Course in Computational Algebraic Number
-        Theory, GTM 138, Alg. 2.2.9).
+        The strongly connected components of the graph with an edge i -> j
+        for each nonzero entry A[i][j] order the rows and columns so that A
+        becomes block upper triangular, and det(x*I - A) is the product of
+        det(x*I - B) over its diagonal blocks B.  Each block goes through
+        Hessenberg reduction and the Hessenberg determinant recurrence
+        (Cohen, A Course in Computational Algebraic Number Theory, GTM 138,
+        Alg. 2.2.9); a matrix with one component is one block.
         """
         if self.nrows != self.ncols:
             raise ValueError("characteristic polynomial of a non-square matrix")
-        return UniPoly(_hessenberg_charpoly([list(r) for r in self.rows]))
+        rows = self.rows
+        # the product of the block polynomials is num / den with integer num:
+        # integer products cost far less than Fraction ones, and only the
+        # final coefficients are reduced
+        num, den = [1], 1
+        for comp in _strong_components([[j for j, a in enumerate(r) if a] for r in rows]):
+            block = _hessenberg_charpoly([[rows[i][j] for j in comp] for i in comp])
+            d = math.lcm(*(c.denominator for c in block))
+            out = [0] * (len(num) + len(block) - 1)
+            for j, c in enumerate(block):
+                if c:
+                    c = c.numerator * (d // c.denominator)
+                    for i, a in enumerate(num):
+                        out[i + j] += a * c
+            num, den = out, den * d
+        return UniPoly([Fraction(c, den) for c in num])
+
+
+def _strong_components(adj: list) -> list:
+    """Strongly connected components of the graph with edges i -> j for j
+    in adj[i], each a sorted list of vertices.
+
+    Tarjan's algorithm with an explicit stack of (vertex, edge iterator)
+    frames in place of recursion, so a long path of edges does not reach
+    Python's recursion limit.
+    """
+    n = len(adj)
+    index = [-1] * n  # discovery order, -1 while unvisited
+    low = [0] * n
+    on_stack = [False] * n
+    stack: list[int] = []
+    comps = []
+    counter = 0
+    for root in range(n):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack[root] = True
+        frames = [(root, iter(adj[root]))]
+        while frames:
+            v, edges = frames[-1]
+            for w in edges:
+                if index[w] < 0:
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    on_stack[w] = True
+                    frames.append((w, iter(adj[w])))
+                    break
+                if on_stack[w] and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                # every edge of v is done: pass low[v] up, and pop its
+                # component if v is the first vertex of it that was found
+                frames.pop()
+                if frames and low[v] < low[frames[-1][0]]:
+                    low[frames[-1][0]] = low[v]
+                if low[v] == index[v]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = False
+                        comp.append(w)
+                        if w == v:
+                            break
+                    comps.append(sorted(comp))
+    return comps
 
 
 def _height(q) -> int:

@@ -5,7 +5,7 @@ import time
 import pytest
 
 from floercas import cli
-from floercas.cli import MAX_EIGEN_R, MAX_RELATIONS_R, main
+from floercas.cli import MAX_EIGEN_R, MAX_PRODUCT_GENUS, MAX_RELATIONS_R, main
 from floercas.donaldson import product_series
 from floercas.floer import FalsificationError, SubquotientModule, eigen_reports
 from floercas.linalg import Matrix
@@ -568,6 +568,23 @@ class TestUsageErrors:
             code, out, err = run(capsys, *argv)
             self.assert_one_line_usage_error(code, err)
             assert "--r must be in 0.." in err and out == ""
+
+    def test_product_genus_bounded_up_front(self, capsys, monkeypatch):
+        code, _, _ = run(capsys, "donaldson", "product", "--g", str(MAX_PRODUCT_GENUS),
+                         "--h", str(MAX_PRODUCT_GENUS))
+        assert code == 0
+
+        def no_work(*args):
+            raise AssertionError("work started past the genus limit")
+
+        monkeypatch.setattr(cli.donaldson, "product_series", no_work)
+        # the weight of 47 x 47 has 4460 decimal digits, past what Python prints
+        for g, h in ((47, 47), (MAX_PRODUCT_GENUS + 1, 2), (1, MAX_PRODUCT_GENUS + 1)):
+            for fmt in ("text", "json"):
+                code, out, err = run(capsys, "donaldson", "product", "--g", str(g),
+                                     "--h", str(h), "--format", fmt)
+                self.assert_one_line_usage_error(code, err)
+                assert f"--g and --h must be in 1..{MAX_PRODUCT_GENUS}" in err and out == ""
 
 
 class TestDeterminism:

@@ -18,6 +18,8 @@ GOLDEN = {
         "de0d4965d81bb6c97b44bbc29f0976da3acbe960c6a49239a96675cc540c4286",
     "ring --genus 6 --format json":
         "970e9acc754a6429ec9f7332f06512506c4816110aa345c6393ecad9e26bd8c7",
+    "ring --genus 8 --format json":
+        "4066077ff78028e6d33723cd76efc105c48fa7747ae1ca0e7e97aa250259d0d8",
     "ring --genus 5 --format json":
         "bdc53d92fa2b6bcfca77b168060e6f6377609d81f1b336a01e6de85389b9d948",
     "ring --genus 4":

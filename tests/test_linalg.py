@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from floercas.exactalg import GaussianRational as GR
 from floercas.floer import eigen_reports, gamma_quotient_ring, invariant_ring
-from floercas.linalg import Matrix, UniPoly, _hessenberg_charpoly
+from floercas.linalg import Matrix, UniPoly, _hessenberg_charpoly, _strong_components
 
 X = sympy.Symbol("x")
 
@@ -149,11 +149,18 @@ def test_matmul_shape_mismatch():
         Matrix([[1, 2]]) @ Matrix([[1, 2]])
 
 
+def whole(m: Matrix) -> list:
+    """Coefficients of Hessenberg reduction over the whole matrix, unsplit."""
+    return [rat(c) for c in _hessenberg_charpoly([list(r) for r in m.rows])]
+
+
 def test_pivot_swap_and_pivot_free_column():
     # column 0 has its only subdiagonal entry in row 2, so rows 1 and 2 swap;
-    # column 1 then has no pivot below the diagonal
+    # column 1 then has no pivot below the diagonal.  Matrix.charpoly splits
+    # this matrix into four 1 x 1 blocks, so the reduction runs unsplit too
     m = Matrix([[1, 5, 0, 2], [0, 0, 0, 0], [3, 0, Fraction(1, 2), 0], [0, 0, 0, -2]])
-    assert ours(m) == sympy_charpoly(m)
+    assert len(_strong_components([[j for j, a in enumerate(r) if a] for r in m.rows])) == 4
+    assert ours(m) == whole(m) == sympy_charpoly(m)
 
 
 def test_smallest_height_pivot_is_chosen():
@@ -173,3 +180,49 @@ def test_smallest_height_pivot_is_chosen():
     assert h[1][0] == 3
     assert all(not h[i][j] for i in range(4) for j in range(i - 1))
     assert [rat(c) for c in coeffs] == sympy_charpoly(m)
+
+
+@st.composite
+def permuted_block_triangular(draw):
+    """Diagonal blocks of sizes 1-4 with random entries above them, rows and
+    columns then put in one random order."""
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+    n = sum(sizes)
+    a = [[Fraction(0)] * n for _ in range(n)]
+    start = 0
+    for size in sizes:
+        for i in range(start, start + size):
+            for j in range(start, n):
+                a[i][j] = draw(_RATIONAL_ENTRY)
+        start += size
+    perm = draw(st.permutations(range(n)))
+    return Matrix([[a[p][q] for q in perm] for p in perm])
+
+
+@settings(max_examples=80, deadline=None)
+@given(permuted_block_triangular())
+def test_block_charpolys_match_sympy_and_the_unsplit_reduction(m):
+    assert ours(m) == whole(m) == sympy_charpoly(m)
+
+
+def test_charpoly_fixed_cases():
+    # no rows: the empty product
+    assert Matrix([], 0).charpoly() == UniPoly([1])
+    # the zero matrix is four 1 x 1 blocks: x^4
+    assert Matrix([[0] * 4] * 4).charpoly() == UniPoly([0, 0, 0, 0, 1])
+    # a diagonal matrix: one linear factor per entry
+    d = [Fraction(-1, 3), 2, 4]
+    diag = Matrix([[d[i] if i == j else 0 for j in range(3)] for i in range(3)])
+    assert diag.charpoly() == UniPoly([-d[0], 1]) * UniPoly([-d[1], 1]) * UniPoly([-d[2], 1])
+    # the cyclic permutation 0 -> 1 -> ... -> 4 -> 0 is one irreducible block
+    cyc = Matrix([[1 if j == (i + 1) % 5 else 0 for j in range(5)] for i in range(5)])
+    assert _strong_components([[(i + 1) % 5] for i in range(5)]) == [[0, 1, 2, 3, 4]]
+    assert cyc.charpoly() == UniPoly([-1, 0, 0, 0, 0, 1])
+
+
+def test_strong_components_need_no_recursion():
+    # a path and a cycle far deeper than Python's recursion limit
+    n = 5000
+    path = [[i + 1] for i in range(n - 1)] + [[]]
+    assert _strong_components(path) == [[i] for i in range(n - 1, -1, -1)]
+    assert _strong_components([[(i + 1) % n] for i in range(n)]) == [list(range(n))]
