@@ -12,6 +12,12 @@ import pytest
 from floercas import cli
 
 GOLDEN = {
+    # genera 1 and 5 are where the floor max(g + 2, 4) and the caps
+    # min(4, .) and min(5, .) of the claims' size rules take effect
+    "check --max-genus 1":
+        "77dd2b5657bc29d50603b2ea3d36810cf1b9176152bcfe61246f975f10b40ee1",
+    "check --max-genus 5":
+        "72c65613df85e6da4cb1e1f6e7485c1121f16430a847a885a147c4c0fae7382b",
     "check --max-genus 2":
         "5980dd5261b00eb65809bec1a117a534a8859608d3c8444fe17465d25830ab70",
     "check --max-genus 3":
