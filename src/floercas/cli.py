@@ -56,6 +56,11 @@ MAX_PRODUCT_GENUS = 46
 #: 1.6-1.9 s at 50 and 28 s at 100)
 MAX_RELATIONS_R = 50
 
+#: largest genus accepted by check --max-genus; the suite's cost grows
+#: steeply past it (single runs: 0.23 s at 1, 0.66 s at 6, 1.85 s at 9,
+#: 9.4 s at 12 and more than 60 s at 16)
+MAX_CHECK_GENUS = 9
+
 
 class UsageError(Exception):
     pass
@@ -332,8 +337,10 @@ def _cmd_don_congruence(args):
 
 
 def _cmd_check(args):
-    _require(args.max_genus >= 1, "--max-genus must be >= 1")
-    results = checks.run_all(max_genus=args.max_genus)
+    _require(
+        1 <= args.max_genus <= MAX_CHECK_GENUS, f"--max-genus must be in 1..{MAX_CHECK_GENUS}"
+    )
+    results = checks.run_all(args.max_genus)
     passed = all(r.passed for r in results)
     payload = {
         "max_genus": args.max_genus,
@@ -434,7 +441,7 @@ def build_parser() -> _Parser:
     p.set_defaults(fn=_cmd_don_congruence)
 
     p = sub.add_parser("check", help="run the full verification suite", parents=[common])
-    p.add_argument("--max-genus", type=int, default=3)
+    p.add_argument("--max-genus", type=int, default=3, help=f"genus, 1..{MAX_CHECK_GENUS}")
     p.set_defaults(fn=_cmd_check)
 
     return parser

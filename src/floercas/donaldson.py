@@ -79,6 +79,8 @@ class DonaldsonSeries:
 
     @staticmethod
     def from_json(obj: dict) -> "DonaldsonSeries":
+        if not isinstance(obj, dict):
+            raise ValueError("a series must be a JSON object")
         simple_type = obj.get("simple_type", True)
         if not isinstance(simple_type, bool):
             # bool() would read the string "false" as simple type

@@ -4,8 +4,8 @@ import time
 
 import pytest
 
-from floercas import cli
-from floercas.cli import MAX_EIGEN_R, MAX_PRODUCT_GENUS, MAX_RELATIONS_R, main
+from floercas import checks, cli
+from floercas.cli import MAX_CHECK_GENUS, MAX_EIGEN_R, MAX_PRODUCT_GENUS, MAX_RELATIONS_R, main
 from floercas.donaldson import product_series
 from floercas.floer import FalsificationError, SubquotientModule, eigen_reports
 from floercas.linalg import Matrix
@@ -330,6 +330,31 @@ class TestCheckCommand:
         assert payload["passed"] is True
         assert len(payload["results"]) == 12
 
+    def test_claim_that_raises_gives_one_fail_line(self, capsys, monkeypatch):
+        def boom(max_genus):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(checks, "check_grading", boom)
+        code, out, err = run(capsys, "check", "--max-genus", "1")
+        assert code == cli.EXIT_FALSIFIED
+        lines = out.splitlines()
+        assert len(lines) == 13
+        assert lines[1] == "FAIL grading: raised [RuntimeError: boom]"
+        assert sum(line.startswith("PASS") for line in lines) == 11
+        assert lines[-1] == "SOME CLAIMS FAILED (11/12)"
+        assert err == ""
+        assert [r.name for r in checks.run_all(1)] == [n for n, _ in checks.CRITERIA]
+
+    def test_genus_bounded_up_front(self, capsys, monkeypatch):
+        def no_work(max_genus):
+            raise AssertionError("work started past the genus limit")
+
+        monkeypatch.setattr(checks, "run_all", no_work)
+        for genus in (0, MAX_CHECK_GENUS + 1):
+            code, out, err = run(capsys, "check", "--max-genus", str(genus))
+            assert code == 1 and out == ""
+            assert err == f"error: --max-genus must be in 1..{MAX_CHECK_GENUS}\n"
+
 
 class TestUsageErrors:
     def test_unknown_flag(self, capsys):
@@ -505,6 +530,20 @@ class TestUsageErrors:
         )
         self.assert_one_line_usage_error(code, err)
         assert "simple_type must be a boolean" in err and out == ""
+
+    def test_series_not_an_object(self, capsys, tmp_path):
+        # a list, a number or a string has no .get, which ended in a traceback
+        path = tmp_path / "series.json"
+        argvs = [("eval", "--series", str(path), "--class", "1"),
+                 ("congruence", "--series", str(path), "--sigma", "1", "--genus", "1"),
+                 ("fibersum", "--a", str(path), "--b", str(path), "--genus", "2",
+                  "--pairing", json.dumps(PRODUCT_SUM_PAIRING))]
+        for text in ("[]", "5", '"x"'):
+            path.write_text(text)
+            for argv in argvs:
+                code, out, err = run(capsys, "donaldson", *argv)
+                self.assert_one_line_usage_error(code, err)
+                assert "a series must be a JSON object" in err and out == ""
 
     def test_malformed_vector(self, capsys, tmp_path):
         path = tmp_path / "series.json"
