@@ -1,10 +1,10 @@
 """Command-line front end: constructions, decompositions, the series
 calculators and the full verification suite.
 
-Exit codes: 0 success, 1 usage error, 2 a verified structural claim
-failed (the tool is a referee as well as a calculator, and the two
-failure modes are kept machine-distinguishable).  Output is deterministic
-byte for byte for identical invocations.
+Exit codes: 0 success, 1 usage error or any other error, 2 a verified
+structural claim failed (the tool is a referee as well as a calculator,
+and the two failure modes are kept machine-distinguishable).  Output is
+deterministic byte for byte for identical invocations.
 
 Each handler builds its text from the result objects it computed; the
 JSON output is those objects' to_json, and nothing reads it back.
@@ -34,15 +34,18 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_FALSIFIED = 2
 
+# Size limits, each checked by the parser before any work starts; the
+# times are single runs on 2 CPUs with Python 3.11.
+
 #: largest series truncation order accepted by --order and --trunc; the
 #: cost of a series grows faster than the square of its order (evaluation
 #: takes about 1.3 s at 512 and 12-16 s at 1024)
 MAX_ORDER = 512
 
 #: largest level accepted by eigen --r; the level ring F_r has dimension
-#: C(r+2, 3), and the cost about doubles per level (eigen --object K, the
-#: slowest, takes 1.4-1.9 s at 9, 3.5 s at 10 and 5.4 s at 11; --object F
-#: takes 0.5 s at 9)
+#: C(r+2, 3), and the cost grows by about 1.7 per level (eigen --object K,
+#: the slowest, takes 0.9-1.0 s at 9, 1.6 s at 10 and 2.6 s at 11;
+#: --object F takes 0.6 s at 9)
 MAX_EIGEN_R = 9
 
 #: largest genus accepted by donaldson product --g and --h; the series of
@@ -61,6 +64,29 @@ MAX_RELATIONS_R = 50
 #: 9.4 s at 12 and more than 60 s at 16)
 MAX_CHECK_GENUS = 9
 
+#: largest genus accepted by ring --genus; the slowest form, --format json
+#: with the spectra of every level ring, takes 1.7-1.9 s at 10 and 3.1 s at 11
+#: (text 0.9 s at 12, --invariant-only 1.2 s at 12)
+MAX_RING_GENUS = 10
+
+#: largest genus accepted by rhff and effective --genus; each prints 2g - 1
+#: series of order --trunc, and with --trunc 512 --format json takes
+#: 1.8-1.9 s at 200, 2.1-2.5 s at 250 and 9.2 s (950 MB) at 1000
+MAX_MODULE_GENUS = 200
+
+#: largest genus accepted by delta --genus; about g^2/4 components with
+#: multiplicities of up to g bits (--format json 1.6-1.8 s at 250, 2.6 s at 300)
+MAX_DELTA_GENUS = 250
+
+#: largest genus accepted by mu --genus; a class spec that lists curves
+#: reads 2g coefficients (a grade-2 JSON class: 1.6 s at 2 * 10^6, 2.4 s
+#: at 3 * 10^6)
+MAX_MU_GENUS = 2_000_000
+
+#: largest genus accepted by donaldson order --genus; the bound sums g terms
+#: (2.0 s at 10^7, 4.1 s at 2 * 10^7)
+MAX_FINITE_TYPE_GENUS = 10_000_000
+
 
 class UsageError(Exception):
     pass
@@ -76,6 +102,23 @@ class _Parser(argparse.ArgumentParser):
 def _require(cond: bool, message: str):
     if not cond:
         raise UsageError(message)
+
+
+class _Bounded(argparse.Action):
+    """An int option that refuses any value outside lo..hi (no upper end
+    when hi is None); the one statement of the range, for the check and
+    for --help."""
+
+    def __init__(self, option_strings, dest, lo, hi=None, help=None, **kwargs):
+        self.lo, self.hi = lo, hi
+        self.span = f"in {lo}..{hi}" if hi is not None else f">= {lo}"
+        super().__init__(option_strings, dest, type=int,
+                         help=f"{help}, {self.span}" if help else self.span, **kwargs)
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        if value < self.lo or (self.hi is not None and value > self.hi):
+            parser.error(f"{self.option_strings[0]} must be {self.span}")
+        setattr(namespace, self.dest, value)
 
 
 # ---------------------------------------------------------------------------
@@ -99,7 +142,6 @@ def _series_payload_text(series: donaldson.DonaldsonSeries) -> str:
 
 
 def _cmd_ring(args):
-    _require(args.genus >= 1, "--genus must be >= 1")
     ring = floer_cohomology(args.genus)
     # only the JSON output carries the level rings and their spectra
     payload = ring.to_json(include_rings=args.format == "json" and not args.invariant_only)
@@ -115,7 +157,6 @@ def _cmd_ring(args):
 
 
 def _cmd_relations(args):
-    _require(0 <= args.r <= MAX_RELATIONS_R, f"--r must be in 0..{MAX_RELATIONS_R}")
     tri = relations(args.flavor, args.r)
     names = tri.variable_names()
     lines = [f"flavor {tri.flavor}, level {tri.r}:"]
@@ -125,7 +166,6 @@ def _cmd_relations(args):
 
 
 def _cmd_eigen(args):
-    _require(0 <= args.r <= MAX_EIGEN_R, f"--r must be in 0..{MAX_EIGEN_R}")
     code = EXIT_OK
     want_dim = None
     if args.object in ("F", "Fbar"):
@@ -157,7 +197,6 @@ def _cmd_eigen(args):
 
 
 def _cmd_rhff(args):
-    _require(args.genus >= 1, "--genus must be >= 1")
     module = fukaya.reduced_module(args.genus, args.n, order=args.trunc)
     lines = [f"genus {module.genus}, loop multiple {module.n}: rank {module.rank}"]
     for c in module.components:
@@ -166,7 +205,6 @@ def _cmd_rhff(args):
 
 
 def _cmd_effective(args):
-    _require(args.genus >= 1, "--genus must be >= 1")
     vals = fukaya.effective_eigenvalues(args.genus, order=args.trunc)
     payload = {"genus": args.genus, "eigenvalues": [v.to_json() for v in vals]}
     lines = [f"genus {args.genus}: {len(vals)} joint eigenvalues"]
@@ -176,7 +214,6 @@ def _cmd_effective(args):
 
 
 def _cmd_delta(args):
-    _require(args.genus >= 1, "--genus must be >= 1")
     module = fukaya.delta_module(args.genus)
     lines = [f"genus {module.genus}: total rank {module.total_rank}"]
     for c in module.components:
@@ -238,7 +275,6 @@ def _parse_homology_class(spec: str, g: int) -> fukaya.YHomologyClass:
 
 
 def _cmd_mu(args):
-    _require(args.genus >= 1, "--genus must be >= 1")
     _require(abs(args.i) <= args.genus - 1, "--i must satisfy |i| <= genus-1")
     try:
         cls = _parse_homology_class(args.cls, args.genus)
@@ -273,22 +309,16 @@ def _parse_vector(text: str) -> tuple:
 
 
 def _cmd_don_product(args):
-    _require(
-        1 <= args.g <= MAX_PRODUCT_GENUS and 1 <= args.h <= MAX_PRODUCT_GENUS,
-        f"--g and --h must be in 1..{MAX_PRODUCT_GENUS}",
-    )
     series = donaldson.product_series(args.g, args.h)
     return EXIT_OK, series.to_json(), _series_payload_text(series)
 
 
 def _cmd_don_eval(args):
     order = args.order if args.order is not None else args.trunc
-    _require(1 <= order <= MAX_ORDER, f"--order must be in 1..{MAX_ORDER}")
     series = _load_series(args.series)
-    d = _parse_vector(args.cls)
-    _require(len(d) == len(series.basis_names), "evaluation class has wrong length")
-    value = donaldson.evaluate(series, d, order)
-    payload = {"class": list(d), "order": order, "value": value.to_json()}
+    _require(len(args.cls) == len(series.basis_names), "evaluation class has wrong length")
+    value = donaldson.evaluate(series, args.cls, order)
+    payload = {"class": list(args.cls), "order": order, "value": value.to_json()}
     return EXIT_OK, payload, f"value: {value}"
 
 
@@ -312,7 +342,6 @@ def _cmd_don_fibersum(args):
 
 
 def _cmd_don_order(args):
-    _require(args.genus >= 0, "--genus must be >= 0")
     n = donaldson.finite_type_order(args.genus, args.b1_zero)
     payload = {"genus": args.genus, "b1_zero": args.b1_zero, "order": n}
     return EXIT_OK, payload, f"finite-type order bound: {n}"
@@ -320,11 +349,9 @@ def _cmd_don_order(args):
 
 def _cmd_don_congruence(args):
     series = _load_series(args.series)
-    sigma = _parse_vector(args.sigma)
-    _require(len(sigma) == len(series.basis_names), "sigma vector has wrong length")
-    _require(args.genus >= 1, "--genus must be >= 1")
+    _require(len(args.sigma) == len(series.basis_names), "sigma vector has wrong length")
     try:
-        report = donaldson.congruence_check(series, sigma, args.genus)
+        report = donaldson.congruence_check(series, args.sigma, args.genus)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     code = EXIT_OK if report.passed else EXIT_FALSIFIED
@@ -337,9 +364,6 @@ def _cmd_don_congruence(args):
 
 
 def _cmd_check(args):
-    _require(
-        1 <= args.max_genus <= MAX_CHECK_GENUS, f"--max-genus must be in 1..{MAX_CHECK_GENUS}"
-    )
     results = checks.run_all(args.max_genus)
     passed = all(r.passed for r in results)
     payload = {
@@ -362,45 +386,46 @@ def _cmd_check(args):
 def build_parser() -> _Parser:
     parser = _Parser(prog="floercas", description=__doc__)
     parser.add_argument("--format", choices=("json", "text"), default="text")
-    parser.add_argument("--trunc", type=int, default=DEFAULT_ORDER,
-                        help=f"series truncation order (default 16, at most {MAX_ORDER})")
+    parser.add_argument("--trunc", action=_Bounded, lo=1, hi=MAX_ORDER, default=DEFAULT_ORDER,
+                        help="series truncation order (default 16)")
     # the global flags are also accepted after any subcommand; SUPPRESS keeps
     # a subparser from clobbering a value parsed at the top level
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "text"), default=argparse.SUPPRESS)
-    common.add_argument("--trunc", type=int, default=argparse.SUPPRESS)
+    common.add_argument("--trunc", action=_Bounded, lo=1, hi=MAX_ORDER,
+                        default=argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("ring", help="assembled ring of a given genus", parents=[common])
-    p.add_argument("--genus", type=int, required=True)
+    p.add_argument("--genus", action=_Bounded, lo=1, hi=MAX_RING_GENUS, required=True)
     p.add_argument("--invariant-only", action="store_true")
     p.set_defaults(fn=_cmd_ring)
 
     p = sub.add_parser("relations", help="relation polynomials of one level", parents=[common])
     p.add_argument("--flavor", choices=("q", "R", "Rbar"), required=True)
-    p.add_argument("--r", type=int, required=True, help=f"level, 0..{MAX_RELATIONS_R}")
+    p.add_argument("--r", action=_Bounded, lo=0, hi=MAX_RELATIONS_R, required=True, help="level")
     p.set_defaults(fn=_cmd_relations)
 
     p = sub.add_parser("eigen", help="spectra of the variable actions", parents=[common])
-    p.add_argument("--r", type=int, required=True, help=f"level, 0..{MAX_EIGEN_R}")
+    p.add_argument("--r", action=_Bounded, lo=0, hi=MAX_EIGEN_R, required=True, help="level")
     p.add_argument("--object", choices=("F", "Fbar", "filtration", "K"), required=True)
     p.set_defaults(fn=_cmd_eigen)
 
     p = sub.add_parser("rhff", help="reduced module with t-corrections", parents=[common])
-    p.add_argument("--genus", type=int, required=True)
+    p.add_argument("--genus", action=_Bounded, lo=1, hi=MAX_MODULE_GENUS, required=True)
     p.add_argument("--n", type=int, default=1)
     p.set_defaults(fn=_cmd_rhff)
 
     p = sub.add_parser("effective", help="effective joint eigenvalue table", parents=[common])
-    p.add_argument("--genus", type=int, required=True)
+    p.add_argument("--genus", action=_Bounded, lo=1, hi=MAX_MODULE_GENUS, required=True)
     p.set_defaults(fn=_cmd_effective)
 
     p = sub.add_parser("delta", help="module attached to a loop in the surface", parents=[common])
-    p.add_argument("--genus", type=int, required=True)
+    p.add_argument("--genus", action=_Bounded, lo=1, hi=MAX_DELTA_GENUS, required=True)
     p.set_defaults(fn=_cmd_delta)
 
     p = sub.add_parser("mu", help="action of a homology class on one line", parents=[common])
-    p.add_argument("--genus", type=int, required=True)
+    p.add_argument("--genus", action=_Bounded, lo=1, hi=MAX_MU_GENUS, required=True)
     p.add_argument("--i", type=int, required=True)
     p.add_argument("--class", dest="cls", required=True,
                    help="pt[:m] | Sigma[:c] | S1[:c] | gamma:<j>[:c] | torus:<j>[:c] | JSON")
@@ -410,15 +435,15 @@ def build_parser() -> _Parser:
     dsub = don.add_subparsers(dest="don_command", required=True)
 
     p = dsub.add_parser("product", help="series of a product of two surfaces", parents=[common])
-    p.add_argument("--g", type=int, required=True, help=f"genus, 1..{MAX_PRODUCT_GENUS}")
-    p.add_argument("--h", type=int, required=True, help=f"genus, 1..{MAX_PRODUCT_GENUS}")
+    p.add_argument("--g", action=_Bounded, lo=1, hi=MAX_PRODUCT_GENUS, required=True, help="genus")
+    p.add_argument("--h", action=_Bounded, lo=1, hi=MAX_PRODUCT_GENUS, required=True, help="genus")
     p.set_defaults(fn=_cmd_don_product)
 
     p = dsub.add_parser("eval", help="evaluate a series on a homology class", parents=[common])
     p.add_argument("--series", required=True)
-    p.add_argument("--class", dest="cls", required=True)
-    p.add_argument("--order", type=int, default=None,
-                   help=f"truncation order of the value (default --trunc, at most {MAX_ORDER})")
+    p.add_argument("--class", dest="cls", type=_parse_vector, required=True)
+    p.add_argument("--order", action=_Bounded, lo=1, hi=MAX_ORDER,
+                   help="truncation order of the value (default --trunc)")
     p.set_defaults(fn=_cmd_don_eval)
 
     p = dsub.add_parser("fibersum", help="sum of two series along a surface", parents=[common])
@@ -430,18 +455,19 @@ def build_parser() -> _Parser:
     p.set_defaults(fn=_cmd_don_fibersum)
 
     p = dsub.add_parser("order", help="finite-type order bound", parents=[common])
-    p.add_argument("--genus", type=int, required=True)
+    p.add_argument("--genus", action=_Bounded, lo=0, hi=MAX_FINITE_TYPE_GENUS, required=True)
     p.add_argument("--b1-zero", action="store_true")
     p.set_defaults(fn=_cmd_don_order)
 
     p = dsub.add_parser("congruence", help="basic-class congruence test", parents=[common])
     p.add_argument("--series", required=True)
-    p.add_argument("--sigma", required=True)
-    p.add_argument("--genus", type=int, required=True)
+    p.add_argument("--sigma", type=_parse_vector, required=True)
+    p.add_argument("--genus", action=_Bounded, lo=1, required=True)
     p.set_defaults(fn=_cmd_don_congruence)
 
     p = sub.add_parser("check", help="run the full verification suite", parents=[common])
-    p.add_argument("--max-genus", type=int, default=3, help=f"genus, 1..{MAX_CHECK_GENUS}")
+    p.add_argument("--max-genus", action=_Bounded, lo=1, hi=MAX_CHECK_GENUS, default=3,
+                   help="genus")
     p.set_defaults(fn=_cmd_check)
 
     return parser
@@ -451,15 +477,19 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        _require(1 <= args.trunc <= MAX_ORDER, f"--trunc must be in 1..{MAX_ORDER}")
         code, payload, text = args.fn(args)
+        print(json.dumps(payload, indent=2) if args.format == "json" else text)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except FalsificationError as exc:
         print(f"falsified: {exc}", file=sys.stderr)
         return EXIT_FALSIFIED
-    print(json.dumps(payload, indent=2) if args.format == "json" else text)
+    except Exception as exc:
+        # the one boundary for whatever a handler did not foresee (a value too
+        # long to print, say): one line and exit 1, never a traceback
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     return code
 
 

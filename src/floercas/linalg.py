@@ -78,14 +78,9 @@ class Matrix:
     def matvec(self, v) -> list:
         if self.ncols != len(v):
             raise ValueError("shape mismatch")
-        out = []
-        for i in range(self.nrows):
-            s = Q_ZERO
-            for k, a in enumerate(self.rows[i]):
-                if a and v[k]:
-                    s = s + a * v[k]
-            out.append(s)
-        return out
+        # read only the columns where v is nonzero
+        support = [(k, x) for k, x in enumerate(v) if x]
+        return [sum((row[k] * x for k, x in support if row[k]), Q_ZERO) for row in self.rows]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matrix):

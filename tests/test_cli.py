@@ -1,11 +1,25 @@
+import argparse
 import hashlib
 import json
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from floercas import checks, cli
-from floercas.cli import MAX_CHECK_GENUS, MAX_EIGEN_R, MAX_PRODUCT_GENUS, MAX_RELATIONS_R, main
+from floercas.cli import (
+    MAX_CHECK_GENUS,
+    MAX_DELTA_GENUS,
+    MAX_EIGEN_R,
+    MAX_FINITE_TYPE_GENUS,
+    MAX_MODULE_GENUS,
+    MAX_MU_GENUS,
+    MAX_ORDER,
+    MAX_PRODUCT_GENUS,
+    MAX_RELATIONS_R,
+    MAX_RING_GENUS,
+    main,
+)
 from floercas.donaldson import product_series
 from floercas.floer import FalsificationError, SubquotientModule, eigen_reports
 from floercas.linalg import Matrix
@@ -62,7 +76,7 @@ class TestRing:
     def test_bad_genus(self, capsys):
         code, out, err = run(capsys, "ring", "--genus", "0")
         assert code == 1
-        assert "error" in err
+        assert err == f"error: --genus must be in 1..{MAX_RING_GENUS}\n"
 
 
 class TestRelations:
@@ -350,8 +364,10 @@ class TestCheckCommand:
             raise AssertionError("work started past the genus limit")
 
         monkeypatch.setattr(checks, "run_all", no_work)
-        for genus in (0, MAX_CHECK_GENUS + 1):
-            code, out, err = run(capsys, "check", "--max-genus", str(genus))
+        # the message names the option as declared, not as abbreviated
+        for option, genus in (("--max-genus", 0), ("--max-genus", MAX_CHECK_GENUS + 1),
+                              ("--max-g", MAX_CHECK_GENUS + 1)):
+            code, out, err = run(capsys, "check", option, str(genus))
             assert code == 1 and out == ""
             assert err == f"error: --max-genus must be in 1..{MAX_CHECK_GENUS}\n"
 
@@ -582,10 +598,10 @@ class TestUsageErrors:
             code, out, err = run(capsys, "donaldson", "eval", "--series", str(path),
                                  "--class", "1,0", *argv)
             assert time.perf_counter() - start < 1.0
-            self.assert_one_line_usage_error(code, err)
-            assert "512" in err and out == ""
+            assert code == 1 and out == ""
+            assert err == f"error: {argv[0]} must be in 1..{MAX_ORDER}\n"
         code, _, err = run(capsys, "rhff", "--genus", "1", "--trunc", "513")
-        self.assert_one_line_usage_error(code, err)
+        assert code == 1 and err == f"error: --trunc must be in 1..{MAX_ORDER}\n"
 
     def test_levels_bounded_up_front(self, capsys, monkeypatch):
         code, _, _ = run(capsys, "eigen", "--object", "Fbar", "--r", str(MAX_EIGEN_R))
@@ -593,20 +609,34 @@ class TestUsageErrors:
         code, _, _ = run(capsys, "relations", "--flavor", "q", "--r", str(MAX_RELATIONS_R))
         assert code == 0
 
-        def no_work(*args):
-            raise AssertionError("work started past the level limit")
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started past the size limit")
 
         for name in ("relations", "invariant_ring", "gamma_quotient_ring",
-                     "filtration_step", "psi1_block"):
+                     "filtration_step", "psi1_block", "floer_cohomology"):
             monkeypatch.setattr(cli, name, no_work)
-        argvs = [("eigen", "--object", obj, "--r", str(MAX_EIGEN_R + 1))
+        for name in ("reduced_module", "effective_eigenvalues", "delta_module", "mu_action"):
+            monkeypatch.setattr(cli.fukaya, name, no_work)
+        monkeypatch.setattr(cli.donaldson, "finite_type_order", no_work)
+        cases = [(("eigen", "--object", obj, "--r", str(MAX_EIGEN_R + 1)),
+                  f"--r must be in 0..{MAX_EIGEN_R}")
                  for obj in ("F", "Fbar", "filtration", "K")]
-        argvs += [("relations", "--flavor", flavor, "--r", str(MAX_RELATIONS_R + 1))
+        cases += [(("relations", "--flavor", flavor, "--r", str(MAX_RELATIONS_R + 1)),
+                   f"--r must be in 0..{MAX_RELATIONS_R}")
                   for flavor in ("q", "R", "Rbar")]
-        for argv in argvs:
+        # every genus option but product's (below) and check's (TestCheckCommand)
+        for argv, lo, hi in [(("ring",), 1, MAX_RING_GENUS),
+                             (("ring", "--invariant-only"), 1, MAX_RING_GENUS),
+                             (("rhff",), 1, MAX_MODULE_GENUS),
+                             (("effective",), 1, MAX_MODULE_GENUS),
+                             (("delta",), 1, MAX_DELTA_GENUS),
+                             (("mu", "--i", "0", "--class", "pt"), 1, MAX_MU_GENUS),
+                             (("donaldson", "order"), 0, MAX_FINITE_TYPE_GENUS)]:
+            cases.append(((*argv, "--genus", str(hi + 1)), f"--genus must be in {lo}..{hi}"))
+        for argv, message in cases:
             code, out, err = run(capsys, *argv)
-            self.assert_one_line_usage_error(code, err)
-            assert "--r must be in 0.." in err and out == ""
+            assert code == 1 and out == ""
+            assert err == f"error: {message}\n"
 
     def test_product_genus_bounded_up_front(self, capsys, monkeypatch):
         code, _, _ = run(capsys, "donaldson", "product", "--g", str(MAX_PRODUCT_GENUS),
@@ -618,12 +648,23 @@ class TestUsageErrors:
 
         monkeypatch.setattr(cli.donaldson, "product_series", no_work)
         # the weight of 47 x 47 has 4460 decimal digits, past what Python prints
-        for g, h in ((47, 47), (MAX_PRODUCT_GENUS + 1, 2), (1, MAX_PRODUCT_GENUS + 1)):
+        for g, h, option in ((47, 47, "--g"), (MAX_PRODUCT_GENUS + 1, 2, "--g"),
+                             (1, MAX_PRODUCT_GENUS + 1, "--h")):
             for fmt in ("text", "json"):
                 code, out, err = run(capsys, "donaldson", "product", "--g", str(g),
                                      "--h", str(h), "--format", fmt)
-                self.assert_one_line_usage_error(code, err)
-                assert f"--g and --h must be in 1..{MAX_PRODUCT_GENUS}" in err and out == ""
+                assert code == 1 and out == ""
+                assert err == f"error: {option} must be in 1..{MAX_PRODUCT_GENUS}\n"
+
+    def test_value_too_long_to_print(self, capsys):
+        # str() of a Fraction past Python's 4300-digit limit raised ValueError,
+        # which ended in a traceback
+        nines = "9" * 4300
+        for argv in (("rhff", "--genus", "2", "--n", nines),
+                     ("mu", "--genus", "2", "--i", "0", "--class", f"pt:{nines}")):
+            code, out, err = run(capsys, *argv)
+            self.assert_one_line_usage_error(code, err)
+            assert err.startswith("error: ValueError: Exceeds the limit") and out == ""
 
 
 class TestDeterminism:
@@ -635,3 +676,68 @@ class TestDeterminism:
             assert code == 0
             outs.append(out)
         assert outs[0] == outs[1]
+
+
+def _leaves(parser, path=()):
+    """(argv prefix, parser) of every command that takes no subcommand."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            return [leaf for name, sub in action.choices.items()
+                    for leaf in _leaves(sub, (*path, name))]
+    return [(path, parser)]
+
+
+PARSER = cli.build_parser()
+LEAVES = _leaves(PARSER)
+#: 10^5000, past the 4300 digits that int() reads
+HUGE = "1" + "0" * 5000
+
+
+def _value(action):
+    if isinstance(action, cli._Bounded):
+        hi = action.lo + 10 if action.hi is None else action.hi
+        inside = st.integers(action.lo, hi).map(str)
+        edges = (-(10 ** 6), -1, 0, action.lo - 1, action.lo, hi, hi + 1)
+        return st.one_of(inside, inside, st.sampled_from((*map(str, edges), HUGE)))
+    if action.choices:
+        return st.sampled_from((*action.choices, *action.choices, "bogus"))
+    good = {int: "1", cli._parse_vector: "1,0"}.get(action.type, "pt")
+    return st.sampled_from((good, good, "-1", "x", HUGE))
+
+
+@st.composite
+def _command_lines(draw):
+    """A command line over one command's own options and the global ones,
+    each present or not, and the ranged options of that command; -h/--help
+    is never drawn."""
+    path, leaf = draw(st.sampled_from(LEAVES))
+
+    def options(parser):
+        argv = []
+        for action in parser._actions:
+            if not action.option_strings or isinstance(action, argparse._HelpAction):
+                continue
+            if draw(st.integers(0, 9)) < (9 if action.required else 3):
+                argv.append(action.option_strings[0])
+                if action.nargs != 0:
+                    argv.append(draw(_value(action)))
+        return argv
+
+    argv = [*options(PARSER), *path, *options(leaf)]
+    ranged = [a for p in (PARSER, leaf) for a in p._actions if isinstance(a, cli._Bounded)]
+    return argv, ranged
+
+
+class TestParserFuzz:
+    @settings(max_examples=400, deadline=None)
+    @given(_command_lines())
+    def test_namespace_in_range_or_usage_error(self, case):
+        argv, ranged = case
+        try:
+            args = cli.build_parser().parse_args(argv)
+        except cli.UsageError:
+            return
+        for action in ranged:
+            value = getattr(args, action.dest, None)
+            if value is not None:
+                assert value >= action.lo and (action.hi is None or value <= action.hi)
