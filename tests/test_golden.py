@@ -6,10 +6,12 @@ digests it alters and says why.  Each command takes well under a second.
 """
 
 import hashlib
+import json
 
 import pytest
 
 from floercas import cli
+from floercas.donaldson import product_series
 
 GOLDEN = {
     # genera 1 and 5 are where the floor max(g + 2, 4) and the caps
@@ -70,3 +72,61 @@ def test_stdout_digest(command, capsys):
     assert cli.main(command.split()) == cli.EXIT_OK
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[command]
+
+
+#: a series file as a user might write it: a class listed twice, a zero
+#: coefficient and classes out of order, which the series record normalizes
+UNNORMALIZED_SERIES = {
+    "basis": ["E", "F"],
+    "Q": [[0, 1], [1, 0]],
+    "terms": [{"a": "1/2", "K": [1, 0]}, {"a": "-3", "K": [-1, 2]},
+              {"a": "0", "K": [3, 3]}, {"a": "1/2", "K": [1, 0]}],
+    "simple_type": False,
+}
+
+#: sigma_a, sigma_b, basis, Q and splits of a sum of two products of surfaces
+#: along their common factor E
+PRODUCT_SUM_PAIRING = {
+    "sigma_a": [1, 0],
+    "sigma_b": [1, 0],
+    "basis": ["E", "F"],
+    "Q": [[0, 1], [1, 0]],
+    "splits": [
+        {"d1": [1, 0], "d2": [0, 0], "sigma_dot": 0},
+        {"d1": [0, 1], "d2": [0, 1], "sigma_dot": 1},
+    ],
+}
+
+# (donaldson subcommand with its options, file arguments) -> digest of the
+# --format json stdout; {pNM} stands for a file of product_series(N, M),
+# {raw} for one of UNNORMALIZED_SERIES
+SERIES_GOLDEN = {
+    "eval --series {p23} --class 1,1 --order 12":
+        "3fd70c73c818f8340ba253e037df8f257ac6e2e1933067687ed26267b2c93ef0",
+    "eval --series {p13} --class 2,-1 --order 16":
+        "f358908acf90e52cd8692ca7c35b1d2bec74efa1f97b295ed01daa50b44cdff1",
+    "eval --series {p34} --class 0,3 --order 9":
+        "7dba0a0ba9c6034021f7dcbbc4a7966af29d22d752b7601a75f92f9bb78e75ae",
+    "eval --series {raw} --class 1,1 --order 7":
+        "389461175104b8f46df20e665429603020bd89a3bb50cbce08444ecd15093f6d",
+    "fibersum --a {p21} --b {p22} --genus 2 --pairing {pairing}":
+        "a0c52bec4afc11807de0dca9b2306fff26f3e1a4430100967525a39dfafcd7b8",
+    "fibersum --a {p12} --b {p13} --genus 1 --pairing {pairing}":
+        "5f405b743a2233c0a5d798c077e01155ec73edebf8965e41dd28849640ad81c4",
+}
+
+
+@pytest.mark.parametrize("command", sorted(SERIES_GOLDEN))
+def test_series_stdout_digest(command, capsys, tmp_path):
+    files = {"raw": UNNORMALIZED_SERIES}
+    for g, h in ((1, 2), (1, 3), (2, 1), (2, 2), (2, 3), (3, 4)):
+        files[f"p{g}{h}"] = product_series(g, h).to_json()
+    names = {}
+    for name, obj in files.items():
+        names[name] = tmp_path / f"{name}.json"
+        names[name].write_text(json.dumps(obj))
+    argv = [arg.format(**names, pairing=json.dumps(PRODUCT_SUM_PAIRING))
+            for arg in command.split()]
+    assert cli.main(["donaldson", *argv, "--format", "json"]) == cli.EXIT_OK
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == SERIES_GOLDEN[command]
