@@ -9,8 +9,8 @@ into exit code 2).  All comparisons are exact; there are no tolerances.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from math import comb
+from typing import NamedTuple
 
 from . import donaldson, fukaya
 from .exactalg import GaussianRational
@@ -37,8 +37,7 @@ from .linalg import Matrix, UniPoly, factor_over_candidates
 from .poly import BETA, GAMMA
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     claim: str
     passed: bool

@@ -12,8 +12,8 @@ coefficients.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb, lcm
+from typing import NamedTuple
 
 from .exactalg import DEFAULT_ORDER, Q_ONE, Q_ZERO, TruncatedSeries, rational
 from .linalg import Matrix
@@ -31,28 +31,35 @@ def _norm_terms(terms) -> tuple:
     return tuple((acc[k], k) for k in sorted(acc) if acc[k] != 0)
 
 
-@dataclass(frozen=True)
-class DonaldsonSeries:
-    """exp(Q/2) * sum a_i exp(K_i) over a named sublattice of 2-homology."""
-
+class _SeriesFields(NamedTuple):
     basis_names: tuple
     q: tuple
     terms: tuple
     simple_type: bool = True
 
-    def __post_init__(self):
-        n = len(self.basis_names)
-        q = tuple(tuple(int(x) for x in row) for row in self.q)
+
+class DonaldsonSeries(_SeriesFields):
+    """exp(Q/2) * sum a_i exp(K_i) over a named sublattice of 2-homology.
+
+    The constructor checks that Q is a symmetric integer form on the basis
+    and normalizes the terms: equal classes are merged, zero coefficients
+    dropped and the classes sorted.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, basis_names, q, terms, simple_type: bool = True):
+        basis_names = tuple(basis_names)
+        n = len(basis_names)
+        q = tuple(tuple(int(x) for x in row) for row in q)
         if len(q) != n or any(len(row) != n for row in q):
             raise ValueError("intersection form shape does not match basis")
         if q != tuple(tuple(row[i] for row in q) for i in range(n)):
             raise ValueError("intersection form must be symmetric")
-        object.__setattr__(self, "basis_names", tuple(self.basis_names))
-        object.__setattr__(self, "q", q)
-        terms = _norm_terms(self.terms)
+        terms = _norm_terms(terms)
         if any(len(k) != n for _, k in terms):
             raise ValueError("class vector length does not match basis")
-        object.__setattr__(self, "terms", terms)
+        return super().__new__(cls, basis_names, q, terms, simple_type)
 
     # -- lattice pairings ---------------------------------------------------
     def pair(self, u, v) -> int:
@@ -163,8 +170,7 @@ def evaluate(series: DonaldsonSeries, d, order: int = DEFAULT_ORDER) -> Truncate
     return TruncatedSeries(coeffs, order)
 
 
-@dataclass(frozen=True)
-class SplitClass:
+class SplitClass(NamedTuple):
     """How one result basis class D restricts to the two sides of a sum
     along a surface, together with its pairing with that surface."""
 
@@ -173,8 +179,7 @@ class SplitClass:
     sigma_dot: int
 
 
-@dataclass(frozen=True)
-class FiberSumInput:
+class FiberSumInput(NamedTuple):
     """Data for a sum of two 4-manifolds along a genus-g surface.
 
     sigma_in_a/b express the glued surface inside each side's lattice; the
@@ -355,8 +360,7 @@ def finite_type_order(g: int, b1_zero: bool = False) -> int:
     return sum((2 * g - 2 * i) // 4 + 1 for i in range(1, g + 1))
 
 
-@dataclass(frozen=True)
-class CongruenceReport:
+class CongruenceReport(NamedTuple):
     genus: int
     target: int
     verdicts: tuple  # (class vector, pairing, residue, ok)

@@ -9,10 +9,10 @@ dimension bookkeeping.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import comb
+from typing import NamedTuple
 
 from .exactalg import GaussianRational, rational
 from .groebner import VAR_NAMES, QuotientRing
@@ -26,8 +26,7 @@ class FalsificationError(RuntimeError):
     """A structural claim the package is supposed to verify failed."""
 
 
-@dataclass(frozen=True)
-class RelationTriple:
+class RelationTriple(NamedTuple):
     """The level-r relation polynomials of one flavor.
 
     q is the undeformed (classical cohomology) recursion, R the quantum
@@ -198,8 +197,7 @@ def induced_action(m: Matrix, reps, denominator) -> Matrix:
     return Matrix([[row[d + n + j] for j in range(n)] for row in rep_rows])
 
 
-@dataclass(frozen=True)
-class SubquotientModule:
+class SubquotientModule(NamedTuple):
     """A subquotient of a level ring: its dimension and the spectra of the
     variable actions."""
 
@@ -320,8 +318,7 @@ def primitive_dim_exact(g: int, k: int) -> int:
 # the assembled ring
 
 
-@dataclass(frozen=True)
-class FloerSummand:
+class FloerSummand(NamedTuple):
     k: int
     multiplicity: int
     level: int
@@ -332,8 +329,7 @@ class FloerSummand:
         return self.multiplicity * self.ring.dim
 
 
-@dataclass(frozen=True)
-class FloerRing:
+class FloerRing(NamedTuple):
     """Total ring of genus g: primitive parts tensor level rings F_{g-k}."""
 
     genus: int

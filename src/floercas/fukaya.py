@@ -10,7 +10,7 @@ eigenvalue statements, which are exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .exactalg import DEFAULT_ORDER, GaussianRational, TruncatedSeries
 from .floer import alpha_eigenvalue, beta_eigenvalue, primitive_dim
@@ -24,8 +24,7 @@ def _deformed_alpha(i: int, sigma: int, n: int, order: int) -> TruncatedSeries:
     return TruncatedSeries([alpha_eigenvalue(i) * sigma, slope], order)
 
 
-@dataclass(frozen=True)
-class RhffComponent:
+class RhffComponent(NamedTuple):
     i: int
     alpha: TruncatedSeries
     beta: GaussianRational
@@ -34,8 +33,7 @@ class RhffComponent:
         return {"i": self.i, "alpha": self.alpha.to_json(), "beta": self.beta.to_json()}
 
 
-@dataclass(frozen=True)
-class RhffModule:
+class RhffModule(NamedTuple):
     """Free rank-(2g-1) module over the series ring, one line per index i
     with |i| <= g-1; beta^2 - 64 annihilates every line."""
 
@@ -68,8 +66,7 @@ def reduced_module(g: int, n: int = 1, order: int = DEFAULT_ORDER) -> RhffModule
     return RhffModule(genus=g, n=n, components=comps)
 
 
-@dataclass(frozen=True)
-class EffectiveEigenvalue:
+class EffectiveEigenvalue(NamedTuple):
     i: int
     alpha: TruncatedSeries
     beta: GaussianRational
@@ -100,8 +97,7 @@ def effective_eigenvalues(g: int, order: int = DEFAULT_ORDER) -> tuple:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class DeltaComponent:
+class DeltaComponent(NamedTuple):
     k: int
     i: int
     multiplicity: int
@@ -120,8 +116,7 @@ class DeltaComponent:
         }
 
 
-@dataclass(frozen=True)
-class DeltaHffModule:
+class DeltaHffModule(NamedTuple):
     """Homology for a loop inside the surface: lines R_i tensored with the
     reduced primitive parts, all degree-3 generators acting by zero."""
 
@@ -155,8 +150,7 @@ def delta_module(g: int) -> DeltaHffModule:
     return DeltaHffModule(genus=g, components=tuple(comps))
 
 
-@dataclass(frozen=True)
-class YHomologyClass:
+class YHomologyClass(NamedTuple):
     """A homology class of the product three-manifold in the tracked basis.
 
     grade 2: sigma_coeff * [surface] + sum_j torus_coeffs[j] * (gamma_j x circle)

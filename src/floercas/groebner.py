@@ -25,10 +25,9 @@ of the SparsePolys themselves, with no conversion on the way in or out.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 from operator import neg
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .exactalg import Q_ONE, Q_ZERO
 from .linalg import Matrix
@@ -47,16 +46,16 @@ class InfiniteStaircaseError(ValueError):
         )
 
 
-@dataclass(frozen=True)
-class GroebnerBasis:
+class GroebnerBasis(NamedTuple):
     """Reduced monic Groebner basis, generators sorted by leading monomial.
 
     divisors holds each generator as (leading monomial, tail), the tail a
-    tuple of its other (monomial, coefficient) pairs.
+    tuple of its other (monomial, coefficient) pairs.  They are a function
+    of the generators, so comparing them too leaves equality unchanged.
     """
 
     generators: tuple
-    divisors: tuple = field(compare=False, repr=False)
+    divisors: tuple
 
     def leading_monomials(self) -> list:
         return [g.leading_monomial() for g in self.generators]

@@ -21,8 +21,8 @@ factor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .exactalg import Q_ONE, Q_ZERO, GaussianRational, rational, rational_json, render_terms
 
@@ -366,8 +366,7 @@ class UniPoly:
         return {"coeffs": [rational_json(c) for c in self.coeffs]}
 
 
-@dataclass(frozen=True)
-class EigenReport:
+class EigenReport(NamedTuple):
     """Roots found among the candidates, with whatever is left unfactored.
 
     The roots are GaussianRationals and the remainder a polynomial over Q.

@@ -1,7 +1,11 @@
 import argparse
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -665,6 +669,18 @@ class TestUsageErrors:
             code, out, err = run(capsys, *argv)
             self.assert_one_line_usage_error(code, err)
             assert err.startswith("error: ValueError: Exceeds the limit") and out == ""
+
+
+class TestStartup:
+    def test_cli_import_leaves_out_dataclasses(self):
+        # dataclasses imports inspect, ast, dis and tokenize, and each class
+        # it decorates execs generated methods: a third of every command's
+        # start-up.  -S keeps site-packages from importing anything first.
+        src = Path(cli.__file__).resolve().parents[1]
+        probe = "import sys, floercas.cli; print('dataclasses' in sys.modules)"
+        done = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True,
+                              text=True, timeout=60, env=dict(os.environ, PYTHONPATH=str(src)))
+        assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")
 
 
 class TestDeterminism:
