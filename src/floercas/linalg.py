@@ -15,7 +15,10 @@ those of the diagonal blocks, each from Hessenberg reduction, and the
 cubic cost of the reduction is paid per block.  Q(i) enters only in
 factor_over_candidates, whose candidates and reported roots are
 GaussianRationals: a pair of conjugate roots is one rational quadratic
-factor.
+factor.  The factors are stripped over Z: the polynomial and each
+candidate factor are scaled to primitive integer polynomials, and by
+Gauss's lemma a primitive factor divides over Q exactly when it divides
+over Z, so the divisions are exact integer ones with no Fraction in them.
 """
 
 from __future__ import annotations
@@ -338,21 +341,6 @@ class UniPoly:
                     out[i + j] = out[i + j] + a * b
         return UniPoly(out)
 
-    def __divmod__(self, divisor: "UniPoly"):
-        """(quotient, remainder) of the division by a monic divisor."""
-        if not divisor.is_monic():
-            raise ValueError("divisor must be monic")
-        d = divisor.degree
-        rem = list(self.coeffs)
-        quot = [Q_ZERO] * max(len(rem) - d, 1)
-        tail = [(j, c) for j, c in enumerate(divisor.coeffs[:d]) if c]
-        for k in range(len(rem) - 1 - d, -1, -1):
-            q = quot[k] = rem[k + d]
-            if q:
-                for j, c in tail:
-                    rem[k + j] = rem[k + j] - q * c
-        return UniPoly(quot), UniPoly(rem[:d])
-
     def __str__(self) -> str:
         return render_terms(
             (self.coeffs[k], "1" if k == 0 else "x" if k == 1 else f"x^{k}")
@@ -392,12 +380,42 @@ class EigenReport(NamedTuple):
         }
 
 
-def _strip(p: UniPoly, factor: UniPoly) -> tuple:
-    """(m, p / factor^m) for the largest m with factor^m dividing p."""
+def _primitive(coeffs) -> list:
+    """The rational coefficients, lowest degree first, as a primitive integer
+    polynomial with the same roots: denominators cleared, content divided out."""
+    den = math.lcm(*(c.denominator for c in coeffs))
+    ints = [c.numerator * (den // c.denominator) for c in coeffs]
+    content = math.gcd(*ints)
+    return [c // content for c in ints]
+
+
+def _exact_quotient(p: list, factor: list):
+    """p / factor for integer polynomials, or None when factor does not
+    divide p over Z."""
+    d, lead = len(factor) - 1, factor[-1]
+    rem = list(p)
+    quot = [0] * (len(p) - d)
+    for k in range(len(quot) - 1, -1, -1):
+        q, r = divmod(rem[k + d], lead)
+        if r:
+            return None
+        quot[k] = q
+        if q:
+            for j in range(d):
+                rem[k + j] -= q * factor[j]
+    return None if any(rem[:d]) else quot
+
+
+def _strip(p: list, factor: list) -> tuple:
+    """(m, p / factor^m) for the largest m with factor^m dividing p.
+
+    Both are integer polynomials and factor is primitive, so by Gauss's
+    lemma it divides p over Q exactly when it divides p over Z.
+    """
     mult = 0
-    while p.degree >= factor.degree:
-        quotient, rem = divmod(p, factor)
-        if rem:
+    while len(p) >= len(factor):
+        quotient = _exact_quotient(p, factor)
+        if quotient is None:
             break
         p, mult = quotient, mult + 1
     return mult, p
@@ -412,23 +430,26 @@ def factor_over_candidates(cp: UniPoly, candidates) -> EigenReport:
     that factor, each reported at its own place in the candidate order.  A
     nonreal candidate without its conjugate strips nothing, since its linear
     factor is not over Q; any such factor stays in the remainder.
+
+    The division runs over Z: cp and each factor are scaled to primitive
+    integer polynomials, and the remainder is made monic again at the end.
     """
     if not cp.is_monic():
         raise ValueError("characteristic polynomial must be monic")
     listed = dict.fromkeys(map(GaussianRational.coerce, candidates))  # in order, once each
     paired: dict = {}  # conjugate of a stripped pair -> its multiplicity
     roots = []
-    rem = cp
+    rem = _primitive(cp.coeffs)
     for z in listed:
         if z in paired:
             mult = paired.pop(z)
         elif not z.im:
-            mult, rem = _strip(rem, UniPoly([-z.re, 1]))
+            mult, rem = _strip(rem, _primitive([-z.re, Q_ONE]))
         elif z.conjugate() in listed:
-            mult, rem = _strip(rem, UniPoly([z.re * z.re + z.im * z.im, -2 * z.re, 1]))
+            mult, rem = _strip(rem, _primitive([z.re * z.re + z.im * z.im, -2 * z.re, Q_ONE]))
             paired[z.conjugate()] = mult
         else:
             continue
         if mult:
             roots.append((z, mult))
-    return EigenReport(tuple(roots), rem)
+    return EigenReport(tuple(roots), UniPoly([Fraction(c, rem[-1]) for c in rem]))

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from floercas import groebner
 from floercas.exactalg import GaussianRational as GR
@@ -36,6 +36,7 @@ J2_REDUCED = [
 
 MONOMIALS = st.builds(Monomial, st.integers(0, 3), st.integers(0, 3), st.integers(0, 3))
 SMALL_RATIONALS = st.builds(Fraction, st.integers(-5, 5).filter(bool), st.integers(1, 4))
+RATIONALS = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4))
 SMALL_POLYS = st.dictionaries(MONOMIALS, SMALL_RATIONALS, min_size=1, max_size=4).map(SparsePoly)
 
 
@@ -218,6 +219,13 @@ class TestCharPoly:
         assert Matrix([]).charpoly() == UniPoly([1])
 
 
+def _value_at(p: UniPoly, z: GR) -> GR:
+    value = GR(0)
+    for c in reversed(p.coeffs):
+        value = value * z + c
+    return value
+
+
 class TestFactorOverCandidates:
     def test_cubic(self):
         cp = UniPoly([0, -16, 0, 1])
@@ -261,20 +269,30 @@ class TestFactorOverCandidates:
                         product = product * factor
             assert product == cp
 
-    def test_synthetic_division_identity(self):
-        # q*d + rem == p with deg rem < deg d, for monic d of degree 0, 1 and 2
-        p = UniPoly([3, -1, Fraction(2, 3), 1])
-        for divisor in ([1], [-2, 1], [5, 1], [16, 0, 1], [Fraction(1, 2), -3, 1]):
-            d = UniPoly(divisor)
-            q, rem = divmod(p, d)
-            assert rem.degree < d.degree or not rem
-            total = list((q * d).coeffs)
-            total[: len(rem.coeffs)] = [a + b for a, b in zip(total, rem.coeffs)]
-            assert UniPoly(total) == p
-        # the remainder of the division by x - c is p(c)
-        assert divmod(p, UniPoly([-2, 1]))[1] == UniPoly([3 - 2 + Fraction(8, 3) + 8])
-        with pytest.raises(ValueError):
-            divmod(p, UniPoly([1, 2]))
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.tuples(RATIONALS, RATIONALS.map(abs)), max_size=5, unique=True),
+        st.lists(st.integers(0, 3), min_size=5, max_size=5),
+        st.lists(RATIONALS, max_size=3),
+        st.data(),
+    )
+    def test_recovers_a_built_factorization(self, parts, mults, rest, data):
+        # cp is the product of factor^m over the parts times a monic remainder
+        # with no candidate root; a part (a, 0) is the real root a, a part
+        # (a, b) with b > 0 the pair a +- bi, stripped as one quadratic
+        remainder = UniPoly([*rest, 1])
+        cp, want = remainder, {}
+        for (a, b), m in zip(parts, mults):
+            zs = [GR(a, b), GR(a, -b)] if b else [GR(a)]
+            assume(all(_value_at(remainder, z) for z in zs))
+            factor = UniPoly([a * a + b * b, -2 * a, 1]) if b else UniPoly([-a, 1])
+            for _ in range(m):
+                cp = cp * factor
+            want.update(dict.fromkeys(zs, m))
+        candidates = data.draw(st.permutations(list(want)))
+        rep = factor_over_candidates(cp, candidates)
+        assert rep.roots == tuple((z, want[z]) for z in candidates if want[z])
+        assert rep.remainder == remainder
 
     def test_pair_multiplicity_two(self):
         # (x - 4)(x^2 + 16)^2: the pair +-4i is stripped as x^2 + 16, twice
