@@ -87,6 +87,13 @@ MAX_MU_GENUS = 2_000_000
 #: (2.0 s at 10^7, 4.1 s at 2 * 10^7)
 MAX_FINITE_TYPE_GENUS = 10_000_000
 
+#: largest gluing genus accepted by donaldson fibersum --genus; a surviving
+#: term carries the weight 2^(7g-9), which at g = 2041 has 4299 decimal
+#: digits, and Python refuses to print an int of more than 4300 digits
+#: (sys.get_int_max_str_digits); a sum with surviving terms takes 0.10 s
+#: at 2041, nearly all of it start-up
+MAX_FIBER_SUM_GENUS = 2041
+
 
 class UsageError(Exception):
     pass
@@ -449,7 +456,7 @@ def build_parser() -> _Parser:
     p = dsub.add_parser("fibersum", help="sum of two series along a surface", parents=[common])
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
-    p.add_argument("--genus", type=int, required=True)
+    p.add_argument("--genus", action=_Bounded, lo=1, hi=MAX_FIBER_SUM_GENUS, required=True)
     p.add_argument("--pairing", required=True,
                    help="JSON file or inline JSON with sigma_a, sigma_b, basis, Q, splits")
     p.set_defaults(fn=_cmd_don_fibersum)

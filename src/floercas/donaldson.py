@@ -301,7 +301,6 @@ def fiber_sum(inp: FiberSumInput) -> DonaldsonSeries:
 
     if g >= 2:
         target = 2 * g - 2
-        weight = rational(2 ** (7 * g - 9))
         sign = (-1) ** (g - 1)
         sigma_b = {k2: inp.b.pair(k2, inp.sigma_in_b) for k2 in inp.b.classes()}
         for a_c, k1 in inp.a.terms:
@@ -312,9 +311,12 @@ def fiber_sum(inp: FiberSumInput) -> DonaldsonSeries:
                 if sigma_b[k2] != p1:
                     continue
                 if p1 == target:
-                    out_terms.append((weight * a_c * b_c, result_class(k1, k2, 2)))
+                    out_terms.append((a_c * b_c, result_class(k1, k2, 2)))
                 else:
-                    out_terms.append((sign * weight * a_c * b_c, result_class(k1, k2, -2)))
+                    out_terms.append((sign * a_c * b_c, result_class(k1, k2, -2)))
+        if out_terms:  # the weight has about 2g decimal digits: built only when used
+            weight = rational(2 ** (7 * g - 9))
+            out_terms = [(weight * c, k) for c, k in out_terms]
     else:
         # sinh^2((Sigma.D) t) = exp(2 Sigma)/4 - 1/2 + exp(-2 Sigma)/4
         quarter = rational(1, 4)

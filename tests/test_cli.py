@@ -1,9 +1,12 @@
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -15,6 +18,7 @@ from floercas.cli import (
     MAX_CHECK_GENUS,
     MAX_DELTA_GENUS,
     MAX_EIGEN_R,
+    MAX_FIBER_SUM_GENUS,
     MAX_FINITE_TYPE_GENUS,
     MAX_MODULE_GENUS,
     MAX_MU_GENUS,
@@ -621,7 +625,8 @@ class TestUsageErrors:
             monkeypatch.setattr(cli, name, no_work)
         for name in ("reduced_module", "effective_eigenvalues", "delta_module", "mu_action"):
             monkeypatch.setattr(cli.fukaya, name, no_work)
-        monkeypatch.setattr(cli.donaldson, "finite_type_order", no_work)
+        for name in ("finite_type_order", "fiber_sum"):
+            monkeypatch.setattr(cli.donaldson, name, no_work)
         cases = [(("eigen", "--object", obj, "--r", str(MAX_EIGEN_R + 1)),
                   f"--r must be in 0..{MAX_EIGEN_R}")
                  for obj in ("F", "Fbar", "filtration", "K")]
@@ -635,7 +640,9 @@ class TestUsageErrors:
                              (("effective",), 1, MAX_MODULE_GENUS),
                              (("delta",), 1, MAX_DELTA_GENUS),
                              (("mu", "--i", "0", "--class", "pt"), 1, MAX_MU_GENUS),
-                             (("donaldson", "order"), 0, MAX_FINITE_TYPE_GENUS)]:
+                             (("donaldson", "order"), 0, MAX_FINITE_TYPE_GENUS),
+                             (("donaldson", "fibersum", "--a", "a.json", "--b", "b.json",
+                               "--pairing", "{}"), 1, MAX_FIBER_SUM_GENUS)]:
             cases.append(((*argv, "--genus", str(hi + 1)), f"--genus must be in {lo}..{hi}"))
         for argv, message in cases:
             code, out, err = run(capsys, *argv)
@@ -757,3 +764,90 @@ class TestParserFuzz:
             value = getattr(args, action.dest, None)
             if value is not None:
                 assert value >= action.lo and (action.hi is None or value <= action.hi)
+
+
+# -- JSON inputs: series files, pairings and mu --class specs -----------------
+
+_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-4, 4),
+                     st.sampled_from([10**40, -(2**63), 0.5, "1/2", "x", "", "1/0"]))
+#: any JSON value, small
+_ANY = st.recursive(_SCALARS, lambda kids: st.lists(kids, max_size=3)
+                    | st.dictionaries(st.text(max_size=3), kids, max_size=3), max_leaves=8)
+
+
+def _mostly(good, bad=_ANY):
+    """good seven times in eight, bad (any JSON value) otherwise, so that
+    most inputs get past the first check and some reach the calculators."""
+    return st.sampled_from([True] * 7 + [False]).flatmap(lambda ok: good if ok else bad)
+
+
+_VECTORS = _mostly(st.lists(st.integers(-4, 4), min_size=2, max_size=2),
+                   st.lists(st.integers(-4, 4), max_size=3) | _ANY)
+_FORMS = _mostly(st.just([[0, 1], [1, 0]]), st.lists(_VECTORS, max_size=3))
+_SERIES = _mostly(st.fixed_dictionaries(
+    {
+        "basis": _mostly(st.just(["E", "F"]), st.lists(st.text(max_size=2), max_size=3)),
+        "Q": _FORMS,
+        "terms": _mostly(st.lists(st.fixed_dictionaries(
+            {"a": _mostly(st.sampled_from(["1", "-1/2", "3", "0", "1/0"])), "K": _VECTORS}
+        ), max_size=3)),
+    },
+    optional={"simple_type": _mostly(st.booleans())},
+))
+_PAIRING = _mostly(st.just(PRODUCT_SUM_PAIRING), st.fixed_dictionaries({
+    "sigma_a": _VECTORS,
+    "sigma_b": _VECTORS,
+    "basis": _mostly(st.just(["E", "F"])),
+    "Q": _FORMS,
+    "splits": _mostly(st.lists(st.fixed_dictionaries(
+        {"d1": _VECTORS, "d2": _VECTORS, "sigma_dot": _mostly(st.integers(-2, 2))}
+    ), max_size=3)),
+}))
+_CLASS_SPEC = _mostly(st.fixed_dictionaries(
+    {"grade": _mostly(st.integers(-1, 3))},
+    optional={key: _mostly(st.integers(-3, 3) | _VECTORS)
+              for key in ("sigma", "torus", "circle", "curves", "mult", "bogus")},
+))
+
+
+def _json_text(values):
+    """The JSON text of a drawn value, or now and then text that is not JSON."""
+    return _mostly(values.map(json.dumps), st.text(max_size=8))
+
+
+@st.composite
+def _json_commands(draw):
+    """A command line of one of the commands that read JSON, with the files
+    it names; every size on it is small, so no expensive job starts."""
+    files = {"a.json": draw(_json_text(_SERIES)), "b.json": draw(_json_text(_SERIES))}
+    vector = draw(st.sampled_from(["1,0", "0,1", "1,1,1", "2"]))
+    genus = str(draw(st.integers(1, 3)))
+    argv = draw(st.sampled_from([
+        ["donaldson", "eval", "--series", "a.json", "--class", vector, "--order", "6"],
+        ["donaldson", "congruence", "--series", "a.json", "--sigma", vector, "--genus", genus],
+        ["donaldson", "fibersum", "--a", "a.json", "--b", "b.json", "--genus", genus,
+         "--pairing", draw(_json_text(_PAIRING))],
+        ["mu", "--genus", genus, "--i", str(draw(st.integers(-1, 1))),
+         "--class", draw(_json_text(_CLASS_SPEC))],
+    ]))
+    return files, argv + draw(st.sampled_from([[], ["--format", "json"]]))
+
+
+class TestJsonInputFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(_json_commands())
+    def test_exit_code_and_one_line(self, case):
+        files, argv = case
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            for name, text in files.items():
+                with open(os.path.join(tmp, name), "w", encoding="utf-8") as fh:
+                    fh.write(text)
+            argv = [os.path.join(tmp, arg) if arg in files else arg for arg in argv]
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+        out, err = out.getvalue(), err.getvalue()
+        assert code in (0, 1, 2)
+        assert len(err.splitlines()) <= 1 and "Traceback" not in out + err
+        if code == 1:
+            assert out == "" and err.startswith("error: ")
