@@ -431,8 +431,8 @@ def factor_over_candidates(cp: UniPoly, candidates) -> EigenReport:
     nonreal candidate without its conjugate strips nothing, since its linear
     factor is not over Q; any such factor stays in the remainder.
 
-    The division runs over Z: cp and each factor are scaled to primitive
-    integer polynomials, and the remainder is made monic again at the end.
+    The division runs over Z (see `_strip`); the remainder is made monic
+    again at the end.
     """
     if not cp.is_monic():
         raise ValueError("characteristic polynomial must be monic")
