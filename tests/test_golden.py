@@ -32,6 +32,14 @@ GOLDEN = {
         "bdc53d92fa2b6bcfca77b168060e6f6377609d81f1b336a01e6de85389b9d948",
     "ring --genus 4":
         "684d326b3d943804ce0220e9492da887f380fbbb832b20b5b107dd45b27cce0a",
+    # the presentation-g7 workload, the level-10 bases and an Fbar spectrum
+    # pin the Groebner engine beyond the sizes above
+    "ring --genus 7 --invariant-only --format json":
+        "241ac889901ae9b9cb4004d358f94d19a788f92a072b0ff38b13c54cee811cb0",
+    "ring --genus 10 --invariant-only --format json":
+        "0209b8aeab460247339d42a89ba9acd4f05f055d4ce6b8baf90a9a8528b9aa8d",
+    "eigen --object Fbar --r 8 --format json":
+        "7aa5b8c26a5aa2728163859a9e1b836a324c0faac5741754fd8d4f775757be86",
     "eigen --object K --r 4 --format json":
         "a899d62e23bbd0af80851870c227548193e86b15c9229f74b4a5ac5133875656",
     "eigen --object filtration --r 4":
