@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 
 from . import checks, donaldson, fukaya
 from .exactalg import DEFAULT_ORDER
@@ -132,6 +133,62 @@ class _Bounded(argparse.Action):
 # renderers
 
 
+def _json_text(payload) -> str:
+    """json.dumps(payload, indent=2) in one pass over the payload.
+
+    With an indent, json.dumps falls back to its pure-Python encoder, which
+    passes every token up through each level of nesting; this writer
+    appends each token to one list instead.  It reads what the handlers
+    build: dicts with str keys, lists and tuples, str, int, bool and None.
+    Anything else raises TypeError.
+    """
+    out = []
+    put = out.append
+
+    def write(value, pad):
+        if isinstance(value, str):
+            put(encode_basestring_ascii(value))
+        elif value is None:
+            put("null")
+        elif value is True:
+            put("true")
+        elif value is False:
+            put("false")
+        elif isinstance(value, int):
+            put(int.__repr__(value))
+        elif isinstance(value, dict):
+            if not value:
+                put("{}")
+                return
+            inner = pad + "  "
+            sep = "{" + inner
+            for key, item in value.items():
+                if not isinstance(key, str):
+                    raise TypeError(f"JSON key {key!r} is not a string")
+                put(sep)
+                put(encode_basestring_ascii(key))
+                put(": ")
+                write(item, inner)
+                sep = "," + inner
+            put(pad + "}")
+        elif isinstance(value, (list, tuple)):
+            if not value:
+                put("[]")
+                return
+            inner = pad + "  "
+            sep = "[" + inner
+            for item in value:
+                put(sep)
+                write(item, inner)
+                sep = "," + inner
+            put(pad + "]")
+        else:
+            raise TypeError(f"{type(value).__name__} is not JSON serializable here")
+
+    write(payload, "\n")
+    return "".join(out)
+
+
 def _eigen_text(report: EigenReport) -> str:
     roots = ", ".join(f"{value} (x{mult})" for value, mult in report.roots)
     tail = "" if report.complete() else "  UNEXPLAINED-FACTOR"
@@ -241,21 +298,37 @@ _CLASS_KEYS = {2: {"sigma", "torus"}, 1: {"circle", "curves"}, 0: {"mult"}}
 _CLASS_FIELDS = {"pt": 2, "Sigma": 2, "S1": 2, "gamma": 3, "torus": 3}
 
 
+def _integer_array(obj: dict, key: str, g: int) -> tuple:
+    """The 2g-entry integer array obj[key] of a JSON class spec, zeros if absent."""
+    values = obj.get(key, [0] * (2 * g))
+    _require(isinstance(values, list), f"{key} must be a JSON array of integers")
+    return tuple(_integer(c, f"{key} entry") for c in values)
+
+
+def _field_int(text: str) -> int:
+    """One integer field of a short class spec."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"field {text!r} is not an integer") from None
+
+
 def _parse_homology_class(spec: str, g: int) -> fukaya.YHomologyClass:
     """A class spec as `mu --class` takes it; a key or field it would not
     read is a usage error, not ignored."""
     if spec.startswith("{"):
         obj = json.loads(spec)
+        _require("grade" in obj, "a JSON class spec needs a grade")
         grade = _integer(obj["grade"], "grade")
         _require(grade in _CLASS_KEYS, "grade must be 0, 1 or 2")
         unknown = sorted(set(obj) - _CLASS_KEYS[grade] - {"grade"})
         _require(not unknown, f"unknown keys for a grade-{grade} class: {unknown}")
         if grade == 2:
-            torus = tuple(_integer(c, "torus entry") for c in obj.get("torus", [0] * (2 * g)))
+            torus = _integer_array(obj, "torus", g)
             _require(len(torus) == 2 * g, f"torus coefficient list must have length {2 * g}")
             return fukaya.YHomologyClass.surface(_integer(obj.get("sigma", 0), "sigma"), torus)
         if grade == 1:
-            surface = tuple(_integer(c, "curves entry") for c in obj.get("curves", [0] * (2 * g)))
+            surface = _integer_array(obj, "curves", g)
             _require(len(surface) == 2 * g, f"curve coefficient list must have length {2 * g}")
             return fukaya.YHomologyClass.curve(_integer(obj.get("circle", 0), "circle"), surface)
         return fukaya.YHomologyClass.point(_integer(obj.get("mult", 1), "mult"))
@@ -264,19 +337,19 @@ def _parse_homology_class(spec: str, g: int) -> fukaya.YHomologyClass:
     _require(kind in _CLASS_FIELDS, f"unknown class spec {spec!r}")
     _require(len(parts) <= _CLASS_FIELDS[kind], f"too many fields in class spec {spec!r}")
     if kind == "pt":
-        mult = int(parts[1]) if len(parts) > 1 else 1
+        mult = _field_int(parts[1]) if len(parts) > 1 else 1
         return fukaya.YHomologyClass.point(mult)
     if kind == "Sigma":
-        c = int(parts[1]) if len(parts) > 1 else 1
+        c = _field_int(parts[1]) if len(parts) > 1 else 1
         return fukaya.YHomologyClass.surface(c, ())
     if kind == "S1":
-        c = int(parts[1]) if len(parts) > 1 else 1
+        c = _field_int(parts[1]) if len(parts) > 1 else 1
         return fukaya.YHomologyClass.curve(circle_coeff=c)
     _require(len(parts) >= 2, f"{kind}:<j> needs a curve index")
-    j = int(parts[1])
+    j = _field_int(parts[1])
     _require(1 <= j <= 2 * g, f"curve index must be in 1..{2 * g}")
     coeffs = [0] * (2 * g)
-    coeffs[j - 1] = int(parts[2]) if len(parts) > 2 else 1
+    coeffs[j - 1] = _field_int(parts[2]) if len(parts) > 2 else 1
     make = fukaya.YHomologyClass.curve if kind == "gamma" else fukaya.YHomologyClass.surface
     return make(0, coeffs)
 
@@ -333,7 +406,7 @@ def _cmd_don_fibersum(args):
     a = _load_series(args.a)
     b = _load_series(args.b)
     try:
-        if args.pairing.strip().startswith("{"):
+        if args.pairing.strip()[:1] in ("{", "["):
             pairing = json.loads(args.pairing)
         else:
             with open(args.pairing, "r", encoding="utf-8") as fh:
@@ -485,7 +558,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         code, payload, text = args.fn(args)
-        print(json.dumps(payload, indent=2) if args.format == "json" else text)
+        print(_json_text(payload) if args.format == "json" else text)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

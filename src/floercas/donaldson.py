@@ -86,27 +86,60 @@ class DonaldsonSeries(_SeriesFields):
 
     @staticmethod
     def from_json(obj: dict) -> "DonaldsonSeries":
+        """The series of a JSON object with basis, Q, terms and optionally
+        simple_type; a field of the wrong shape raises ValueError naming it."""
         if not isinstance(obj, dict):
             raise ValueError("a series must be a JSON object")
         simple_type = obj.get("simple_type", True)
         if not isinstance(simple_type, bool):
             # bool() would read the string "false" as simple type
             raise ValueError("simple_type must be a boolean")
-        return DonaldsonSeries(
-            basis_names=tuple(obj["basis"]),
-            q=tuple(_integers(row, "Q") for row in obj["Q"]),
-            terms=tuple((rational(t["a"]), _integers(t["K"], "K")) for t in obj["terms"]),
-            simple_type=simple_type,
-        )
+        basis_names = tuple(_array(_field(obj, "basis", "a series"), "basis"))
+        q = _form(_field(obj, "Q", "a series"))
+        terms = []
+        for t in _array(_field(obj, "terms", "a series"), "terms"):
+            if not isinstance(t, dict):
+                raise ValueError("each entry of terms must be a JSON object")
+            a = _field(t, "a", "a term")
+            if isinstance(a, bool) or not isinstance(a, (int, str)):
+                raise ValueError("a term's a must be an integer or a string like '-3/4'")
+            try:
+                a = rational(a)
+            except (ValueError, ZeroDivisionError):
+                raise ValueError(f"a term's a is {a!r}, not a rational number") from None
+            terms.append((a, _integers(_field(t, "K", "a term"), "K")))
+        return DonaldsonSeries(basis_names, q, tuple(terms), simple_type)
+
+
+def _field(obj: dict, key: str, what: str):
+    """obj[key] of a JSON object, or a ValueError naming the missing field."""
+    if key not in obj:
+        raise ValueError(f"{what} has no field {key!r}")
+    return obj[key]
+
+
+def _array(value, name: str) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"{name} must be a JSON array")
+    return value
 
 
 def _integers(values, name: str) -> tuple:
-    """values as a tuple, rejecting any entry that is not an integer: int()
-    would truncate a fractional class or form entry without a word."""
-    out = tuple(values)
-    if not all(isinstance(x, int) and not isinstance(x, bool) for x in out):
+    """A JSON array as a tuple, rejecting any entry that is not an integer:
+    int() would truncate a fractional class or form entry without a word."""
+    if not isinstance(values, list):
+        raise ValueError(f"{name} must be a JSON array of integers")
+    if not all(isinstance(x, int) and not isinstance(x, bool) for x in values):
         raise ValueError(f"{name} entries must be integers")
-    return out
+    return tuple(values)
+
+
+def _form(value) -> tuple:
+    """An intersection form given as a JSON array of integer rows."""
+    rows = _array(value, "Q")
+    if not all(isinstance(row, list) for row in rows):
+        raise ValueError("each row of Q must be a JSON array")
+    return tuple(_integers(row, "Q") for row in rows)
 
 
 _HYPERBOLIC_Q = ((0, 1), (1, 0))
@@ -232,20 +265,27 @@ class FiberSumInput(NamedTuple):
 
     @staticmethod
     def from_json(a: DonaldsonSeries, b: DonaldsonSeries, genus: int, obj: dict) -> "FiberSumInput":
+        """The input of a JSON pairing object with sigma_a, sigma_b, basis, Q
+        and splits; a field of the wrong shape raises ValueError naming it."""
+        if not isinstance(obj, dict):
+            raise ValueError("a pairing must be a JSON object")
         splits = []
-        for s in obj["splits"]:
-            dot = s["sigma_dot"]
+        for s in _array(_field(obj, "splits", "a pairing"), "splits"):
+            if not isinstance(s, dict):
+                raise ValueError("each entry of splits must be a JSON object")
+            dot = _field(s, "sigma_dot", "a split")
             if not isinstance(dot, int) or isinstance(dot, bool):
                 raise ValueError("sigma_dot must be an integer")
-            splits.append(SplitClass(_integers(s["d1"], "d1"), _integers(s["d2"], "d2"), dot))
+            d1 = _integers(_field(s, "d1", "a split"), "d1")
+            splits.append(SplitClass(d1, _integers(_field(s, "d2", "a split"), "d2"), dot))
         return FiberSumInput(
             a=a,
             b=b,
             genus=genus,
-            sigma_in_a=_integers(obj["sigma_a"], "sigma_a"),
-            sigma_in_b=_integers(obj["sigma_b"], "sigma_b"),
-            basis_names=tuple(obj["basis"]),
-            q=tuple(_integers(row, "Q") for row in obj["Q"]),
+            sigma_in_a=_integers(_field(obj, "sigma_a", "a pairing"), "sigma_a"),
+            sigma_in_b=_integers(_field(obj, "sigma_b", "a pairing"), "sigma_b"),
+            basis_names=tuple(_array(_field(obj, "basis", "a pairing"), "basis")),
+            q=_form(_field(obj, "Q", "a pairing")),
             splits=tuple(splits),
         )
 

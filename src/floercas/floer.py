@@ -64,25 +64,24 @@ class RelationTriple(NamedTuple):
 
 @lru_cache(maxsize=None)
 def relations(flavor: str, r: int) -> RelationTriple:
-    """Unroll the relation recursion of the given flavor down to level r."""
+    """The level-r relations of the given flavor: (1, 0, 0) at level 0, and
+    one step of the recursion from the cached level r - 1 above it."""
     if flavor not in FLAVORS:
         raise ValueError(f"unknown flavor {flavor!r}")
     if r < 0:
         raise ValueError("level must be >= 0")
-    one = SparsePoly.constant(1)
     zero = SparsePoly.zero()
-    p1, p2, p3 = one, zero, zero
+    if r == 0:
+        return RelationTriple(flavor, 0, SparsePoly.constant(1), zero, zero)
+    # the levels below come up from level 0, so each finds its own lower
+    # level cached and no call recurses more than one level deep
     for k in range(r):
-        shift = BETA if flavor == "q" else BETA + ((-1) ** (k + 1) * 8)
-        n1 = ALPHA * p1 + k * k * p2
-        if flavor == "Rbar":
-            n2 = shift * p1
-            n3 = zero
-        else:
-            n2 = shift * p1 + rational(2 * k, k + 1) * p3
-            n3 = GAMMA * p1
-        p1, p2, p3 = n1, n2, n3
-    return RelationTriple(flavor, r, p1, p2, p3)
+        _, _, p1, p2, p3 = relations(flavor, k)
+    shift = BETA if flavor == "q" else BETA + ((-1) ** (k + 1) * 8)
+    n1 = ALPHA * p1 + k * k * p2
+    if flavor == "Rbar":
+        return RelationTriple(flavor, r, n1, shift * p1, zero)
+    return RelationTriple(flavor, r, n1, shift * p1 + rational(2 * k, k + 1) * p3, GAMMA * p1)
 
 
 # ---------------------------------------------------------------------------

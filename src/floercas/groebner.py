@@ -9,31 +9,101 @@ added): most S-polynomials of the level-ring ideals reduce to zero, and the
 criteria find those in advance (at level 7, 30 zero remainders instead of
 576).  The returned basis is reduced, monic and sorted, hence canonical, so
 which pairs are reduced never shows in it.  The term order is grlex
-throughout, by the one key `poly.grlex_key`.
+throughout.
 
-Reduction runs on a mutable map from monomials to coefficients, with a
-max-heap of grlex keys to find the next largest term: each step subtracts
-c * q * tail(g) from the map term by term, and only the final remainder
-becomes a SparsePoly.  Divisors are monic and split into leading monomial
-and tail; a GroebnerBasis carries its own, so a normal form is one
-reduction.
+The engine runs on integers.  A monomial is packed into one int: its total
+degree above its three exponents, each exponent in a field of `_BITS` bits
+whose top bit is a guard.  The integer order of packed monomials is grlex,
+a product is a sum, and m is divisible by d exactly when no guard bit of
+m + _GUARD - d is cleared, one masked add.  Packing refuses an exponent of
+2^15 or more, so no field can overflow inside a reduction (a reduction
+never raises the total degree).
 
-Coefficients are rationals (`fractions.Fraction`) throughout, as in poly:
-the term maps of Buchberger and of every normal form hold the coefficients
-of the SparsePolys themselves, with no conversion on the way in or out.
+A divisor is a polynomial made primitive over Z and split as (lm, lc,
+tail, _GUARD - lm).  Reduction runs on a mutable map from packed monomials
+to integer coefficients, with a max-heap to find the next largest term, and
+with a scale: where lc does not divide the coefficient c to cancel, the
+map and the remainder so far are multiplied by lc / gcd(c, lc) first.  So
+the remainder is the Q-remainder times the scale.  Buchberger needs
+remainders only up to a unit and ignores the scale; a normal form divides
+by it once at the end.  `Fraction` appears only at the edge: reading a
+SparsePoly in, and writing a normal form, a reduced basis or a
+multiplication matrix out.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from operator import neg
+from math import gcd, lcm
 from typing import NamedTuple, Sequence
 
 from .exactalg import Q_ONE, Q_ZERO
 from .linalg import Matrix
-from .poly import Monomial, SparsePoly, grlex_key
+from .poly import Monomial, SparsePoly
 
 VAR_NAMES = ("alpha", "beta", "gamma")
+
+# -- packed monomials -------------------------------------------------------
+
+#: width of one exponent field; exponents enter below 2^15 and stay below
+#: 3 * 2^15 inside a reduction, under the guard bit at the top of the field
+_BITS = 18
+_FIELD = (1 << _BITS) - 1
+#: the total degree sits above the three exponent fields
+_DEG = 3 * _BITS
+_GUARD = sum(1 << (k * _BITS + _BITS - 1) for k in range(3))
+#: bits of an exponent of 2^15 or more
+_WIDE = sum(7 << (k * _BITS + 15) for k in range(3))
+#: the packed variables alpha, beta, gamma
+_VARS = tuple(1 << _DEG | 1 << (2 - v) * _BITS for v in range(3))
+
+
+def _pack(m: Monomial) -> int:
+    a, b, c = m
+    if a >> 15 or b >> 15 or c >> 15:
+        raise ValueError(f"exponent of {m.render()} is 2^15 or more")
+    return (a + b + c) << _DEG | a << 2 * _BITS | b << _BITS | c
+
+
+def _unpack(k: int) -> Monomial:
+    return Monomial(k >> 2 * _BITS & _FIELD, k >> _BITS & _FIELD, k & _FIELD)
+
+
+def _divides(d: int, m: int) -> bool:
+    return (m + _GUARD - d) & _GUARD == _GUARD
+
+
+def _lcm(x: int, y: int) -> int:
+    a = max(x >> 2 * _BITS & _FIELD, y >> 2 * _BITS & _FIELD)
+    b = max(x >> _BITS & _FIELD, y >> _BITS & _FIELD)
+    c = max(x & _FIELD, y & _FIELD)
+    return (a + b + c) << _DEG | a << 2 * _BITS | b << _BITS | c
+
+
+def _integer_terms(p: SparsePoly) -> tuple:
+    """(terms, den): the terms of p packed and scaled by den, the lcm of
+    their denominators."""
+    den = lcm(*(c.denominator for c in p.terms.values()))
+    return {_pack(m): c.numerator * (den // c.denominator) for m, c in p.terms.items()}, den
+
+
+def _divisor(r: dict) -> tuple:
+    """The divisor (lm, lc, tail, _GUARD - lm) of the nonzero integer term
+    map r, whose first key is its leading monomial: r made primitive, with a
+    positive leading coefficient."""
+    lm = next(iter(r))
+    content = gcd(*r.values())
+    if r[lm] < 0:
+        content = -content
+    tail = tuple((m, c // content) for m, c in r.items() if m != lm)
+    return (lm, r[lm] // content, tail, _GUARD - lm)
+
+
+def _monic(r: dict) -> SparsePoly:
+    """The nonzero integer term map r, first key leading, made monic over Q."""
+    lc = next(iter(r.values()))
+    return SparsePoly({_unpack(m): Fraction(c, lc) for m, c in r.items()})
 
 
 class InfiniteStaircaseError(ValueError):
@@ -49,9 +119,9 @@ class InfiniteStaircaseError(ValueError):
 class GroebnerBasis(NamedTuple):
     """Reduced monic Groebner basis, generators sorted by leading monomial.
 
-    divisors holds each generator as (leading monomial, tail), the tail a
-    tuple of its other (monomial, coefficient) pairs.  They are a function
-    of the generators, so comparing them too leaves equality unchanged.
+    divisors holds each generator as the primitive integer divisor (lm, lc,
+    tail, _GUARD - lm) that reduction reads.  They are a function of the
+    generators, so comparing them too leaves equality unchanged.
     """
 
     generators: tuple
@@ -64,48 +134,71 @@ class GroebnerBasis(NamedTuple):
         return {"order": "grlex", "generators": [g.to_json() for g in self.generators]}
 
 
-def _reduce(work: dict, divisors: Sequence[tuple]) -> dict:
-    """Full remainder of the term map `work` (consumed) by monic divisors (lm, tail).
+def _reduce(work: dict, divisors: Sequence[tuple], memo: dict | None = None) -> tuple:
+    """(rem, scale): the full remainder of the integer term map `work`
+    (consumed) by the divisors, times the positive int scale.
 
-    The largest term left is popped from a max-heap of grlex keys and either
-    cancelled by subtracting c * q * tail of the first divisor whose leading
-    monomial divides it (lm * q = m) or moved to the remainder.  A monomial
-    that cancels leaves its heap entry behind; the entry is skipped when
-    popped.  The remainder receives its terms in descending order, so its
-    first key is its leading monomial.
+    The largest term left is popped from a max-heap and either cancelled by
+    the first divisor whose leading monomial divides it (lm * q = m) or
+    moved to the remainder.  To cancel c * m, the map and the remainder are
+    multiplied by f = lc / gcd(c, lc) and (c * f / lc) * q * tail is
+    subtracted, so every coefficient stays an integer.  A monomial that
+    cancels leaves its heap entry behind; the entry is skipped when popped.
+    The remainder receives its terms in descending order, so its first key
+    is its leading monomial.  memo, when given, maps monomials to the first
+    divisor found for them; it stays valid while divisors are only appended.
     """
-    heap = [(tuple(map(neg, grlex_key(m))), m) for m in work]
+    heap = [-m for m in work]
     heapify(heap)
     rem: dict = {}
+    scale = 1
     while heap:
-        m = heappop(heap)[1]
+        m = -heappop(heap)
         c = work.pop(m, None)
         if c is None:
             continue
-        for lm, tail in divisors:
-            if lm.divides(m):
-                q = m.divide(lm)
-                for tm, tc in tail:
-                    t = tm.mul(q)
-                    d = work.get(t)
-                    if d is None:
-                        work[t] = -(c * tc)
-                        heappush(heap, (tuple(map(neg, grlex_key(t))), t))
-                    else:
-                        d = d - c * tc
-                        if d:
-                            work[t] = d
-                        else:
-                            del work[t]
-                break
+        d = memo.get(m) if memo is not None else None
+        if d is None:
+            for d in divisors:
+                if (m + d[3]) & _GUARD == _GUARD:
+                    if memo is not None:
+                        memo[m] = d
+                    break
+            else:
+                rem[m] = c
+                continue
+        lm, lc, tail, _ = d
+        if c % lc:
+            g = gcd(c, lc)
+            f, c = lc // g, c // g
+            scale *= f
+            for k in work:
+                work[k] *= f
+            for k in rem:
+                rem[k] *= f
         else:
-            rem[m] = c
-    return rem
+            c //= lc
+        q = m - lm
+        for tm, tc in tail:
+            t = tm + q
+            v = work.get(t)
+            if v is None:
+                work[t] = -c * tc
+                heappush(heap, -t)
+            else:
+                v -= c * tc
+                if v:
+                    work[t] = v
+                else:
+                    del work[t]
+    return rem, scale
 
 
 def normal_form(p: SparsePoly, gb: GroebnerBasis) -> SparsePoly:
     """Unique remainder of p modulo the ideal of gb."""
-    return SparsePoly(_reduce(dict(p.terms), gb.divisors))
+    work, den = _integer_terms(p)
+    rem, scale = _reduce(work, gb.divisors)
+    return SparsePoly({_unpack(m): Fraction(c, scale * den) for m, c in rem.items()})
 
 
 def _update_pairs(basis, sugar, active, pairs, lm, s):
@@ -121,32 +214,33 @@ def _update_pairs(basis, sugar, active, pairs, lm, s):
       any of them has coprime leading monomials (first criterion).
     * Active elements whose leading monomial lm divides are retired: they
       stay in the basis as reducers but form no further pairs.
+
+    Monomials are packed (the lcm of two is their product exactly when they
+    are coprime), and a pair is (sugar, lcm, i, j).
     """
     k = len(basis)
     kept = [
         p
         for p in pairs
-        if not lm.divides(p[4]) or basis[p[2]][0].lcm(lm) == p[4] or basis[p[3]][0].lcm(lm) == p[4]
+        if not _divides(lm, p[1]) or _lcm(basis[p[2]][0], lm) == p[1] or _lcm(basis[p[3]][0], lm) == p[1]
     ]
     if len(kept) < len(pairs):
         heapify(kept)
         pairs[:] = kept
-    new = [(basis[i][0].lcm(lm), i) for i in active]
+    new = [(_lcm(basis[i][0], lm), i) for i in active]
     lcms = {l for l, _ in new}
     minimal: dict = {}  # lcm that no other new lcm properly divides -> indices
     for l, i in new:
-        if not any(o != l and o.divides(l) for o in lcms):
+        lg = l + _GUARD
+        if not any(o != l and (lg - o) & _GUARD == _GUARD for o in lcms):
             minimal.setdefault(l, []).append(i)
     for l, indices in minimal.items():
-        if any(basis[i][0].coprime(lm) for i in indices):
+        if any(l == basis[i][0] + lm for i in indices):
             continue
         i = indices[0]
-        s_pair = max(
-            sugar[i] + l.total_degree - basis[i][0].total_degree,
-            s + l.total_degree - lm.total_degree,
-        )
-        heappush(pairs, (s_pair, grlex_key(l), i, k, l))
-    active[:] = [i for i in active if not lm.divides(basis[i][0])] + [k]
+        s_pair = max(sugar[i] + ((l - basis[i][0]) >> _DEG), s + ((l - lm) >> _DEG))
+        heappush(pairs, (s_pair, l, i, k))
+    active[:] = [i for i in active if not _divides(lm, basis[i][0])] + [k]
 
 
 def buchberger(gens: Sequence[SparsePoly]) -> GroebnerBasis:
@@ -154,39 +248,43 @@ def buchberger(gens: Sequence[SparsePoly]) -> GroebnerBasis:
 
     Sugar selection strategy, the Gebauer-Moeller pair update (see
     _update_pairs), full inter-reduction.  Deterministic: identical input
-    gives an identical basis.
+    gives an identical basis.  The basis is kept as primitive integer
+    divisors; the reduced monic generators are made once, at the end.
     """
-    work = [g for g in gens if g]
+    work = [_integer_terms(g)[0] for g in gens if g]
     if not work:
         raise ValueError("no nonzero generators")
 
-    basis: list[tuple] = []  # monic (leading monomial, tail) pairs
+    basis: list[tuple] = []  # primitive divisors (lm, lc, tail, _GUARD - lm)
     sugar: list[int] = []
     active: list[int] = []  # basis indices that new elements still pair with
-    pairs: list[tuple] = []  # heap of (sugar, lcm key, i, j, lcm)
+    pairs: list[tuple] = []  # heap of (sugar, lcm, i, j)
+    memo: dict = {}  # monomial -> its first divisor in basis
 
     def add_poly(r: dict, s: int):
-        lm = next(iter(r))
-        _update_pairs(basis, sugar, active, pairs, lm, s)
-        lc = r.pop(lm)  # made monic: the divisor is (lm, tail / lc)
-        if lc != 1:
-            r = {m: c / lc for m, c in r.items()}
-        basis.append((lm, list(r.items())))
+        if any(m & _WIDE for m in r):
+            raise ValueError("exponent of a basis element is 2^15 or more")
+        d = _divisor(r)
+        _update_pairs(basis, sugar, active, pairs, d[0], s)
+        basis.append(d)
         sugar.append(s)
 
-    for g in sorted(work, key=lambda q: grlex_key(q.leading_monomial())):
-        r = _reduce(dict(g.terms), basis)
+    for g in sorted(work, key=max):
+        r, _ = _reduce(g, basis, memo)
         if r:
-            add_poly(r, max(m.total_degree for m in r))
+            add_poly(r, next(iter(r)) >> _DEG)
 
     while pairs:
-        _, _, i, j, l = heappop(pairs)
-        (lmi, tail_i), (lmj, tail_j) = basis[i], basis[j]
-        ui, uj = l.divide(lmi), l.divide(lmj)
-        # S-polynomial ui * basis[i] - uj * basis[j]; the leading terms cancel
-        spoly = {m.mul(ui): c for m, c in tail_i}
+        _, l, i, j = heappop(pairs)
+        (lmi, lci, tail_i, _), (lmj, lcj, tail_j, _) = basis[i], basis[j]
+        ui, uj = l - lmi, l - lmj
+        # S-polynomial (lcj * ui * basis[i] - lci * uj * basis[j]) / gcd(lci, lcj);
+        # the leading terms cancel
+        g = gcd(lci, lcj)
+        fi, fj = lcj // g, lci // g
+        spoly = {m + ui: c * fi for m, c in tail_i}
         for m, c in tail_j:
-            t = m.mul(uj)
+            t, c = m + uj, c * fj
             d = spoly.get(t)
             if d is None:
                 spoly[t] = -c
@@ -194,30 +292,25 @@ def buchberger(gens: Sequence[SparsePoly]) -> GroebnerBasis:
                 del spoly[t]
             else:
                 spoly[t] = d - c
-        r = _reduce(spoly, basis)
+        r, _ = _reduce(spoly, basis, memo)
         if r:
-            s_new = max(
-                sugar[i] + ui.total_degree,
-                sugar[j] + uj.total_degree,
-                max(m.total_degree for m in r),
-            )
+            s_new = max(sugar[i] + (ui >> _DEG), sugar[j] + (uj >> _DEG), next(iter(r)) >> _DEG)
             add_poly(r, s_new)
 
     # minimalize: drop generators whose leading monomial another one divides
     minimal: list[tuple] = []
-    for lm, tail in sorted(basis, key=lambda d: grlex_key(d[0])):
-        if not any(h.divides(lm) for h, _ in minimal):
-            minimal.append((lm, tail))
+    for d in sorted(basis, key=lambda d: d[0]):
+        if not any(_divides(h[0], d[0]) for h in minimal):
+            minimal.append(d)
 
     # inter-reduce tails; leading monomials are already pairwise indivisible,
-    # so each result keeps its monic leading term and the sorted order
+    # so each result keeps its leading term and the sorted order
     reduced, divisors = [], []
-    for idx, (lm, tail) in enumerate(minimal):
-        work_map = dict(tail)
-        work_map[lm] = Q_ONE
-        r = _reduce(work_map, minimal[:idx] + minimal[idx + 1 :])
-        reduced.append(SparsePoly(r))
-        divisors.append((lm, tuple((m, c) for m, c in r.items() if m != lm)))
+    for idx, (lm, lc, tail, _) in enumerate(minimal):
+        work_map = {lm: lc, **dict(tail)}
+        r, _ = _reduce(work_map, minimal[:idx] + minimal[idx + 1 :])
+        reduced.append(_monic(r))
+        divisors.append(_divisor(r))
     return GroebnerBasis(tuple(reduced), tuple(divisors))
 
 
@@ -242,7 +335,7 @@ def staircase_basis(gb: GroebnerBasis) -> tuple:
                 m = Monomial(a, b, c)
                 if not any(lm.divides(m) for lm in lms):
                     out.append(m)
-    out.sort(key=grlex_key)
+    out.sort(key=_pack)
     return tuple(out)
 
 
@@ -259,7 +352,8 @@ class QuotientRing:
     def __init__(self, gb: GroebnerBasis):
         object.__setattr__(self, "gb", gb)
         object.__setattr__(self, "basis", staircase_basis(gb))
-        object.__setattr__(self, "_index", {m: i for i, m in enumerate(self.basis)})
+        # packed staircase monomial -> its index in the basis
+        object.__setattr__(self, "_index", {_pack(m): i for i, m in enumerate(self.basis)})
         object.__setattr__(self, "_mult", {})
 
     def __setattr__(self, name, value):
@@ -281,18 +375,32 @@ class QuotientRing:
         nf = self.normal_form(p)
         v = [Q_ZERO] * self.dim
         for m, c in nf.terms.items():
-            v[self._index[m]] = c
+            v[self._index[_pack(m)]] = c
         return v
 
     def mult_matrix(self, var) -> Matrix:
-        """Matrix of multiplication by a variable; column j is x_v * basis_j."""
+        """Matrix of multiplication by a variable; column j is x_v * basis_j.
+
+        Where x_v * basis_j is itself a staircase monomial the column is a
+        unit vector; otherwise it is the remainder of that one monomial,
+        divided by its scale.
+        """
         if isinstance(var, str):
             var = VAR_NAMES.index(var)
         if var not in self._mult:
-            xv = SparsePoly.variable(var)
-            self._mult[var] = Matrix.from_columns(
-                self.nf_coords(xv.mul_monomial(m)) for m in self.basis
-            )
+            x, index, divisors = _VARS[var], self._index, self.gb.divisors
+            cols = []
+            for m in index:
+                col = [Q_ZERO] * self.dim
+                t = m + x
+                if t in index:
+                    col[index[t]] = Q_ONE
+                else:
+                    rem, scale = _reduce({t: 1}, divisors)
+                    for k, c in rem.items():
+                        col[index[k]] = Fraction(c, scale)
+                cols.append(col)
+            self._mult[var] = Matrix.from_columns(cols, self.dim)
         return self._mult[var]
 
     def extend(self, extra: Sequence[SparsePoly]) -> "QuotientRing":

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from typing import NamedTuple
 
 from .exactalg import Q_ONE, Q_ZERO, GaussianRational, rational, rational_json, render_terms
@@ -410,15 +411,48 @@ def _strip(p: list, factor: list) -> tuple:
     """(m, p / factor^m) for the largest m with factor^m dividing p.
 
     Both are integer polynomials and factor is primitive, so by Gauss's
-    lemma it divides p over Q exactly when it divides p over Z.
+    lemma it divides p over Q exactly when it divides p over Z.  A linear
+    factor d*x - n divides p exactly when p vanishes at n/d, so p is
+    evaluated there before each division.
     """
     mult = 0
     while len(p) >= len(factor):
+        if len(factor) == 2 and _value_at_root(p, -factor[0], factor[1]):
+            break
         quotient = _exact_quotient(p, factor)
         if quotient is None:
             break
         p, mult = quotient, mult + 1
     return mult, p
+
+
+def _value_at_root(p: list, n: int, d: int) -> int:
+    """d^deg(p) * p(n/d): sum of c_k n^k d^(deg - k), by Horner's rule."""
+    value, dk = 0, 1
+    for c in reversed(p):
+        value = value * n + c * dk
+        dk *= d
+    return value
+
+
+@lru_cache(maxsize=64)
+def _plan(candidates: tuple) -> tuple:
+    """How factor_over_candidates treats each candidate, derived once per
+    candidate tuple: (z, primitive factor) for a real z or the first of a
+    conjugate pair, (z, k) for the second of a pair, whose multiplicity is
+    that of step k.  A nonreal candidate without its conjugate, or one
+    listed before, has no step."""
+    listed = dict.fromkeys(map(GaussianRational.coerce, candidates))  # in order, once each
+    steps, first = [], {}  # first: conjugate of a pair's first member -> its step
+    for z in listed:
+        if z in first:
+            steps.append((z, first.pop(z)))
+        elif not z.im:
+            steps.append((z, tuple(_primitive([-z.re, Q_ONE]))))
+        elif z.conjugate() in listed:
+            first[z.conjugate()] = len(steps)
+            steps.append((z, tuple(_primitive([z.re * z.re + z.im * z.im, -2 * z.re, Q_ONE]))))
+    return tuple(steps)
 
 
 def factor_over_candidates(cp: UniPoly, candidates) -> EigenReport:
@@ -431,25 +465,20 @@ def factor_over_candidates(cp: UniPoly, candidates) -> EigenReport:
     nonreal candidate without its conjugate strips nothing, since its linear
     factor is not over Q; any such factor stays in the remainder.
 
-    The division runs over Z (see `_strip`); the remainder is made monic
+    The factors are derived once per candidate tuple (see `_plan`), the
+    division runs over Z (see `_strip`), and the remainder is made monic
     again at the end.
     """
     if not cp.is_monic():
         raise ValueError("characteristic polynomial must be monic")
-    listed = dict.fromkeys(map(GaussianRational.coerce, candidates))  # in order, once each
-    paired: dict = {}  # conjugate of a stripped pair -> its multiplicity
-    roots = []
+    mults, roots = [], []
     rem = _primitive(cp.coeffs)
-    for z in listed:
-        if z in paired:
-            mult = paired.pop(z)
-        elif not z.im:
-            mult, rem = _strip(rem, _primitive([-z.re, Q_ONE]))
-        elif z.conjugate() in listed:
-            mult, rem = _strip(rem, _primitive([z.re * z.re + z.im * z.im, -2 * z.re, Q_ONE]))
-            paired[z.conjugate()] = mult
+    for z, factor in _plan(tuple(candidates)):
+        if isinstance(factor, int):
+            mult = mults[factor]
         else:
-            continue
+            mult, rem = _strip(rem, factor)
+        mults.append(mult)
         if mult:
             roots.append((z, mult))
     return EigenReport(tuple(roots), UniPoly([Fraction(c, rem[-1]) for c in rem]))

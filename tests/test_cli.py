@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -11,7 +12,7 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from floercas import checks, cli
 from floercas.cli import (
@@ -569,6 +570,24 @@ class TestUsageErrors:
                 self.assert_one_line_usage_error(code, err)
                 assert "a series must be a JSON object" in err and out == ""
 
+    def test_wrong_shapes_name_the_field(self, capsys, tmp_path):
+        # these gave "string indices must be integers, not 'str'", "list
+        # indices must be integers or slices, not str" and, for the inline
+        # [1], a missing file of that name
+        path = tmp_path / "series.json"
+        path.write_text(json.dumps({"basis": ["E"], "Q": [[0]], "terms": ["1"]}))
+        code, out, err = run(capsys, "donaldson", "eval", "--series", str(path), "--class", "1")
+        self.assert_one_line_usage_error(code, err)
+        assert "each entry of terms must be a JSON object" in err and out == ""
+        path.write_text(json.dumps(product_series(2, 1).to_json()))
+        pairing = tmp_path / "pairing.json"
+        pairing.write_text("[]")
+        for spec in (str(pairing), "[1]"):
+            argv = ["donaldson", "fibersum", "--a", str(path), "--b", str(path), "--genus", "2"]
+            code, out, err = run(capsys, *argv, "--pairing", spec)
+            self.assert_one_line_usage_error(code, err)
+            assert "a pairing must be a JSON object" in err and out == ""
+
     def test_malformed_vector(self, capsys, tmp_path):
         path = tmp_path / "series.json"
         path.write_text(json.dumps(product_series(1, 1).to_json()))
@@ -775,6 +794,13 @@ _ANY = st.recursive(_SCALARS, lambda kids: st.lists(kids, max_size=3)
                     | st.dictionaries(st.text(max_size=3), kids, max_size=3), max_leaves=8)
 
 
+#: words of Python's own messages about types, which no message should use
+_PYTHON_WORDS = re.compile(
+    r"\b(str|int|float|bool|list|dict|tuple|NoneType|Fraction|Rational)\b"
+    r"|indices|subscriptable|iterable|instance|attribute"
+)
+
+
 def _mostly(good, bad=_ANY):
     """good seven times in eight, bad (any JSON value) otherwise, so that
     most inputs get past the first check and some reach the calculators."""
@@ -851,3 +877,33 @@ class TestJsonInputFuzz:
         assert len(err.splitlines()) <= 1 and "Traceback" not in out + err
         if code == 1:
             assert out == "" and err.startswith("error: ")
+        # a message names the field that is wrong, in the input's terms, not
+        # the Python type that an unchecked shape ran into
+        for arg in argv:
+            err = err.replace(repr(arg), "")
+        assert not _PYTHON_WORDS.search(err), err
+
+
+#: JSON values as the handlers build them: nested dicts and lists of str,
+#: int, bool and None, with non-ASCII text, escapes and empty containers
+_PAYLOADS = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(),
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(st.text(), kids, max_size=4),
+    max_leaves=30,
+)
+
+
+class TestJsonWriter:
+    @settings(max_examples=300, deadline=None)
+    @given(_PAYLOADS)
+    @example({"a": [], "b": {}, "c": ["\u00e9\n\"\\\t\x00\U0001f600", -(10**30)], "": [[{}]]})
+    def test_matches_json_dumps(self, payload):
+        assert cli._json_text(payload) == json.dumps(payload, indent=2)
+
+    def test_tuples_are_arrays(self):
+        assert cli._json_text({"t": (1, (2,), ())}) == json.dumps({"t": [1, [2], []]}, indent=2)
+
+    def test_other_types_refused(self):
+        for payload in (0.5, {"x": {1, 2}}, {1: "non-string key"}):
+            with pytest.raises(TypeError):
+                cli._json_text(payload)

@@ -91,6 +91,20 @@ class TestRelations:
             assert tri.p2.leading_monomial() == (r - 1, 1, 0)
             assert tri.p3.leading_monomial() == (r - 1, 0, 1)
 
+    def test_levels_match_the_recursion_from_zero(self):
+        # relations builds each level from the cached one below; the oracle
+        # unrolls the recursion from level 0 on every call
+        for flavor in ("q", "R", "Rbar"):
+            p1, p2, p3 = SparsePoly.constant(1), SparsePoly.zero(), SparsePoly.zero()
+            for r in range(13):
+                assert relations(flavor, r) == (flavor, r, p1, p2, p3), (flavor, r)
+                shift = BETA if flavor == "q" else BETA + (-1) ** (r + 1) * 8
+                n1 = ALPHA * p1 + r * r * p2
+                if flavor == "Rbar":
+                    p1, p2 = n1, shift * p1
+                else:
+                    p1, p2, p3 = n1, shift * p1 + Fraction(2 * r, r + 1) * p3, GAMMA * p1
+
     def test_bad_flavor(self):
         with pytest.raises(ValueError):
             relations("S", 1)

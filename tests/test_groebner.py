@@ -1,4 +1,6 @@
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from operator import neg
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -38,6 +40,53 @@ MONOMIALS = st.builds(Monomial, st.integers(0, 3), st.integers(0, 3), st.integer
 SMALL_RATIONALS = st.builds(Fraction, st.integers(-5, 5).filter(bool), st.integers(1, 4))
 RATIONALS = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4))
 SMALL_POLYS = st.dictionaries(MONOMIALS, SMALL_RATIONALS, min_size=1, max_size=4).map(SparsePoly)
+#: polynomials to take normal forms of, of up to degree 12
+POLYS = st.dictionaries(
+    st.builds(Monomial, st.integers(0, 4), st.integers(0, 4), st.integers(0, 4)),
+    st.fractions(min_value=-9, max_value=9, max_denominator=12),
+    max_size=5,
+).map(SparsePoly)
+
+
+def reference_reduce(work: dict, divisors) -> dict:
+    """Full remainder of the term map `work` (consumed) by monic divisors
+    (lm, tail), over Q with Fraction coefficients: the reduction that the
+    integer engine replaced, kept as its oracle."""
+    heap = [(tuple(map(neg, grlex_key(m))), m) for m in work]
+    heapify(heap)
+    rem: dict = {}
+    while heap:
+        m = heappop(heap)[1]
+        c = work.pop(m, None)
+        if c is None:
+            continue
+        for lm, tail in divisors:
+            if lm.divides(m):
+                q = m.divide(lm)
+                for tm, tc in tail:
+                    t = tm.mul(q)
+                    d = work.get(t)
+                    if d is None:
+                        work[t] = -(c * tc)
+                        heappush(heap, (tuple(map(neg, grlex_key(t))), t))
+                    else:
+                        d = d - c * tc
+                        if d:
+                            work[t] = d
+                        else:
+                            del work[t]
+                break
+        else:
+            rem[m] = c
+    return rem
+
+
+def reference_normal_form(p: SparsePoly, gb) -> SparsePoly:
+    divisors = []
+    for g in gb.generators:
+        lm = g.leading_monomial()
+        divisors.append((lm, [(m, c) for m, c in g.terms.items() if m != lm]))
+    return SparsePoly(reference_reduce(dict(p.terms), divisors))
 
 
 @st.composite
@@ -103,13 +152,13 @@ class TestBuchberger:
         # level 7 reduce to zero; with them 30 do
         reduce, remainders = groebner._reduce, []
 
-        def recording(work, divisors):
-            remainders.append(reduce(work, divisors))
+        def recording(*args):
+            remainders.append(reduce(*args))
             return remainders[-1]
 
         monkeypatch.setattr(groebner, "_reduce", recording)
         buchberger(relations("R", 7).generators())
-        assert sum(not r for r in remainders) < 100
+        assert sum(not rem for rem, _ in remainders) == 30
 
     def test_series_coefficients_rejected(self):
         from floercas.exactalg import TruncatedSeries
@@ -150,6 +199,45 @@ class TestNormalForm:
         lhs = normal_form(p * q, gb)
         rhs = normal_form(normal_form(p, gb) * normal_form(q, gb), gb)
         assert lhs == rhs
+
+
+class TestAgainstFractionReduction:
+    """The integer engine against the Fraction reduction it replaced."""
+
+    @staticmethod
+    def assert_matches(ring, polys):
+        for p in polys:
+            assert normal_form(p, ring.gb) == reference_normal_form(p, ring.gb)
+        for v in range(3):
+            matrix = ring.mult_matrix(v)
+            for j, m in enumerate(ring.basis):
+                nf = reference_normal_form(SparsePoly.variable(v).mul_monomial(m), ring.gb)
+                col = [Fraction(0)] * ring.dim
+                for mm, c in nf.terms.items():
+                    col[ring.basis.index(mm)] = c
+                assert [row[j] for row in matrix.rows] == col
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 5), st.lists(POLYS, min_size=1, max_size=3))
+    def test_level_rings(self, r, polys):
+        for ring in (invariant_ring(r), gamma_quotient_ring(r), classical_ring(r)):
+            self.assert_matches(ring, polys)
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_ideals(), st.lists(POLYS, min_size=1, max_size=3))
+    def test_random_ideals(self, gens, polys):
+        # pure powers of the variables make every such ideal zero-dimensional
+        gb = buchberger(gens + [ALPHA**4, BETA**4, GAMMA**4])
+        self.assert_matches(groebner.QuotientRing(gb), polys)
+
+    def test_exponent_bound(self):
+        big = SparsePoly({Monomial(0, 2**15, 0): 1})
+        with pytest.raises(ValueError, match="2\\^15"):
+            normal_form(big, invariant_ring(2).gb)
+        with pytest.raises(ValueError, match="2\\^15"):
+            buchberger([ALPHA, big])
+        # one below the bound is packed and reduced
+        assert not normal_form(SparsePoly({Monomial(0, 0, 2**15 - 1): 1}), invariant_ring(2).gb)
 
 
 class TestStaircase:
