@@ -45,8 +45,8 @@ MAX_ORDER = 512
 
 #: largest level accepted by eigen --r; the level ring F_r has dimension
 #: C(r+2, 3), and the cost grows by about 1.7 per level (eigen --object K,
-#: the slowest, takes 0.9-1.0 s at 9, 1.6 s at 10 and 2.6 s at 11;
-#: --object F takes 0.6 s at 9)
+#: the slowest, takes 0.5-0.9 s at 9, 0.9-1.6 s at 10 and 1.5-2.6 s at 11;
+#: --object F takes 0.2-0.5 s at 9)
 MAX_EIGEN_R = 9
 
 #: largest genus accepted by donaldson product --g and --h; the series of
@@ -61,13 +61,13 @@ MAX_PRODUCT_GENUS = 46
 MAX_RELATIONS_R = 50
 
 #: largest genus accepted by check --max-genus; the suite's cost grows
-#: steeply past it (single runs: 0.23 s at 1, 0.66 s at 6, 1.85 s at 9,
-#: 9.4 s at 12 and more than 60 s at 16)
+#: steeply past it (single runs: 0.12 s at 1, 0.2-0.4 s at 6, 0.8-1.3 s
+#: at 9, 5.7-6.6 s at 12 and 168 s at 16)
 MAX_CHECK_GENUS = 9
 
 #: largest genus accepted by ring --genus; the slowest form, --format json
-#: with the spectra of every level ring, takes 1.7-1.9 s at 10 and 3.1 s at 11
-#: (text 0.9 s at 12, --invariant-only 1.2 s at 12)
+#: with the spectra of every level ring, takes 0.7-1.4 s at 10 and 1.5-2.3 s
+#: at 11 (text 0.4-0.6 s at 12, --invariant-only 0.4-0.6 s at 12)
 MAX_RING_GENUS = 10
 
 #: largest genus accepted by rhff and effective --genus; each prints 2g - 1

@@ -100,17 +100,15 @@ def beta_eigenvalue(k: int) -> GaussianRational:
 
 def default_candidates(bound: int) -> list:
     """Candidate eigenvalues 0, +-8 and +-4k, +-4k*i for k <= bound."""
-    out = [GaussianRational(0), GaussianRational(8), GaussianRational(-8)]
+    vals = [GaussianRational(0), GaussianRational(8), GaussianRational(-8)]
     for k in range(1, bound + 1):
-        for val in (
+        vals += (
             GaussianRational(4 * k),
             GaussianRational(-4 * k),
             GaussianRational(0, 4 * k),
             GaussianRational(0, -4 * k),
-        ):
-            if val not in out:
-                out.append(val)
-    return out
+        )
+    return list(dict.fromkeys(vals))  # in order, once each
 
 
 def eigen_reports(matrix_of, bound: int) -> dict:

@@ -16,8 +16,9 @@ degree above its three exponents, each exponent in a field of `_BITS` bits
 whose top bit is a guard.  The integer order of packed monomials is grlex,
 a product is a sum, and m is divisible by d exactly when no guard bit of
 m + _GUARD - d is cleared, one masked add.  Packing refuses an exponent of
-2^15 or more, so no field can overflow inside a reduction (a reduction
-never raises the total degree).
+2^15 or more, and so does Buchberger for a new basis element, so no field
+can overflow inside a reduction (a reduction never raises the total
+degree, which stays below 3 * 2^15).
 
 A divisor is a polynomial made primitive over Z and split as (lm, lc,
 tail, _GUARD - lm).  Reduction runs on a mutable map from packed monomials
@@ -55,15 +56,21 @@ _DEG = 3 * _BITS
 _GUARD = sum(1 << (k * _BITS + _BITS - 1) for k in range(3))
 #: bits of an exponent of 2^15 or more
 _WIDE = sum(7 << (k * _BITS + 15) for k in range(3))
+
+
+def _packed(a: int, b: int, c: int) -> int:
+    return (a + b + c) << _DEG | a << 2 * _BITS | b << _BITS | c
+
+
 #: the packed variables alpha, beta, gamma
-_VARS = tuple(1 << _DEG | 1 << (2 - v) * _BITS for v in range(3))
+_VARS = (_packed(1, 0, 0), _packed(0, 1, 0), _packed(0, 0, 1))
 
 
 def _pack(m: Monomial) -> int:
     a, b, c = m
     if a >> 15 or b >> 15 or c >> 15:
         raise ValueError(f"exponent of {m.render()} is 2^15 or more")
-    return (a + b + c) << _DEG | a << 2 * _BITS | b << _BITS | c
+    return _packed(a, b, c)
 
 
 def _unpack(k: int) -> Monomial:
@@ -77,8 +84,7 @@ def _divides(d: int, m: int) -> bool:
 def _lcm(x: int, y: int) -> int:
     a = max(x >> 2 * _BITS & _FIELD, y >> 2 * _BITS & _FIELD)
     b = max(x >> _BITS & _FIELD, y >> _BITS & _FIELD)
-    c = max(x & _FIELD, y & _FIELD)
-    return (a + b + c) << _DEG | a << 2 * _BITS | b << _BITS | c
+    return _packed(a, b, max(x & _FIELD, y & _FIELD))
 
 
 def _integer_terms(p: SparsePoly) -> tuple:
@@ -328,15 +334,23 @@ def staircase_basis(gb: GroebnerBasis) -> tuple:
         if not pure:
             raise InfiniteStaircaseError(VAR_NAMES[v])
         bounds.append(min(pure))
+    guards = [d[3] for d in gb.divisors]
     out = []
+    # a multiple of a leading monomial stays one when gamma (or beta) is
+    # multiplied in, so each line of the box ends at its first such monomial
     for a in range(bounds[0]):
         for b in range(bounds[1]):
-            for c in range(bounds[2]):
-                m = Monomial(a, b, c)
-                if not any(lm.divides(m) for lm in lms):
-                    out.append(m)
-    out.sort(key=_pack)
-    return tuple(out)
+            c = 0
+            while c < bounds[2]:
+                m = _packed(a, b, c)
+                if any((m + g) & _GUARD == _GUARD for g in guards):
+                    break
+                out.append(m)
+                c += 1
+            if c == 0:
+                break
+    out.sort()
+    return tuple(map(_unpack, out))
 
 
 class QuotientRing:

@@ -40,6 +40,11 @@ MONOMIALS = st.builds(Monomial, st.integers(0, 3), st.integers(0, 3), st.integer
 SMALL_RATIONALS = st.builds(Fraction, st.integers(-5, 5).filter(bool), st.integers(1, 4))
 RATIONALS = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4))
 SMALL_POLYS = st.dictionaries(MONOMIALS, SMALL_RATIONALS, min_size=1, max_size=4).map(SparsePoly)
+#: c * m1 + m2: a monic basis of binomials has coefficients off Z, so the
+#: integer reduction has to scale what it has already reduced
+BINOMIALS = st.builds(
+    lambda c, m1, m2: SparsePoly([(m1, c), (m2, 1)]), SMALL_RATIONALS, MONOMIALS, MONOMIALS
+)
 #: polynomials to take normal forms of, of up to degree 12
 POLYS = st.dictionaries(
     st.builds(Monomial, st.integers(0, 4), st.integers(0, 4), st.integers(0, 4)),
@@ -223,8 +228,11 @@ class TestAgainstFractionReduction:
         for ring in (invariant_ring(r), gamma_quotient_ring(r), classical_ring(r)):
             self.assert_matches(ring, polys)
 
-    @settings(max_examples=40, deadline=None)
-    @given(small_ideals(), st.lists(POLYS, min_size=1, max_size=3))
+    @settings(max_examples=60, deadline=None)
+    @given(small_ideals() | st.lists(BINOMIALS, min_size=1, max_size=3),
+           st.lists(POLYS, min_size=1, max_size=3))
+    # beta^2 = alpha/3 cancels only once the remainder already holds alpha*gamma
+    @example([3 * BETA**2 - ALPHA], [ALPHA * GAMMA + BETA**2])
     def test_random_ideals(self, gens, polys):
         # pure powers of the variables make every such ideal zero-dimensional
         gb = buchberger(gens + [ALPHA**4, BETA**4, GAMMA**4])
