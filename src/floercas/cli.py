@@ -310,6 +310,8 @@ def _field_int(text: str) -> int:
     try:
         return int(text)
     except ValueError:
+        if text.strip().lstrip("+-").isdigit():
+            raise  # an integer with more digits than Python converts
         raise ValueError(f"field {text!r} is not an integer") from None
 
 

@@ -224,21 +224,29 @@ def _update_pairs(basis, sugar, active, pairs, lm, s):
     Monomials are packed (the lcm of two is their product exactly when they
     are coprime), and a pair is (sugar, lcm, i, j).
     """
-    k = len(basis)
+    k, lm_guard = len(basis), _GUARD - lm  # (m + lm_guard) & _GUARD == _GUARD: lm divides m
     kept = [
         p
         for p in pairs
-        if not _divides(lm, p[1]) or _lcm(basis[p[2]][0], lm) == p[1] or _lcm(basis[p[3]][0], lm) == p[1]
+        if (p[1] + lm_guard) & _GUARD != _GUARD
+        or _lcm(basis[p[2]][0], lm) == p[1]
+        or _lcm(basis[p[3]][0], lm) == p[1]
     ]
     if len(kept) < len(pairs):
         heapify(kept)
         pairs[:] = kept
     new = [(_lcm(basis[i][0], lm), i) for i in active]
-    lcms = {l for l, _ in new}
+    # a proper divisor of an lcm is smaller in grlex, so in ascending order
+    # an lcm needs testing only against the least ones found before it
+    least: list = []
+    for l in sorted({l for l, _ in new}):
+        lg = l + _GUARD
+        if not any((lg - o) & _GUARD == _GUARD for o in least):
+            least.append(l)
+    least = set(least)
     minimal: dict = {}  # lcm that no other new lcm properly divides -> indices
     for l, i in new:
-        lg = l + _GUARD
-        if not any(o != l and (lg - o) & _GUARD == _GUARD for o in lcms):
+        if l in least:
             minimal.setdefault(l, []).append(i)
     for l, indices in minimal.items():
         if any(l == basis[i][0] + lm for i in indices):
@@ -246,7 +254,7 @@ def _update_pairs(basis, sugar, active, pairs, lm, s):
         i = indices[0]
         s_pair = max(sugar[i] + ((l - basis[i][0]) >> _DEG), s + ((l - lm) >> _DEG))
         heappush(pairs, (s_pair, l, i, k))
-    active[:] = [i for i in active if not _divides(lm, basis[i][0])] + [k]
+    active[:] = [i for i in active if (basis[i][0] + lm_guard) & _GUARD != _GUARD] + [k]
 
 
 def buchberger(gens: Sequence[SparsePoly]) -> GroebnerBasis:

@@ -415,6 +415,9 @@ def _strip(p: list, factor: list) -> tuple:
     factor d*x - n divides p exactly when p vanishes at n/d, so p is
     evaluated there before each division.
     """
+    if factor == (0, 1):  # x divides p as often as p has zero low coefficients
+        mult = next(k for k, c in enumerate(p) if c)
+        return mult, p[mult:]
     mult = 0
     while len(p) >= len(factor):
         if len(factor) == 2 and _value_at_root(p, -factor[0], factor[1]):

@@ -695,6 +695,10 @@ class TestUsageErrors:
             code, out, err = run(capsys, *argv)
             self.assert_one_line_usage_error(code, err)
             assert err.startswith("error: ValueError: Exceeds the limit") and out == ""
+        # one digit more is refused as the spec is read, with Python's reason
+        code, out, err = run(capsys, "mu", "--genus", "2", "--i", "0", "--class", f"pt:9{nines}")
+        self.assert_one_line_usage_error(code, err)
+        assert ": Exceeds the limit (4300 digits)" in err and out == ""
 
 
 class TestStartup:
