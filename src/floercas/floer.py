@@ -65,7 +65,7 @@ class RelationTriple(NamedTuple):
 @lru_cache(maxsize=None)
 def relations(flavor: str, r: int) -> RelationTriple:
     """The level-r relations of the given flavor: (1, 0, 0) at level 0, and
-    one step of the recursion from the cached level r - 1 above it."""
+    above it one step of the recursion from the cached level r - 1."""
     if flavor not in FLAVORS:
         raise ValueError(f"unknown flavor {flavor!r}")
     if r < 0:
