@@ -24,6 +24,8 @@ GOLDEN = {
         "5980dd5261b00eb65809bec1a117a534a8859608d3c8444fe17465d25830ab70",
     "check --max-genus 3":
         "de0d4965d81bb6c97b44bbc29f0976da3acbe960c6a49239a96675cc540c4286",
+    "check --max-genus 6":
+        "8f734374fdfc05452b86d850f45f5bf965706bbd374465573461ab9c88bda62d",
     "ring --genus 6 --format json":
         "970e9acc754a6429ec9f7332f06512506c4816110aa345c6393ecad9e26bd8c7",
     "ring --genus 8 --format json":
@@ -42,6 +44,9 @@ GOLDEN = {
         "7aa5b8c26a5aa2728163859a9e1b836a324c0faac5741754fd8d4f775757be86",
     "eigen --object K --r 4 --format json":
         "a899d62e23bbd0af80851870c227548193e86b15c9229f74b4a5ac5133875656",
+    # the subquotient path: torsion blocks from kernels, images and induced actions
+    "eigen --object K --r 7 --format json":
+        "9c8f38d301cd7d54d105b47eea585234ba4e5fb593d45b4904749c7e695b18d0",
     "eigen --object filtration --r 4":
         "279598fa9b015d90ec705163e9dc7ea6542e87737852c7a330ec49bf008b7e95",
     "relations --flavor R --r 6":
@@ -117,17 +122,23 @@ SERIES_GOLDEN = {
         "7dba0a0ba9c6034021f7dcbbc4a7966af29d22d752b7601a75f92f9bb78e75ae",
     "eval --series {raw} --class 1,1 --order 7":
         "389461175104b8f46df20e665429603020bd89a3bb50cbce08444ecd15093f6d",
+    # Q(D) = -4, so the exp(Q(D) t^2/2) factor is not 1
+    "eval --series {p13} --class 2,-1 --order 100":
+        "ddab3fa7e1e5ee065c07fadff1f593f5d1b5b34a5b7c73999a001358ad22204d",
     "fibersum --a {p21} --b {p22} --genus 2 --pairing {pairing}":
         "a0c52bec4afc11807de0dca9b2306fff26f3e1a4430100967525a39dfafcd7b8",
     "fibersum --a {p12} --b {p13} --genus 1 --pairing {pairing}":
         "5f405b743a2233c0a5d798c077e01155ec73edebf8965e41dd28849640ad81c4",
+    # {p110} and {p112} are the products of a torus with surfaces of genus 10 and 12
+    "fibersum --a {p110} --b {p112} --genus 1 --pairing {pairing}":
+        "e2a0bbe88a907567d0cb8eeba75c3b5b9c299a3c4b8173176e9299fee3a98257",
 }
 
 
 @pytest.mark.parametrize("command", sorted(SERIES_GOLDEN))
 def test_series_stdout_digest(command, capsys, tmp_path):
     files = {"raw": UNNORMALIZED_SERIES}
-    for g, h in ((1, 2), (1, 3), (2, 1), (2, 2), (2, 3), (3, 4)):
+    for g, h in ((1, 2), (1, 3), (2, 1), (2, 2), (2, 3), (3, 4), (1, 10), (1, 12)):
         files[f"p{g}{h}"] = product_series(g, h).to_json()
     names = {}
     for name, obj in files.items():
