@@ -293,17 +293,18 @@ class FiberSumInput(NamedTuple):
 def _class_solver(q):
     """The map from a pairing vector p to the integer class K with Q K = p.
 
-    One elimination of [Q | I] gives Q^-1; scaled by the lcm L of its
-    denominators it is an integer matrix, so each class is L Q^-1 p divided
-    by L, and a nonzero remainder means the class is not integral.
+    One elimination of [Q | I] gives Q^-1, row i as integers over the
+    pivot of row i; scaled by the lcm L of the pivots it is an integer
+    matrix, so each class is L Q^-1 p divided by L, and a nonzero remainder
+    means the class is not integral.
     """
     n = len(q)
     augmented = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(q)]
-    rows, pivots = Matrix(augmented).rref()
+    rref, pivots = Matrix(augmented).rref()
     if any(pc >= n for pc in pivots):
         raise ValueError("intersection form Q must be nondegenerate")
-    den = lcm(*(x.denominator for row in rows for x in row[n:]))
-    inverse = [[int(x * den) for x in row[n:]] for row in rows]
+    den = lcm(*rref.dens)
+    inverse = [[x * (den // d) for x in row[n:]] for row, d in zip(rref.nums, rref.dens)]
 
     def solve(pairings) -> tuple:
         out = []

@@ -98,17 +98,17 @@ def beta_eigenvalue(k: int) -> GaussianRational:
     return GaussianRational(-8 if k % 2 else 8)
 
 
-def default_candidates(bound: int) -> list:
-    """Candidate eigenvalues 0, +-8 and +-4k, +-4k*i for k <= bound."""
+@lru_cache(maxsize=None)
+def default_candidates(bound: int) -> tuple:
+    """Candidate eigenvalues 0, +-8 and +-4k, +-4k*i for k <= bound, as one
+    tuple per bound, so factor_over_candidates finds its plan for them
+    without hashing a candidate."""
     vals = [GaussianRational(0), GaussianRational(8), GaussianRational(-8)]
     for k in range(1, bound + 1):
-        vals += (
-            GaussianRational(4 * k),
-            GaussianRational(-4 * k),
-            GaussianRational(0, 4 * k),
-            GaussianRational(0, -4 * k),
-        )
-    return list(dict.fromkeys(vals))  # in order, once each
+        if k != 2:  # +-4k = +-8 at k = 2, listed already
+            vals += (GaussianRational(4 * k), GaussianRational(-4 * k))
+        vals += (GaussianRational(0, 4 * k), GaussianRational(0, -4 * k))
+    return tuple(vals)
 
 
 def eigen_reports(matrix_of, bound: int) -> dict:
@@ -156,7 +156,7 @@ def monomial_simplex(r: int, nvars: int = 3) -> list:
 
 def basis_matrix(ring: QuotientRing, monomials) -> Matrix:
     """Coordinates of the normal forms of the given monomials (columns)."""
-    return Matrix.from_columns(ring.nf_coords(SparsePoly({m: 1})) for m in monomials)
+    return ring.monomial_matrix(monomials)
 
 
 # ---------------------------------------------------------------------------
@@ -187,11 +187,12 @@ def induced_action(m: Matrix, reps, denominator) -> Matrix:
     """
     d, n = len(denominator), len(reps)
     images = [m.matvec(v) for v in reps]
-    rows, pivots = Matrix.from_columns([*denominator, *reps, *images]).rref()
+    rref, pivots = Matrix.from_columns([*denominator, *reps, *images]).rref()
     if pivots and pivots[-1] >= d + n:
         raise FalsificationError("action does not preserve the subquotient")
-    rep_rows = [rows[pivots.index(d + k)] for k in range(n)]
-    return Matrix([[row[d + n + j] for j in range(n)] for row in rep_rows])
+    # the coefficients are read from the integer rows, each over its pivot
+    rep_rows = [pivots.index(d + k) for k in range(n)]
+    return Matrix._of(((rref.nums[i][d + n :], rref.dens[i]) for i in rep_rows), n)
 
 
 class SubquotientModule(NamedTuple):
@@ -252,9 +253,13 @@ def gamma_kernel_dims(r: int) -> tuple:
 
 def socle_quotient_ring(r: int) -> QuotientRing:
     """F_{r+1}/(beta + (-1)^{r+1} 8, gamma): the cyclic alpha-module whose
-    characteristic polynomial carries the filtration-layer spectrum."""
+    characteristic polynomial carries the filtration-layer spectrum.
+
+    Built from the level-(r+1) relations and the two extra generators, not
+    from the basis of F_{r+1}: a reduced Groebner basis is unique, so the
+    ring is the same, and no Buchberger run for F_{r+1} is paid for it."""
     shift = BETA + ((-1) ** (r + 1) * 8)
-    return invariant_ring(r + 1).extend([shift, GAMMA])
+    return QuotientRing.from_generators(relations("R", r + 1).generators() + [shift, GAMMA])
 
 
 def socle_quotient_charpoly(r: int) -> UniPoly:

@@ -39,7 +39,6 @@ from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from typing import NamedTuple, Sequence
 
-from .exactalg import Q_ONE, Q_ZERO
 from .linalg import Matrix
 from .poly import Monomial, SparsePoly
 
@@ -392,37 +391,31 @@ class QuotientRing:
     def normal_form(self, p: SparsePoly) -> SparsePoly:
         return normal_form(p, self.gb)
 
-    def nf_coords(self, p: SparsePoly) -> list:
-        """Coordinates of the normal form of p in the staircase basis."""
-        nf = self.normal_form(p)
-        v = [Q_ZERO] * self.dim
-        for m, c in nf.terms.items():
-            v[self._index[_pack(m)]] = c
-        return v
+    def _coords_matrix(self, monomials) -> Matrix:
+        """The matrix whose column j holds the coordinates of the packed
+        monomial monomials[j] in the staircase basis: a unit vector where
+        it is a staircase monomial, otherwise its remainder over its scale."""
+        index, divisors = self._index, self.gb.divisors
+        cols = []
+        for t in monomials:
+            if t in index:
+                cols.append(({index[t]: 1}, 1))
+            else:
+                rem, scale = _reduce({t: 1}, divisors)
+                cols.append(({index[k]: c for k, c in rem.items()}, scale))
+        return Matrix.from_scaled_columns(cols, self.dim)
+
+    def monomial_matrix(self, monomials) -> Matrix:
+        """Coordinates of the normal forms of the given monomials (columns)."""
+        return self._coords_matrix(map(_pack, monomials))
 
     def mult_matrix(self, var) -> Matrix:
-        """Matrix of multiplication by a variable; column j is x_v * basis_j.
-
-        Where x_v * basis_j is itself a staircase monomial the column is a
-        unit vector; otherwise it is the remainder of that one monomial,
-        divided by its scale.
-        """
+        """Matrix of multiplication by a variable; column j is x_v * basis_j."""
         if isinstance(var, str):
             var = VAR_NAMES.index(var)
         if var not in self._mult:
-            x, index, divisors = _VARS[var], self._index, self.gb.divisors
-            cols = []
-            for m in index:
-                col = [Q_ZERO] * self.dim
-                t = m + x
-                if t in index:
-                    col[index[t]] = Q_ONE
-                else:
-                    rem, scale = _reduce({t: 1}, divisors)
-                    for k, c in rem.items():
-                        col[index[k]] = Fraction(c, scale)
-                cols.append(col)
-            self._mult[var] = Matrix.from_columns(cols, self.dim)
+            x = _VARS[var]
+            self._mult[var] = self._coords_matrix(m + x for m in self._index)
         return self._mult[var]
 
     def extend(self, extra: Sequence[SparsePoly]) -> "QuotientRing":

@@ -25,29 +25,55 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
+from operator import mul
 from typing import NamedTuple
 
 from .exactalg import Q_ONE, Q_ZERO, GaussianRational, rational, rational_json, render_terms
 
 
-class Matrix:
-    """Immutable dense matrix with rational entries, row-major.
+def _integer_row(row) -> tuple:
+    """(ints, den): a row of rationals as a tuple of ints over the lcm of
+    their reduced denominators, which is canonical as it stands."""
+    row = tuple(row)
+    if set(map(type, row)) <= {int}:
+        return row, 1
+    row = [x if type(x) is int else rational(x) for x in row]
+    den = math.lcm(*(x.denominator for x in row))
+    return tuple(x.numerator * (den // x.denominator) for x in row), den
 
-    A matrix with no rows keeps the column count it is given, so a 0 x n
-    matrix has the n-dimensional kernel of the zero map.
+
+class Matrix:
+    """Immutable dense matrix over Q, row-major, held as integer rows.
+
+    Row i is the tuple of ints nums[i] over the positive int dens[i], kept
+    canonical: gcd(dens[i], *nums[i]) == 1, so a zero row is over 1.  Equal
+    matrices have equal fields, and == and hash compare those.  Every
+    method reads the integers; `rows` is the same matrix as Fractions, for
+    reading at the API edge.  A matrix with no rows keeps the column count
+    it is given, so a 0 x n matrix has the n-dimensional kernel of the zero
+    map.
     """
 
-    __slots__ = ("rows", "nrows", "ncols")
+    __slots__ = ("nums", "dens", "nrows", "ncols")
 
     def __init__(self, rows, ncols: int = 0):
-        rows = tuple(tuple(map(rational, row)) for row in rows)
-        if rows:
-            ncols = len(rows[0])
-        if any(len(r) != ncols for r in rows):
+        """The matrix of the given rows of rationals (ints, Fractions or
+        real GaussianRationals)."""
+        nums, dens = [], []
+        for row in rows:
+            ints, den = _integer_row(row)
+            nums.append(ints)
+            dens.append(den)
+        if nums:
+            ncols = len(nums[0])
+        if any(len(r) != ncols for r in nums):
             raise ValueError("ragged rows")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "nrows", len(rows))
+        self._set(tuple(nums), tuple(dens), ncols)
+
+    def _set(self, nums: tuple, dens: tuple, ncols: int):
+        object.__setattr__(self, "nums", nums)
+        object.__setattr__(self, "dens", dens)
+        object.__setattr__(self, "nrows", len(nums))
         object.__setattr__(self, "ncols", ncols)
 
     def __setattr__(self, name, value):
@@ -55,8 +81,23 @@ class Matrix:
 
     # -- constructors -----------------------------------------------------
     @staticmethod
+    def _of(rows, ncols: int) -> "Matrix":
+        """The matrix of (ints, positive den) rows, each divided by
+        gcd(den, *ints) to make it canonical."""
+        nums, dens = [], []
+        for ints, den in rows:
+            g = math.gcd(den, *ints)
+            if g != 1:
+                ints, den = [x // g for x in ints], den // g
+            nums.append(tuple(ints))
+            dens.append(den)
+        m = object.__new__(Matrix)
+        m._set(tuple(nums), tuple(dens), ncols)
+        return m
+
+    @staticmethod
     def identity(n: int) -> "Matrix":
-        return Matrix([[Q_ONE if i == j else Q_ZERO for j in range(n)] for i in range(n)])
+        return Matrix._of((([int(i == j) for j in range(n)], 1) for i in range(n)), n)
 
     @staticmethod
     def from_columns(cols, nrows: int = 0) -> "Matrix":
@@ -65,34 +106,81 @@ class Matrix:
         cols = list(cols)
         return Matrix(zip(*cols, strict=True) if cols else [()] * nrows, len(cols))
 
+    @staticmethod
+    def from_scaled_columns(cols, nrows: int) -> "Matrix":
+        """The nrows-row matrix whose column j is entries / scale for the
+        j-th pair (entries, scale) of cols, entries a map from row index to
+        int and scale a positive int.  Row i is over the lcm of the scales
+        of its nonzero entries."""
+        cols = list(cols)
+        dens = [1] * nrows
+        for entries, scale in cols:
+            if scale != 1:
+                for i in entries:
+                    dens[i] = math.lcm(dens[i], scale)
+        nums = [[0] * len(cols) for _ in range(nrows)]
+        for j, (entries, scale) in enumerate(cols):
+            for i, c in entries.items():
+                nums[i][j] = c * (dens[i] // scale) if scale != dens[i] else c
+        return Matrix._of(zip(nums, dens), len(cols))
+
+    @property
+    def rows(self) -> tuple:
+        """The entries as Fractions, row by row."""
+        return tuple(
+            tuple(map(Fraction, r)) if d == 1 else tuple(Fraction(x, d) for x in r)
+            for r, d in zip(self.nums, self.dens)
+        )
+
     # -- arithmetic ---------------------------------------------------------
     def scale(self, c) -> "Matrix":
         c = rational(c)
-        return Matrix([[a * c for a in r] for r in self.rows], self.ncols)
+        n, d = c.numerator, c.denominator
+        return Matrix._of((([x * n for x in r], den * d) for r, den in zip(self.nums, self.dens)), self.ncols)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
-        """The product, one column of `other` at a time through matvec."""
+        """The product over Z: the rows of `other` are brought to their
+        common denominator e, so row i of the product is the integer
+        combination of them that row i of self gives, over dens[i] * e."""
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch")
-        return Matrix.from_columns(
-            (self.matvec([r[j] for r in other.rows]) for j in range(other.ncols)),
-            self.nrows,
-        )
+        e = math.lcm(*other.dens)
+        # the nonzero entries of each row of other, over e
+        sparse = [
+            [(j, x * (e // d)) for j, x in enumerate(r) if x] for r, d in zip(other.nums, other.dens)
+        ]
+        rows = []
+        for r, d in zip(self.nums, self.dens):
+            acc = [0] * other.ncols
+            for k, a in enumerate(r):
+                if a:
+                    for j, b in sparse[k]:
+                        acc[j] += a * b
+            rows.append((acc, d * e))
+        return Matrix._of(rows, other.ncols)
 
     def matvec(self, v) -> list:
+        """m v as a list of rationals: an int where the entry is integral."""
         if self.ncols != len(v):
             raise ValueError("shape mismatch")
+        ints, den = _integer_row(v)
         # read only the columns where v is nonzero
-        support = [(k, x) for k, x in enumerate(v) if x]
-        return [sum((row[k] * x for k, x in support if row[k]), Q_ZERO) for row in self.rows]
+        support = [k for k, x in enumerate(ints) if x]
+        xs = [ints[k] for k in support]
+        out = []
+        for r, d in zip(self.nums, self.dens):
+            s = sum(map(mul, map(r.__getitem__, support), xs))
+            d *= den
+            out.append(Fraction(s, d) if d != 1 and s else s)
+        return out
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matrix):
             return NotImplemented
-        return self.rows == other.rows
+        return (self.ncols, self.nums, self.dens) == (other.ncols, other.nums, other.dens)
 
     def __hash__(self):
-        return hash(self.rows)
+        return hash((self.ncols, self.nums, self.dens))
 
     def __repr__(self) -> str:
         body = "; ".join(", ".join(str(x) for x in r) for r in self.rows)
@@ -100,46 +188,86 @@ class Matrix:
 
     # -- elimination ---------------------------------------------------------
     def rref(self):
-        """Reduced row echelon form; returns (rows, pivot column list)."""
-        rows = [list(r) for r in self.rows]
+        """(R, pivots): the reduced row echelon form R, a Matrix, and the
+        list of its pivot columns.
+
+        Integer Gauss-Jordan on the numerators; scaling a row leaves the
+        row space as it is, so the denominators are never read.  To clear
+        column pc of row i against the pivot row, with f and p their
+        entries there and g = gcd(p, f), row i becomes (p/g) row_i -
+        (f/g) pivot row and is then divided by its content.  So every row
+        stays a primitive integer multiple of the row Gauss-Jordan over Q
+        would hold, with a positive pivot, and only the output divides by
+        the pivots: row i of R is its integer row over its pivot, which is
+        canonical as it stands.
+        """
+        ncols = self.ncols
+        rows = [list(r) for r in self.nums]
+        n = len(rows)
         pivots: list[int] = []
         pr = 0
-        for pc in range(self.ncols):
-            pivot = None
-            for i in range(pr, self.nrows):
+        for pc in range(ncols):
+            for i in range(pr, n):
                 if rows[i][pc]:
-                    pivot = i
                     break
-            if pivot is None:
+            else:
                 continue
-            rows[pr], rows[pivot] = rows[pivot], rows[pr]
-            inv = 1 / rows[pr][pc]
+            prow = rows[i]
+            rows[i] = rows[pr]
+            c = math.gcd(*prow)
+            if prow[pc] < 0:
+                c = -c
+            if c != 1:
+                prow = [x // c for x in prow]
+            rows[pr] = prow
+            p = prow[pc]
             # zero entries of the pivot row change nothing: skip them
-            rows[pr] = [x * inv if x else x for x in rows[pr]]
-            for i in range(self.nrows):
-                if i != pr and rows[i][pc]:
-                    f = rows[i][pc]
-                    rows[i] = [a - f * b if b else a for a, b in zip(rows[i], rows[pr])]
+            support = [j for j in range(pc + 1, ncols) if prow[j]]
+            for i, row in enumerate(rows):
+                f = row[pc]
+                if not f or i == pr:
+                    continue
+                g = math.gcd(p, f)
+                a, b = p // g, f // g
+                if a != 1:
+                    row = [x * a for x in row]
+                row[pc] = 0
+                for j in support:
+                    row[j] -= b * prow[j]
+                c = math.gcd(*row)
+                if c > 1:
+                    row = [x // c for x in row]
+                rows[i] = row
             pivots.append(pc)
             pr += 1
-            if pr == self.nrows:
+            if pr == n:
                 break
-        return rows, pivots
+        dens = [rows[i][pc] for i, pc in enumerate(pivots)] + [1] * (n - pr)
+        out = object.__new__(Matrix)
+        out._set(tuple(map(tuple, rows)), tuple(dens), ncols)
+        return out, pivots
 
     def rank(self) -> int:
         return len(self.rref()[1])
 
     def kernel_basis(self) -> list:
-        """Deterministic basis of the right kernel (free columns in order)."""
-        rows, pivots = self.rref()
+        """Deterministic basis of the right kernel, one integer vector per
+        free column f in order: the primitive integer multiple, positive at
+        f, of the kernel vector that is 1 at f and 0 at the other free
+        columns."""
+        rref, pivots = self.rref()
         pivot_set = set(pivots)
-        free = [j for j in range(self.ncols) if j not in pivot_set]
         basis = []
-        for f in free:
-            v = [Q_ZERO] * self.ncols
-            v[f] = Q_ONE
-            for i, pc in enumerate(pivots):
-                v[pc] = -rows[i][f]
+        for f in range(self.ncols):
+            if f in pivot_set:
+                continue
+            # row i of rref reads x[pivots[i]] + (nums[i][f] / dens[i]) x[f] = 0
+            entries = [(pc, r[f], d) for pc, r, d in zip(pivots, rref.nums, rref.dens) if r[f]]
+            scale = math.lcm(*(d // math.gcd(x, d) for _, x, d in entries))
+            v = [0] * self.ncols
+            v[f] = scale
+            for pc, x, d in entries:
+                v[pc] = -x * scale // d
             basis.append(v)
         return basis
 
@@ -150,25 +278,30 @@ class Matrix:
         The strongly connected components of the graph with an edge i -> j
         for each nonzero entry A[i][j] order the rows and columns so that A
         becomes block upper triangular, and det(x*I - A) is the product of
-        det(x*I - B) over its diagonal blocks B.  Each block goes through
-        Hessenberg reduction and the Hessenberg determinant recurrence
-        (Cohen, A Course in Computational Algebraic Number Theory, GTM 138,
-        Alg. 2.2.9); a matrix with one component is one block.
+        det(x*I - B) over its diagonal blocks B.  Each block, read from the
+        integer rows, goes through Hessenberg reduction and the Hessenberg
+        determinant recurrence (Cohen, A Course in Computational Algebraic
+        Number Theory, GTM 138, Alg. 2.2.9); a matrix with one component is
+        one block.
         """
         if self.nrows != self.ncols:
             raise ValueError("characteristic polynomial of a non-square matrix")
-        rows = self.rows
+        nums, dens = self.nums, self.dens
         # the product of the block polynomials is num / den with integer num:
         # integer products cost far less than Fraction ones, and only the
         # final coefficients are reduced
         num, den = [1], 1
-        for comp in _strong_components([[j for j, a in enumerate(r) if a] for r in rows]):
-            block = _hessenberg_charpoly([[rows[i][j] for j in comp] for i in comp])
-            d = math.lcm(*(c.denominator for c in block))
+        for comp in _strong_components([[j for j, a in enumerate(r) if a] for r in nums]):
+            if len(comp) == 1:  # x - a for the entry a = n / d: d x - n over d
+                (i,) = comp
+                block, d = [-nums[i][i], dens[i]], dens[i]
+            else:
+                block = _hessenberg_charpoly([[Fraction(nums[i][j], dens[i]) for j in comp] for i in comp])
+                d = math.lcm(*(c.denominator for c in block))
+                block = [c.numerator * (d // c.denominator) for c in block]
             out = [0] * (len(num) + len(block) - 1)
             for j, c in enumerate(block):
                 if c:
-                    c = c.numerator * (d // c.denominator)
                     for i, a in enumerate(num):
                         out[i + j] += a * c
             num, den = out, den * d
@@ -438,23 +571,44 @@ def _value_at_root(p: list, n: int, d: int) -> int:
     return value
 
 
-@lru_cache(maxsize=64)
-def _plan(candidates: tuple) -> tuple:
-    """How factor_over_candidates treats each candidate, derived once per
-    candidate tuple: (z, primitive factor) for a real z or the first of a
-    conjugate pair, (z, k) for the second of a pair, whose multiplicity is
-    that of step k.  A nonreal candidate without its conjugate, or one
-    listed before, has no step."""
-    listed = dict.fromkeys(map(GaussianRational.coerce, candidates))  # in order, once each
-    steps, first = [], {}  # first: conjugate of a pair's first member -> its step
-    for z in listed:
-        if z in first:
-            steps.append((z, first.pop(z)))
+#: id of a candidate tuple -> (the tuple, its plan); holding the tuple keeps
+#: its id from being reused while the entry lives
+_PLANS: dict = {}
+
+
+def _plan(candidates) -> tuple:
+    """How factor_over_candidates treats each candidate: (z, primitive
+    factor) for a real z or the first of a conjugate pair, (z, k) for the
+    second of a pair, whose multiplicity is that of step k.  A nonreal
+    candidate without its conjugate, or one listed before, has no step.
+
+    The plan of a tuple is derived once and then found by the identity of
+    the tuple, so the lookup hashes no candidate; default_candidates
+    returns one tuple per bound.  Any other candidate list gets a plan of
+    its own, and the cache is emptied when it reaches 64 entries.
+    """
+    hit = _PLANS.get(id(candidates))
+    if hit is not None and hit[0] is candidates:
+        return hit[1]
+    # candidates are told apart by the four ints of their parts, whose
+    # hashes cost far less than those of Fractions
+    listed: dict = {}  # parts -> candidate, in order, once each
+    for z in map(GaussianRational.coerce, candidates):
+        listed.setdefault((z.re.numerator, z.re.denominator, z.im.numerator, z.im.denominator), z)
+    steps, first = [], {}  # first: parts of the conjugate of a pair's first member -> its step
+    for parts, z in listed.items():
+        conj = parts[:2] + (-parts[2], parts[3])
+        if parts in first:
+            steps.append((z, first.pop(parts)))
         elif not z.im:
             steps.append((z, tuple(_primitive([-z.re, Q_ONE]))))
-        elif z.conjugate() in listed:
-            first[z.conjugate()] = len(steps)
+        elif conj in listed:
+            first[conj] = len(steps)
             steps.append((z, tuple(_primitive([z.re * z.re + z.im * z.im, -2 * z.re, Q_ONE]))))
+    if isinstance(candidates, tuple):
+        if len(_PLANS) >= 64:
+            _PLANS.clear()
+        _PLANS[id(candidates)] = (candidates, tuple(steps))
     return tuple(steps)
 
 
@@ -476,7 +630,7 @@ def factor_over_candidates(cp: UniPoly, candidates) -> EigenReport:
         raise ValueError("characteristic polynomial must be monic")
     mults, roots = [], []
     rem = _primitive(cp.coeffs)
-    for z, factor in _plan(tuple(candidates)):
+    for z, factor in _plan(candidates):
         if isinstance(factor, int):
             mult = mults[factor]
         else:

@@ -233,6 +233,16 @@ class TestSocleQuotient:
         for r in range(1, 6):
             assert socle_quotient_ring(r).dim == r + 1
 
+    def test_built_from_relations_as_from_the_level_above(self):
+        # a reduced Groebner basis is unique, so the quotient built from the
+        # level-(r+1) relations equals F_{r+1} extended by the same generators
+        for r in range(1, 8):
+            shift = BETA + (-1) ** (r + 1) * 8
+            via_f = invariant_ring(r + 1).extend([shift, GAMMA])
+            direct = socle_quotient_ring(r)
+            assert direct.gb == via_f.gb
+            assert direct.basis == via_f.basis
+
 
 class TestBlocks:
     def test_level_one(self):
