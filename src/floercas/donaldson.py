@@ -12,10 +12,11 @@ coefficients.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import comb, lcm
 from typing import NamedTuple
 
-from .exactalg import DEFAULT_ORDER, Q_ONE, Q_ZERO, TruncatedSeries, rational
+from .exactalg import DEFAULT_ORDER, TruncatedSeries, rational
 from .linalg import Matrix
 
 
@@ -177,29 +178,43 @@ def product_series(g: int, h: int) -> DonaldsonSeries:
 def evaluate(series: DonaldsonSeries, d, order: int = DEFAULT_ORDER) -> TruncatedSeries:
     """exp(Q(D) t^2/2) * sum a_i exp((K_i . D) t), truncated at t^order.
 
-    The coefficients are computed over Q in closed form: with c_i = K_i . D,
-    s[m] = sum_i a_i c_i^m / m! and e[j] = (Q(D)/2)^j / j!, coefficient n is
-    the sum of e[j] s[n - 2j] over 2j <= n.  That is O(terms * order +
-    order^2 / 4) rational operations; the result is wrapped in a series
-    over Q(i) only at the end.
+    The coefficients are computed over Z in closed form.  With c_i = K_i . D,
+    the a_i = A_i / L over the lcm L of their denominators, the power sums
+    S[m] = sum_i A_i c_i^m and q = Q(D), coefficient n is
+
+        sum over 2j <= n of (q/2)^j / j! * S[n - 2j] / (n - 2j)! / L
+        = sum_j w(n, j) S[n - 2j] / (L n! 2^h),  h = floor(n/2),
+
+    with the integers w(n, j) = n! / (j! (n - 2j)!) q^j 2^(h - j), so each
+    coefficient is one integer sum and one division.  w(n, 0) = 2^h, and
+    w(n, j + 1) = w(n, j) (n - 2j) (n - 2j - 1) q / (2 (j + 1)) exactly.
+    The result is wrapped in a series over Q(i) only at the end.
     """
     d = tuple(int(x) for x in d)
-    s = [Q_ZERO] * order
+    den = lcm(*(a.denominator for a, _ in series.terms))
+    s = [0] * order
     for a, k in series.terms:
         c = series.pair(k, d)
-        s[0] += a
-        term = a  # a c^m / m!, one running term per class
-        for m in range(1, order if c else 1):  # c = 0 adds to s[0] only
-            term = term * c / m
+        term = a.numerator * (den // a.denominator)  # A_i c_i^m, one running term per class
+        s[0] += term
+        for m in range(1, order if c else 1):  # c = 0 adds to S[0] only
+            term *= c
             s[m] += term
-    half = rational(series.quadratic_form(d), 2)
-    e = [Q_ONE]
-    for j in range(1, (order + 1) // 2 if half else 1):  # Q(D) = 0 leaves e = [1]
-        e.append(e[-1] * half / j)
-    coeffs = [
-        sum((e[j] * s[n - 2 * j] for j in range(min(n // 2 + 1, len(e)))), Q_ZERO)
-        for n in range(order)
-    ]
+    q = series.quadratic_form(d)
+    coeffs = []
+    fact = 1  # n!
+    for n in range(order):
+        if n:
+            fact *= n
+        if not q:  # exp(0) = 1: coefficient n is S[n] / (L n!)
+            coeffs.append(Fraction(s[n], den * fact))
+            continue
+        h = n // 2
+        w, total = 1 << h, 0
+        for j in range(h + 1):
+            total += w * s[n - 2 * j]
+            w = w * (n - 2 * j) * (n - 2 * j - 1) * q // (2 * (j + 1))
+        coeffs.append(Fraction(total, den * fact << h))
     return TruncatedSeries(coeffs, order)
 
 
@@ -359,15 +374,20 @@ def fiber_sum(inp: FiberSumInput) -> DonaldsonSeries:
             weight = rational(2 ** (7 * g - 9))
             out_terms = [(weight * c, k) for c, k in out_terms]
     else:
-        # sinh^2((Sigma.D) t) = exp(2 Sigma)/4 - 1/2 + exp(-2 Sigma)/4
-        quarter = rational(1, 4)
-        half = rational(1, 2)
+        # sinh^2((Sigma.D) t) = exp(2 Sigma)/4 - 1/2 + exp(-2 Sigma)/4; with
+        # a_j = A_j / L_a and b_k = B_k / L_b, each term is an integer over
+        # 4 L_a L_b, summed per class before any Fraction is made
+        la = lcm(*(a.denominator for a, _ in inp.a.terms))
+        lb = lcm(*(b.denominator for b, _ in inp.b.terms))
+        sums: dict = {}
         for a_c, k1 in inp.a.terms:
+            a_int = a_c.numerator * (la // a_c.denominator)
             for b_c, k2 in inp.b.terms:
-                ab = a_c * b_c
-                out_terms.append((ab * quarter, result_class(k1, k2, 2)))
-                out_terms.append((-ab * half, result_class(k1, k2, 0)))
-                out_terms.append((ab * quarter, result_class(k1, k2, -2)))
+                ab = a_int * b_c.numerator * (lb // b_c.denominator)
+                for mult, weight in ((2, ab), (0, -2 * ab), (-2, ab)):
+                    k = result_class(k1, k2, mult)
+                    sums[k] = sums.get(k, 0) + weight
+        out_terms = [(Fraction(c, 4 * la * lb), k) for k, c in sums.items()]
     return DonaldsonSeries(inp.basis_names, inp.q, out_terms, simple_type=True)
 
 

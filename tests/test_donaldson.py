@@ -130,6 +130,30 @@ def evaluate_by_sympy(series, d, order):
               if poly.degree() >= 0 else [0], order)
 
 
+def evaluate_by_fraction_sums(series, d, order):
+    """The Fraction loop evaluate replaced, kept as its reference: with
+    c_i = K_i . D, s[m] = sum_i a_i c_i^m / m! by one running term per
+    class, e[j] = (Q(D)/2)^j / j!, and coefficient n the sum of
+    e[j] s[n - 2j] over 2j <= n."""
+    s = [Fraction(0)] * order
+    for a, k in series.terms:
+        c = series.pair(k, d)
+        s[0] += a
+        term = a
+        for m in range(1, order if c else 1):
+            term = term * c / m
+            s[m] += term
+    half = Fraction(series.quadratic_form(d), 2)
+    e = [Fraction(1)]
+    for j in range(1, (order + 1) // 2 if half else 1):
+        e.append(e[-1] * half / j)
+    return TS(
+        [sum((e[j] * s[n - 2 * j] for j in range(min(n // 2 + 1, len(e)))), Fraction(0))
+         for n in range(order)],
+        order,
+    )
+
+
 small_classes = st.tuples(st.integers(-4, 4), st.integers(-4, 4))
 random_series = st.builds(
     lambda q, terms: DonaldsonSeries(("E", "F"), ((q[0], q[1]), (q[1], q[2])), terms),
@@ -150,6 +174,24 @@ EDGE_CASES = [
 ]
 
 
+@st.composite
+def integer_kernel_inputs(draw):
+    """A series, a class D and an order for the integer evaluation: mixed
+    denominators, a class pairing to 0 with D in about half the draws, and
+    Q(D) = 0 in about half."""
+    if draw(st.booleans()):  # D isotropic for the hyperbolic form: Q(D) = 0
+        q, d = Q_HYP, (draw(st.integers(-4, 4)), 0)
+    else:
+        a, b, c = (draw(st.integers(-3, 3)) for _ in range(3))
+        q = ((a, b), (b, c))
+        d = draw(small_classes)
+    coeffs = st.fractions(min_value=-50, max_value=50, max_denominator=24)
+    terms = draw(st.lists(st.tuples(coeffs, small_classes), min_size=1, max_size=6))
+    if draw(st.booleans()):  # the zero class pairs to 0 with every D
+        terms.append((draw(coeffs), (0, 0)))
+    return DonaldsonSeries(("E", "F"), q, terms), d, draw(st.integers(1, 40))
+
+
 class TestEvaluateOracles:
     @settings(max_examples=60, deadline=None)
     @given(random_series, small_classes, orders)
@@ -158,6 +200,14 @@ class TestEvaluateOracles:
     @example(*EDGE_CASES[2])
     def test_matches_series_exp_construction(self, s, d, order):
         assert evaluate(s, d, order) == evaluate_by_series_exp(s, d, order)
+
+    @settings(max_examples=150, deadline=None)
+    @given(integer_kernel_inputs())
+    @example((series([(Fraction(1, 6), (1, 1)), (Fraction(-3, 4), (0, 0))]), (2, 0), 40))
+    @example((DonaldsonSeries(("E", "F"), ((1, 0), (0, -1)), [(Fraction(5, 7), (1, 1))]), (1, -1), 40))
+    def test_matches_the_fraction_sums(self, inputs):
+        s, d, order = inputs
+        assert evaluate(s, d, order) == evaluate_by_fraction_sums(s, d, order)
 
     # sympy.series costs up to ~4 s at order 40 with six terms, so a failure
     # is reported as found: shrinking it would take minutes
@@ -182,6 +232,24 @@ class TestEvaluateOracles:
         assert len(made) == 58
 
 
+def genus_one_sum_by_fractions(inp):
+    """The Fraction loop of the genus-1 fiber sum, kept as its reference:
+    every pair of terms gives a b / 4 at the class shifted by 2 Sigma,
+    -a b / 2 unshifted and a b / 4 shifted by -2 Sigma, merged by the
+    series record."""
+    solve = inp.validate()
+    dots = [sp.sigma_dot for sp in inp.splits]
+    terms = []
+    for a_c, k1 in inp.a.terms:
+        for b_c, k2 in inp.b.terms:
+            p1 = [inp.a.pair(k1, sp.d1) for sp in inp.splits]
+            p2 = [inp.b.pair(k2, sp.d2) for sp in inp.splits]
+            for mult, weight in ((2, Fraction(1, 4)), (0, Fraction(-1, 2)), (-2, Fraction(1, 4))):
+                k = solve([x + y + mult * z for x, y, z in zip(p1, p2, dots)])
+                terms.append((a_c * b_c * weight, k))
+    return DonaldsonSeries(inp.basis_names, inp.q, terms)
+
+
 class TestFiberSum:
     def test_glue_two_one_alongside_two_two(self):
         inp = product_sum_input(2, 1, 2)
@@ -202,6 +270,27 @@ class TestFiberSum:
     def test_genus_one_branch(self):
         got = fiber_sum(product_sum_input(1, 1, 1))
         assert got.terms == product_series(1, 2).terms
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(1, 9),
+        st.integers(1, 9),
+        st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=15).filter(bool),
+                 min_size=1, max_size=20),
+    )
+    def test_genus_one_branch_matches_the_fraction_loop(self, h1, h2, factors):
+        # the products' coefficients rescaled term by term, so that both
+        # sides carry mixed denominators
+        inp = product_sum_input(1, h1, h2)
+
+        def rescaled(s, offset):
+            return DonaldsonSeries(
+                s.basis_names, s.q,
+                [(a * factors[(i + offset) % len(factors)], k) for i, (a, k) in enumerate(s.terms)],
+            )
+
+        inp = inp._replace(a=rescaled(inp.a, 0), b=rescaled(inp.b, 1))
+        assert fiber_sum(inp) == genus_one_sum_by_fractions(inp)
 
     def test_genus_three_glue(self):
         assert fiber_sum(product_sum_input(3, 1, 1)).terms == product_series(3, 2).terms
