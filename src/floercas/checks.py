@@ -24,7 +24,6 @@ from .floer import (
     gamma_quotient_ring,
     invariant_ring,
     monomial_simplex,
-    basis_matrix,
     primitive_dim,
     primitive_dim_exact,
     psi1_block,
@@ -97,14 +96,14 @@ def check_dimensions(max_genus: int) -> CheckResult:
         if ring.dim != comb(r + 2, 3):
             failures.append(f"dim level {r}: {ring.dim} != {comb(r + 2, 3)}")
         simplex = monomial_simplex(r, nvars=3)
-        mat = basis_matrix(ring, simplex)
+        mat = ring.monomial_matrix(simplex)
         if len(simplex) != ring.dim or mat.rank() != ring.dim:
             failures.append(f"monomial simplex not a basis at level {r}")
         bar = gamma_quotient_ring(r)
         if bar.dim != comb(r + 1, 2):
             failures.append(f"dim gamma quotient {r}: {bar.dim} != {comb(r + 1, 2)}")
         simplex2 = monomial_simplex(r, nvars=2)
-        mat2 = basis_matrix(bar, simplex2)
+        mat2 = bar.monomial_matrix(simplex2)
         if len(simplex2) != bar.dim or mat2.rank() != bar.dim:
             failures.append(f"two-variable simplex not a basis at level {r}")
     return _result(

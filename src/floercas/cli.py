@@ -44,9 +44,9 @@ EXIT_FALSIFIED = 2
 MAX_ORDER = 512
 
 #: largest level accepted by eigen --r; the level ring F_r has dimension
-#: C(r+2, 3), and the cost grows by about 1.7 per level (eigen --object K,
-#: the slowest, takes 0.5-0.9 s at 9, 0.9-1.6 s at 10 and 1.5-2.6 s at 11;
-#: --object F takes 0.2-0.5 s at 9)
+#: C(r+2, 3), and the cost grows by about 1.6 per level (eigen --object F,
+#: the slowest, takes 0.3-0.4 s at 9, 0.5-0.7 s at 10 and 0.9-1.0 s at 11;
+#: --object K takes 0.3-0.45 s at 9, 0.4-0.5 s at 10 and 0.6-0.75 s at 11)
 MAX_EIGEN_R = 9
 
 #: largest genus accepted by donaldson product --g and --h; the series of
@@ -61,8 +61,8 @@ MAX_PRODUCT_GENUS = 46
 MAX_RELATIONS_R = 50
 
 #: largest genus accepted by check --max-genus; the suite's cost grows
-#: steeply past it (single runs: 0.12 s at 1, 0.2-0.4 s at 6, 0.8-1.3 s
-#: at 9, 5.7-6.6 s at 12 and 168 s at 16)
+#: steeply past it (single runs: 0.2 s at 1, 0.4 s at 6, 1.1-1.2 s at 9,
+#: 4.3-6.4 s at 12 and 151 s at 16)
 MAX_CHECK_GENUS = 9
 
 #: largest genus accepted by ring --genus; the slowest form, --format json

@@ -154,11 +154,6 @@ def monomial_simplex(r: int, nvars: int = 3) -> list:
     return out
 
 
-def basis_matrix(ring: QuotientRing, monomials) -> Matrix:
-    """Coordinates of the normal forms of the given monomials (columns)."""
-    return ring.monomial_matrix(monomials)
-
-
 # ---------------------------------------------------------------------------
 # subquotients
 
@@ -192,7 +187,7 @@ def induced_action(m: Matrix, reps, denominator) -> Matrix:
         raise FalsificationError("action does not preserve the subquotient")
     # the coefficients are read from the integer rows, each over its pivot
     rep_rows = [pivots.index(d + k) for k in range(n)]
-    return Matrix._of(((rref.nums[i][d + n :], rref.dens[i]) for i in rep_rows), n)
+    return Matrix.from_integer_rows(((rref.nums[i][d + n :], rref.dens[i]) for i in rep_rows), n)
 
 
 class SubquotientModule(NamedTuple):
@@ -218,7 +213,7 @@ def filtration_step(r: int) -> SubquotientModule:
     {4k*sqrt(-1)} for r even; beta acts as -8 (r odd) or +8 (r even).
     """
     big = gamma_quotient_ring(r + 1)
-    numerator = basis_matrix(gamma_quotient_ring(r), big.basis).kernel_basis()
+    numerator = gamma_quotient_ring(r).monomial_matrix(big.basis).kernel_basis()
     return SubquotientModule.build(big, numerator, [], candidate_bound=r + 1)
 
 

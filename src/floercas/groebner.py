@@ -28,8 +28,10 @@ map and the remainder so far are multiplied by lc / gcd(c, lc) first.  So
 the remainder is the Q-remainder times the scale.  Buchberger needs
 remainders only up to a unit and ignores the scale; a normal form divides
 by it once at the end.  `Fraction` appears only at the edge: reading a
-SparsePoly in, and writing a normal form, a reduced basis or a
-multiplication matrix out.
+SparsePoly in, and writing a normal form or a reduced basis out.  A
+coordinate matrix (of the multiplication by a variable, or of any list of
+monomials) takes each column from the staircase index or from one
+remainder and its scale, and its rows stay integers over a denominator.
 """
 
 from __future__ import annotations

@@ -2,17 +2,26 @@
 polynomials, and their roots among Q(i) candidates.
 
 Every matrix the package builds is real -- the multiplication matrices of
-the level rings, the wedge maps, the intersection forms -- so entries are
-rationals (`fractions.Fraction`) and a nonreal entry raises TypeError.  The
-largest matrices are the level-ring multiplication matrices, dim 84 at
-level 7 and 120 at level 8.  Storage is dense and Gauss-Jordan skips zero
-entries, which is enough at these sizes.  The same matrices are mostly
-zeros (alpha at level 8 has 663 nonzero entries of 14400), and their
-strongly connected blocks are much smaller: alpha at level r splits into
-blocks of sizes C(k+1, 2) for k = 1..r, beta into blocks of at most r, and
-gamma into 1 x 1 blocks.  So a characteristic polynomial is the product of
-those of the diagonal blocks, each from Hessenberg reduction, and the
-cubic cost of the reduction is paid per block.  Q(i) enters only in
+the level rings, the wedge maps, the intersection forms -- so a nonreal
+entry raises TypeError.  A Matrix holds each row as integers over one
+positive denominator, made canonical by their gcd, and every method
+reads the integers; Fractions (`fractions.Fraction`) appear only where
+values enter a Matrix, UniPoly or EigenReport or leave one.  Elimination
+is one integer Gauss-Jordan: a row is cleared by cross-multiplying with
+the pivot row and divided by its content, and the pivots are divided out
+only on output (see Matrix.rref).  Products and matrix-vector products
+are integer sums over the common denominator.
+
+The largest matrices are the level-ring multiplication matrices, dim 84
+at level 7 and 120 at level 8.  Storage is dense and elimination skips
+zero entries, which is enough at these sizes.  The same matrices are
+mostly zeros (alpha at level 8 has 663 nonzero entries of 14400), and
+their strongly connected blocks are much smaller: alpha at level r
+splits into blocks of sizes C(k+1, 2) for k = 1..r, beta into blocks of
+at most r, and gamma into 1 x 1 blocks.  So a characteristic polynomial
+is the product of those of the diagonal blocks, each from Hessenberg
+reduction over Q on entries read from the integer rows, and the cubic
+cost of the reduction is paid per block.  Q(i) enters only in
 factor_over_candidates, whose candidates and reported roots are
 GaussianRationals: a pair of conjugate roots is one rational quadratic
 factor.  The factors are stripped over Z: the polynomial and each
@@ -81,9 +90,9 @@ class Matrix:
 
     # -- constructors -----------------------------------------------------
     @staticmethod
-    def _of(rows, ncols: int) -> "Matrix":
-        """The matrix of (ints, positive den) rows, each divided by
-        gcd(den, *ints) to make it canonical."""
+    def from_integer_rows(rows, ncols: int) -> "Matrix":
+        """The matrix of the (ints, positive den) pairs of rows, row i being
+        ints / den, each divided by gcd(den, *ints) to make it canonical."""
         nums, dens = [], []
         for ints, den in rows:
             g = math.gcd(den, *ints)
@@ -97,7 +106,7 @@ class Matrix:
 
     @staticmethod
     def identity(n: int) -> "Matrix":
-        return Matrix._of((([int(i == j) for j in range(n)], 1) for i in range(n)), n)
+        return Matrix.from_integer_rows((([int(i == j) for j in range(n)], 1) for i in range(n)), n)
 
     @staticmethod
     def from_columns(cols, nrows: int = 0) -> "Matrix":
@@ -121,8 +130,8 @@ class Matrix:
         nums = [[0] * len(cols) for _ in range(nrows)]
         for j, (entries, scale) in enumerate(cols):
             for i, c in entries.items():
-                nums[i][j] = c * (dens[i] // scale) if scale != dens[i] else c
-        return Matrix._of(zip(nums, dens), len(cols))
+                nums[i][j] = c * (dens[i] // scale)
+        return Matrix.from_integer_rows(zip(nums, dens), len(cols))
 
     @property
     def rows(self) -> tuple:
@@ -136,7 +145,8 @@ class Matrix:
     def scale(self, c) -> "Matrix":
         c = rational(c)
         n, d = c.numerator, c.denominator
-        return Matrix._of((([x * n for x in r], den * d) for r, den in zip(self.nums, self.dens)), self.ncols)
+        rows = (([x * n for x in r], den * d) for r, den in zip(self.nums, self.dens))
+        return Matrix.from_integer_rows(rows, self.ncols)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         """The product over Z: the rows of `other` are brought to their
@@ -157,10 +167,11 @@ class Matrix:
                     for j, b in sparse[k]:
                         acc[j] += a * b
             rows.append((acc, d * e))
-        return Matrix._of(rows, other.ncols)
+        return Matrix.from_integer_rows(rows, other.ncols)
 
     def matvec(self, v) -> list:
-        """m v as a list of rationals: an int where the entry is integral."""
+        """m v, exact: entry i is an integer sum over dens[i] times the
+        denominator of v, a Fraction unless that product is 1."""
         if self.ncols != len(v):
             raise ValueError("shape mismatch")
         ints, den = _integer_row(v)
@@ -296,7 +307,8 @@ class Matrix:
                 (i,) = comp
                 block, d = [-nums[i][i], dens[i]], dens[i]
             else:
-                block = _hessenberg_charpoly([[Fraction(nums[i][j], dens[i]) for j in comp] for i in comp])
+                h = [[Fraction(nums[i][j], dens[i]) for j in comp] for i in comp]
+                block = _hessenberg_charpoly(h)
                 d = math.lcm(*(c.denominator for c in block))
                 block = [c.numerator * (d // c.denominator) for c in block]
             out = [0] * (len(num) + len(block) - 1)

@@ -14,7 +14,6 @@ from floercas import checks, donaldson, fukaya
 from floercas.checks import CheckResult
 from floercas.exactalg import GaussianRational as GR
 from floercas.floer import (
-    basis_matrix,
     default_candidates,
     filtration_step,
     gamma_quotient_ring,
@@ -139,7 +138,7 @@ def test_dimension_values_spot():
         assert invariant_ring(r).dim == comb(r + 2, 3)
         assert gamma_quotient_ring(r).dim == comb(r + 1, 2)
         simplex = monomial_simplex(r, 3)
-        assert basis_matrix(invariant_ring(r), simplex).rank() == comb(r + 2, 3)
+        assert invariant_ring(r).monomial_matrix(simplex).rank() == comb(r + 2, 3)
 
 
 def test_filtration_values_spot():

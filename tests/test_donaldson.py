@@ -204,7 +204,8 @@ class TestEvaluateOracles:
     @settings(max_examples=150, deadline=None)
     @given(integer_kernel_inputs())
     @example((series([(Fraction(1, 6), (1, 1)), (Fraction(-3, 4), (0, 0))]), (2, 0), 40))
-    @example((DonaldsonSeries(("E", "F"), ((1, 0), (0, -1)), [(Fraction(5, 7), (1, 1))]), (1, -1), 40))
+    @example((DonaldsonSeries(("E", "F"), ((1, 0), (0, -1)), [(Fraction(5, 7), (1, 1))]),
+              (1, 1), 40))
     def test_matches_the_fraction_sums(self, inputs):
         s, d, order = inputs
         assert evaluate(s, d, order) == evaluate_by_fraction_sums(s, d, order)

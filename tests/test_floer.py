@@ -10,7 +10,6 @@ from floercas.floer import (
     SubquotientModule,
     _independent_subset,
     alpha_eigenvalue,
-    basis_matrix,
     beta_eigenvalue,
     classical_ring,
     default_candidates,
@@ -134,7 +133,7 @@ class TestLevelRings:
             ring = invariant_ring(r)
             simplex = monomial_simplex(r, 3)
             assert len(simplex) == ring.dim
-            assert basis_matrix(ring, simplex).rank() == ring.dim
+            assert ring.monomial_matrix(simplex).rank() == ring.dim
 
     def test_gamma_quotient_presentations_agree(self):
         # quotient by the two-term recursion + gamma equals F_r modulo gamma

@@ -5,10 +5,10 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from floercas.exactalg import GaussianRational as GR
-from floercas.floer import eigen_reports, gamma_quotient_ring, invariant_ring
+from floercas.floer import eigen_reports, gamma_quotient_ring, induced_action, invariant_ring
 from floercas.linalg import Matrix, UniPoly, _hessenberg_charpoly, _strong_components
 
 X = sympy.Symbol("x")
@@ -226,3 +226,142 @@ def test_strong_components_need_no_recursion():
     path = [[i + 1] for i in range(n - 1)] + [[]]
     assert _strong_components(path) == [[i] for i in range(n - 1, -1, -1)]
     assert _strong_components([[(i + 1) % n] for i in range(n)]) == [list(range(n))]
+
+
+# -- the integer engine against the Fraction Gauss-Jordan it replaced --------
+
+
+def reference_rref(rows, ncols):
+    """Gauss-Jordan over Fractions, the elimination Matrix.rref replaced:
+    (rows of the reduced row echelon form, pivot columns)."""
+    rows = [[Fraction(x) for x in r] for r in rows]
+    nrows = len(rows)
+    pivots = []
+    pr = 0
+    for pc in range(ncols):
+        pivot = next((i for i in range(pr, nrows) if rows[i][pc]), None)
+        if pivot is None:
+            continue
+        rows[pr], rows[pivot] = rows[pivot], rows[pr]
+        inv = 1 / rows[pr][pc]
+        rows[pr] = [x * inv for x in rows[pr]]
+        for i in range(nrows):
+            if i != pr and rows[i][pc]:
+                f = rows[i][pc]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[pr])]
+        pivots.append(pc)
+        pr += 1
+        if pr == nrows:
+            break
+    return rows, pivots
+
+
+def reference_kernel(rows, ncols):
+    """Kernel basis from reference_rref: 1 at each free column in turn."""
+    red, pivots = reference_rref(rows, ncols)
+    basis = []
+    for f in (j for j in range(ncols) if j not in pivots):
+        v = [Fraction(0)] * ncols
+        v[f] = Fraction(1)
+        for i, pc in enumerate(pivots):
+            v[pc] = -red[i][f]
+        basis.append(v)
+    return basis
+
+
+# mixed denominators, and zero entries often enough for zero rows and columns
+_MIXED_ENTRY = st.one_of(
+    st.just(Fraction(0)),
+    st.just(Fraction(0)),
+    st.integers(-6, 6).map(Fraction),
+    st.builds(Fraction, st.integers(-9, 9), st.sampled_from([2, 3, 4, 6, 9, 35])),
+    st.builds(Fraction, st.integers(-(2**40), 2**40), st.integers(1, 2**20)),
+)
+
+
+@st.composite
+def rational_rows(draw):
+    """(rows, ncols) of an n x m matrix, n and m in 0..6, with a zero row
+    or a zero column put in some of the time."""
+    n, m = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    rows = [[draw(_MIXED_ENTRY) for _ in range(m)] for _ in range(n)]
+    if n and draw(st.booleans()):
+        rows[draw(st.integers(0, n - 1))] = [Fraction(0)] * m
+    if m and draw(st.booleans()):
+        j = draw(st.integers(0, m - 1))
+        for r in rows:
+            r[j] = Fraction(0)
+    if n and m and draw(st.booleans()):  # a row that depends on two others
+        a, b = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        rows[draw(st.integers(0, n - 1))] = [x - 3 * y / 2 for x, y in zip(rows[a], rows[b])]
+    return rows, m
+
+
+@settings(max_examples=200, deadline=None)
+@given(rational_rows())
+@example(([], 4))
+@example(([[], [], []], 0))
+@example(([[0, 0], [0, 0]], 2))
+def test_rref_rank_and_kernel_match_the_fraction_elimination(case):
+    rows, ncols = case
+    m = Matrix(rows, ncols)
+    red, pivots = m.rref()
+    want_rows, want_pivots = reference_rref(rows, ncols)
+    assert pivots == want_pivots
+    assert red.rows == tuple(map(tuple, want_rows))
+    assert red == Matrix(want_rows, ncols)
+    assert m.rank() == len(want_pivots)
+    # each kernel vector is an integer multiple, positive at its free column,
+    # of the reference vector that is 1 there
+    kernel, want = m.kernel_basis(), reference_kernel(rows, ncols)
+    free = [j for j in range(ncols) if j not in want_pivots]
+    assert len(kernel) == len(want)
+    for f, v, w in zip(free, kernel, want):
+        assert all(type(x) is int for x in v) and v[f] > 0
+        assert [Fraction(x, v[f]) for x in v] == w
+    nullspace = sympy.Matrix(len(rows), ncols, [rat(x) for r in rows for x in r]).nullspace()
+    assert [[rat(x) for x in w] for w in want] == [list(v) for v in nullspace]
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_rows(), st.data())
+def test_matvec_and_matmul_match_the_fraction_sums(case, data):
+    rows, ncols = case
+    m = Matrix(rows, ncols)
+    v = [data.draw(_MIXED_ENTRY) for _ in range(ncols)]
+    want = [sum((a * x for a, x in zip(r, v)), Fraction(0)) for r in rows]
+    assert m.matvec(v) == want
+    k = data.draw(st.integers(0, 4))
+    other = [[data.draw(_MIXED_ENTRY) for _ in range(k)] for _ in range(ncols)]
+    product = m @ Matrix(other, k)
+    assert (product.nrows, product.ncols) == (len(rows), k)
+    assert product.rows == tuple(
+        tuple(sum((r[l] * other[l][j] for l in range(ncols)), Fraction(0)) for j in range(k))
+        for r in rows
+    )
+
+
+def test_rows_are_canonical_so_equality_is_structural():
+    a, b = Matrix([[Fraction(2, 4), 1]]), Matrix([[Fraction(1, 2), 1]])
+    assert a == b and hash(a) == hash(b)
+    assert (a.nums, a.dens) == (((1, 2),), (2,))
+    # integers over their lcm: 1/2 and 1/3 are 3 and 2 over 6
+    assert Matrix([[Fraction(1, 2), Fraction(1, 3)]]).nums == ((3, 2),)
+    # a product and a scaling divide out the gcd of each row and its denominator
+    assert Matrix([[2, 4]]).scale(Fraction(1, 2)) == Matrix([[1, 2]])
+    assert Matrix([[Fraction(1, 2)]]) @ Matrix([[2, 4]]) == Matrix([[1, 2]])
+    assert Matrix([[0, 0]]).scale(Fraction(1, 3)).dens == (1,)
+    # the shape is part of the structure: no rows, different column counts
+    assert Matrix([], 2) != Matrix([], 3)
+
+
+def test_induced_action_divides_by_the_row_denominators():
+    # Q^3 / span(d), d = e1 + e3, with the classes of 2 e1 and 3 e2 as reps:
+    # m e1 = e2 / 2, m e2 = e1 / 3 + d and m e3 = -e2 / 2, so m d = 0, and
+    # m (2 e1) = (1/3)(3 e2), m (3 e2) = (1/2)(2 e1) + 3 d
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    m = Matrix.from_columns([[0, half, 0], [1 + third, 0, 1], [0, -half, 0]])
+    action = induced_action(m, [[2, 0, 0], [0, 3, 0]], [[1, 0, 1]])
+    assert action == Matrix([[0, Fraction(1, 2)], [Fraction(1, 3), 0]])
+    assert action.dens == (2, 3)
+    assert action.charpoly() == UniPoly([Fraction(-1, 6), 0, 1])
