@@ -106,7 +106,7 @@ class Matrix:
 
     @staticmethod
     def identity(n: int) -> "Matrix":
-        return Matrix.from_integer_rows((([int(i == j) for j in range(n)], 1) for i in range(n)), n)
+        return Matrix([[int(i == j) for j in range(n)] for i in range(n)], n)
 
     @staticmethod
     def from_columns(cols, nrows: int = 0) -> "Matrix":
@@ -209,8 +209,7 @@ class Matrix:
         (f/g) pivot row and is then divided by its content.  So every row
         stays a primitive integer multiple of the row Gauss-Jordan over Q
         would hold, with a positive pivot, and only the output divides by
-        the pivots: row i of R is its integer row over its pivot, which is
-        canonical as it stands.
+        the pivots: row i of R is its integer row over its pivot.
         """
         ncols = self.ncols
         rows = [list(r) for r in self.nums]
@@ -254,9 +253,7 @@ class Matrix:
             if pr == n:
                 break
         dens = [rows[i][pc] for i, pc in enumerate(pivots)] + [1] * (n - pr)
-        out = object.__new__(Matrix)
-        out._set(tuple(map(tuple, rows)), tuple(dens), ncols)
-        return out, pivots
+        return Matrix.from_integer_rows(zip(rows, dens), ncols), pivots
 
     def rank(self) -> int:
         return len(self.rref()[1])
