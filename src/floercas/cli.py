@@ -43,6 +43,12 @@ EXIT_FALSIFIED = 2
 #: takes about 1.3 s at 512 and 12-16 s at 1024)
 MAX_ORDER = 512
 
+#: largest bits of a donaldson eval value: (order - 1) times the bits of the
+#: largest |K_i . D| or half those of |Q(D)|, whichever is more; Python prints
+#: no int of more than 4300 digits, 14284 bits (sys.get_int_max_str_digits).
+#: At order 512 this size takes about 1 s, and 1.7 times it 1.7 s, then fails
+MAX_EVAL_BITS = 14284
+
 #: largest level accepted by eigen --r; the level ring F_r has dimension
 #: C(r+2, 3), and the cost grows by about 1.6 per level (eigen --object F,
 #: the slowest, takes 0.3-0.4 s at 9, 0.5-0.7 s at 10 and 0.9-1.0 s at 11;
@@ -399,6 +405,11 @@ def _cmd_don_eval(args):
     order = args.order if args.order is not None else args.trunc
     series = _load_series(args.series)
     _require(len(args.cls) == len(series.basis_names), "evaluation class has wrong length")
+    c = max((abs(series.pair(k, args.cls)) for k in series.classes()), default=0)
+    q = abs(series.quadratic_form(args.cls))
+    bits = (order - 1) * max(c.bit_length(), (q.bit_length() + 1) // 2)
+    _require(bits <= MAX_EVAL_BITS, f"the value at --class and --order would have coefficients"
+                                    f" of about {bits} bits, more than {MAX_EVAL_BITS}")
     value = donaldson.evaluate(series, args.cls, order)
     payload = {"class": list(args.cls), "order": order, "value": value.to_json()}
     return EXIT_OK, payload, f"value: {value}"

@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import comb, lcm
 from typing import NamedTuple
 
-from .exactalg import DEFAULT_ORDER, TruncatedSeries, rational
+from .exactalg import DEFAULT_ORDER, TruncatedSeries, rational, to_integers
 from .linalg import Matrix
 
 
@@ -191,11 +191,10 @@ def evaluate(series: DonaldsonSeries, d, order: int = DEFAULT_ORDER) -> Truncate
     The result is wrapped in a series over Q(i) only at the end.
     """
     d = tuple(int(x) for x in d)
-    den = lcm(*(a.denominator for a, _ in series.terms))
+    nums, den = to_integers(a for a, _ in series.terms)
     s = [0] * order
-    for a, k in series.terms:
+    for term, (_, k) in zip(nums, series.terms):  # term: A_i c_i^m, one running term per class
         c = series.pair(k, d)
-        term = a.numerator * (den // a.denominator)  # A_i c_i^m, one running term per class
         s[0] += term
         for m in range(1, order if c else 1):  # c = 0 adds to S[0] only
             term *= c
@@ -247,7 +246,7 @@ class FiberSumInput(NamedTuple):
 
     def validate(self):
         """Check the input; return the solver of result classes (see
-        `_class_solver`), whose one elimination of Q also proves Q
+        `_ClassSolver`), whose one elimination of Q also proves Q
         nondegenerate."""
         if self.genus < 1:
             raise ValueError("gluing genus must be >= 1")
@@ -267,7 +266,7 @@ class FiberSumInput(NamedTuple):
             raise ValueError("need one split per result basis class")
         n = len(self.basis_names)
         result = DonaldsonSeries(self.basis_names, self.q, ())
-        solve = _class_solver(result.q)
+        solve = _ClassSolver(result.q)
         for idx, sp in enumerate(self.splits):
             d = tuple(1 if j == idx else 0 for j in range(n))
             lhs = result.quadratic_form(d)
@@ -305,32 +304,36 @@ class FiberSumInput(NamedTuple):
         )
 
 
-def _class_solver(q):
+class _ClassSolver:
     """The map from a pairing vector p to the integer class K with Q K = p.
 
     One elimination of [Q | I] gives Q^-1, row i as integers over the
-    pivot of row i; scaled by the lcm L of the pivots it is an integer
-    matrix, so each class is L Q^-1 p divided by L, and a nonzero remainder
-    means the class is not integral.
+    pivot of row i; scaled by the lcm `den` of the pivots it is an integer
+    matrix.  `lift(p)` is the integer vector den Q^-1 p, which is linear in
+    p, and `divide` turns a sum of lifts into its class, refusing one that
+    is not integral.
     """
-    n = len(q)
-    augmented = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(q)]
-    rref, pivots = Matrix(augmented).rref()
-    if any(pc >= n for pc in pivots):
-        raise ValueError("intersection form Q must be nondegenerate")
-    den = lcm(*rref.dens)
-    inverse = [[x * (den // d) for x in row[n:]] for row, d in zip(rref.nums, rref.dens)]
 
-    def solve(pairings) -> tuple:
+    def __init__(self, q):
+        n = len(q)
+        augmented = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(q)]
+        rref, pivots = Matrix(augmented).rref()
+        if any(pc >= n for pc in pivots):
+            raise ValueError("intersection form Q must be nondegenerate")
+        self.den = den = lcm(*rref.dens)
+        self.inverse = [[x * (den // d) for x in row[n:]] for row, d in zip(rref.nums, rref.dens)]
+
+    def lift(self, pairings) -> list:
+        return [sum(x * p for x, p in zip(row, pairings)) for row in self.inverse]
+
+    def divide(self, lifted) -> tuple:
         out = []
-        for row in inverse:
-            k, rem = divmod(sum(x * p for x, p in zip(row, pairings)), den)
+        for x in lifted:
+            k, rem = divmod(x, self.den)
             if rem:
                 raise ValueError("result class does not lie in the tracked lattice")
             out.append(k)
         return tuple(out)
-
-    return solve
 
 
 def fiber_sum(inp: FiberSumInput) -> DonaldsonSeries:
@@ -341,19 +344,20 @@ def fiber_sum(inp: FiberSumInput) -> DonaldsonSeries:
     sign (-1)^(g-1), and the glued class is shifted by +-2 Sigma.  g = 1:
     every pair contributes the three-term expansion of sinh^2.
 
-    A result class is solved from its pairings with the result basis, by
-    one inverse of Q per call; each side's pairings with the splits are
-    computed once per class.
+    A result class K solves Q K = p, p the sum of each side's pairings with
+    the splits and a multiple of the sigma_dot vector.  Q^-1 p is linear in
+    p, so each of those vectors is lifted once (see `_ClassSolver`), and a
+    class is a sum of integer vectors, tested for integrality.
     """
-    solve = inp.validate()
+    solver = inp.validate()
     g = inp.genus
     out_terms = []
-    dots = [sp.sigma_dot for sp in inp.splits]
-    pa = {k1: [inp.a.pair(k1, sp.d1) for sp in inp.splits] for k1 in inp.a.classes()}
-    pb = {k2: [inp.b.pair(k2, sp.d2) for sp in inp.splits] for k2 in inp.b.classes()}
+    dots = solver.lift([sp.sigma_dot for sp in inp.splits])
+    pa = {k1: solver.lift([inp.a.pair(k1, sp.d1) for sp in inp.splits]) for k1 in inp.a.classes()}
+    pb = {k2: solver.lift([inp.b.pair(k2, sp.d2) for sp in inp.splits]) for k2 in inp.b.classes()}
 
     def result_class(k1, k2, sigma_mult):
-        return solve([x + y + sigma_mult * z for x, y, z in zip(pa[k1], pb[k2], dots)])
+        return solver.divide([x + y + sigma_mult * z for x, y, z in zip(pa[k1], pb[k2], dots)])
 
     if g >= 2:
         target = 2 * g - 2
@@ -377,13 +381,12 @@ def fiber_sum(inp: FiberSumInput) -> DonaldsonSeries:
         # sinh^2((Sigma.D) t) = exp(2 Sigma)/4 - 1/2 + exp(-2 Sigma)/4; with
         # a_j = A_j / L_a and b_k = B_k / L_b, each term is an integer over
         # 4 L_a L_b, summed per class before any Fraction is made
-        la = lcm(*(a.denominator for a, _ in inp.a.terms))
-        lb = lcm(*(b.denominator for b, _ in inp.b.terms))
+        a_ints, la = to_integers(a for a, _ in inp.a.terms)
+        b_ints, lb = to_integers(b for b, _ in inp.b.terms)
         sums: dict = {}
-        for a_c, k1 in inp.a.terms:
-            a_int = a_c.numerator * (la // a_c.denominator)
-            for b_c, k2 in inp.b.terms:
-                ab = a_int * b_c.numerator * (lb // b_c.denominator)
+        for a_int, (_, k1) in zip(a_ints, inp.a.terms):
+            for b_int, (_, k2) in zip(b_ints, inp.b.terms):
+                ab = a_int * b_int
                 for mult, weight in ((2, ab), (0, -2 * ab), (-2, ab)):
                     k = result_class(k1, k2, mult)
                     sums[k] = sums.get(k, 0) + weight

@@ -5,11 +5,12 @@ Every computation in the package bottoms out here; there is no floating
 point anywhere.  Each layer has one scalar type:
 
 * the rings -- polynomials, Groebner bases, matrices and characteristic
-  polynomials -- hold rationals (`fractions.Fraction`), made by `rational`,
-  which refuses a value with a nonzero imaginary part;
+  polynomials -- take rationals (`fractions.Fraction`, made by `rational`,
+  which refuses a nonreal value) and compute on integers over a common
+  denominator, made by `to_integers`, the one such conversion;
 * the spectra (candidate eigenvalues and the roots of an eigenvalue
   report) and the truncated series hold GaussianRationals a + b*i, since
-  sqrt(-1) enters the theory only there.
+  sqrt(-1) enters the theory only there.  They hash by their integers.
 
 Truncated series are elements of Q(i)[t]/(t^N) with a uniform truncation
 order N inside one computation context.
@@ -27,6 +28,7 @@ GaussianRational only needs + and *, the inverse and the conjugate.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 #: default truncation order; every acceptance computation needs <= t^8
 DEFAULT_ORDER = 16
@@ -54,6 +56,20 @@ def rational(value=0, den=None):
     if isinstance(value, float):
         raise TypeError("floating point input is not allowed in exact arithmetic")
     return Fraction(value)
+
+
+def to_integers(values) -> tuple:
+    """(ints, den): the rationals `values` (read by `rational`) as a tuple of
+    ints over den, the lcm of their reduced denominators, so ints[i] / den
+    == values[i]; all-int input comes back as it is, over 1."""
+    values = tuple(values)
+    types = set(map(type, values))
+    if types <= {int}:
+        return values, 1
+    if not types <= {int, Fraction}:
+        values = [rational(x) for x in values]
+    den = lcm(*(x.denominator for x in values))
+    return tuple(x.numerator * (den // x.denominator) for x in values), den
 
 
 Q_ZERO = Fraction(0)
@@ -134,7 +150,9 @@ class GaussianRational:
         return self.re == other.re and self.im == other.im
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # a Fraction is in lowest terms, so equal values have equal integers
+        re, im = self.re, self.im
+        return hash((re.numerator, re.denominator, im.numerator, im.denominator))
 
     # -- rendering ----------------------------------------------------
     def __str__(self) -> str:

@@ -100,9 +100,8 @@ def beta_eigenvalue(k: int) -> GaussianRational:
 
 @lru_cache(maxsize=None)
 def default_candidates(bound: int) -> tuple:
-    """Candidate eigenvalues 0, +-8 and +-4k, +-4k*i for k <= bound, as one
-    tuple per bound, so factor_over_candidates finds its plan for them
-    without hashing a candidate."""
+    """Candidate eigenvalues 0, +-8 and +-4k, +-4k*i for k <= bound, each
+    listed once."""
     vals = [GaussianRational(0), GaussianRational(8), GaussianRational(-8)]
     for k in range(1, bound + 1):
         if k != 2:  # +-4k = +-8 at k = 2, listed already

@@ -38,9 +38,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import gcd, lcm
+from math import gcd
 from typing import NamedTuple, Sequence
 
+from .exactalg import to_integers
 from .linalg import Matrix
 from .poly import Monomial, SparsePoly
 
@@ -91,8 +92,8 @@ def _lcm(x: int, y: int) -> int:
 def _integer_terms(p: SparsePoly) -> tuple:
     """(terms, den): the terms of p packed and scaled by den, the lcm of
     their denominators."""
-    den = lcm(*(c.denominator for c in p.terms.values()))
-    return {_pack(m): c.numerator * (den // c.denominator) for m, c in p.terms.items()}, den
+    ints, den = to_integers(p.terms.values())
+    return dict(zip(map(_pack, p.terms), ints)), den
 
 
 def _divisor(r: dict) -> tuple:

@@ -6,9 +6,10 @@ the level rings, the wedge maps, the intersection forms -- so a nonreal
 entry raises TypeError.  A Matrix holds each row as integers over one
 positive denominator, made canonical by their gcd, and every method
 reads the integers; Fractions (`fractions.Fraction`) appear only where
-values enter a Matrix, UniPoly or EigenReport or leave one.  Elimination
-is one integer Gauss-Jordan: a row is cleared by cross-multiplying with
-the pivot row and divided by its content, and the pivots are divided out
+values enter a Matrix, UniPoly or EigenReport or leave one, and they are
+turned into integers by `exactalg.to_integers`.  Elimination is one
+integer Gauss-Jordan: a row is cleared by cross-multiplying with the
+pivot row and divided by its content, and the pivots are divided out
 only on output (see Matrix.rref).  Products and matrix-vector products
 are integer sums over the common denominator.
 
@@ -28,27 +29,20 @@ factor.  The factors are stripped over Z: the polynomial and each
 candidate factor are scaled to primitive integer polynomials, and by
 Gauss's lemma a primitive factor divides over Q exactly when it divides
 over Z, so the divisions are exact integer ones with no Fraction in them.
+The candidate factors are derived once per candidate list, cached by the
+list's value: a GaussianRational hashes by its integers.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from operator import mul
 from typing import NamedTuple
 
 from .exactalg import Q_ONE, Q_ZERO, GaussianRational, rational, rational_json, render_terms
-
-
-def _integer_row(row) -> tuple:
-    """(ints, den): a row of rationals as a tuple of ints over the lcm of
-    their reduced denominators, which is canonical as it stands."""
-    row = tuple(row)
-    if set(map(type, row)) <= {int}:
-        return row, 1
-    row = [x if type(x) is int else rational(x) for x in row]
-    den = math.lcm(*(x.denominator for x in row))
-    return tuple(x.numerator * (den // x.denominator) for x in row), den
+from .exactalg import to_integers
 
 
 class Matrix:
@@ -70,7 +64,7 @@ class Matrix:
         real GaussianRationals)."""
         nums, dens = [], []
         for row in rows:
-            ints, den = _integer_row(row)
+            ints, den = to_integers(row)
             nums.append(ints)
             dens.append(den)
         if nums:
@@ -174,7 +168,7 @@ class Matrix:
         denominator of v, a Fraction unless that product is 1."""
         if self.ncols != len(v):
             raise ValueError("shape mismatch")
-        ints, den = _integer_row(v)
+        ints, den = to_integers(v)
         # read only the columns where v is nonzero
         support = [k for k, x in enumerate(ints) if x]
         xs = [ints[k] for k in support]
@@ -305,9 +299,7 @@ class Matrix:
                 block, d = [-nums[i][i], dens[i]], dens[i]
             else:
                 h = [[Fraction(nums[i][j], dens[i]) for j in comp] for i in comp]
-                block = _hessenberg_charpoly(h)
-                d = math.lcm(*(c.denominator for c in block))
-                block = [c.numerator * (d // c.denominator) for c in block]
+                block, d = to_integers(_hessenberg_charpoly(h))
             out = [0] * (len(num) + len(block) - 1)
             for j, c in enumerate(block):
                 if c:
@@ -526,8 +518,7 @@ class EigenReport(NamedTuple):
 def _primitive(coeffs) -> list:
     """The rational coefficients, lowest degree first, as a primitive integer
     polynomial with the same roots: denominators cleared, content divided out."""
-    den = math.lcm(*(c.denominator for c in coeffs))
-    ints = [c.numerator * (den // c.denominator) for c in coeffs]
+    ints, _ = to_integers(coeffs)
     content = math.gcd(*ints)
     return [c // content for c in ints]
 
@@ -580,44 +571,26 @@ def _value_at_root(p: list, n: int, d: int) -> int:
     return value
 
 
-#: id of a candidate tuple -> (the tuple, its plan); holding the tuple keeps
-#: its id from being reused while the entry lives
-_PLANS: dict = {}
-
-
-def _plan(candidates) -> tuple:
+@lru_cache(maxsize=64)
+def _plan(candidates: tuple) -> tuple:
     """How factor_over_candidates treats each candidate: (z, primitive
     factor) for a real z or the first of a conjugate pair, (z, k) for the
     second of a pair, whose multiplicity is that of step k.  A nonreal
     candidate without its conjugate, or one listed before, has no step.
 
-    The plan of a tuple is derived once and then found by the identity of
-    the tuple, so the lookup hashes no candidate; default_candidates
-    returns one tuple per bound.  Any other candidate list gets a plan of
-    its own, and the cache is emptied when it reaches 64 entries.
+    The plan is derived once per tuple of candidates and then found by its
+    value, so equal lists share one plan.
     """
-    hit = _PLANS.get(id(candidates))
-    if hit is not None and hit[0] is candidates:
-        return hit[1]
-    # candidates are told apart by the four ints of their parts, whose
-    # hashes cost far less than those of Fractions
-    listed: dict = {}  # parts -> candidate, in order, once each
-    for z in map(GaussianRational.coerce, candidates):
-        listed.setdefault((z.re.numerator, z.re.denominator, z.im.numerator, z.im.denominator), z)
-    steps, first = [], {}  # first: parts of the conjugate of a pair's first member -> its step
-    for parts, z in listed.items():
-        conj = parts[:2] + (-parts[2], parts[3])
-        if parts in first:
-            steps.append((z, first.pop(parts)))
+    listed = dict.fromkeys(map(GaussianRational.coerce, candidates))  # in order, once each
+    steps, first = [], {}  # first: conjugate of a pair's first member -> its step
+    for z in listed:
+        if z in first:
+            steps.append((z, first.pop(z)))
         elif not z.im:
             steps.append((z, tuple(_primitive([-z.re, Q_ONE]))))
-        elif conj in listed:
+        elif (conj := z.conjugate()) in listed:
             first[conj] = len(steps)
             steps.append((z, tuple(_primitive([z.re * z.re + z.im * z.im, -2 * z.re, Q_ONE]))))
-    if isinstance(candidates, tuple):
-        if len(_PLANS) >= 64:
-            _PLANS.clear()
-        _PLANS[id(candidates)] = (candidates, tuple(steps))
     return tuple(steps)
 
 
@@ -631,7 +604,7 @@ def factor_over_candidates(cp: UniPoly, candidates) -> EigenReport:
     nonreal candidate without its conjugate strips nothing, since its linear
     factor is not over Q; any such factor stays in the remainder.
 
-    The factors are derived once per candidate tuple (see `_plan`), the
+    The factors are derived once per candidate list (see `_plan`), the
     division runs over Z (see `_strip`), and the remainder is made monic
     again at the end.
     """
@@ -639,7 +612,7 @@ def factor_over_candidates(cp: UniPoly, candidates) -> EigenReport:
         raise ValueError("characteristic polynomial must be monic")
     mults, roots = [], []
     rem = _primitive(cp.coeffs)
-    for z, factor in _plan(candidates):
+    for z, factor in _plan(tuple(candidates)):
         if isinstance(factor, int):
             mult = mults[factor]
         else:

@@ -28,10 +28,6 @@ class Monomial(tuple):
         return tuple.__new__(cls, (ea, eb, ec))
 
     @property
-    def total_degree(self) -> int:
-        return self[0] + self[1] + self[2]
-
-    @property
     def weighted_degree(self) -> int:
         return 2 * self[0] + 4 * self[1] + 6 * self[2]
 
@@ -47,9 +43,6 @@ class Monomial(tuple):
 
     def lcm(self, other: "Monomial") -> "Monomial":
         return Monomial(max(self[0], other[0]), max(self[1], other[1]), max(self[2], other[2]))
-
-    def coprime(self, other: "Monomial") -> bool:
-        return not (self[0] and other[0] or self[1] and other[1] or self[2] and other[2])
 
     def render(self, names=("alpha", "beta", "gamma")) -> str:
         parts = []

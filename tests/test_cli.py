@@ -19,6 +19,7 @@ from floercas.cli import (
     MAX_CHECK_GENUS,
     MAX_DELTA_GENUS,
     MAX_EIGEN_R,
+    MAX_EVAL_BITS,
     MAX_FIBER_SUM_GENUS,
     MAX_FINITE_TYPE_GENUS,
     MAX_MODULE_GENUS,
@@ -685,6 +686,34 @@ class TestUsageErrors:
                                      "--h", str(h), "--format", fmt)
                 assert code == 1 and out == ""
                 assert err == f"error: {option} must be in 1..{MAX_PRODUCT_GENUS}\n"
+
+    def test_eval_value_bounded_up_front(self, capsys, monkeypatch, tmp_path):
+        # 512 exp(K) - 512 exp(-K) with K = (2, 2): at D = (x, 1), K.D = 2x + 2
+        # and Q(D) = 2x, so at order 512 the value has about 511 * bits(2x + 2)
+        path = tmp_path / "series.json"
+        path.write_text(json.dumps(product_series(2, 2).to_json()))
+        argv = ("donaldson", "eval", "--series", str(path), "--order", "512")
+        code, _, _ = run(capsys, *argv, f"--class={2**25},1")  # 511 * 27 bits
+        assert code == 0
+
+        def no_work(*args):
+            raise AssertionError("work started past the size limit")
+
+        monkeypatch.setattr(cli.donaldson, "evaluate", no_work)
+        # 511 * 28 bits; a 100-digit entry (it used to take 24 s and then fail
+        # to print); Q(D) = -2x^2 of 2 * 4000 bits and K.D = 0 at D = (x, -x)
+        x = 2**4000
+        cases = ((f"{2**26},1", 511 * 28), (f"{10**99},1", 511 * (2 * 10**99 + 2).bit_length()),
+                 (f"{x},{-x}", 511 * 4001))
+        for cls, bits in cases:
+            for fmt in ("text", "json"):
+                start = time.perf_counter()
+                code, out, err = run(capsys, *argv, f"--class={cls}", "--format", fmt)
+                assert time.perf_counter() - start < 1.0
+                self.assert_one_line_usage_error(code, err)
+                assert out == "" and err == (
+                    f"error: the value at --class and --order would have coefficients of about "
+                    f"{bits} bits, more than {MAX_EVAL_BITS}\n")
 
     def test_value_too_long_to_print(self, capsys):
         # str() of a Fraction past Python's 4300-digit limit raised ValueError,

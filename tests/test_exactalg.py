@@ -7,6 +7,7 @@ from floercas.exactalg import (
     GaussianRational as GR,
     TruncatedSeries as TS,
     rational,
+    to_integers,
 )
 
 
@@ -147,6 +148,44 @@ class TestTruncatedSeries:
     def test_str(self):
         assert str(TS([1, -1, 0, Fraction(1, 3)], 4)) == "1 + -t + (1/3)*t^3"
         assert str(TS.constant(0, 2)) == "0"
+
+
+@given(parts, st.integers(1, 5))
+def test_equal_values_hash_equal(p, k):
+    # parts from ints, Fractions and unreduced strings make one value
+    re, im = p
+    made = [
+        GR(re, im),
+        GR(f"{re.numerator * k}/{re.denominator * k}", f"{im.numerator * k}/{im.denominator * k}"),
+        GR(GR(re), str(im)),
+    ]
+    if re.denominator == im.denominator == 1:
+        made.append(GR(int(re), int(im)))
+    assert all(z == made[0] for z in made)
+    assert len({hash(z) for z in made}) == 1
+
+
+def _primes(n: int) -> set:
+    out, p = set(), 2
+    while p * p <= n:
+        while n % p == 0:
+            out.add(p)
+            n //= p
+        p += 1
+    return out | ({n} if n > 1 else set())
+
+
+@given(st.lists(st.one_of(st.integers(-50, 50), rationals, rationals.map(str), rationals.map(GR)),
+                max_size=8))
+def test_to_integers_is_over_the_least_common_denominator(values):
+    ints, den = to_integers(values)
+    assert all(type(x) is int for x in ints) and den >= 1
+    assert [Fraction(x, den) for x in ints] == [rational(v) for v in values]
+    # no proper divisor of den clears every denominator
+    for p in _primes(den):
+        assert any((rational(v) * (den // p)).denominator != 1 for v in values)
+    if all(type(v) is int for v in values):
+        assert (ints, den) == (tuple(values), 1)
 
 
 def test_rational_parser():

@@ -5,7 +5,7 @@ from operator import neg
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from floercas import groebner
+from floercas import groebner, linalg
 from floercas.exactalg import GaussianRational as GR
 from floercas.floer import (
     classical_ring,
@@ -413,6 +413,19 @@ class TestFactorOverCandidates:
         rep = factor_over_candidates(UniPoly([16, 0, 1]), [GR(0, 4)])
         assert rep.roots == ()
         assert rep.remainder == UniPoly([16, 0, 1])
+
+    def test_list_and_tuple_give_equal_reports(self):
+        # plans are cached by the candidates' value: a list, or candidates
+        # made from other parts, find the plan of the equal tuple
+        cp = UniPoly([-4, 1]) * UniPoly([16, 0, 1]) * UniPoly([64, 0, 1])
+        cands = default_candidates(2)
+        want = factor_over_candidates(cp, cands)
+        hits = linalg._plan.cache_info().hits
+        assert factor_over_candidates(cp, list(cands)) == want
+        assert factor_over_candidates(cp, [GR(str(z.re), Fraction(z.im)) for z in cands]) == want
+        assert linalg._plan.cache_info().hits == hits + 2
+        assert want.roots == ((GR(4), 1), (GR(0, 4), 1), (GR(0, -4), 1), (GR(0, 8), 1),
+                              (GR(0, -8), 1))
 
     def test_duplicate_candidates_reported_once(self):
         rep = factor_over_candidates(UniPoly([16, 0, 1]), [GR(0, 4), GR(0, 4), GR(0, -4)])

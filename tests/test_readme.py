@@ -1,6 +1,8 @@
-"""The README's library example runs as printed, and the top level of the
-package holds exactly the names that example imports, plus __version__."""
+"""The README's library example runs as printed, the top level of the
+package holds exactly the names that example imports, plus __version__,
+and the README's size table gives the ranges the parser enforces."""
 
+import argparse
 import ast
 import contextlib
 import inspect
@@ -9,6 +11,7 @@ import re
 from pathlib import Path
 
 import floercas
+from floercas import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -37,3 +40,48 @@ def test_top_level_names():
     }
     assert public == {name.strip() for name in imported.split(",")}
     assert floercas.__version__ == "0.1.0"
+
+
+def size_limit_rows() -> list:
+    """(option cell, range cell) of each row of the README's size table."""
+    text = README.read_text(encoding="utf-8")
+    table = text.split("| option | range | measured cost |", 1)[1].split("\n\n", 1)[0]
+    rows = [line.split(" | ") for line in table.strip().splitlines()[1:]]
+    return [(row[0].lstrip("| "), row[1]) for row in rows]
+
+
+def bounded_actions(parser, path=()) -> dict:
+    """(command words, option string) -> cli._Bounded action, for every
+    bounded option of the parser and its subcommands."""
+    found = {}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                found.update(bounded_actions(sub, path + (name,)))
+        elif isinstance(action, cli._Bounded):
+            for option in action.option_strings:
+                found[path, option] = action
+    return found
+
+
+def test_size_limits_table_matches_the_parser():
+    ranges = {}  # (command words, option string) -> (lo, hi) of its row
+    for options, span in size_limit_rows():
+        lo, hi = map(int, re.fullmatch(r"(?:size )?(\d+)\.\.(\d+)", span).groups())
+        # an entry without command words is an option of the entry before it,
+        # or of the top level when it comes first
+        path = ()
+        for entry in re.findall(r"`([^`]+)`", options):
+            *words, option = entry.split()
+            path = tuple(words) or path
+            ranges[path, option] = lo, hi
+    # the eval size is checked by the command once it has read its input
+    assert ranges.pop((("donaldson", "eval"), "--class")) == (0, cli.MAX_EVAL_BITS)
+    actions = bounded_actions(cli.build_parser())
+    assert set(ranges) <= set(actions)
+    # every bounded option with an upper end has the range of its row, or
+    # of the top-level row of a global flag that subcommands accept too
+    for (path, option), action in actions.items():
+        if action.hi is not None:
+            want = ranges.get((path, option)) or ranges.get(((), option))
+            assert want == (action.lo, action.hi), (path, option)
