@@ -266,7 +266,7 @@ class FiberSumInput(NamedTuple):
             raise ValueError("need one split per result basis class")
         n = len(self.basis_names)
         result = DonaldsonSeries(self.basis_names, self.q, ())
-        solve = _ClassSolver(result.q)
+        solver = _ClassSolver(result.q)
         for idx, sp in enumerate(self.splits):
             d = tuple(1 if j == idx else 0 for j in range(n))
             lhs = result.quadratic_form(d)
@@ -275,7 +275,7 @@ class FiberSumInput(NamedTuple):
                 raise ValueError(
                     f"split of {self.basis_names[idx]} violates D^2 = D1^2 + D2^2"
                 )
-        return solve
+        return solver
 
     @staticmethod
     def from_json(a: DonaldsonSeries, b: DonaldsonSeries, genus: int, obj: dict) -> "FiberSumInput":
