@@ -8,27 +8,23 @@ deterministic byte for byte for identical invocations.
 
 Each handler builds its text from the result objects it computed; the
 JSON output is those objects' to_json, and nothing reads it back.
+
+Start-up is kept short for one-shot processes: a handler imports the ring,
+module and claim code (floer, fukaya, checks) where it runs, so `import
+floercas.cli` loads only donaldson, exactalg and linalg, and the heap built
+by the import is frozen, so neither a collection nor the exit walks it.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from json.encoder import encode_basestring_ascii
 
-from . import checks, donaldson, fukaya
-from .exactalg import DEFAULT_ORDER
-from .floer import (
-    FalsificationError,
-    eigen_reports,
-    filtration_step,
-    floer_cohomology,
-    gamma_quotient_ring,
-    invariant_ring,
-    psi1_block,
-    relations,
-)
+from . import donaldson
+from .exactalg import DEFAULT_ORDER, FalsificationError, to_integers
 from .linalg import EigenReport
 
 EXIT_OK = 0
@@ -44,9 +40,11 @@ EXIT_FALSIFIED = 2
 MAX_ORDER = 512
 
 #: largest bits of a donaldson eval value: (order - 1) times the bits of the
-#: largest |K_i . D| or half those of |Q(D)|, whichever is more; Python prints
-#: no int of more than 4300 digits, 14284 bits (sys.get_int_max_str_digits).
-#: At order 512 this size takes about 1 s, and 1.7 times it 1.7 s, then fails
+#: largest |K_i . D| or half those of |Q(D)|, whichever is more, plus the bits
+#: of the largest integer numerator A_i of the a_i = A_i / L and those of L;
+#: Python prints no int of more than 4300 digits, 14284 bits
+#: (sys.get_int_max_str_digits). At order 512 this size takes about 1 s, and
+#: 1.7 times it 1.7 s, then fails
 MAX_EVAL_BITS = 14284
 
 #: largest level accepted by eigen --r; the level ring F_r has dimension
@@ -97,7 +95,7 @@ MAX_FINITE_TYPE_GENUS = 10_000_000
 #: largest gluing genus accepted by donaldson fibersum --genus; a surviving
 #: term carries the weight 2^(7g-9), which at g = 2041 has 4299 decimal
 #: digits, and Python refuses to print an int of more than 4300 digits
-#: (sys.get_int_max_str_digits); a sum with surviving terms takes 0.10 s
+#: (sys.get_int_max_str_digits); a sum with surviving terms takes 0.05-0.09 s
 #: at 2041, nearly all of it start-up
 MAX_FIBER_SUM_GENUS = 2041
 
@@ -212,11 +210,13 @@ def _series_payload_text(series: donaldson.DonaldsonSeries) -> str:
 
 
 def _cmd_ring(args):
-    ring = floer_cohomology(args.genus)
+    from . import floer
+
+    ring = floer.floer_cohomology(args.genus)
     # only the JSON output carries the level rings and their spectra
     payload = ring.to_json(include_rings=args.format == "json" and not args.invariant_only)
     if args.invariant_only:
-        payload["invariant_ring"] = invariant_ring(args.genus).to_json()
+        payload["invariant_ring"] = floer.invariant_ring(args.genus).to_json()
     lines = [f"genus {ring.genus}: total_dim {ring.total_dim}"]
     for s in ring.summands:
         lines.append(
@@ -227,7 +227,9 @@ def _cmd_ring(args):
 
 
 def _cmd_relations(args):
-    tri = relations(args.flavor, args.r)
+    from . import floer
+
+    tri = floer.relations(args.flavor, args.r)
     names = tri.variable_names()
     lines = [f"flavor {tri.flavor}, level {tri.r}:"]
     for key, poly in zip(("p1", "p2", "p3"), (tri.p1, tri.p2, tri.p3)):
@@ -236,20 +238,23 @@ def _cmd_relations(args):
 
 
 def _cmd_eigen(args):
+    from . import checks, floer
+
     code = EXIT_OK
     want_dim = None
     if args.object in ("F", "Fbar"):
-        ring = invariant_ring(args.r) if args.object == "F" else gamma_quotient_ring(args.r)
-        reports = eigen_reports(ring.mult_matrix, args.r + 1)
+        level_ring = floer.invariant_ring if args.object == "F" else floer.gamma_quotient_ring
+        ring = level_ring(args.r)
+        reports = floer.eigen_reports(ring.mult_matrix, args.r + 1)
         dim = ring.dim
     else:
         # filtration layer r and torsion block r have the shape of filtration
         # layer k = r and k = r - 1; the claims' layer rule decides the exit code
         if args.object == "filtration":
-            module, k = filtration_step(args.r), args.r
+            module, k = floer.filtration_step(args.r), args.r
         else:
             _require(args.r >= 1, "--r must be >= 1 for the torsion block")
-            module, k = psi1_block(args.r), args.r - 1
+            module, k = floer.psi1_block(args.r), args.r - 1
         reports, dim, want_dim = module.eigen, module.dim, k + 1
         failures = checks.layer_failures(f"{args.object} at r={args.r}", module, k)
         if failures:
@@ -267,6 +272,8 @@ def _cmd_eigen(args):
 
 
 def _cmd_rhff(args):
+    from . import fukaya
+
     module = fukaya.reduced_module(args.genus, args.n, order=args.trunc)
     lines = [f"genus {module.genus}, loop multiple {module.n}: rank {module.rank}"]
     for c in module.components:
@@ -275,6 +282,8 @@ def _cmd_rhff(args):
 
 
 def _cmd_effective(args):
+    from . import fukaya
+
     vals = fukaya.effective_eigenvalues(args.genus, order=args.trunc)
     payload = {"genus": args.genus, "eigenvalues": [v.to_json() for v in vals]}
     lines = [f"genus {args.genus}: {len(vals)} joint eigenvalues"]
@@ -284,6 +293,8 @@ def _cmd_effective(args):
 
 
 def _cmd_delta(args):
+    from . import fukaya
+
     module = fukaya.delta_module(args.genus)
     lines = [f"genus {module.genus}: total rank {module.total_rank}"]
     for c in module.components:
@@ -324,6 +335,8 @@ def _field_int(text: str) -> int:
 def _parse_homology_class(spec: str, g: int) -> fukaya.YHomologyClass:
     """A class spec as `mu --class` takes it; a key or field it would not
     read is a usage error, not ignored."""
+    from . import fukaya
+
     if spec.startswith("{"):
         obj = json.loads(spec)
         _require("grade" in obj, "a JSON class spec needs a grade")
@@ -363,6 +376,8 @@ def _parse_homology_class(spec: str, g: int) -> fukaya.YHomologyClass:
 
 
 def _cmd_mu(args):
+    from . import fukaya
+
     _require(abs(args.i) <= args.genus - 1, "--i must satisfy |i| <= genus-1")
     try:
         cls = _parse_homology_class(args.cls, args.genus)
@@ -407,7 +422,9 @@ def _cmd_don_eval(args):
     _require(len(args.cls) == len(series.basis_names), "evaluation class has wrong length")
     c = max((abs(series.pair(k, args.cls)) for k in series.classes()), default=0)
     q = abs(series.quadratic_form(args.cls))
+    nums, den = to_integers(a for a, _ in series.terms)
     bits = (order - 1) * max(c.bit_length(), (q.bit_length() + 1) // 2)
+    bits += max((abs(a).bit_length() for a in nums), default=0) + den.bit_length()
     _require(bits <= MAX_EVAL_BITS, f"the value at --class and --order would have coefficients"
                                     f" of about {bits} bits, more than {MAX_EVAL_BITS}")
     value = donaldson.evaluate(series, args.cls, order)
@@ -457,6 +474,8 @@ def _cmd_don_congruence(args):
 
 
 def _cmd_check(args):
+    from . import checks
+
     results = checks.run_all(args.max_genus)
     passed = all(r.passed for r in results)
     payload = {
@@ -585,6 +604,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     return code
 
+
+# the start-up heap lives until exit: no collection, the final ones included, walks it
+gc.freeze()
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -13,7 +13,7 @@ coefficients.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, lcm
+from math import comb
 from typing import NamedTuple
 
 from .exactalg import DEFAULT_ORDER, TruncatedSeries, rational, to_integers
@@ -308,10 +308,10 @@ class _ClassSolver:
     """The map from a pairing vector p to the integer class K with Q K = p.
 
     One elimination of [Q | I] gives Q^-1, row i as integers over the
-    pivot of row i; scaled by the lcm `den` of the pivots it is an integer
-    matrix.  `lift(p)` is the integer vector den Q^-1 p, which is linear in
-    p, and `divide` turns a sum of lifts into its class, refusing one that
-    is not integral.
+    pivot of row i; scaled by the lcm `den` of the pivots
+    (`Matrix.integer_rows`) it is an integer matrix.  `lift(p)` is the
+    integer vector den Q^-1 p, which is linear in p, and `divide` turns a
+    sum of lifts into its class, refusing one that is not integral.
     """
 
     def __init__(self, q):
@@ -320,8 +320,8 @@ class _ClassSolver:
         rref, pivots = Matrix(augmented).rref()
         if any(pc >= n for pc in pivots):
             raise ValueError("intersection form Q must be nondegenerate")
-        self.den = den = lcm(*rref.dens)
-        self.inverse = [[x * (den // d) for x in row[n:]] for row, d in zip(rref.nums, rref.dens)]
+        ints, self.den = rref.integer_rows()
+        self.inverse = [row[n:] for row in ints]
 
     def lift(self, pairings) -> list:
         return [sum(x * p for x, p in zip(row, pairings)) for row in self.inverse]

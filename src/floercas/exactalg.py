@@ -23,6 +23,10 @@ The series calculators of `donaldson` compute over Q and make a
 TruncatedSeries only of their result, so Q(i) arithmetic is left to the
 spectra and the first-order t-deformed series of `fukaya`: a
 GaussianRational only needs + and *, the inverse and the conjugate.
+
+FalsificationError, the error of a structural claim that failed, lives
+here, at the bottom of the package, so the command line can catch it
+without importing the ring code.
 """
 
 from __future__ import annotations
@@ -32,6 +36,10 @@ from math import lcm
 
 #: default truncation order; every acceptance computation needs <= t^8
 DEFAULT_ORDER = 16
+
+
+class FalsificationError(RuntimeError):
+    """A structural claim the package is supposed to verify failed."""
 
 
 def rational(value=0, den=None):

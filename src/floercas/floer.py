@@ -14,16 +14,12 @@ from itertools import combinations
 from math import comb
 from typing import NamedTuple
 
-from .exactalg import GaussianRational, rational
+from .exactalg import FalsificationError, GaussianRational, rational
 from .groebner import VAR_NAMES, QuotientRing
 from .linalg import Matrix, UniPoly, factor_over_candidates
 from .poly import ALPHA, BETA, GAMMA, Monomial, SparsePoly, grlex_key
 
 FLAVORS = ("q", "R", "Rbar")
-
-
-class FalsificationError(RuntimeError):
-    """A structural claim the package is supposed to verify failed."""
 
 
 class RelationTriple(NamedTuple):

@@ -135,6 +135,13 @@ class Matrix:
             for r, d in zip(self.nums, self.dens)
         )
 
+    def integer_rows(self) -> tuple:
+        """(rows, den): the rows as tuples of ints over den, the lcm of the
+        row denominators, so rows[i][j] / den is entry (i, j)."""
+        den = math.lcm(*self.dens)
+        return tuple(r if d == den else tuple(x * (den // d) for x in r)
+                     for r, d in zip(self.nums, self.dens)), den
+
     # -- arithmetic ---------------------------------------------------------
     def scale(self, c) -> "Matrix":
         c = rational(c)
@@ -148,11 +155,9 @@ class Matrix:
         combination of them that row i of self gives, over dens[i] * e."""
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch")
-        e = math.lcm(*other.dens)
+        ints, e = other.integer_rows()
         # the nonzero entries of each row of other, over e
-        sparse = [
-            [(j, x * (e // d)) for j, x in enumerate(r) if x] for r, d in zip(other.nums, other.dens)
-        ]
+        sparse = [[(j, x) for j, x in enumerate(r) if x] for r in ints]
         rows = []
         for r, d in zip(self.nums, self.dens):
             acc = [0] * other.ncols

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from floercas import checks, cli
+from floercas import checks, cli, floer, fukaya
 from floercas.cli import (
     MAX_CHECK_GENUS,
     MAX_DELTA_GENUS,
@@ -131,7 +131,7 @@ class TestEigen:
         def fail(r):
             raise FalsificationError("action does not preserve the subquotient")
 
-        monkeypatch.setattr("floercas.cli.psi1_block", fail)
+        monkeypatch.setattr("floercas.floer.psi1_block", fail)
         code, out, err = run(capsys, "eigen", "--r", "2", "--object", "K")
         assert code == 2
         assert out == "" and "Traceback" not in err
@@ -149,7 +149,7 @@ class TestEigen:
             "gamma": Matrix([[0, 0], [0, 0]]),
         }
         module = SubquotientModule(2, eigen_reports(actions.get, 3))
-        monkeypatch.setattr(f"floercas.cli.{patched}", lambda _: module)
+        monkeypatch.setattr(f"floercas.floer.{patched}", lambda _: module)
         code, out, err = run(capsys, "eigen", "--r", str(r), "--object", obj)
         assert code == 2
         assert err == f"falsified: {obj} at r={r}: alpha spectrum mismatch\n"
@@ -642,9 +642,9 @@ class TestUsageErrors:
 
         for name in ("relations", "invariant_ring", "gamma_quotient_ring",
                      "filtration_step", "psi1_block", "floer_cohomology"):
-            monkeypatch.setattr(cli, name, no_work)
+            monkeypatch.setattr(floer, name, no_work)
         for name in ("reduced_module", "effective_eigenvalues", "delta_module", "mu_action"):
-            monkeypatch.setattr(cli.fukaya, name, no_work)
+            monkeypatch.setattr(fukaya, name, no_work)
         for name in ("finite_type_order", "fiber_sum"):
             monkeypatch.setattr(cli.donaldson, name, no_work)
         cases = [(("eigen", "--object", obj, "--r", str(MAX_EIGEN_R + 1)),
@@ -690,10 +690,11 @@ class TestUsageErrors:
     def test_eval_value_bounded_up_front(self, capsys, monkeypatch, tmp_path):
         # 512 exp(K) - 512 exp(-K) with K = (2, 2): at D = (x, 1), K.D = 2x + 2
         # and Q(D) = 2x, so at order 512 the value has about 511 * bits(2x + 2)
+        # plus the 10 bits of 512 and the 1 bit of the denominator 1
         path = tmp_path / "series.json"
         path.write_text(json.dumps(product_series(2, 2).to_json()))
         argv = ("donaldson", "eval", "--series", str(path), "--order", "512")
-        code, _, _ = run(capsys, *argv, f"--class={2**25},1")  # 511 * 27 bits
+        code, _, _ = run(capsys, *argv, f"--class={2**25},1")  # 511 * 27 + 11 bits
         assert code == 0
 
         def no_work(*args):
@@ -705,7 +706,7 @@ class TestUsageErrors:
         x = 2**4000
         cases = ((f"{2**26},1", 511 * 28), (f"{10**99},1", 511 * (2 * 10**99 + 2).bit_length()),
                  (f"{x},{-x}", 511 * 4001))
-        for cls, bits in cases:
+        for cls, bits in ((cls, bits + 11) for cls, bits in cases):
             for fmt in ("text", "json"):
                 start = time.perf_counter()
                 code, out, err = run(capsys, *argv, f"--class={cls}", "--format", fmt)
@@ -714,6 +715,28 @@ class TestUsageErrors:
                 assert out == "" and err == (
                     f"error: the value at --class and --order would have coefficients of about "
                     f"{bits} bits, more than {MAX_EVAL_BITS}\n")
+
+    def test_eval_coefficients_bounded_up_front(self, capsys, monkeypatch, tmp_path):
+        # one term a exp(K), K = (0, 1): at D = (2^19, 1), K.D = 2^19 gives
+        # 511 * 20 bits, under the limit, and at D = (1, 0) only 511 bits; the
+        # numerator 10^4000 + 1 (it used to run 3.5 s and then fail to print)
+        # or the denominator 3^9000 takes the size past it
+        def no_work(*args):
+            raise AssertionError("work started past the size limit")
+
+        monkeypatch.setattr(cli.donaldson, "evaluate", no_work)
+        num, den = 10**4000 + 1, 3**9000
+        for a, cls, bits in ((str(num), f"{2**19},1", 511 * 20 + num.bit_length() + 1),
+                             (f"1/{den}", "1,0", 511 + 1 + den.bit_length())):
+            path = tmp_path / "series.json"
+            path.write_text(json.dumps({"basis": ["E", "F"], "Q": [[0, 1], [1, 0]],
+                                        "terms": [{"a": a, "K": [0, 1]}]}))
+            code, out, err = run(capsys, "donaldson", "eval", "--series", str(path),
+                                 f"--class={cls}", "--order", "512")
+            self.assert_one_line_usage_error(code, err)
+            assert out == "" and err == (
+                f"error: the value at --class and --order would have coefficients of about "
+                f"{bits} bits, more than {MAX_EVAL_BITS}\n")
 
     def test_value_too_long_to_print(self, capsys):
         # str() of a Fraction past Python's 4300-digit limit raised ValueError,
@@ -740,6 +763,34 @@ class TestStartup:
         done = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True,
                               text=True, timeout=60, env=dict(os.environ, PYTHONPATH=str(src)))
         assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")
+
+    def test_series_commands_load_no_ring_code(self, tmp_path):
+        # import floercas.cli freezes the heap it built, once; eval and
+        # fibersum run on donaldson, exactalg and linalg alone
+        src = Path(cli.__file__).resolve().parents[1]
+        for name, genus in (("s", 2), ("a", 1), ("b", 1)):
+            (tmp_path / f"{name}.json").write_text(json.dumps(product_series(genus, 2).to_json()))
+        commands = [
+            ["donaldson", "eval", "--series", str(tmp_path / "s.json"), "--class", "1,0"],
+            ["donaldson", "fibersum", "--a", str(tmp_path / "a.json"), "--b",
+             str(tmp_path / "b.json"), "--genus", "1", "--pairing", json.dumps(PRODUCT_SUM_PAIRING)],
+        ]
+        probe = (
+            "import contextlib, gc, io, sys\n"
+            "import floercas.cli\n"
+            "lazy = ('floer', 'groebner', 'poly', 'fukaya', 'checks')\n"
+            "def loaded():\n"
+            "    return [m for m in lazy if 'floercas.' + m in sys.modules]\n"
+            "frozen = gc.get_freeze_count()\n"
+            "print(loaded(), frozen > 0)\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    codes = [floercas.cli.main(argv) for argv in {commands!r}]\n"
+            "print(loaded(), codes, gc.get_freeze_count() == frozen)\n"
+        )
+        done = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True,
+                              text=True, timeout=60, env=dict(os.environ, PYTHONPATH=str(src)))
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout == "[] True\n[] [0, 0] True\n"
 
 
 class TestDeterminism:

@@ -1,17 +1,16 @@
 """The README's library example runs as printed, the top level of the
-package holds exactly the names that example imports, plus __version__,
+package exports exactly the names that example imports, plus __version__,
 and the README's size table gives the ranges the parser enforces."""
 
 import argparse
 import ast
 import contextlib
-import inspect
 import io
 import re
 from pathlib import Path
 
 import floercas
-from floercas import cli
+from floercas import cli, floer, linalg
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -33,12 +32,12 @@ def test_library_example_runs():
 
 def test_top_level_names():
     imported = re.search(r"^from floercas import (.+)$", library_example(), re.M).group(1)
-    public = {
-        name
-        for name, value in vars(floercas).items()
-        if not name.startswith("_") and not inspect.ismodule(value)
-    }
-    assert public == {name.strip() for name in imported.split(",")}
+    assert sorted(floercas.__all__) == sorted(name.strip() for name in imported.split(","))
+    # each name is the object of the module that defines it
+    home = {"invariant_ring": floer, "default_candidates": floer, "factor_over_candidates": linalg}
+    for name in floercas.__all__:
+        assert getattr(floercas, name) is getattr(home[name], name)
+    assert not hasattr(floercas, "relations")
     assert floercas.__version__ == "0.1.0"
 
 
