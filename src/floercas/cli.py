@@ -22,6 +22,7 @@ import gc
 import json
 import sys
 from json.encoder import encode_basestring_ascii
+from math import factorial
 
 from . import donaldson
 from .exactalg import DEFAULT_ORDER, FalsificationError, to_integers
@@ -39,12 +40,12 @@ EXIT_FALSIFIED = 2
 #: takes about 1.3 s at 512 and 12-16 s at 1024)
 MAX_ORDER = 512
 
-#: largest bits of a donaldson eval value: (order - 1) times the bits of the
-#: largest |K_i . D| or half those of |Q(D)|, whichever is more, plus the bits
-#: of the largest integer numerator A_i of the a_i = A_i / L and those of L;
-#: Python prints no int of more than 4300 digits, 14284 bits
-#: (sys.get_int_max_str_digits). At order 512 this size takes about 1 s, and
-#: 1.7 times it 1.7 s, then fails
+#: largest bits of either side of a donaldson eval value: the numerators have about
+#: (order - 1) times the bits of the largest |K_i . D| or half those of |Q(D)|, plus
+#: the bits of the largest integer numerator A_i of the a_i = A_i / L and of L; the
+#: denominators divide L n! 2^(n // 2), n = order - 1.  Python prints no int of more
+#: than 4300 digits, 14284 bits (sys.get_int_max_str_digits). At order 512 a numerator
+#: side of this size takes about 1 s, and 1.7 times it 1.7 s, then fails
 MAX_EVAL_BITS = 14284
 
 #: largest level accepted by eigen --r; the level ring F_r has dimension
@@ -426,6 +427,9 @@ def _cmd_don_eval(args):
     bits = (order - 1) * max(c.bit_length(), (q.bit_length() + 1) // 2)
     bits += max((abs(a).bit_length() for a in nums), default=0) + den.bit_length()
     _require(bits <= MAX_EVAL_BITS, f"the value at --class and --order would have coefficients"
+                                    f" of about {bits} bits, more than {MAX_EVAL_BITS}")
+    bits = den.bit_length() + factorial(order - 1).bit_length() + (order - 1) // 2
+    _require(bits <= MAX_EVAL_BITS, f"the value at --class and --order would have denominators"
                                     f" of about {bits} bits, more than {MAX_EVAL_BITS}")
     value = donaldson.evaluate(series, args.cls, order)
     payload = {"class": list(args.cls), "order": order, "value": value.to_json()}

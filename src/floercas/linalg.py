@@ -549,31 +549,20 @@ def _strip(p: list, factor: list) -> tuple:
     """(m, p / factor^m) for the largest m with factor^m dividing p.
 
     Both are integer polynomials and factor is primitive, so by Gauss's
-    lemma it divides p over Q exactly when it divides p over Z.  A linear
-    factor d*x - n divides p exactly when p vanishes at n/d, so p is
-    evaluated there before each division.
+    lemma it divides p over Q exactly when it divides p over Z, which
+    `_exact_quotient` decides.  Evaluating p at the root of a linear factor
+    first made factor_over_candidates slower, so it is not done.
     """
     if factor == (0, 1):  # x divides p as often as p has zero low coefficients
         mult = next(k for k, c in enumerate(p) if c)
         return mult, p[mult:]
     mult = 0
     while len(p) >= len(factor):
-        if len(factor) == 2 and _value_at_root(p, -factor[0], factor[1]):
-            break
         quotient = _exact_quotient(p, factor)
         if quotient is None:
             break
         p, mult = quotient, mult + 1
     return mult, p
-
-
-def _value_at_root(p: list, n: int, d: int) -> int:
-    """d^deg(p) * p(n/d): sum of c_k n^k d^(deg - k), by Horner's rule."""
-    value, dk = 0, 1
-    for c in reversed(p):
-        value = value * n + c * dk
-        dk *= d
-    return value
 
 
 @lru_cache(maxsize=64)

@@ -34,16 +34,6 @@ class Monomial(tuple):
     def mul(self, other: "Monomial") -> "Monomial":
         return Monomial(self[0] + other[0], self[1] + other[1], self[2] + other[2])
 
-    def divides(self, other: "Monomial") -> bool:
-        return self[0] <= other[0] and self[1] <= other[1] and self[2] <= other[2]
-
-    def divide(self, other: "Monomial") -> "Monomial":
-        """self / other; other must divide self."""
-        return Monomial(self[0] - other[0], self[1] - other[1], self[2] - other[2])
-
-    def lcm(self, other: "Monomial") -> "Monomial":
-        return Monomial(max(self[0], other[0]), max(self[1], other[1]), max(self[2], other[2]))
-
     def render(self, names=("alpha", "beta", "gamma")) -> str:
         parts = []
         for e, name in zip(self, names):
@@ -156,9 +146,6 @@ class SparsePoly:
             base = base * base
             n >>= 1
         return out
-
-    def mul_monomial(self, m: Monomial) -> "SparsePoly":
-        return SparsePoly({mm.mul(m): cc for mm, cc in self.terms.items()})
 
     # -- predicates / access ------------------------------------------------
     def __bool__(self) -> bool:

@@ -3,6 +3,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -720,14 +721,21 @@ class TestUsageErrors:
         # one term a exp(K), K = (0, 1): at D = (2^19, 1), K.D = 2^19 gives
         # 511 * 20 bits, under the limit, and at D = (1, 0) only 511 bits; the
         # numerator 10^4000 + 1 (it used to run 3.5 s and then fail to print)
-        # or the denominator 3^9000 takes the size past it
+        # or the denominator 3^9000 takes the size past it.  With 3^8600 that
+        # size passes, but every coefficient's denominator divides
+        # 3^8600 511! 2^255, of about 17500 bits (it used to end in Python's
+        # 4300-digit error)
         def no_work(*args):
             raise AssertionError("work started past the size limit")
 
         monkeypatch.setattr(cli.donaldson, "evaluate", no_work)
-        num, den = 10**4000 + 1, 3**9000
-        for a, cls, bits in ((str(num), f"{2**19},1", 511 * 20 + num.bit_length() + 1),
-                             (f"1/{den}", "1,0", 511 + 1 + den.bit_length())):
+        num, den, small_den = 10**4000 + 1, 3**9000, 3**8600
+        small_den_bits = small_den.bit_length() + math.factorial(511).bit_length() + 255
+        for a, cls, side, bits in (
+            (str(num), f"{2**19},1", "coefficients", 511 * 20 + num.bit_length() + 1),
+            (f"1/{den}", "1,0", "coefficients", 511 + 1 + den.bit_length()),
+            (f"1/{small_den}", "1,0", "denominators", small_den_bits),
+        ):
             path = tmp_path / "series.json"
             path.write_text(json.dumps({"basis": ["E", "F"], "Q": [[0, 1], [1, 0]],
                                         "terms": [{"a": a, "K": [0, 1]}]}))
@@ -735,7 +743,7 @@ class TestUsageErrors:
                                  f"--class={cls}", "--order", "512")
             self.assert_one_line_usage_error(code, err)
             assert out == "" and err == (
-                f"error: the value at --class and --order would have coefficients of about "
+                f"error: the value at --class and --order would have {side} of about "
                 f"{bits} bits, more than {MAX_EVAL_BITS}\n")
 
     def test_value_too_long_to_print(self, capsys):
@@ -802,6 +810,21 @@ class TestDeterminism:
             assert code == 0
             outs.append(out)
         assert outs[0] == outs[1]
+
+    def test_hash_seed_leaves_output_unchanged(self):
+        # the in-process determinism claim cannot vary the hash seed, which
+        # is fixed when the interpreter starts
+        src = Path(cli.__file__).resolve().parents[1]
+        for argv in (("check", "--max-genus", "4", "--format", "json"),
+                     ("ring", "--genus", "5", "--format", "json")):
+            outs = []
+            for seed in ("0", "12345"):
+                env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=seed)
+                done = subprocess.run([sys.executable, "-m", "floercas.cli", *argv],
+                                      capture_output=True, timeout=120, env=env)
+                assert (done.returncode, done.stderr) == (0, b""), argv
+                outs.append(done.stdout)
+            assert outs[0] == outs[1], argv
 
 
 def _leaves(parser, path=()):
