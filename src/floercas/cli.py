@@ -65,9 +65,9 @@ MAX_PRODUCT_GENUS = 46
 #: 1.6-1.9 s at 50 and 28 s at 100)
 MAX_RELATIONS_R = 50
 
-#: largest genus accepted by check --max-genus; the suite's cost grows
-#: steeply past it (single runs: 0.2 s at 1, 0.4 s at 6, 1.1-1.2 s at 9,
-#: 4.3-6.4 s at 12 and 151 s at 16)
+#: largest genus accepted by check --max-genus (fresh processes: 0.15-0.2 s
+#: at 1, 0.3-0.4 s at 6, 0.76-0.85 s at 9, 1.6-1.8 s at 11, 2.7-3.0 s at 12
+#: and 13 s at 16); kept at 9 while most claims stop at a fixed cap below it
 MAX_CHECK_GENUS = 9
 
 #: largest genus accepted by ring --genus; the slowest form, --format json

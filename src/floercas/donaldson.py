@@ -95,7 +95,7 @@ class DonaldsonSeries(_SeriesFields):
         if not isinstance(simple_type, bool):
             # bool() would read the string "false" as simple type
             raise ValueError("simple_type must be a boolean")
-        basis_names = tuple(_array(_field(obj, "basis", "a series"), "basis"))
+        basis_names = _names(_field(obj, "basis", "a series"))
         q = _form(_field(obj, "Q", "a series"))
         terms = []
         for t in _array(_field(obj, "terms", "a series"), "terms"):
@@ -123,6 +123,13 @@ def _array(value, name: str) -> list:
     if not isinstance(value, list):
         raise ValueError(f"{name} must be a JSON array")
     return value
+
+
+def _names(values) -> tuple:
+    """A basis given as a JSON array of class names."""
+    if not all(isinstance(x, str) for x in _array(values, "basis")):
+        raise ValueError("basis entries must be strings")
+    return tuple(values)
 
 
 def _integers(values, name: str) -> tuple:
@@ -196,7 +203,7 @@ def evaluate(series: DonaldsonSeries, d, order: int = DEFAULT_ORDER) -> Truncate
     for term, (_, k) in zip(nums, series.terms):  # term: A_i c_i^m, one running term per class
         c = series.pair(k, d)
         s[0] += term
-        for m in range(1, order if c else 1):  # c = 0 adds to S[0] only
+        for m in range(1, order):
             term *= c
             s[m] += term
     q = series.quadratic_form(d)
@@ -205,9 +212,6 @@ def evaluate(series: DonaldsonSeries, d, order: int = DEFAULT_ORDER) -> Truncate
     for n in range(order):
         if n:
             fact *= n
-        if not q:  # exp(0) = 1: coefficient n is S[n] / (L n!)
-            coeffs.append(Fraction(s[n], den * fact))
-            continue
         h = n // 2
         w, total = 1 << h, 0
         for j in range(h + 1):
@@ -298,7 +302,7 @@ class FiberSumInput(NamedTuple):
             genus=genus,
             sigma_in_a=_integers(_field(obj, "sigma_a", "a pairing"), "sigma_a"),
             sigma_in_b=_integers(_field(obj, "sigma_b", "a pairing"), "sigma_b"),
-            basis_names=tuple(_array(_field(obj, "basis", "a pairing"), "basis")),
+            basis_names=_names(_field(obj, "basis", "a pairing")),
             q=_form(_field(obj, "Q", "a pairing")),
             splits=tuple(splits),
         )

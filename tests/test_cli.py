@@ -370,6 +370,14 @@ class TestCheckCommand:
         assert err == ""
         assert [r.name for r in checks.run_all(1)] == [n for n, _ in checks.CRITERIA]
 
+    def test_determinism_sees_a_changed_cache(self, monkeypatch):
+        ring = floer.invariant_ring(2)
+        alpha = ring.mult_matrix("alpha")
+        monkeypatch.setitem(ring._mult, 0, alpha.scale(2))  # key 0: alpha
+        result = checks.check_determinism(2)
+        assert not result.passed
+        assert result.detail == "invariant_ring(2) differs from a fresh build"
+
     def test_genus_bounded_up_front(self, capsys, monkeypatch):
         def no_work(max_genus):
             raise AssertionError("work started past the genus limit")
@@ -589,6 +597,25 @@ class TestUsageErrors:
             code, out, err = run(capsys, *argv, "--pairing", spec)
             self.assert_one_line_usage_error(code, err)
             assert "a pairing must be a JSON object" in err and out == ""
+
+    def test_basis_entries_must_be_names(self, capsys, tmp_path):
+        # a basis of any JSON values passed: a pairing's was printed as Python's
+        # repr, or ended in "float is not JSON serializable" under json
+        a = tmp_path / "a.json"
+        a.write_text(json.dumps(product_series(1, 3).to_json()))
+        b = tmp_path / "b.json"
+        b.write_text(json.dumps(dict(product_series(1, 3).to_json(), basis=[1, 2])))
+        cases = [(b, PRODUCT_SUM_PAIRING)] + [
+            (a, dict(PRODUCT_SUM_PAIRING, basis=basis)) for basis in ([None, {"x": [1]}], [1.5, "F"])
+        ]
+        for series, pairing in cases:
+            for fmt in ([], ["--format", "json"]):
+                code, out, err = run(capsys, *fmt, "donaldson", "fibersum", "--a", str(a),
+                                     "--b", str(series), "--genus", "1",
+                                     "--pairing", json.dumps(pairing))
+                self.assert_one_line_usage_error(code, err)
+                assert "basis entries must be strings" in err and out == ""
+                assert not _PYTHON_WORDS.search(err.replace(str(tmp_path), "")), err
 
     def test_malformed_vector(self, capsys, tmp_path):
         path = tmp_path / "series.json"
@@ -969,6 +996,12 @@ def _json_commands(draw):
 class TestJsonInputFuzz:
     @settings(max_examples=300, deadline=None)
     @given(_json_commands())
+    # a basis entry that JSON output cannot write back
+    @example(({"a.json": json.dumps(product_series(1, 1).to_json()),
+               "b.json": json.dumps(product_series(1, 1).to_json())},
+              ["donaldson", "fibersum", "--a", "a.json", "--b", "b.json", "--genus", "1",
+               "--pairing", json.dumps(dict(PRODUCT_SUM_PAIRING, basis=[1.5, "F"])),
+               "--format", "json"]))
     def test_exit_code_and_one_line(self, case):
         files, argv = case
         out, err = io.StringIO(), io.StringIO()

@@ -1,9 +1,13 @@
-"""The benchmark tracer (perfbench/tracer.py) still finds what it wraps.
+"""What the benchmark under perfbench/ needs from the program.
 
-The tracer replaces public functions and methods by name, so renaming or
-inlining one of them silently drops its per-layer metrics.  One traced
-`check --max-genus 1` job must record every claim once and a nonzero count
-for each wrapped layer the checks go through.
+The tracer (perfbench/tracer.py) replaces public functions and methods by
+name, so renaming or inlining one of them silently drops its per-layer
+metrics.  One traced `check --max-genus 1` job must record every claim once
+and a nonzero count for each wrapped layer the checks go through.
+
+The output checker (perfbench/verify.py) lists the claims by name and wants
+one PASS line for each, so a renamed claim, or claim text it rejects, would
+mark every `check` job as incorrect.
 """
 
 import json
@@ -12,7 +16,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from floercas import checks
+from floercas import checks, cli
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -38,3 +42,18 @@ def test_tracer_attaches(tmp_path):
         "floer.subquotient",
     ):
         assert metrics.get(f"{layer}_calls", 0) > 0, layer
+
+
+def test_verifier_accepts_the_claims(capsys):
+    assert cli.main(["check", "--max-genus", "3"]) == cli.EXIT_OK
+    text = capsys.readouterr().out
+    script = ("import json, sys, verify; "
+              "print(json.dumps([verify.CLAIMS, verify.check_claims(sys.stdin.read())]))")
+    # no bytecode is written, so the import leaves nothing behind in perfbench/
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "perfbench"), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run([sys.executable, "-c", script], input=text, cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    claims, problems = json.loads(proc.stdout)
+    assert claims == [name for name, _ in checks.CRITERIA]
+    assert problems == []
