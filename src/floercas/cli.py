@@ -48,10 +48,12 @@ MAX_ORDER = 512
 #: side of this size takes about 1 s, and 1.7 times it 1.7 s, then fails
 MAX_EVAL_BITS = 14284
 
-#: largest level accepted by eigen --r; the level ring F_r has dimension
-#: C(r+2, 3), and the cost grows by about 1.6 per level (eigen --object F,
-#: the slowest, takes 0.3-0.4 s at 9, 0.5-0.7 s at 10 and 0.9-1.0 s at 11;
-#: --object K takes 0.3-0.45 s at 9, 0.4-0.5 s at 10 and 0.6-0.75 s at 11)
+#: largest level accepted by eigen --r; --object K, the slowest, builds the
+#: torsion block of F_r, of dimension C(r+2, 3), by elimination and takes
+#: 0.35-0.38 s at 9, 0.51-0.62 s at 10, 0.81-0.88 s at 11, 1.45 s at 12 and
+#: 2.0-2.3 s at 13; --object F reads one r x r block per level and takes
+#: 0.2 s at 9 and 0.6 s at 13.  Kept at 9, below the 2 s rule, while
+#: --object K still eliminates
 MAX_EIGEN_R = 9
 
 #: largest genus accepted by donaldson product --g and --h; the series of
@@ -71,9 +73,10 @@ MAX_RELATIONS_R = 50
 MAX_CHECK_GENUS = 9
 
 #: largest genus accepted by ring --genus; the slowest form, --format json
-#: with the spectra of every level ring, takes 0.7-1.4 s at 10 and 1.5-2.3 s
-#: at 11 (text 0.4-0.6 s at 12, --invariant-only 0.4-0.6 s at 12)
-MAX_RING_GENUS = 10
+#: with the spectra of every level ring, takes 0.3 s at 10, 0.9 s at 13,
+#: 1.5-1.7 s (8 MB of output, 100 MB resident) at 15 and 2.4-2.6 s at 16
+#: (text 2.0-2.1 s at 16, --invariant-only 2.2-2.3 s at 16)
+MAX_RING_GENUS = 15
 
 #: largest genus accepted by rhff and effective --genus; each prints 2g - 1
 #: series of order --trunc, and with --trunc 512 --format json takes
@@ -244,10 +247,8 @@ def _cmd_eigen(args):
     code = EXIT_OK
     want_dim = None
     if args.object in ("F", "Fbar"):
-        level_ring = floer.invariant_ring if args.object == "F" else floer.gamma_quotient_ring
-        ring = level_ring(args.r)
-        reports = floer.eigen_reports(ring.mult_matrix, args.r + 1)
-        dim = ring.dim
+        reports = floer.level_reports(args.object, args.r)
+        dim = floer.level_ring(args.object, args.r).dim
     else:
         # filtration layer r and torsion block r have the shape of filtration
         # layer k = r and k = r - 1; the claims' layer rule decides the exit code

@@ -126,9 +126,12 @@ def _array(value, name: str) -> list:
 
 
 def _names(values) -> tuple:
-    """A basis given as a JSON array of class names."""
+    """A basis given as a JSON array of distinct class names: a name listed
+    twice would leave the classes of a result unreadable by name."""
     if not all(isinstance(x, str) for x in _array(values, "basis")):
         raise ValueError("basis entries must be strings")
+    if len(set(values)) != len(values):
+        raise ValueError("basis names a class more than once")
     return tuple(values)
 
 

@@ -2,9 +2,10 @@
 
 Everything here is exact commutative algebra: the three-term relation
 recursions, the finite-dimensional level rings F_r and their gamma
-quotients, the filtration and torsion subquotients with their alpha/beta
-spectra, primitive exterior powers, and the assembled total ring with its
-dimension bookkeeping.
+quotients, the r x r block of each level's top layer with the spectra of
+F_r and Fbar_r read from those blocks, the filtration and torsion
+subquotients with their alpha/beta spectra, primitive exterior powers, and
+the assembled total ring with its dimension bookkeeping.
 """
 
 from __future__ import annotations
@@ -12,11 +13,12 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations
 from math import comb
+from operator import sub
 from typing import NamedTuple
 
 from .exactalg import FalsificationError, GaussianRational, rational
 from .groebner import VAR_NAMES, QuotientRing
-from .linalg import Matrix, UniPoly, factor_over_candidates
+from .linalg import EigenReport, Matrix, UniPoly, factor_over_candidates
 from .poly import ALPHA, BETA, GAMMA, Monomial, SparsePoly, grlex_key
 
 FLAVORS = ("q", "R", "Rbar")
@@ -117,16 +119,29 @@ def eigen_reports(matrix_of, bound: int) -> dict:
 # level rings
 
 
+def _level_generators(obj: str, r: int) -> list:
+    """The generators of the ideal I_r that presents F_r (obj "F") or
+    Fbar_r (obj "Fbar")."""
+    if obj == "F":
+        return relations("R", r).generators()
+    return relations("Rbar", r).generators() + [GAMMA]
+
+
 @lru_cache(maxsize=None)
 def invariant_ring(r: int) -> QuotientRing:
     """F_r: the invariant part of the level-r ring, dim C(r+2,3)."""
-    return QuotientRing.from_generators(relations("R", r).generators())
+    return QuotientRing.from_generators(_level_generators("F", r))
 
 
 @lru_cache(maxsize=None)
 def gamma_quotient_ring(r: int) -> QuotientRing:
     """Fbar_r = F_r/(gamma), presented by the two-term recursion; dim C(r+1,2)."""
-    return QuotientRing.from_generators(relations("Rbar", r).generators() + [GAMMA])
+    return QuotientRing.from_generators(_level_generators("Fbar", r))
+
+
+def level_ring(obj: str, r: int) -> QuotientRing:
+    """F_r for obj "F", Fbar_r for obj "Fbar"."""
+    return invariant_ring(r) if obj == "F" else gamma_quotient_ring(r)
 
 
 @lru_cache(maxsize=None)
@@ -147,6 +162,128 @@ def monomial_simplex(r: int, nvars: int = 3) -> list:
                     out.append(Monomial(a, b, c))
     out.sort(key=grlex_key)
     return out
+
+
+# ---------------------------------------------------------------------------
+# the top layer of each level: one r x r block, and the spectra of F_r and
+# Fbar_r from the blocks of levels 1..r
+
+
+#: the monomials alpha, beta, gamma
+_VAR_MONOMIALS = (Monomial(1, 0, 0), Monomial(0, 1, 0), Monomial(0, 0, 1))
+
+
+class LevelBlock(NamedTuple):
+    """The r x r blocks K_r(x) of x = alpha, beta, gamma at level r of F or
+    Fbar (see level_block), their characteristic polynomials, and those
+    factored over default_candidates(r), the candidates of psi1_block(r)
+    and filtration_step(r - 1)."""
+
+    blocks: dict
+    charpolys: dict
+    reports: dict
+
+
+@lru_cache(maxsize=None)
+def level_block(obj: str, r: int) -> LevelBlock:
+    """The action of alpha, beta and gamma on the top layer of F_r (obj
+    "F") or Fbar_r (obj "Fbar"), r >= 1, as one r x r block each.
+
+    Write L_r = Q[alpha, beta, gamma]/I_r for the level ring and pi for the
+    projection L_r -> L_{r-1}.  Its kernel I_{r-1}/I_r is spanned by the
+    reduced Groebner elements g_m of I_{r-1}, one led by each monomial m of
+    degree r - 1 (gamma-free for Fbar).  K_r(x)[n, m], for gamma-free n and
+    m of degree r - 1, is the coefficient at n of NF_r(x g_m).  The reduced
+    basis of I_r holds one element G led by each degree-r monomial x m, so
+    NF_r(x g_m) = x g_m - G, and no reduction is run.  On Fbar a multiple of
+    gamma leads no element: gamma generates I_r there, and K_r(gamma) = 0.
+
+    Guards, each raising FalsificationError when it fails:
+    1. the staircases of L_{r-1} and L_r are the monomials of degree
+       < r - 1 and < r (gamma-free for Fbar), so the g_m and G are as above;
+    2. the level-r generators (for Fbar, gamma among them) reduce to zero
+       modulo I_{r-1}: I_r lies in I_{r-1}, so pi is a ring map and its
+       kernel an ideal;
+    for F only:
+    3. gamma times the level-(r-1) generators reduces to zero modulo I_r;
+    4. gamma g_n, for g_n the Groebner element of I_{r-2} led by n, is the
+       g_{gamma n} of I_{r-1} as a polynomial.
+    By 3 and 4, with 2 one level down, the g_{gamma n} span a submodule on
+    which x acts as on the kernel of pi one level down, and K_r(x) is the
+    action on the quotient by it.  So, with the records of every level
+    <= r, cp(x | F_r) is the product of cp(K_i(x))^(r-i+1) over i <= r.  On
+    Fbar the kernel of pi is spanned by the gamma-free g_m alone, and
+    cp(x | Fbar_r) is the product of the cp(K_i(x)).
+    """
+    ring, lower = level_ring(obj, r), level_ring(obj, r - 1)
+    nvars = 3 if obj == "F" else 2
+    for k, ring_k in ((r - 1, lower), (r, ring)):
+        if ring_k.basis != tuple(monomial_simplex(k, nvars)):
+            raise FalsificationError(
+                f"the staircase of {obj}_{k} is not the monomials of degree < {k}")
+    if any(lower.normal_form(p) for p in _level_generators(obj, r)):
+        raise FalsificationError(
+            f"the level-{r} relations of {obj} are not in the ideal of level {r - 1}")
+    gens = {g.leading_monomial(): g.terms for g in lower.gb.generators}
+    if obj == "F":
+        if any(ring.normal_form(GAMMA * p) for p in _level_generators(obj, r - 1)):
+            raise FalsificationError(
+                f"gamma times the level-{r - 1} relations of F is not in the ideal of level {r}")
+        gamma = _VAR_MONOMIALS[2]
+        for g in level_ring(obj, r - 2).gb.generators if r >= 2 else ():
+            n = g.leading_monomial()
+            if {m.mul(gamma): c for m, c in g.terms.items()} != gens.get(n.mul(gamma)):
+                raise FalsificationError(
+                    f"gamma times the level-{r - 2} Groebner element of F led by {n.render()}"
+                    f" is not the level-{r - 1} one")
+    upper = {g.leading_monomial(): g.terms for g in ring.gb.generators}
+    free = [Monomial(a, r - 1 - a, 0) for a in range(r)]
+    blocks = {}
+    for name, x in zip(VAR_NAMES, _VAR_MONOMIALS):
+        rows = []
+        for n in free:
+            # x tail(g_m) meets n in the term of g_m at q = n / x; where x does
+            # not divide n, q has a negative exponent and g_m no term there
+            q = tuple(map(sub, n, x))
+            rows.append([gens[m].get(q, 0) - upper.get(m.mul(x), {}).get(n, 0) for m in free])
+        blocks[name] = Matrix(rows, r)
+    charpolys = {name: m.charpoly() for name, m in blocks.items()}
+    cands = default_candidates(r)
+    return LevelBlock(blocks, charpolys,
+                      {name: factor_over_candidates(cp, cands) for name, cp in charpolys.items()})
+
+
+def level_reports(obj: str, r: int) -> dict:
+    """The alpha, beta and gamma spectra of F_r (obj "F") or Fbar_r (obj
+    "Fbar"): eigen_reports(level_ring(obj, r).mult_matrix, r + 1), read
+    from the blocks of levels 1..r (see level_block).
+
+    The block of level i counts r - i + 1 times on F_r and once on Fbar_r.
+    The weighted multiplicities of the roots of the blocks are added and
+    listed in candidate order, and their remainders multiplied: by unique
+    factorization that is the report of the product, the characteristic
+    polynomial.  A block's own report is over default_candidates(i), which
+    default_candidates(r + 1) begins with, so a complete one is the same
+    over both; a block that leaves a factor is factored again over
+    default_candidates(r + 1).
+    """
+    cands = default_candidates(r + 1)
+    rank = {z: k for k, z in enumerate(cands)}
+    records = [level_block(obj, i) for i in range(1, r + 1)]
+    reports = {}
+    for name in VAR_NAMES:
+        mults, rem = {}, UniPoly([1])
+        for i, record in enumerate(records, 1):
+            weight = r - i + 1 if obj == "F" else 1
+            rep = record.reports[name]
+            if not rep.complete():
+                rep = factor_over_candidates(record.charpolys[name], cands)
+                for _ in range(weight):
+                    rem = rem * rep.remainder
+            for z, m in rep.roots:
+                mults[z] = mults.get(z, 0) + weight * m
+        reports[name] = EigenReport(tuple(sorted(mults.items(), key=lambda zm: rank[zm[0]])), rem)
+    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +486,7 @@ class FloerRing(NamedTuple):
                 entry["relations"] = [p.to_json() for p in tri.generators()]
                 entry["ring"] = s.ring.to_json()
                 if s.ring.dim:
-                    reports = eigen_reports(s.ring.mult_matrix, s.level + 1)
+                    reports = level_reports("F", s.level)
                     entry["spectra"] = {v: rep.to_json() for v, rep in reports.items()}
         return out
 

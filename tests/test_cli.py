@@ -617,6 +617,25 @@ class TestUsageErrors:
                 assert "basis entries must be strings" in err and out == ""
                 assert not _PYTHON_WORDS.search(err.replace(str(tmp_path), "")), err
 
+    def test_basis_names_must_be_distinct(self, capsys, tmp_path):
+        # a repeated name passed: eval printed a value, fibersum a result
+        # whose classes could not be read by name
+        a = tmp_path / "a.json"
+        a.write_text(json.dumps(product_series(1, 3).to_json()))
+        b = tmp_path / "b.json"
+        b.write_text(json.dumps(dict(product_series(1, 3).to_json(), basis=["X", "X"])))
+        commands = [("donaldson", "eval", "--series", str(b), "--class", "1,0")] + [
+            ("donaldson", "fibersum", "--a", str(a), "--b", str(series), "--genus", "1",
+             "--pairing", json.dumps(pairing))
+            for series, pairing in ((b, PRODUCT_SUM_PAIRING),
+                                    (a, dict(PRODUCT_SUM_PAIRING, basis=["E", "E"])))
+        ]
+        for argv in commands:
+            for fmt in ([], ["--format", "json"]):
+                code, out, err = run(capsys, *fmt, *argv)
+                self.assert_one_line_usage_error(code, err)
+                assert "basis names a class more than once" in err and out == ""
+
     def test_malformed_vector(self, capsys, tmp_path):
         path = tmp_path / "series.json"
         path.write_text(json.dumps(product_series(1, 1).to_json()))
@@ -668,7 +687,7 @@ class TestUsageErrors:
         def no_work(*args, **kwargs):
             raise AssertionError("work started past the size limit")
 
-        for name in ("relations", "invariant_ring", "gamma_quotient_ring",
+        for name in ("relations", "invariant_ring", "gamma_quotient_ring", "level_reports",
                      "filtration_step", "psi1_block", "floer_cohomology"):
             monkeypatch.setattr(floer, name, no_work)
         for name in ("reduced_module", "effective_eigenvalues", "delta_module", "mu_action"):

@@ -4,6 +4,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from floercas import cli, floer
 from floercas.exactalg import GaussianRational as GR
 from floercas.floer import (
     FalsificationError,
@@ -20,6 +21,9 @@ from floercas.floer import (
     gamma_quotient_ring,
     induced_action,
     invariant_ring,
+    level_block,
+    level_reports,
+    level_ring,
     monomial_simplex,
     primitive_dim,
     primitive_dim_exact,
@@ -34,6 +38,7 @@ from floercas.checks import (
     expected_socle_charpoly,
     layer_failures,
 )
+from floercas.groebner import VAR_NAMES, GroebnerBasis, QuotientRing
 from floercas.linalg import Matrix, UniPoly, factor_over_candidates
 from floercas.poly import ALPHA, BETA, GAMMA, SparsePoly
 
@@ -273,6 +278,131 @@ class TestBlocks:
     def test_level_zero_rejected(self):
         with pytest.raises(ValueError):
             psi1_block(0)
+
+
+@pytest.fixture
+def fresh_level_blocks():
+    """level_block's cache emptied before and after: a test that corrupts
+    its inputs must build the records it checks, and leave none behind."""
+    level_block.cache_clear()
+    yield
+    level_block.cache_clear()
+
+
+def staircase_corrupted(monkeypatch):
+    # F_2 modulo gamma: the staircase loses gamma
+    real = floer.invariant_ring
+    bad = QuotientRing.from_generators(relations("R", 2).generators() + [GAMMA])
+    monkeypatch.setattr(floer, "invariant_ring", lambda r: bad if r == 2 else real(r))
+
+
+def relation_corrupted(level, replace):
+    def corrupt(monkeypatch):
+        for r in range(4):
+            invariant_ring(r)  # the rings stay as built; only the guard reads the change
+        real = floer.relations
+        monkeypatch.setattr(floer, "relations", lambda flavor, r: (
+            real(flavor, r)._replace(**replace(real(flavor, r))) if (flavor, r) == ("R", level)
+            else real(flavor, r)))
+    return corrupt
+
+
+def groebner_element_corrupted(monkeypatch):
+    # the element of I_2 led by gamma^2 gains a term alpha; its integer
+    # divisors, which normal forms and the staircase read, stay as they are
+    real = floer.invariant_ring
+    gb = real(2).gb
+    gens = tuple(g + ALPHA if g.leading_monomial() == (0, 0, 2) else g for g in gb.generators)
+    bad = QuotientRing(GroebnerBasis(gens, gb.divisors))
+    monkeypatch.setattr(floer, "invariant_ring", lambda r: bad if r == 2 else real(r))
+
+
+class TestLevelBlocks:
+    """The spectra of F_r and Fbar_r from one r x r block per level, against
+    the multiplication matrices and the subquotient route as oracles."""
+
+    def test_product_rule_matches_the_multiplication_matrices(self):
+        for obj, top in (("F", 8), ("Fbar", 10)):
+            for r in range(top + 1):
+                for name in VAR_NAMES:
+                    product = UniPoly([1])
+                    for i in range(1, r + 1):
+                        for _ in range(r - i + 1 if obj == "F" else 1):
+                            product = product * level_block(obj, i).charpolys[name]
+                    want = level_ring(obj, r).mult_matrix(name).charpoly()
+                    assert product == want, (obj, r, name)
+
+    def test_reports_match_the_multiplication_matrices(self):
+        for obj in ("F", "Fbar"):
+            for r in range(8):
+                want = eigen_reports(level_ring(obj, r).mult_matrix, r + 1)
+                assert level_reports(obj, r) == want, (obj, r)
+
+    def test_blocks_have_the_spectra_of_the_subquotients(self):
+        for r in range(1, 7):
+            assert level_block("F", r).reports == psi1_block(r).eigen, r
+            assert level_block("Fbar", r).reports == filtration_step(r - 1).eigen, r
+
+    def test_blocks_of_f_and_fbar_agree_entry_for_entry(self):
+        for r in range(1, 9):
+            assert level_block("F", r).blocks == level_block("Fbar", r).blocks, r
+
+    def test_a_block_that_leaves_a_factor_is_factored_again(self, monkeypatch):
+        # alpha on the level-1 block given the root 12, a candidate from
+        # level 3 on, and a factor x^2 - 3 that no candidate explains
+        real_block = floer.level_block
+        real = real_block("F", 1)
+        cp = UniPoly([-12, 1]) * UniPoly([-3, 0, 1])
+        report = factor_over_candidates(cp, default_candidates(1))
+        fake = real._replace(charpolys=dict(real.charpolys, alpha=cp),
+                             reports=dict(real.reports, alpha=report))
+        assert not fake.reports["alpha"].complete()
+        monkeypatch.setattr(floer, "level_block",
+                            lambda obj, i: fake if i == 1 else real_block(obj, i))
+        product = cp * cp * real_block("F", 2).charpolys["alpha"]
+        want = factor_over_candidates(product, default_candidates(3))
+        assert level_reports("F", 2)["alpha"] == want
+
+    @pytest.mark.parametrize("corrupt, message", [
+        (staircase_corrupted, "the staircase of F_2 is not the monomials of degree < 2"),
+        (relation_corrupted(3, lambda tri: {"p1": tri.p1 + 1}),
+         "the level-3 relations of F are not in the ideal of level 2"),
+        (relation_corrupted(2, lambda tri: {"p3": ALPHA}),
+         "gamma times the level-2 relations of F is not in the ideal of level 3"),
+        (groebner_element_corrupted,
+         "gamma times the level-1 Groebner element of F led by gamma is not the level-2 one"),
+    ])
+    def test_each_guard_fails_on_a_corrupted_input(self, monkeypatch, capsys, fresh_level_blocks,
+                                                   corrupt, message):
+        corrupt(monkeypatch)
+        with pytest.raises(FalsificationError, match=f"^{message}$"):
+            level_reports("F", 3)
+        level_block.cache_clear()
+        assert cli.main(["ring", "--genus", "3", "--format", "json"]) == cli.EXIT_FALSIFIED
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"falsified: {message}\n"
+
+    def test_ring_and_eigen_build_no_multiplication_matrix(self, monkeypatch, capsys,
+                                                          fresh_level_blocks):
+        sizes = []
+        charpoly = Matrix.charpoly
+
+        def spy(matrix):
+            sizes.append(matrix.nrows)
+            return charpoly(matrix)
+
+        def no_mult_matrix(ring, var):
+            raise AssertionError("a multiplication matrix was built")
+
+        monkeypatch.setattr(Matrix, "charpoly", spy)
+        monkeypatch.setattr(QuotientRing, "mult_matrix", no_mult_matrix)
+        for argv in (["ring", "--genus", "6", "--format", "json"],
+                     ["eigen", "--object", "F", "--r", "6"]):
+            level_block.cache_clear()
+            sizes.clear()
+            assert cli.main(argv) == cli.EXIT_OK
+            assert sizes and max(sizes) <= 6, (argv, sizes)
+        capsys.readouterr()
 
 
 def greedy_independent(vectors, seed):

@@ -29,6 +29,11 @@ GOLDEN = {
     # the largest accepted genus, where every claim's cap applies
     "check --max-genus 9":
         "ff08b6320be484f5ce6d04a7fdd8e70d636e0941d7708f7cce08068c849e5624",
+    # the spectra of F_r for every r <= 10, and of F_9 at the largest eigen level
+    "ring --genus 10 --format json":
+        "cd8596f8901a16132209a6f9fa6d614f09405fb5f7cace39821e9ea220295604",
+    "eigen --object F --r 9 --format json":
+        "457b09410504778f129c126866622551f823269d0ee97c5fb77ad2119192be6e",
     "ring --genus 6 --format json":
         "970e9acc754a6429ec9f7332f06512506c4816110aa345c6393ecad9e26bd8c7",
     "ring --genus 8 --format json":

@@ -7,7 +7,9 @@ and a nonzero count for each wrapped layer the checks go through.
 
 The output checker (perfbench/verify.py) lists the claims by name and wants
 one PASS line for each, so a renamed claim, or claim text it rejects, would
-mark every `check` job as incorrect.
+mark every `check` job as incorrect.  It also rebuilds the level rings and
+their characteristic polynomials with sympy, and the output of the ring-g6
+job must pass that check.
 """
 
 import json
@@ -57,3 +59,17 @@ def test_verifier_accepts_the_claims(capsys):
     claims, problems = json.loads(proc.stdout)
     assert claims == [name for name, _ in checks.CRITERIA]
     assert problems == []
+
+
+def test_verifier_accepts_the_ring_g6_output(capsys):
+    # the argv of the ring-g6 workload in perfbench/workloads.py
+    assert cli.main(["ring", "--genus", "6", "--format", "json"]) == cli.EXIT_OK
+    text = capsys.readouterr().out
+    script = ("import json, sys, verify; print(json.dumps(verify.check_ring("
+              "sys.stdin.read(), 6, True, verify.LevelOracle())))")
+    # no bytecode is written, so the import leaves nothing behind in perfbench/
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "perfbench"), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run([sys.executable, "-c", script], input=text, cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
