@@ -48,13 +48,11 @@ MAX_ORDER = 512
 #: side of this size takes about 1 s, and 1.7 times it 1.7 s, then fails
 MAX_EVAL_BITS = 14284
 
-#: largest level accepted by eigen --r; --object K, the slowest, builds the
-#: torsion block of F_r, of dimension C(r+2, 3), by elimination and takes
-#: 0.35-0.38 s at 9, 0.51-0.62 s at 10, 0.81-0.88 s at 11, 1.45 s at 12 and
-#: 2.0-2.3 s at 13; --object F reads one r x r block per level and takes
-#: 0.2 s at 9 and 0.6 s at 13.  Kept at 9, below the 2 s rule, while
-#: --object K still eliminates
-MAX_EIGEN_R = 9
+#: largest level accepted by eigen --r; every object reads r x r blocks, and
+#: --object F, the slowest, reads those of levels 1..r, so it pays Buchberger
+#: for every level ring up to F_r: 1.5-2.1 s at 16 and 2.6-3.2 s at 17
+#: (--object K 0.9-1.1 s at 16, 1.8 s at 17)
+MAX_EIGEN_R = 16
 
 #: largest genus accepted by donaldson product --g and --h; the series of
 #: two factors of genus > 1 has the weight 2^(7(g-1)(h-1)+2), which at

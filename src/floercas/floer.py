@@ -3,9 +3,10 @@
 Everything here is exact commutative algebra: the three-term relation
 recursions, the finite-dimensional level rings F_r and their gamma
 quotients, the r x r block of each level's top layer with the spectra of
-F_r and Fbar_r read from those blocks, the filtration and torsion
-subquotients with their alpha/beta spectra, primitive exterior powers, and
-the assembled total ring with its dimension bookkeeping.
+F_r and Fbar_r read from those blocks, the filtration layers and torsion
+blocks, which are those top layers, the kernel dimensions of gamma,
+primitive exterior powers, and the assembled total ring with its dimension
+bookkeeping.
 """
 
 from __future__ import annotations
@@ -108,13 +109,6 @@ def default_candidates(bound: int) -> tuple:
     return tuple(vals)
 
 
-def eigen_reports(matrix_of, bound: int) -> dict:
-    """The alpha, beta and gamma spectra: the characteristic polynomial of
-    each matrix_of(name), factored over default_candidates(bound)."""
-    cands = default_candidates(bound)
-    return {name: factor_over_candidates(matrix_of(name).charpoly(), cands) for name in VAR_NAMES}
-
-
 # ---------------------------------------------------------------------------
 # level rings
 
@@ -176,8 +170,8 @@ _VAR_MONOMIALS = (Monomial(1, 0, 0), Monomial(0, 1, 0), Monomial(0, 0, 1))
 class LevelBlock(NamedTuple):
     """The r x r blocks K_r(x) of x = alpha, beta, gamma at level r of F or
     Fbar (see level_block), their characteristic polynomials, and those
-    factored over default_candidates(r), the candidates of psi1_block(r)
-    and filtration_step(r - 1)."""
+    factored over default_candidates(r).  On F it is the torsion block
+    psi1_block(r), on Fbar the filtration layer filtration_step(r - 1)."""
 
     blocks: dict
     charpolys: dict
@@ -255,7 +249,8 @@ def level_block(obj: str, r: int) -> LevelBlock:
 
 def level_reports(obj: str, r: int) -> dict:
     """The alpha, beta and gamma spectra of F_r (obj "F") or Fbar_r (obj
-    "Fbar"): eigen_reports(level_ring(obj, r).mult_matrix, r + 1), read
+    "Fbar"): the characteristic polynomials of the multiplication matrices
+    of level_ring(obj, r), factored over default_candidates(r + 1), read
     from the blocks of levels 1..r (see level_block).
 
     The block of level i counts r - i + 1 times on F_r and once on Fbar_r.
@@ -287,95 +282,54 @@ def level_reports(obj: str, r: int) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# subquotients
-
-
-def _independent_subset(vectors, seed=()):
-    """Greedy deterministic choice of vectors independent from seed and each other.
-
-    Column j of [seed | vectors] is a pivot of its reduced echelon form
-    exactly when it is not in the span of the columns before it, so one
-    elimination makes the greedy choice.
-    """
-    vectors = list(vectors)
-    d = len(seed)
-    _, pivots = Matrix.from_columns([*seed, *vectors]).rref()
-    return [vectors[j - d] for j in pivots if j >= d]
-
-
-def induced_action(m: Matrix, reps, denominator) -> Matrix:
-    """Action induced by m on span(denominator + reps)/span(denominator).
-
-    reps must be independent modulo the denominator.  One elimination of
-    [denominator | reps | m*reps]: a pivot among the m*reps columns means
-    m does not preserve the subquotient, which raises FalsificationError;
-    otherwise each image column is a combination of the pivot columns, and
-    its coefficients on the reps pivots are the induced action.
-    """
-    d, n = len(denominator), len(reps)
-    images = [m.matvec(v) for v in reps]
-    rref, pivots = Matrix.from_columns([*denominator, *reps, *images]).rref()
-    if pivots and pivots[-1] >= d + n:
-        raise FalsificationError("action does not preserve the subquotient")
-    # the coefficients are read from the integer rows, each over its pivot
-    rep_rows = [pivots.index(d + k) for k in range(n)]
-    return Matrix.from_integer_rows(((rref.nums[i][d + n :], rref.dens[i]) for i in rep_rows), n)
+# the filtration layers and torsion blocks: the top layers of Fbar and F
 
 
 class SubquotientModule(NamedTuple):
-    """A subquotient of a level ring: its dimension and the spectra of the
-    variable actions."""
+    """A filtration layer or torsion block: its dimension and the spectra
+    of the variable actions."""
 
     dim: int
     eigen: dict
 
     @staticmethod
-    def build(ambient: QuotientRing, numerator, denominator, candidate_bound: int) -> "SubquotientModule":
-        reps = _independent_subset(numerator, seed=denominator)
-        actions = {
-            name: induced_action(ambient.mult_matrix(name), reps, denominator) for name in VAR_NAMES
-        }
-        return SubquotientModule(len(reps), eigen_reports(actions.get, candidate_bound))
+    def build(obj: str, r: int) -> "SubquotientModule":
+        """The top layer of level r of F (obj "F") or Fbar (obj "Fbar"),
+        r >= 1: the r x r blocks of level_block(obj, r) and their spectra."""
+        return SubquotientModule(r, level_block(obj, r).reports)
 
 
 def filtration_step(r: int) -> SubquotientModule:
-    """The r-th filtration layer: kernel of the projection Fbar_{r+1} -> Fbar_r.
+    """The r-th filtration layer: kernel of the projection Fbar_{r+1} -> Fbar_r,
+    the top layer of level r + 1 of Fbar (see level_block).
 
     Dimension r+1; alpha spectrum {4k : |k| <= r, k = r mod 2} for r odd,
     {4k*sqrt(-1)} for r even; beta acts as -8 (r odd) or +8 (r even).
     """
-    big = gamma_quotient_ring(r + 1)
-    numerator = gamma_quotient_ring(r).monomial_matrix(big.basis).kernel_basis()
-    return SubquotientModule.build(big, numerator, [], candidate_bound=r + 1)
+    return SubquotientModule.build("Fbar", r + 1)
 
 
 def psi1_block(r: int) -> SubquotientModule:
     """The block (ker gamma)/(gamma * ker gamma^2) of F_r; dimension r.
 
     These are the building blocks of the homology of multiplication by a
-    degree-3 generator on the total ring.
+    degree-3 generator on the total ring.  By the guards of level_block,
+    gamma factors through the projection pi: F_r -> F_{r-1}, so ker gamma
+    is ker pi, and gamma * ker gamma^2 is spanned by the g_{gamma n}: the
+    block is the top layer of level r of F.
     """
     if r < 1:
         raise ValueError("level must be >= 1")
-    ring = invariant_ring(r)
-    mg = ring.mult_matrix("gamma")
-    ker_g, ker_g2 = _gamma_kernels(r)
-    image = _independent_subset([mg.matvec(v) for v in ker_g2])
-    return SubquotientModule.build(ring, ker_g, image, candidate_bound=r)
-
-
-@lru_cache(maxsize=None)
-def _gamma_kernels(r: int) -> tuple:
-    """Bases of ker gamma and ker gamma^2 on F_r, one elimination each."""
-    mg = invariant_ring(r).mult_matrix("gamma")
-    return tuple(map(tuple, mg.kernel_basis())), tuple(map(tuple, (mg @ mg).kernel_basis()))
+    return SubquotientModule.build("F", r)
 
 
 def gamma_kernel_dims(r: int) -> tuple:
-    """(dim ker gamma, dim ker gamma^2) on F_r; expected C(r+1,2) and
+    """(dim ker gamma, dim ker gamma^2) on F_r, from the ranks of the
+    multiplication matrices of gamma and gamma^2; expected C(r+1,2) and
     C(r+1,2)+C(r,2)."""
-    ker_g, ker_g2 = _gamma_kernels(r)
-    return len(ker_g), len(ker_g2)
+    ring = invariant_ring(r)
+    mg = ring.mult_matrix("gamma")
+    return ring.dim - mg.rank(), ring.dim - (mg @ mg).rank()
 
 
 def socle_quotient_ring(r: int) -> QuotientRing:

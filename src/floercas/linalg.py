@@ -1,5 +1,5 @@
-"""Dense exact linear algebra over Q: rank, kernel, characteristic
-polynomials, and their roots among Q(i) candidates.
+"""Dense exact linear algebra over Q: rank, characteristic polynomials,
+and their roots among Q(i) candidates.
 
 Every matrix the package builds is real -- the multiplication matrices of
 the level rings, the wedge maps, the intersection forms -- so a nonreal
@@ -101,13 +101,6 @@ class Matrix:
     @staticmethod
     def identity(n: int) -> "Matrix":
         return Matrix([[int(i == j) for j in range(n)] for i in range(n)], n)
-
-    @staticmethod
-    def from_columns(cols, nrows: int = 0) -> "Matrix":
-        """The matrix with the given columns; n empty columns give 0 x n,
-        and no columns give nrows x 0."""
-        cols = list(cols)
-        return Matrix(zip(*cols, strict=True) if cols else [()] * nrows, len(cols))
 
     @staticmethod
     def from_scaled_columns(cols, nrows: int) -> "Matrix":
@@ -256,27 +249,6 @@ class Matrix:
 
     def rank(self) -> int:
         return len(self.rref()[1])
-
-    def kernel_basis(self) -> list:
-        """Deterministic basis of the right kernel, one integer vector per
-        free column f in order: the primitive integer multiple, positive at
-        f, of the kernel vector that is 1 at f and 0 at the other free
-        columns."""
-        rref, pivots = self.rref()
-        pivot_set = set(pivots)
-        basis = []
-        for f in range(self.ncols):
-            if f in pivot_set:
-                continue
-            # row i of rref reads x[pivots[i]] + (nums[i][f] / dens[i]) x[f] = 0
-            entries = [(pc, r[f], d) for pc, r, d in zip(pivots, rref.nums, rref.dens) if r[f]]
-            scale = math.lcm(*(d // math.gcd(x, d) for _, x, d in entries))
-            v = [0] * self.ncols
-            v[f] = scale
-            for pc, x, d in entries:
-                v[pc] = -x * scale // d
-            basis.append(v)
-        return basis
 
     # -- characteristic polynomial ---------------------------------------
     def charpoly(self) -> "UniPoly":

@@ -32,8 +32,10 @@ from floercas.cli import (
     main,
 )
 from floercas.donaldson import product_series
-from floercas.floer import FalsificationError, SubquotientModule, eigen_reports
+from floercas.floer import FalsificationError, SubquotientModule
 from floercas.linalg import Matrix
+
+from elimination import eigen_reports
 
 
 #: sigma_a, sigma_b, basis, Q and splits of a sum of two products of surfaces
@@ -130,13 +132,13 @@ class TestEigen:
 
     def test_falsified_action_exits_two(self, capsys, monkeypatch):
         def fail(r):
-            raise FalsificationError("action does not preserve the subquotient")
+            raise FalsificationError("the staircase of F_2 is not the monomials of degree < 2")
 
         monkeypatch.setattr("floercas.floer.psi1_block", fail)
         code, out, err = run(capsys, "eigen", "--r", "2", "--object", "K")
         assert code == 2
         assert out == "" and "Traceback" not in err
-        assert err == "falsified: action does not preserve the subquotient\n"
+        assert err == "falsified: the staircase of F_2 is not the monomials of degree < 2\n"
 
     @pytest.mark.parametrize(
         "obj, r, patched", [("filtration", 1, "filtration_step"), ("K", 2, "psi1_block")]
@@ -377,6 +379,17 @@ class TestCheckCommand:
         result = checks.check_determinism(2)
         assert not result.passed
         assert result.detail == "invariant_ring(2) differs from a fresh build"
+
+    def test_gamma_nilpotency_sees_a_changed_gamma_matrix(self, capsys, monkeypatch):
+        # gamma on F_2 replaced by zero: both kernels become all of F_2, dim 4
+        ring = floer.invariant_ring(2)
+        monkeypatch.setitem(ring._mult, 2, Matrix([[0] * ring.dim] * ring.dim))  # key 2: gamma
+        code, out, _ = run(capsys, "check", "--max-genus", "2")
+        assert code == cli.EXIT_FALSIFIED
+        failed = [line for line in out.splitlines() if line.startswith("FAIL")]
+        assert [line.split(":")[0] for line in failed] == ["FAIL gamma-nilpotency",
+                                                           "FAIL determinism"]
+        assert failed[0].endswith("[gamma kernel dims at level 2: (4, 4)]")
 
     def test_genus_bounded_up_front(self, capsys, monkeypatch):
         def no_work(max_genus):

@@ -9,17 +9,14 @@ from floercas.exactalg import GaussianRational as GR
 from floercas.floer import (
     FalsificationError,
     SubquotientModule,
-    _independent_subset,
     alpha_eigenvalue,
     beta_eigenvalue,
     classical_ring,
     default_candidates,
-    eigen_reports,
     filtration_step,
     floer_cohomology,
     gamma_kernel_dims,
     gamma_quotient_ring,
-    induced_action,
     invariant_ring,
     level_block,
     level_reports,
@@ -41,6 +38,15 @@ from floercas.checks import (
 from floercas.groebner import VAR_NAMES, GroebnerBasis, QuotientRing
 from floercas.linalg import Matrix, UniPoly, factor_over_candidates
 from floercas.poly import ALPHA, BETA, GAMMA, SparsePoly
+
+from elimination import (
+    eigen_reports,
+    filtration_layer,
+    from_columns,
+    independent_subset,
+    induced_action,
+    torsion_block,
+)
 
 
 def spectrum(report):
@@ -319,7 +325,7 @@ def groebner_element_corrupted(monkeypatch):
 
 class TestLevelBlocks:
     """The spectra of F_r and Fbar_r from one r x r block per level, against
-    the multiplication matrices and the subquotient route as oracles."""
+    the multiplication matrices and the elimination route as oracles."""
 
     def test_product_rule_matches_the_multiplication_matrices(self):
         for obj, top in (("F", 8), ("Fbar", 10)):
@@ -340,8 +346,8 @@ class TestLevelBlocks:
 
     def test_blocks_have_the_spectra_of_the_subquotients(self):
         for r in range(1, 7):
-            assert level_block("F", r).reports == psi1_block(r).eigen, r
-            assert level_block("Fbar", r).reports == filtration_step(r - 1).eigen, r
+            assert psi1_block(r) == torsion_block(r), r
+            assert filtration_step(r - 1) == filtration_layer(r - 1), r
 
     def test_blocks_of_f_and_fbar_agree_entry_for_entry(self):
         for r in range(1, 9):
@@ -408,9 +414,9 @@ class TestLevelBlocks:
 def greedy_independent(vectors, seed):
     """Keep a vector exactly when it raises the rank of what is kept so far."""
     kept, out = list(seed), []
-    rank = Matrix.from_columns(kept).rank() if kept else 0
+    rank = from_columns(kept).rank() if kept else 0
     for v in vectors:
-        r = Matrix.from_columns(kept + [v]).rank()
+        r = from_columns(kept + [v]).rank()
         if r > rank:
             kept, rank = kept + [v], r
             out.append(v)
@@ -470,11 +476,11 @@ class TestSubquotientReadout:
     @given(column_families())
     def test_independent_subset_is_greedy_choice(self, family):
         seed, vectors = family
-        assert _independent_subset(vectors, seed) == greedy_independent(vectors, seed)
+        assert independent_subset(vectors, seed) == greedy_independent(vectors, seed)
 
     def test_action_leaving_subquotient_raises(self):
         e1, e2 = [1, 0], [0, 1]
-        shift = Matrix.from_columns([e2, [0, 0]])  # e1 -> e2, e2 -> 0
+        shift = from_columns([e2, [0, 0]])  # e1 -> e2, e2 -> 0
         with pytest.raises(FalsificationError):
             induced_action(shift, [e1], [])
 
@@ -484,7 +490,7 @@ class TestSubquotientReadout:
         e1, e2 = [1, 0, 0], [0, 1, 0]
         d = [1, 0, 1]
         # m e1 = e2 + e3 = -e1 + e2 + d,  m e2 = 2 e1 + e3 = e1 + d,  m e3 = 0
-        m = Matrix.from_columns([[0, 1, 1], [2, 0, 1], [0, 0, 0]])
+        m = from_columns([[0, 1, 1], [2, 0, 1], [0, 0, 0]])
         got = induced_action(m, [e1, e2], [d, [2 * x for x in d]])
         assert got == Matrix([[-1, 1], [1, 0]])
 

@@ -8,8 +8,10 @@ import sympy
 from hypothesis import example, given, settings, strategies as st
 
 from floercas.exactalg import GaussianRational as GR
-from floercas.floer import eigen_reports, gamma_quotient_ring, induced_action, invariant_ring
+from floercas.floer import gamma_quotient_ring, invariant_ring
 from floercas.linalg import Matrix, UniPoly, _hessenberg_charpoly, _strong_components
+
+from elimination import eigen_reports, from_columns, induced_action, kernel_basis
 
 X = sympy.Symbol("x")
 
@@ -313,7 +315,7 @@ def test_rref_rank_and_kernel_match_the_fraction_elimination(case):
     assert m.rank() == len(want_pivots)
     # each kernel vector is an integer multiple, positive at its free column,
     # of the reference vector that is 1 there
-    kernel, want = m.kernel_basis(), reference_kernel(rows, ncols)
+    kernel, want = kernel_basis(m), reference_kernel(rows, ncols)
     free = [j for j in range(ncols) if j not in want_pivots]
     assert len(kernel) == len(want)
     for f, v, w in zip(free, kernel, want):
@@ -360,7 +362,7 @@ def test_induced_action_divides_by_the_row_denominators():
     # m e1 = e2 / 2, m e2 = e1 / 3 + d and m e3 = -e2 / 2, so m d = 0, and
     # m (2 e1) = (1/3)(3 e2), m (3 e2) = (1/2)(2 e1) + 3 d
     half, third = Fraction(1, 2), Fraction(1, 3)
-    m = Matrix.from_columns([[0, half, 0], [1 + third, 0, 1], [0, -half, 0]])
+    m = from_columns([[0, half, 0], [1 + third, 0, 1], [0, -half, 0]])
     action = induced_action(m, [[2, 0, 0], [0, 3, 0]], [[1, 0, 1]])
     assert action == Matrix([[0, Fraction(1, 2)], [Fraction(1, 3), 0]])
     assert action.dens == (2, 3)
