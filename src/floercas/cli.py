@@ -65,10 +65,11 @@ MAX_PRODUCT_GENUS = 46
 #: 1.6-1.9 s at 50 and 28 s at 100)
 MAX_RELATIONS_R = 50
 
-#: largest genus accepted by check --max-genus (fresh processes: 0.15-0.2 s
-#: at 1, 0.3-0.4 s at 6, 0.76-0.85 s at 9, 1.6-1.8 s at 11, 2.7-3.0 s at 12
-#: and 13 s at 16); kept at 9 while most claims stop at a fixed cap below it
-MAX_CHECK_GENUS = 9
+#: largest genus accepted by check --max-genus, where every claim but
+#: primitive-parts reaches level N + 2 or genus N (fresh processes: 0.1 s at
+#: 1, 0.21-0.25 s at 6, 0.96-0.97 s at 9, 1.25-1.67 s at 10, 1.67-2.42 s at
+#: 11, 3.3-3.6 s at 12 and 15 s at 16)
+MAX_CHECK_GENUS = 10
 
 #: largest genus accepted by ring --genus; the slowest form, --format json
 #: with the spectra of every level ring, takes 0.3 s at 10, 0.9 s at 13,

@@ -463,17 +463,3 @@ def floer_cohomology(g: int) -> FloerRing:
     total = sum(s.dim for s in summands)
     return FloerRing(genus=g, summands=tuple(summands), total_dim=total)
 
-
-def psi1_homology_dims(g: int) -> dict:
-    """Summands (k, multiplicity, block dim) of the degree-3 homology and
-    their total; multiplicity primitive_dim(g-1, k), block dim g-k."""
-    if g < 1:
-        raise ValueError("genus must be >= 1")
-    rows = []
-    total = 0
-    for k in range(g):
-        mult = primitive_dim(g - 1, k)
-        dim_block = g - k
-        rows.append({"k": k, "multiplicity": mult, "block_dim": dim_block})
-        total += mult * dim_block
-    return {"genus": g, "summands": rows, "total": total}

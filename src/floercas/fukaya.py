@@ -83,18 +83,12 @@ class EffectiveEigenvalue(NamedTuple):
 
 def effective_eigenvalues(g: int, order: int = DEFAULT_ORDER) -> tuple:
     """Joint (alpha, beta, gamma) eigenvalues on the effective submodule:
-    (-2t, 8, 0), (+-4 + 2t, -8, 0), (+-8*sqrt(-1) - 2t, 8, 0), ...
+    (-2t, 8, 0), (+-4 + 2t, -8, 0), (+-8*sqrt(-1) - 2t, 8, 0), ...  These
+    are the lines of reduced_module(g) in order of |i|, positive i first;
     gamma is nilpotent, so its only eigenvalue is 0."""
-    if g < 1:
-        raise ValueError("genus must be >= 1")
     zero = GaussianRational(0)
-    out = []
-    for mag in range(g):
-        for i in ([0] if mag == 0 else [mag, -mag]):
-            out.append(
-                EffectiveEigenvalue(i, _deformed_alpha(i, 1, 1, order), beta_eigenvalue(i), zero)
-            )
-    return tuple(out)
+    lines = sorted(reduced_module(g, 1, order).components, key=lambda c: (abs(c.i), -c.i))
+    return tuple(EffectiveEigenvalue(c.i, c.alpha, c.beta, zero) for c in lines)
 
 
 class DeltaComponent(NamedTuple):

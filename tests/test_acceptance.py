@@ -22,7 +22,6 @@ from floercas.floer import (
     primitive_dim,
     primitive_dim_exact,
     psi1_block,
-    psi1_homology_dims,
     socle_quotient_charpoly,
 )
 from floercas.linalg import factor_over_candidates
@@ -155,8 +154,11 @@ def test_socle_values_spot():
 
 def test_block_and_loop_totals_spot():
     assert psi1_block(5).dim == 5
-    for g in range(1, 5):
-        assert psi1_homology_dims(g)["total"] == fukaya.delta_module(g).total_rank
+    # the loop module has one line of multiplicity primitive_dim(g-1, k) for
+    # each root of block g-k: 1, 4, 16 and 64 in all
+    for g, total in zip(range(1, 5), (1, 4, 16, 64)):
+        blocks = sum(primitive_dim(g - 1, k) * psi1_block(g - k).dim for k in range(g))
+        assert blocks == fukaya.delta_module(g).total_rank == total
 
 
 def test_reduced_spot():

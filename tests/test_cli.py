@@ -391,6 +391,43 @@ class TestCheckCommand:
                                                            "FAIL determinism"]
         assert failed[0].endswith("[gamma kernel dims at level 2: (4, 4)]")
 
+    def failed_lines(self, capsys):
+        code, out, _ = run(capsys, "check", "--max-genus", "3")
+        assert code == cli.EXIT_FALSIFIED
+        lines = out.splitlines()
+        assert len(lines) == 13
+        return [line for line in lines if line.startswith("FAIL")]
+
+    def test_dimensions_sees_a_dropped_basis_monomial(self, capsys, monkeypatch):
+        simplex = checks.monomial_simplex
+
+        def short_at_level_4(r, nvars=3):
+            monomials = simplex(r, nvars)
+            return monomials[:-1] if (r, nvars) == (4, 3) else monomials
+
+        monkeypatch.setattr(checks, "monomial_simplex", short_at_level_4)
+        (failed,) = self.failed_lines(capsys)
+        assert failed.startswith("FAIL dimensions:")
+        assert failed.endswith("[staircase of F_4 is not the monomials of degree < 4]")
+
+    def test_torsion_blocks_sees_a_shifted_loop_module_line(self, capsys, monkeypatch):
+        delta_module = fukaya.delta_module
+
+        def shifted_at_genus_3(g):
+            # the line (k, i) = (0, 2) of genus 3 moved to i = 4, with the
+            # eigenvalues of its new index
+            module = delta_module(g)
+            comps = [c._replace(i=4, alpha=floer.alpha_eigenvalue(4),
+                                beta=floer.beta_eigenvalue(4))
+                     if (g, c.k, c.i) == (3, 0, 2) else c for c in module.components]
+            return module._replace(components=tuple(comps))
+
+        monkeypatch.setattr(fukaya, "delta_module", shifted_at_genus_3)
+        (failed,) = self.failed_lines(capsys)
+        assert failed.startswith("FAIL torsion-blocks:")
+        assert failed.endswith("[(g,k)=(3,0): loop module alpha values are not "
+                               "the alpha roots of block 3]")
+
     def test_genus_bounded_up_front(self, capsys, monkeypatch):
         def no_work(max_genus):
             raise AssertionError("work started past the genus limit")

@@ -25,7 +25,6 @@ from floercas.floer import (
     primitive_dim,
     primitive_dim_exact,
     psi1_block,
-    psi1_homology_dims,
     relations,
     socle_quotient_charpoly,
     socle_quotient_ring,
@@ -35,6 +34,7 @@ from floercas.checks import (
     expected_socle_charpoly,
     layer_failures,
 )
+from floercas.fukaya import delta_module
 from floercas.groebner import VAR_NAMES, GroebnerBasis, QuotientRing
 from floercas.linalg import Matrix, UniPoly, factor_over_candidates
 from floercas.poly import ALPHA, BETA, GAMMA, SparsePoly
@@ -546,19 +546,26 @@ class TestAssembledRing:
 
 
 class TestPsi1Homology:
+    """The homology of multiplication by a degree-3 generator: for each
+    k < g, primitive_dim(g-1, k) copies of the torsion block psi1_block(g-k),
+    which the loop module lists one line per root."""
+
     def test_totals(self):
-        assert psi1_homology_dims(1)["total"] == 1
-        assert psi1_homology_dims(2)["total"] == 4
-        assert psi1_homology_dims(3)["total"] == 16
+        totals = [sum(primitive_dim(g - 1, k) * psi1_block(g - k).dim for k in range(g))
+                  for g in (1, 2, 3)]
+        assert totals == [1, 4, 16]
 
     def test_summands_genus_two(self):
-        rows = psi1_homology_dims(2)["summands"]
-        assert rows == [
-            {"k": 0, "multiplicity": 1, "block_dim": 2},
-            {"k": 1, "multiplicity": 2, "block_dim": 1},
-        ]
+        # block 2 has alpha roots +-4 and beta -8, block 1 the roots 0 and 8
+        lines = {(c.k, c.multiplicity, c.alpha, c.beta) for c in delta_module(2).components}
+        assert lines == {(0, 1, GR(4), GR(-8)), (0, 1, GR(-4), GR(-8)), (1, 2, GR(0), GR(8))}
+        assert psi1_block(2).eigen["alpha"].root_set() == {GR(4): 1, GR(-4): 1}
+        assert psi1_block(1).eigen["beta"].root_set() == {GR(8): 1}
 
     def test_block_dims_match_concrete_blocks(self):
         for g in range(1, 5):
-            for row in psi1_homology_dims(g)["summands"]:
-                assert psi1_block(g - row["k"]).dim == row["block_dim"]
+            components = delta_module(g).components
+            for k in range(g):
+                lines = [c for c in components if c.k == k]
+                assert len(lines) == psi1_block(g - k).dim == g - k
+                assert {c.multiplicity for c in lines} == {primitive_dim(g - 1, k)}

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from floercas.exactalg import GaussianRational as GR, TruncatedSeries as TS
-from floercas.floer import default_candidates, invariant_ring
+from floercas.floer import default_candidates, invariant_ring, primitive_dim, psi1_block
 from floercas.fukaya import (
     YHomologyClass,
     delta_module,
@@ -185,7 +185,7 @@ class TestMuAction:
 
 class TestCrossTotals:
     def test_delta_rank_equals_psi1_total(self):
-        from floercas.floer import psi1_homology_dims
-
+        # primitive_dim(g-1, k) lines for each root of the torsion block g-k
         for g in range(1, 5):
-            assert delta_module(g).total_rank == psi1_homology_dims(g)["total"]
+            total = sum(primitive_dim(g - 1, k) * psi1_block(g - k).dim for k in range(g))
+            assert delta_module(g).total_rank == total

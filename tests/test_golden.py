@@ -14,21 +14,25 @@ from floercas import cli
 from floercas.donaldson import product_series
 
 GOLDEN = {
-    # genera 1 and 5 are where the floor max(g + 2, 4) and the caps
-    # min(4, .) and min(5, .) of the claims' size rules take effect
+    # every claim but primitive-parts (g <= 4) reads levels r <= g + 2 or
+    # genera <= g; genus 4 is the first that the caps they once had would cut
     "check --max-genus 1":
-        "8e9de6c5257ea931098a7d8c28a049538c5a5bbf2adda69c2f8d1a5884fcc54e",
-    "check --max-genus 5":
-        "01425024ed0ea9c2b0b1e987c00ff58587c0bdb46ca35618f366e6579ecf343d",
+        "0b6509136066f63612784a7d5f078d80ae2d570d4621ee07eb16e4d6bd469ce8",
     "check --max-genus 2":
-        "ee3d8509934b4587614c0d1d796562eed9c7b4010a336bf338fb9d802a3a3b74",
+        "61d3e11ba8a4eee2dca0aa8026ebee4a44c1c370ba67e802c656432fabb1bef8",
     "check --max-genus 3":
-        "993b1c8481e40500d0189d3bff929c829a66c440681ecdfcd487abf368f20a70",
+        "9b9a7117966351bbf3c87a7727b9c2a16b6ecd5e95d10413b12ace6f0f1143d4",
+    "check --max-genus 4":
+        "0a0957c50589ee430d3c666a432ca3e622afee8799decf194353a4b6eff2b956",
+    "check --max-genus 5":
+        "bae7e01d600d784976c6c5280f002abc0c09d570aefaac707cd664fd28bd42ed",
     "check --max-genus 6":
-        "c5d397973f75334017def6b2d528f9ad728cc5ccbd1cb4ff3a2a07681b384812",
-    # the largest accepted genus, where every claim's cap applies
+        "e8a5ef7784f4e25c2ac09169751a711f132ef1de8c83a29171a443eefa6b9337",
     "check --max-genus 9":
-        "ff08b6320be484f5ce6d04a7fdd8e70d636e0941d7708f7cce08068c849e5624",
+        "bab34de379e5277b892ecebd62edeb5921891c6a484e43dbff0e20488f4e3fd8",
+    # the largest accepted genus
+    "check --max-genus 10":
+        "727b1c761f88270aefc6d7f41d79666b84533c4c0bd121e3f18815eb9b0cff85",
     # the spectra of F_r for every r <= 10, and of F_9 at the largest eigen level
     "ring --genus 10 --format json":
         "cd8596f8901a16132209a6f9fa6d614f09405fb5f7cace39821e9ea220295604",
