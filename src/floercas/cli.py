@@ -65,10 +65,10 @@ MAX_PRODUCT_GENUS = 46
 #: 1.6-1.9 s at 50 and 28 s at 100)
 MAX_RELATIONS_R = 50
 
-#: largest genus accepted by check --max-genus, where every claim but
-#: primitive-parts reaches level N + 2 or genus N (fresh processes: 0.1 s at
-#: 1, 0.21-0.25 s at 6, 0.96-0.97 s at 9, 1.25-1.67 s at 10, 1.67-2.42 s at
-#: 11, 3.3-3.6 s at 12 and 15 s at 16)
+#: largest genus accepted by check --max-genus, where every claim reaches
+#: level N + 2 or genus N (fresh processes: 0.1 s at 1, 0.20-0.22 s at 6,
+#: 0.52-0.73 s at 9, 1.08-1.44 s at 10 and 2.55-3.48 s at 11, of which
+#: primitive-parts takes about 1.4 s at genus 11 alone)
 MAX_CHECK_GENUS = 10
 
 #: largest genus accepted by ring --genus; the slowest form, --format json

@@ -359,42 +359,39 @@ def primitive_dim(g: int, k: int) -> int:
     return comb(2 * g, k) - (comb(2 * g, k - 2) if k >= 2 else 0)
 
 
-def _wedge_step_matrix(g: int, m: int):
-    """Multiplication by -2*sum(e_i ^ e_{i+g}) from degree m to m+2 wedges."""
-    n = 2 * g
-    dom = list(combinations(range(n), m))
-    cod = list(combinations(range(n), m + 2))
-    cod_index = {s: i for i, s in enumerate(cod)}
-    rows = [[0] * len(dom) for _ in range(len(cod))]
-    for j, s in enumerate(dom):
-        sset = set(s)
-        for i in range(g):
-            a, b = i, i + g
-            if a in sset or b in sset:
-                continue
-            below_b = sum(1 for x in s if x < b)
-            below_a = sum(1 for x in s if x < a)
-            sign = -1 if (below_a + below_b) % 2 else 1
-            target = tuple(sorted(s + (a, b)))
-            rows[cod_index[target]][j] += -2 * sign
-    return Matrix(rows, len(dom))
-
-
 def primitive_dim_exact(g: int, k: int) -> int:
-    """Kernel dimension of the (g-k+1)-fold wedge multiplication by the
-    symplectic 2-form on the k-th exterior power, computed exactly."""
+    """dim ker L^(g-k+1) on the k-th exterior power of V = Q^2g, L the wedge
+    product with the symplectic form sum omega_i, omega_i = e_i ^ e_{i+g},
+    computed exactly one hyperbolic plane span(e_i, e_{i+g}) at a time.
+
+    Lambda(V) is the tensor product of the exterior algebras of the planes,
+    so Lambda^k has the basis omega_T ^ x_S: S a set of s planes that each
+    give one of their two vectors (2^s choices), T a set of j = (k - s)/2
+    other planes that each give omega_i.  The omega_i are even, so they
+    commute with everything, and omega_i kills e_i, e_{i+g} and itself:
+    L^m sends omega_T ^ x_S to m! times the sum of the omega_U ^ x_S over
+    the (j+m)-sets U of planes outside S that contain T, with no signs.  So
+    L^m is block diagonal, C(g, s) 2^s blocks for each s = k mod 2, each
+    m! times the 0/1 inclusion matrix of the j-subsets of the n = g - s
+    other planes in their (j+m)-subsets, and each kernel is read from one
+    rank of that matrix.
+    """
     if not 0 <= k <= g:
         raise ValueError("need 0 <= k <= g")
-    steps = g - k + 1
-    if k + 2 * steps > 2 * g:
-        return comb(2 * g, k)
-    composite = None
-    m = k
-    for _ in range(steps):
-        step = _wedge_step_matrix(g, m)
-        composite = step if composite is None else step @ composite
-        m += 2
-    return composite.ncols - composite.rank()
+    m = g - k + 1
+    total = 0
+    for s in range(k % 2, k + 1, 2):
+        n, j = g - s, (k - s) // 2
+        cols = {t: c for c, t in enumerate(combinations(range(n), j))}
+        rows = []
+        for u in combinations(range(n), j + m):
+            row = [0] * len(cols)
+            for t in combinations(u, j):
+                row[cols[t]] = 1
+            rows.append(row)
+        inclusion = Matrix(rows, len(cols))
+        total += comb(g, s) * 2**s * (inclusion.ncols - inclusion.rank())
+    return total
 
 
 # ---------------------------------------------------------------------------

@@ -29,9 +29,9 @@ the remainder is the Q-remainder times the scale.  Buchberger needs
 remainders only up to a unit and ignores the scale; a normal form divides
 by it once at the end.  `Fraction` appears only at the edge: reading a
 SparsePoly in, and writing a normal form or a reduced basis out.  A
-coordinate matrix (of the multiplication by a variable, or of any list of
-monomials) takes each column from the staircase index or from one
-remainder and its scale, and its rows stay integers over a denominator.
+multiplication matrix takes each column from the staircase index or from
+one remainder and its scale, and its rows stay integers over a
+denominator.
 """
 
 from __future__ import annotations
@@ -373,31 +373,24 @@ class QuotientRing:
     def normal_form(self, p: SparsePoly) -> SparsePoly:
         return normal_form(p, self.gb)
 
-    def _coords_matrix(self, monomials) -> Matrix:
-        """The matrix whose column j holds the coordinates of the packed
-        monomial monomials[j] in the staircase basis: a unit vector where
-        it is a staircase monomial, otherwise its remainder over its scale."""
-        index, divisors = self._index, self.gb.divisors
-        cols = []
-        for t in monomials:
-            if t in index:
-                cols.append(({index[t]: 1}, 1))
-            else:
-                rem, scale = _reduce({t: 1}, divisors)
-                cols.append(({index[k]: c for k, c in rem.items()}, scale))
-        return Matrix.from_scaled_columns(cols, self.dim)
-
-    def monomial_matrix(self, monomials) -> Matrix:
-        """Coordinates of the normal forms of the given monomials (columns)."""
-        return self._coords_matrix(map(_pack, monomials))
-
     def mult_matrix(self, var) -> Matrix:
-        """Matrix of multiplication by a variable; column j is x_v * basis_j."""
+        """Matrix of multiplication by a variable; column j is x_v * basis_j,
+        a unit vector where that is a staircase monomial, otherwise its
+        remainder over its scale."""
         if isinstance(var, str):
             var = VAR_NAMES.index(var)
         if var not in self._mult:
             x = _VARS[var]
-            self._mult[var] = self._coords_matrix(m + x for m in self._index)
+            index, divisors = self._index, self.gb.divisors
+            cols = []
+            for m in index:
+                t = m + x
+                if t in index:
+                    cols.append(({index[t]: 1}, 1))
+                else:
+                    rem, scale = _reduce({t: 1}, divisors)
+                    cols.append(({index[k]: c for k, c in rem.items()}, scale))
+            self._mult[var] = Matrix.from_scaled_columns(cols, self.dim)
         return self._mult[var]
 
     def extend(self, extra: Sequence[SparsePoly]) -> "QuotientRing":

@@ -2,16 +2,16 @@
 and their roots among Q(i) candidates.
 
 Every matrix the package builds is real -- the multiplication matrices of
-the level rings, the wedge maps, the intersection forms -- so a nonreal
-entry raises TypeError.  A Matrix holds each row as integers over one
-positive denominator, made canonical by their gcd, and every method
-reads the integers; Fractions (`fractions.Fraction`) appear only where
-values enter a Matrix, UniPoly or EigenReport or leave one, and they are
-turned into integers by `exactalg.to_integers`.  Elimination is one
-integer Gauss-Jordan: a row is cleared by cross-multiplying with the
-pivot row and divided by its content, and the pivots are divided out
-only on output (see Matrix.rref).  Products and matrix-vector products
-are integer sums over the common denominator.
+the level rings, the inclusion matrices of subsets, the intersection
+forms -- so a nonreal entry raises TypeError.  A Matrix holds each row as
+integers over one positive denominator, made canonical by their gcd, and
+every method reads the integers; Fractions (`fractions.Fraction`) appear
+only where values enter a Matrix, UniPoly or EigenReport or leave one,
+and they are turned into integers by `exactalg.to_integers`.
+Elimination is one integer Gauss-Jordan: a row is cleared by
+cross-multiplying with the pivot row and divided by its content, and the
+pivots are divided out only on output (see Matrix.rref).  Products are
+integer sums over the common denominator.
 
 The largest matrices are the level-ring multiplication matrices, dim 84
 at level 7 and 120 at level 8.  Storage is dense and elimination skips
@@ -38,7 +38,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from operator import mul
 from typing import NamedTuple
 
 from .exactalg import Q_ONE, Q_ZERO, GaussianRational, rational, rational_json, render_terms
@@ -160,22 +159,6 @@ class Matrix:
                         acc[j] += a * b
             rows.append((acc, d * e))
         return Matrix.from_integer_rows(rows, other.ncols)
-
-    def matvec(self, v) -> list:
-        """m v, exact: entry i is an integer sum over dens[i] times the
-        denominator of v, a Fraction unless that product is 1."""
-        if self.ncols != len(v):
-            raise ValueError("shape mismatch")
-        ints, den = to_integers(v)
-        # read only the columns where v is nonzero
-        support = [k for k, x in enumerate(ints) if x]
-        xs = [ints[k] for k in support]
-        out = []
-        for r, d in zip(self.nums, self.dens):
-            s = sum(map(mul, map(r.__getitem__, support), xs))
-            d *= den
-            out.append(Fraction(s, d) if d != 1 and s else s)
-        return out
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matrix):

@@ -1,20 +1,32 @@
-"""The elimination route to the filtration layers and torsion blocks, kept
-as the tests' oracle for floer.level_block.
+"""The elimination routes that the program no longer runs, kept as the
+tests' oracles.
 
-A subquotient span(denominator + numerator)/span(denominator) of a level
+The filtration layers and torsion blocks, the oracle for floer.level_block:
+a subquotient span(denominator + numerator)/span(denominator) of a level
 ring is reached by kernels, a greedy choice of independent vectors and the
 actions induced on it, each by one integer elimination (Matrix.rref); its
 spectra are the factored characteristic polynomials of those actions.
 floer reads the same modules as the r x r blocks of the tower of level
 rings; the tests compare the two routes.
+
+The primitive parts, the oracle for floer.primitive_dim_exact: the kernel
+of the (g-k+1)-fold wedge product with the symplectic form on the whole
+k-th exterior power, by one dense composite of the wedge steps.
+
+The coordinates of a normal form and the product of a matrix and a vector
+are read from Fractions (QuotientRing.normal_form, Matrix.rows), not from
+the integer rows that the program's own matrices use.
 """
 
 import math
+from fractions import Fraction
+from itertools import combinations
 
 from floercas.exactalg import FalsificationError
 from floercas.floer import SubquotientModule, default_candidates, gamma_quotient_ring, invariant_ring
 from floercas.groebner import VAR_NAMES
 from floercas.linalg import Matrix, factor_over_candidates
+from floercas.poly import SparsePoly
 
 
 def from_columns(cols, nrows: int = 0) -> Matrix:
@@ -22,6 +34,24 @@ def from_columns(cols, nrows: int = 0) -> Matrix:
     no columns give nrows x 0."""
     cols = list(cols)
     return Matrix(zip(*cols, strict=True) if cols else [()] * nrows, len(cols))
+
+
+def matvec(m: Matrix, v) -> list:
+    """m v, exact, as Fractions."""
+    return [sum((a * x for a, x in zip(row, v, strict=True)), Fraction(0)) for row in m.rows]
+
+
+def monomial_matrix(ring, monomials) -> Matrix:
+    """The matrix whose column j holds the coordinates of the normal form of
+    monomials[j] in the staircase basis of ring."""
+    index = {m: i for i, m in enumerate(ring.basis)}
+    cols = []
+    for m in monomials:
+        col = [0] * ring.dim
+        for n, c in ring.normal_form(SparsePoly({m: 1})).terms.items():
+            col[index[n]] = c
+        cols.append(col)
+    return from_columns(cols, ring.dim)
 
 
 def kernel_basis(m: Matrix) -> list:
@@ -68,7 +98,7 @@ def induced_action(m: Matrix, reps, denominator) -> Matrix:
     its coefficients on the reps pivots are the induced action.
     """
     d, n = len(denominator), len(reps)
-    images = [m.matvec(v) for v in reps]
+    images = [matvec(m, v) for v in reps]
     rref, pivots = from_columns([*denominator, *reps, *images]).rref()
     if pivots and pivots[-1] >= d + n:
         raise FalsificationError("action does not preserve the subquotient")
@@ -98,7 +128,7 @@ def filtration_layer(r: int) -> SubquotientModule:
     """The r-th filtration layer, the kernel of the projection
     Fbar_{r+1} -> Fbar_r, by elimination."""
     big = gamma_quotient_ring(r + 1)
-    numerator = kernel_basis(gamma_quotient_ring(r).monomial_matrix(big.basis))
+    numerator = kernel_basis(monomial_matrix(gamma_quotient_ring(r), big.basis))
     return subquotient(big, numerator, [], candidate_bound=r + 1)
 
 
@@ -107,5 +137,41 @@ def torsion_block(r: int) -> SubquotientModule:
     elimination."""
     ring = invariant_ring(r)
     mg = ring.mult_matrix("gamma")
-    image = independent_subset([mg.matvec(v) for v in kernel_basis(mg @ mg)])
+    image = independent_subset([matvec(mg, v) for v in kernel_basis(mg @ mg)])
     return subquotient(ring, kernel_basis(mg), image, candidate_bound=r)
+
+
+def wedge_step_matrix(g: int, m: int) -> Matrix:
+    """Multiplication by -2*sum(e_i ^ e_{i+g}) from degree m to m+2 wedges."""
+    n = 2 * g
+    dom = list(combinations(range(n), m))
+    cod = list(combinations(range(n), m + 2))
+    cod_index = {s: i for i, s in enumerate(cod)}
+    rows = [[0] * len(dom) for _ in range(len(cod))]
+    for j, s in enumerate(dom):
+        sset = set(s)
+        for i in range(g):
+            a, b = i, i + g
+            if a in sset or b in sset:
+                continue
+            below_b = sum(1 for x in s if x < b)
+            below_a = sum(1 for x in s if x < a)
+            sign = -1 if (below_a + below_b) % 2 else 1
+            target = tuple(sorted(s + (a, b)))
+            rows[cod_index[target]][j] += -2 * sign
+    return Matrix(rows, len(dom))
+
+
+def wedge_kernel_dim(g: int, k: int) -> int:
+    """Kernel dimension of the (g-k+1)-fold wedge multiplication by the
+    symplectic 2-form on the k-th exterior power, by one dense composite."""
+    steps = g - k + 1
+    if k + 2 * steps > 2 * g:
+        return math.comb(2 * g, k)
+    composite = None
+    m = k
+    for _ in range(steps):
+        step = wedge_step_matrix(g, m)
+        composite = step if composite is None else step @ composite
+        m += 2
+    return composite.ncols - composite.rank()

@@ -27,6 +27,8 @@ from floercas.floer import (
 from floercas.linalg import factor_over_candidates
 from floercas.poly import BETA, GAMMA
 
+from elimination import monomial_matrix
+
 
 def report(result: CheckResult, elapsed: float, budget: float | None = None):
     budget_note = f", budget {budget:.0f}s" if budget is not None else ""
@@ -137,7 +139,7 @@ def test_dimension_values_spot():
         assert invariant_ring(r).dim == comb(r + 2, 3)
         assert gamma_quotient_ring(r).dim == comb(r + 1, 2)
         simplex = monomial_simplex(r, 3)
-        assert invariant_ring(r).monomial_matrix(simplex).rank() == comb(r + 2, 3)
+        assert monomial_matrix(invariant_ring(r), simplex).rank() == comb(r + 2, 3)
 
 
 def test_filtration_values_spot():

@@ -33,7 +33,8 @@ from floercas.cli import (
 )
 from floercas.donaldson import product_series
 from floercas.floer import FalsificationError, SubquotientModule
-from floercas.linalg import Matrix
+from floercas.linalg import Matrix, UniPoly
+from floercas.poly import ALPHA
 
 from elimination import eigen_reports
 
@@ -344,6 +345,43 @@ class TestDonaldsonCommands:
         assert "cannot read" in err
 
 
+def corrupt_primitive_dim(monkeypatch):
+    # the binomial formula one too large at (g, k) = (3, 1)
+    closed = checks.primitive_dim
+    monkeypatch.setattr(checks, "primitive_dim", lambda g, k: closed(g, k) + ((g, k) == (3, 1)))
+
+
+def corrupt_reduced_beta(monkeypatch):
+    # the genus-2 line i = 1 with beta +8, the beta of the other parity, for -8
+    reduced_module = fukaya.reduced_module
+
+    def flipped(g, n=1, order=fukaya.DEFAULT_ORDER):
+        module = reduced_module(g, n, order)
+        comps = [c._replace(beta=floer.beta_eigenvalue(c.i + 1)) if (g, c.i) == (2, 1) else c
+                 for c in module.components]
+        return module._replace(components=tuple(comps))
+
+    monkeypatch.setattr(fukaya, "reduced_module", flipped)
+
+
+def corrupt_socle_charpoly(monkeypatch):
+    # the socle quotient charpoly at r = 2 times an extra factor x
+    charpoly = checks.socle_quotient_charpoly
+    monkeypatch.setattr(checks, "socle_quotient_charpoly",
+                        lambda r: charpoly(r) * UniPoly([0, 1]) if r == 2 else charpoly(r))
+
+
+def corrupt_q_relation(monkeypatch):
+    # alpha, of degree 2, added to the first classical relation of level 2 (degree 4)
+    relations = checks.relations
+
+    def with_alpha(flavor, r):
+        tri = relations(flavor, r)
+        return tri._replace(p1=tri.p1 + ALPHA) if (flavor, r) == ("q", 2) else tri
+
+    monkeypatch.setattr(checks, "relations", with_alpha)
+
+
 class TestCheckCommand:
     def test_exit_zero_and_summary(self, capsys):
         code, out, _ = run(capsys, "check", "--max-genus", "2")
@@ -427,6 +465,21 @@ class TestCheckCommand:
         assert failed.startswith("FAIL torsion-blocks:")
         assert failed.endswith("[(g,k)=(3,0): loop module alpha values are not "
                                "the alpha roots of block 3]")
+
+    @pytest.mark.parametrize("corrupt, claim, detail", [
+        pytest.param(corrupt_primitive_dim, "primitive-parts",
+                     "(g,k)=(3,1): binomial 7 != wedge kernel 6", id="primitive-dim-3-1"),
+        pytest.param(corrupt_reduced_beta, "reduced-module",
+                     "genus 2: t=0 beta spectrum mismatch", id="reduced-beta-genus-2"),
+        pytest.param(corrupt_socle_charpoly, "socle-charpoly", "step 2: ", id="socle-step-2"),
+        pytest.param(corrupt_q_relation, "grading",
+                     "q component of level 2 not homogeneous of degree 4", id="q-level-2"),
+    ])
+    def test_a_corrupted_input_fails_its_claim(self, capsys, monkeypatch, corrupt, claim, detail):
+        corrupt(monkeypatch)
+        (failed,) = self.failed_lines(capsys)
+        assert failed.startswith(f"FAIL {claim}:")
+        assert f" [{detail}" in failed
 
     def test_genus_bounded_up_front(self, capsys, monkeypatch):
         def no_work(max_genus):

@@ -18,6 +18,8 @@ from floercas.donaldson import (
     product_sum_input,
 )
 
+from elimination import matvec
+
 Q_HYP = ((0, 1), (1, 0))
 
 
@@ -437,7 +439,7 @@ class TestLatticeSolver:
             (rational(1, 4), (0, 3)),
         )
         for m, k in ((2, (0, 3)), (0, (0, 1)), (-2, (0, -1))):
-            assert Matrix(Q_DET3).matvec(k) == [1 + m, 2 * (1 + m)]
+            assert matvec(Matrix(Q_DET3), k) == [1 + m, 2 * (1 + m)]
 
     def test_fractional_class_rejected(self):
         # pairings (3, 4) at the shift m = 2: K = (2/3, 5/3)

@@ -45,7 +45,9 @@ from elimination import (
     from_columns,
     independent_subset,
     induced_action,
+    monomial_matrix,
     torsion_block,
+    wedge_kernel_dim,
 )
 
 
@@ -144,7 +146,7 @@ class TestLevelRings:
             ring = invariant_ring(r)
             simplex = monomial_simplex(r, 3)
             assert len(simplex) == ring.dim
-            assert ring.monomial_matrix(simplex).rank() == ring.dim
+            assert monomial_matrix(ring, simplex).rank() == ring.dim
 
     def test_gamma_quotient_presentations_agree(self):
         # quotient by the two-term recursion + gamma equals F_r modulo gamma
@@ -519,9 +521,14 @@ class TestPrimitiveParts:
         assert primitive_dim(4, 0) == 1
 
     def test_exact_agrees_small(self):
-        for g in range(1, 4):
+        for g in range(1, 8):
             for k in range(g + 1):
                 assert primitive_dim_exact(g, k) == primitive_dim(g, k)
+
+    def test_planes_match_the_dense_wedge_kernel(self):
+        for g in range(5):
+            for k in range(g + 1):
+                assert primitive_dim_exact(g, k) == wedge_kernel_dim(g, k)
 
     def test_bad_range(self):
         with pytest.raises(ValueError):

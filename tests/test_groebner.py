@@ -24,7 +24,7 @@ from floercas.groebner import (
 from floercas.linalg import Matrix, UniPoly, factor_over_candidates
 from floercas.poly import ALPHA, BETA, GAMMA, Monomial, SparsePoly, grlex_key
 
-from elimination import from_columns, kernel_basis
+from elimination import from_columns, kernel_basis, matvec, monomial_matrix
 
 J2_GENS = [ALPHA**2 + BETA - 8, ALPHA * BETA + 8 * ALPHA + GAMMA, ALPHA * GAMMA]
 
@@ -298,7 +298,7 @@ class TestStaircase:
     def test_cardinality_equals_quotient_dim(self):
         for r in (1, 2, 3):
             ring = invariant_ring(r)
-            assert ring.monomial_matrix(ring.basis).rank() == len(ring.basis)
+            assert monomial_matrix(ring, ring.basis).rank() == len(ring.basis)
 
 
 class TestMultMatrices:
@@ -487,7 +487,7 @@ class TestKernelRank:
         rank, basis = mg.rank(), kernel_basis(mg)
         assert len(basis) == 3
         for v in basis:
-            assert all(x == GR(0) for x in mg.matvec(v))
+            assert not any(matvec(mg, v))
 
 
 class TestAgainstIndependentCAS:

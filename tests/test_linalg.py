@@ -327,12 +327,9 @@ def test_rref_rank_and_kernel_match_the_fraction_elimination(case):
 
 @settings(max_examples=150, deadline=None)
 @given(rational_rows(), st.data())
-def test_matvec_and_matmul_match_the_fraction_sums(case, data):
+def test_matmul_matches_the_fraction_sums(case, data):
     rows, ncols = case
     m = Matrix(rows, ncols)
-    v = [data.draw(_MIXED_ENTRY) for _ in range(ncols)]
-    want = [sum((a * x for a, x in zip(r, v)), Fraction(0)) for r in rows]
-    assert m.matvec(v) == want
     k = data.draw(st.integers(0, 4))
     other = [[data.draw(_MIXED_ENTRY) for _ in range(k)] for _ in range(ncols)]
     product = m @ Matrix(other, k)
