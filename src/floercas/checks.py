@@ -355,12 +355,12 @@ def check_congruence(max_genus: int) -> CheckResult:
 def check_determinism(max_genus: int) -> CheckResult:
     failures = []
     for r in range(1, max_genus + 1):
-        for level_ring in (invariant_ring, gamma_quotient_ring):
-            cached, fresh = level_ring(r), level_ring.__wrapped__(r)  # fresh: past the cache
+        for build in (invariant_ring, gamma_quotient_ring):
+            cached, fresh = build(r), build.__wrapped__(r)  # fresh: past the cache
             if cached.to_json() != fresh.to_json() or any(
                 cached.mult_matrix(v) != fresh.mult_matrix(v) for v in VAR_NAMES
             ):
-                failures.append(f"{level_ring.__name__}({r}) differs from a fresh build")
+                failures.append(f"{build.__name__}({r}) differs from a fresh build")
     return _result(
         "determinism",
         f"the cached level rings equal a fresh build: Groebner basis, staircase and "

@@ -266,8 +266,6 @@ def _cmd_eigen(args):
         payload["expected_dim"] = want_dim
     payload["eigen"] = {name: rep.to_json() for name, rep in reports.items()}
     lines = [f"{args.object} at r={args.r}: dim {dim}"]
-    if want_dim not in (None, dim):
-        lines.append(f"  EXPECTED dim {want_dim}")
     lines += [f"  {name}: {_eigen_text(reports[name])}" for name in ("alpha", "beta", "gamma")]
     return code, payload, "\n".join(lines)
 

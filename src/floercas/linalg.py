@@ -11,24 +11,25 @@ and they are turned into integers by `exactalg.to_integers`.
 Elimination is one integer Gauss-Jordan: a row is cleared by
 cross-multiplying with the pivot row and divided by its content, and the
 pivots are divided out only on output (see Matrix.rref).  Products are
-integer sums over the common denominator.
+integer sums over the common denominator.  A characteristic polynomial
+eliminates nothing: it is the product of those of the diagonal blocks
+that the strongly connected components of the nonzero entries give, each
+from Berkowitz's division-free recurrence on the block's integer rows
+(see Matrix.charpoly).
 
-The largest matrices are the level-ring multiplication matrices, dim 84
-at level 7 and 120 at level 8.  Storage is dense and elimination skips
-zero entries, which is enough at these sizes.  The same matrices are
-mostly zeros (alpha at level 8 has 663 nonzero entries of 14400), and
-their strongly connected blocks are much smaller: alpha at level r
-splits into blocks of sizes C(k+1, 2) for k = 1..r, beta into blocks of
-at most r, and gamma into 1 x 1 blocks.  So a characteristic polynomial
-is the product of those of the diagonal blocks, each from Hessenberg
-reduction over Q on entries read from the integer rows, and the cubic
-cost of the reduction is paid per block.  Q(i) enters only in
-factor_over_candidates, whose candidates and reported roots are
-GaussianRationals: a pair of conjugate roots is one rational quadratic
-factor.  The factors are stripped over Z: the polynomial and each
-candidate factor are scaled to primitive integer polynomials, and by
-Gauss's lemma a primitive factor divides over Q exactly when it divides
-over Z, so the divisions are exact integer ones with no Fraction in them.
+The largest matrices are those `check` reads whole: at --max-genus 10,
+gamma on F_12 (364 x 364) and its square, and the matrices of F_10
+(220 x 220).  Storage is dense and elimination skips zero entries, which
+is enough at these sizes.  No characteristic polynomial on a command's
+path is larger than 19 x 19 (the reduced ring of genus 10), as spectra
+are read from r x r level blocks (see floer.level_block).
+
+Q(i) enters only in factor_over_candidates, whose candidates and
+reported roots are GaussianRationals: a pair of conjugate roots is one
+rational quadratic factor.  The factors are stripped over Z: the
+polynomial and each candidate factor are scaled to primitive integer
+polynomials, and by Gauss's lemma a primitive factor divides over Q
+exactly when it divides over Z, so the divisions are exact integer ones.
 The candidate factors are derived once per candidate list, cached by the
 list's value: a GaussianRational hashes by its integers.
 """
@@ -240,32 +241,30 @@ class Matrix:
         The strongly connected components of the graph with an edge i -> j
         for each nonzero entry A[i][j] order the rows and columns so that A
         becomes block upper triangular, and det(x*I - A) is the product of
-        det(x*I - B) over its diagonal blocks B.  Each block, read from the
-        integer rows, goes through Hessenberg reduction and the Hessenberg
-        determinant recurrence (Cohen, A Course in Computational Algebraic
-        Number Theory, GTM 138, Alg. 2.2.9); a matrix with one component is
-        one block.
+        det(x*I - B) over its diagonal blocks B; a matrix with one component
+        is one block.  A block of size n whose rows have the lcm d of their
+        denominators is 1/d times the integer matrix C of its numerators
+        over d, so det(x*I - B) = d^-n det(d x*I - C): coefficient k is
+        coefficient k of C's polynomial, from `_berkowitz`, times d^k over
+        d^n.  The product of the blocks is an integer polynomial over the
+        product of the d^n, and only the output coefficients are Fractions.
         """
         if self.nrows != self.ncols:
             raise ValueError("characteristic polynomial of a non-square matrix")
         nums, dens = self.nums, self.dens
-        # the product of the block polynomials is num / den with integer num:
-        # integer products cost far less than Fraction ones, and only the
-        # final coefficients are reduced
         num, den = [1], 1
         for comp in _strong_components([[j for j, a in enumerate(r) if a] for r in nums]):
-            if len(comp) == 1:  # x - a for the entry a = n / d: d x - n over d
-                (i,) = comp
-                block, d = [-nums[i][i], dens[i]], dens[i]
-            else:
-                h = [[Fraction(nums[i][j], dens[i]) for j in comp] for i in comp]
-                block, d = to_integers(_hessenberg_charpoly(h))
+            d = math.lcm(*(dens[i] for i in comp))
+            block = _berkowitz([[nums[i][j] * (d // dens[i]) for j in comp] for i in comp])
+            if d != 1:
+                block = [c * d**k for k, c in enumerate(block)]
+                den *= d ** len(comp)
             out = [0] * (len(num) + len(block) - 1)
             for j, c in enumerate(block):
                 if c:
                     for i, a in enumerate(num):
                         out[i + j] += a * c
-            num, den = out, den * d
+            num = out
         return UniPoly([Fraction(c, den) for c in num])
 
 
@@ -322,71 +321,31 @@ def _strong_components(adj: list) -> list:
     return comps
 
 
-def _height(q) -> int:
-    """Bit height of a rational: bits of numerator plus bits of denominator."""
-    return q.numerator.bit_length() + q.denominator.bit_length()
+def _berkowitz(rows: list) -> list:
+    """Coefficients, lowest degree first, of det(x*I - C) for the square
+    list of int rows C, with integer products and sums only.
 
-
-def _hessenberg_charpoly(h: list) -> list:
-    """Coefficients, lowest degree first, of det(x*I - H) over Q.
-
-    `h` is a square list of row lists of rationals, reduced in place.  The
-    pivot of each column is its nonzero subdiagonal entry of smallest bit
-    height (the first such on a tie): dividing by it and scaling by the
-    multipliers it yields keeps the entries of the reduced matrix short.
+    Berkowitz's recurrence (Inf. Process. Lett. 18, 1984): with C_k the
+    leading k x k block, R its row k left of the diagonal, S its column k
+    above it and a = C[k][k], the polynomial of C_(k+1), highest degree
+    first, is the Toeplitz product of that of C_k with
+    (1, -a, -R S, -R C_k S, ..., -R C_k^(k-1) S).  Nothing is divided,
+    so no pivot is chosen and no entry leaves Z.
     """
-    n = len(h)
-    # similarity to upper Hessenberg form, one column at a time
-    for m in range(1, n - 1):
-        col = m - 1
-        heights = [(_height(h[i][col]), i) for i in range(m, n) if h[i][col]]
-        if not heights:
-            continue
-        piv = min(heights)[1]
-        if piv != m:
-            h[piv], h[m] = h[m], h[piv]
-            for row in h:
-                row[piv], row[m] = row[m], row[piv]
-        hm = h[m]
-        inv = 1 / hm[col]
-        # row m changes only in column m while the rows below are cleared
-        support = [j for j in range(m + 1, n) if hm[j]]
-        for i in range(m + 1, n):
-            hi = h[i]
-            u = hi[col]
-            if not u:
-                continue
-            u = u * inv
-            # row i -= u * row m, which clears hi[col]; then column m += u * column i
-            hi[col] = Q_ZERO
-            if hm[m]:
-                hi[m] = hi[m] - u * hm[m]
-            for j in support:
-                hi[j] = hi[j] - u * hm[j]
-            for row in h:
-                if row[i]:
-                    row[m] = row[m] + u * row[i]
-    # 1-based, with polys[m] = p_m the charpoly of the leading m x m block:
-    # p_m = (x - h_mm) p_{m-1} - sum_i h_im (h_{i+1,i} ... h_{m,m-1}) p_{i-1}
-    polys = [[Q_ONE]]
-    for m in range(n):
-        prev = polys[m]
-        p = [Q_ZERO] + prev
-        d = h[m][m]
-        if d:
-            for k, c in enumerate(prev):
-                p[k] = p[k] - d * c
-        t = Q_ONE
-        for i in range(m - 1, -1, -1):
-            t = t * h[i + 1][i]
-            if not t:
-                break
-            u = h[i][m] * t
-            if u:
-                for k, c in enumerate(polys[i]):
-                    p[k] = p[k] - u * c
-        polys.append(p)
-    return polys[n]
+    poly = [1]  # highest degree first
+    for k, row in enumerate(rows):
+        # the nonzero entries of the rows of C_k and of R, and S
+        lead = [[(j, a) for j, a in enumerate(r[:k]) if a] for r in rows[:k]]
+        left = [(j, a) for j, a in enumerate(row[:k]) if a]
+        col = [r[k] for r in rows[:k]]
+        toeplitz = [1, -row[k]]
+        for t in range(k):
+            toeplitz.append(-sum(a * col[j] for j, a in left))
+            if t < k - 1:
+                col = [sum(a * col[j] for j, a in r) for r in lead]
+        poly = [sum(toeplitz[i - j] * poly[j] for j in range(min(i, k) + 1))
+                for i in range(k + 2)]
+    return poly[::-1]
 
 
 class UniPoly:

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from floercas import checks, cli, floer, fukaya
+from floercas import checks, cli, donaldson, floer, fukaya
 from floercas.cli import (
     MAX_CHECK_GENUS,
     MAX_DELTA_GENUS,
@@ -382,6 +382,28 @@ def corrupt_q_relation(monkeypatch):
     monkeypatch.setattr(checks, "relations", with_alpha)
 
 
+def corrupt_finite_type_order(monkeypatch):
+    # the general bound one too large at genus 2
+    order = donaldson.finite_type_order
+    monkeypatch.setattr(donaldson, "finite_type_order",
+                        lambda g, b1_zero=False: order(g, b1_zero) + ((g, b1_zero) == (2, False)))
+
+
+def corrupt_fiber_sum(monkeypatch):
+    # every coefficient of the glued series doubled when gluing along genus 3
+    fiber_sum = donaldson.fiber_sum
+
+    def doubled_at_genus_3(inp):
+        series = fiber_sum(inp)
+        if inp.genus != 3:
+            return series
+        return donaldson.DonaldsonSeries(series.basis_names, series.q,
+                                         [(2 * c, k) for c, k in series.terms],
+                                         series.simple_type)
+
+    monkeypatch.setattr(donaldson, "fiber_sum", doubled_at_genus_3)
+
+
 class TestCheckCommand:
     def test_exit_zero_and_summary(self, capsys):
         code, out, _ = run(capsys, "check", "--max-genus", "2")
@@ -474,6 +496,10 @@ class TestCheckCommand:
         pytest.param(corrupt_socle_charpoly, "socle-charpoly", "step 2: ", id="socle-step-2"),
         pytest.param(corrupt_q_relation, "grading",
                      "q component of level 2 not homogeneous of degree 4", id="q-level-2"),
+        pytest.param(corrupt_finite_type_order, "finite-type-orders",
+                     "order(2, b1_zero=False) = 3 != 2", id="order-2-general"),
+        pytest.param(corrupt_fiber_sum, "fiber-sum", "glue genus 3, parts (1,1): ",
+                     id="fiber-sum-genus-3"),
     ])
     def test_a_corrupted_input_fails_its_claim(self, capsys, monkeypatch, corrupt, claim, detail):
         corrupt(monkeypatch)

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from floercas.exactalg import GaussianRational as GR
 from floercas.floer import gamma_quotient_ring, invariant_ring
-from floercas.linalg import Matrix, UniPoly, _hessenberg_charpoly, _strong_components
+from floercas.linalg import Matrix, UniPoly, _berkowitz, _strong_components
 
 from elimination import eigen_reports, from_columns, induced_action, kernel_basis
 
@@ -93,8 +93,8 @@ def test_real_gaussian_entries_are_rationals():
     assert all(type(x) is Fraction for x in m.rows[0])
 
 
-# sparse rational entries of very different bit heights, so that the
-# smallest-height pivot is often not the first nonzero one
+# sparse rational entries of very different bit heights, so that the rows of
+# one block are over unrelated denominators whose lcm is large
 _BIG = 2**61 - 1
 _RATIONAL_ENTRY = st.one_of(
     st.just(Fraction(0)),
@@ -152,36 +152,22 @@ def test_matmul_shape_mismatch():
 
 
 def whole(m: Matrix) -> list:
-    """Coefficients of Hessenberg reduction over the whole matrix, unsplit."""
-    return [rat(c) for c in _hessenberg_charpoly([list(r) for r in m.rows])]
+    """Coefficients of det(x*I - m) from Berkowitz over the whole matrix,
+    unsplit: the integer rows over their one denominator e, and coefficient
+    k of their polynomial over e^(n-k)."""
+    rows, e = m.integer_rows()
+    cp = _berkowitz([list(r) for r in rows])
+    return [sympy.Rational(c, e ** (m.nrows - k)) for k, c in enumerate(cp)]
 
 
 def test_pivot_swap_and_pivot_free_column():
-    # column 0 has its only subdiagonal entry in row 2, so rows 1 and 2 swap;
-    # column 1 then has no pivot below the diagonal.  Matrix.charpoly splits
-    # this matrix into four 1 x 1 blocks, so the reduction runs unsplit too
+    # row 1 is zero and column 0 has its only entry below the diagonal in
+    # row 2, so the recurrence meets zero rows R and columns S of the leading
+    # blocks.  Matrix.charpoly splits this matrix into four 1 x 1 blocks, so
+    # the recurrence runs unsplit too
     m = Matrix([[1, 5, 0, 2], [0, 0, 0, 0], [3, 0, Fraction(1, 2), 0], [0, 0, 0, -2]])
     assert len(_strong_components([[j for j, a in enumerate(r) if a] for r in m.rows])) == 4
     assert ours(m) == whole(m) == sympy_charpoly(m)
-
-
-def test_smallest_height_pivot_is_chosen():
-    # column 0 below the diagonal holds 1234567/89 first and 3 last: the
-    # pivot is 3, so the reduction swaps rows and columns 1 and 3 and leaves
-    # 3 on the subdiagonal
-    m = Matrix(
-        [
-            [1, 2, 0, 1],
-            [Fraction(1234567, 89), 0, 1, 0],
-            [0, 1, 2, 0],
-            [3, 0, 1, Fraction(1, 5)],
-        ]
-    )
-    h = [list(r) for r in m.rows]
-    coeffs = _hessenberg_charpoly(h)
-    assert h[1][0] == 3
-    assert all(not h[i][j] for i in range(4) for j in range(i - 1))
-    assert [rat(c) for c in coeffs] == sympy_charpoly(m)
 
 
 @st.composite
@@ -220,6 +206,29 @@ def test_charpoly_fixed_cases():
     cyc = Matrix([[1 if j == (i + 1) % 5 else 0 for j in range(5)] for i in range(5)])
     assert _strong_components([[(i + 1) % 5] for i in range(5)]) == [[0, 1, 2, 3, 4]]
     assert cyc.charpoly() == UniPoly([-1, 0, 0, 0, 0, 1])
+    # entries of very different heights in column 0 below the diagonal,
+    # 1234567/89 first and 3 last
+    heights = Matrix(
+        [
+            [1, 2, 0, 1],
+            [Fraction(1234567, 89), 0, 1, 0],
+            [0, 1, 2, 0],
+            [3, 0, 1, Fraction(1, 5)],
+        ]
+    )
+    assert ours(heights) == whole(heights) == sympy_charpoly(heights)
+    # one irreducible block whose rows are over 3, 5 and 7: its numerators
+    # over d = 105, and coefficient k rescaled by d^(k-3)
+    mixed = Matrix(
+        [
+            [Fraction(1, 3), Fraction(2, 3), 1],
+            [Fraction(-4, 5), 0, Fraction(3, 5)],
+            [Fraction(2, 7), Fraction(-1, 7), Fraction(5, 7)],
+        ]
+    )
+    assert mixed.dens == (3, 5, 7)
+    assert _strong_components([[j for j, a in enumerate(r) if a] for r in mixed.nums]) == [[0, 1, 2]]
+    assert ours(mixed) == whole(mixed) == sympy_charpoly(mixed)
 
 
 def test_strong_components_need_no_recursion():
