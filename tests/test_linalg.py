@@ -193,6 +193,21 @@ def test_block_charpolys_match_sympy_and_the_unsplit_reduction(m):
     assert ours(m) == whole(m) == sympy_charpoly(m)
 
 
+def test_entries_of_very_different_heights():
+    # column 0 below the diagonal holds 1234567/89 first and 3 last, and the
+    # rows are over 1, 89 and 5, so the block's integer rows are over 445
+    m = Matrix(
+        [
+            [1, 2, 0, 1],
+            [Fraction(1234567, 89), 0, 1, 0],
+            [0, 1, 2, 0],
+            [3, 0, 1, Fraction(1, 5)],
+        ]
+    )
+    assert _strong_components([[j for j, a in enumerate(r) if a] for r in m.rows]) == [[0, 1, 2, 3]]
+    assert ours(m) == whole(m) == sympy_charpoly(m)
+
+
 def test_charpoly_fixed_cases():
     # no rows: the empty product
     assert Matrix([], 0).charpoly() == UniPoly([1])
@@ -206,17 +221,6 @@ def test_charpoly_fixed_cases():
     cyc = Matrix([[1 if j == (i + 1) % 5 else 0 for j in range(5)] for i in range(5)])
     assert _strong_components([[(i + 1) % 5] for i in range(5)]) == [[0, 1, 2, 3, 4]]
     assert cyc.charpoly() == UniPoly([-1, 0, 0, 0, 0, 1])
-    # entries of very different heights in column 0 below the diagonal,
-    # 1234567/89 first and 3 last
-    heights = Matrix(
-        [
-            [1, 2, 0, 1],
-            [Fraction(1234567, 89), 0, 1, 0],
-            [0, 1, 2, 0],
-            [3, 0, 1, Fraction(1, 5)],
-        ]
-    )
-    assert ours(heights) == whole(heights) == sympy_charpoly(heights)
     # one irreducible block whose rows are over 3, 5 and 7: its numerators
     # over d = 105, and coefficient k rescaled by d^(k-3)
     mixed = Matrix(
