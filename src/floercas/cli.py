@@ -345,11 +345,11 @@ def _parse_homology_class(spec: str, g: int) -> fukaya.YHomologyClass:
         _require(not unknown, f"unknown keys for a grade-{grade} class: {unknown}")
         if grade == 2:
             torus = _integer_array(obj, "torus", g)
-            _require(len(torus) == 2 * g, f"torus coefficient list must have length {2 * g}")
+            _require(len(torus) == 2 * g, f"torus must have {2 * g} coefficients")
             return fukaya.YHomologyClass.surface(_integer(obj.get("sigma", 0), "sigma"), torus)
         if grade == 1:
             surface = _integer_array(obj, "curves", g)
-            _require(len(surface) == 2 * g, f"curve coefficient list must have length {2 * g}")
+            _require(len(surface) == 2 * g, f"curves must have {2 * g} coefficients")
             return fukaya.YHomologyClass.curve(_integer(obj.get("circle", 0), "circle"), surface)
         return fukaya.YHomologyClass.point(_integer(obj.get("mult", 1), "mult"))
     parts = spec.split(":")

@@ -314,11 +314,11 @@ class FiberSumInput(NamedTuple):
 class _ClassSolver:
     """The map from a pairing vector p to the integer class K with Q K = p.
 
-    One elimination of [Q | I] gives Q^-1, row i as integers over the
-    pivot of row i; scaled by the lcm `den` of the pivots
-    (`Matrix.integer_rows`) it is an integer matrix.  `lift(p)` is the
-    integer vector den Q^-1 p, which is linear in p, and `divide` turns a
-    sum of lifts into its class, refusing one that is not integral.
+    One elimination of [Q | I] gives [I | Q^-1] as integer rows over one
+    denominator (`Matrix.nums` over `Matrix.den`), so den Q^-1 is an
+    integer matrix.  `lift(p)` is the integer vector den Q^-1 p, which is
+    linear in p, and `divide` turns a sum of lifts into its class,
+    refusing one that is not integral.
     """
 
     def __init__(self, q):
@@ -327,8 +327,8 @@ class _ClassSolver:
         rref, pivots = Matrix(augmented).rref()
         if any(pc >= n for pc in pivots):
             raise ValueError("intersection form Q must be nondegenerate")
-        ints, self.den = rref.integer_rows()
-        self.inverse = [row[n:] for row in ints]
+        self.den = rref.den
+        self.inverse = [row[n:] for row in rref.nums]
 
     def lift(self, pairings) -> list:
         return [sum(x * p for x, p in zip(row, pairings)) for row in self.inverse]

@@ -30,8 +30,8 @@ remainders only up to a unit and ignores the scale; a normal form divides
 by it once at the end.  `Fraction` appears only at the edge: reading a
 SparsePoly in, and writing a normal form or a reduced basis out.  A
 multiplication matrix takes each column from the staircase index or from
-one remainder and its scale, and its rows stay integers over a
-denominator.
+one remainder and its scale, and its rows stay integers over one
+denominator, the lcm of the scales.
 """
 
 from __future__ import annotations

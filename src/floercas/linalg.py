@@ -3,19 +3,20 @@ and their roots among Q(i) candidates.
 
 Every matrix the package builds is real -- the multiplication matrices of
 the level rings, the inclusion matrices of subsets, the intersection
-forms -- so a nonreal entry raises TypeError.  A Matrix holds each row as
-integers over one positive denominator, made canonical by their gcd, and
-every method reads the integers; Fractions (`fractions.Fraction`) appear
-only where values enter a Matrix, UniPoly or EigenReport or leave one,
-and they are turned into integers by `exactalg.to_integers`.
+forms -- so a nonreal entry raises TypeError.  A Matrix holds its rows as
+integers over one positive denominator for the whole matrix, made
+canonical by their gcd, and every method reads the integers; Fractions
+(`fractions.Fraction`) appear only where values enter a Matrix, UniPoly
+or EigenReport or leave one, and they are turned into integers by
+`exactalg.to_integers`.
 Elimination is one integer Gauss-Jordan: a row is cleared by
 cross-multiplying with the pivot row and divided by its content, and the
 pivots are divided out only on output (see Matrix.rref).  Products are
-integer sums over the common denominator.  A characteristic polynomial
-eliminates nothing: it is the product of those of the diagonal blocks
-that the strongly connected components of the nonzero entries give, each
-from Berkowitz's division-free recurrence on the block's integer rows
-(see Matrix.charpoly).
+integer sums over the product of the denominators.  A characteristic
+polynomial eliminates nothing: it is the product of those of the diagonal
+blocks that the strongly connected components of the nonzero entries
+give, each from Berkowitz's division-free recurrence on the block's
+integer rows (see Matrix.charpoly).
 
 The largest matrices are those `check` reads whole: at --max-genus 10,
 gamma on F_12 (364 x 364) and its square, and the matrices of F_10
@@ -39,6 +40,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain, islice
 from typing import NamedTuple
 
 from .exactalg import Q_ONE, Q_ZERO, GaussianRational, rational, rational_json, render_terms
@@ -46,36 +48,35 @@ from .exactalg import to_integers
 
 
 class Matrix:
-    """Immutable dense matrix over Q, row-major, held as integer rows.
+    """Immutable dense matrix over Q, row-major, held as integer rows over
+    one denominator.
 
-    Row i is the tuple of ints nums[i] over the positive int dens[i], kept
-    canonical: gcd(dens[i], *nums[i]) == 1, so a zero row is over 1.  Equal
-    matrices have equal fields, and == and hash compare those.  Every
-    method reads the integers; `rows` is the same matrix as Fractions, for
-    reading at the API edge.  A matrix with no rows keeps the column count
-    it is given, so a 0 x n matrix has the n-dimensional kernel of the zero
-    map.
+    Entry (i, j) is nums[i][j] / den, nums a tuple of tuples of ints and den
+    a positive int, kept canonical: gcd(den, every entry) == 1, so a zero
+    matrix is over 1.  Equal matrices have equal fields, and == and hash
+    compare those.  Every method reads the integers; `rows` is the same
+    matrix as Fractions, for reading at the API edge.  A matrix with no
+    rows keeps the column count it is given, so a 0 x n matrix has the
+    n-dimensional kernel of the zero map.
     """
 
-    __slots__ = ("nums", "dens", "nrows", "ncols")
+    __slots__ = ("nums", "den", "nrows", "ncols")
 
     def __init__(self, rows, ncols: int = 0):
         """The matrix of the given rows of rationals (ints, Fractions or
         real GaussianRationals)."""
-        nums, dens = [], []
-        for row in rows:
-            ints, den = to_integers(row)
-            nums.append(ints)
-            dens.append(den)
-        if nums:
-            ncols = len(nums[0])
-        if any(len(r) != ncols for r in nums):
+        rows = [tuple(r) for r in rows]
+        if rows:
+            ncols = len(rows[0])
+        if any(len(r) != ncols for r in rows):
             raise ValueError("ragged rows")
-        self._set(tuple(nums), tuple(dens), ncols)
+        ints, den = to_integers(x for r in rows for x in r)
+        entries = iter(ints)
+        self._set(tuple(tuple(islice(entries, ncols)) for _ in rows), den, ncols)
 
-    def _set(self, nums: tuple, dens: tuple, ncols: int):
+    def _set(self, nums: tuple, den: int, ncols: int):
         object.__setattr__(self, "nums", nums)
-        object.__setattr__(self, "dens", dens)
+        object.__setattr__(self, "den", den)
         object.__setattr__(self, "nrows", len(nums))
         object.__setattr__(self, "ncols", ncols)
 
@@ -84,18 +85,16 @@ class Matrix:
 
     # -- constructors -----------------------------------------------------
     @staticmethod
-    def from_integer_rows(rows, ncols: int) -> "Matrix":
-        """The matrix of the (ints, positive den) pairs of rows, row i being
-        ints / den, each divided by gcd(den, *ints) to make it canonical."""
-        nums, dens = [], []
-        for ints, den in rows:
-            g = math.gcd(den, *ints)
+    def from_ints(nums, den: int, ncols: int) -> "Matrix":
+        """The matrix of the rows of ints nums over the positive int den,
+        all divided by gcd(den, every entry) to make it canonical."""
+        nums = tuple(map(tuple, nums))
+        if den != 1:
+            g = math.gcd(den, *chain.from_iterable(nums))
             if g != 1:
-                ints, den = [x // g for x in ints], den // g
-            nums.append(tuple(ints))
-            dens.append(den)
+                nums, den = tuple(tuple(x // g for x in r) for r in nums), den // g
         m = object.__new__(Matrix)
-        m._set(tuple(nums), tuple(dens), ncols)
+        m._set(nums, den, ncols)
         return m
 
     @staticmethod
@@ -106,68 +105,52 @@ class Matrix:
     def from_scaled_columns(cols, nrows: int) -> "Matrix":
         """The nrows-row matrix whose column j is entries / scale for the
         j-th pair (entries, scale) of cols, entries a map from row index to
-        int and scale a positive int.  Row i is over the lcm of the scales
-        of its nonzero entries."""
+        int and scale a positive int, over the lcm of the scales."""
         cols = list(cols)
-        dens = [1] * nrows
-        for entries, scale in cols:
-            if scale != 1:
-                for i in entries:
-                    dens[i] = math.lcm(dens[i], scale)
+        den = math.lcm(*(scale for _, scale in cols))
         nums = [[0] * len(cols) for _ in range(nrows)]
         for j, (entries, scale) in enumerate(cols):
+            f = den // scale
             for i, c in entries.items():
-                nums[i][j] = c * (dens[i] // scale)
-        return Matrix.from_integer_rows(zip(nums, dens), len(cols))
+                nums[i][j] = c * f
+        return Matrix.from_ints(nums, den, len(cols))
 
     @property
     def rows(self) -> tuple:
         """The entries as Fractions, row by row."""
-        return tuple(
-            tuple(map(Fraction, r)) if d == 1 else tuple(Fraction(x, d) for x in r)
-            for r, d in zip(self.nums, self.dens)
-        )
-
-    def integer_rows(self) -> tuple:
-        """(rows, den): the rows as tuples of ints over den, the lcm of the
-        row denominators, so rows[i][j] / den is entry (i, j)."""
-        den = math.lcm(*self.dens)
-        return tuple(r if d == den else tuple(x * (den // d) for x in r)
-                     for r, d in zip(self.nums, self.dens)), den
+        return tuple(tuple(Fraction(x, self.den) for x in r) for r in self.nums)
 
     # -- arithmetic ---------------------------------------------------------
     def scale(self, c) -> "Matrix":
         c = rational(c)
-        n, d = c.numerator, c.denominator
-        rows = (([x * n for x in r], den * d) for r, den in zip(self.nums, self.dens))
-        return Matrix.from_integer_rows(rows, self.ncols)
+        n = c.numerator
+        nums = ([x * n for x in r] for r in self.nums)
+        return Matrix.from_ints(nums, self.den * c.denominator, self.ncols)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
-        """The product over Z: the rows of `other` are brought to their
-        common denominator e, so row i of the product is the integer
-        combination of them that row i of self gives, over dens[i] * e."""
+        """The product over Z: the integer rows of self times those of
+        other, over the product of the two denominators."""
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch")
-        ints, e = other.integer_rows()
-        # the nonzero entries of each row of other, over e
-        sparse = [[(j, x) for j, x in enumerate(r) if x] for r in ints]
+        # the nonzero entries of each row of other
+        sparse = [[(j, x) for j, x in enumerate(r) if x] for r in other.nums]
         rows = []
-        for r, d in zip(self.nums, self.dens):
+        for r in self.nums:
             acc = [0] * other.ncols
             for k, a in enumerate(r):
                 if a:
                     for j, b in sparse[k]:
                         acc[j] += a * b
-            rows.append((acc, d * e))
-        return Matrix.from_integer_rows(rows, other.ncols)
+            rows.append(acc)
+        return Matrix.from_ints(rows, self.den * other.den, other.ncols)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matrix):
             return NotImplemented
-        return (self.ncols, self.nums, self.dens) == (other.ncols, other.nums, other.dens)
+        return (self.ncols, self.den, self.nums) == (other.ncols, other.den, other.nums)
 
     def __hash__(self):
-        return hash((self.ncols, self.nums, self.dens))
+        return hash((self.ncols, self.den, self.nums))
 
     def __repr__(self) -> str:
         body = "; ".join(", ".join(str(x) for x in r) for r in self.rows)
@@ -179,13 +162,14 @@ class Matrix:
         list of its pivot columns.
 
         Integer Gauss-Jordan on the numerators; scaling a row leaves the
-        row space as it is, so the denominators are never read.  To clear
+        row space as it is, so the denominator is never read.  To clear
         column pc of row i against the pivot row, with f and p their
         entries there and g = gcd(p, f), row i becomes (p/g) row_i -
         (f/g) pivot row and is then divided by its content.  So every row
         stays a primitive integer multiple of the row Gauss-Jordan over Q
         would hold, with a positive pivot, and only the output divides by
-        the pivots: row i of R is its integer row over its pivot.
+        the pivots: R is the integer rows, each brought over the lcm of
+        the pivots.
         """
         ncols = self.ncols
         rows = [list(r) for r in self.nums]
@@ -228,8 +212,12 @@ class Matrix:
             pr += 1
             if pr == n:
                 break
-        dens = [rows[i][pc] for i, pc in enumerate(pivots)] + [1] * (n - pr)
-        return Matrix.from_integer_rows(zip(rows, dens), ncols), pivots
+        den = math.lcm(*(rows[i][pc] for i, pc in enumerate(pivots)))
+        for i, pc in enumerate(pivots):
+            f = den // rows[i][pc]
+            if f != 1:
+                rows[i] = [x * f for x in rows[i]]
+        return Matrix.from_ints(rows, den, ncols), pivots
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -242,30 +230,26 @@ class Matrix:
         for each nonzero entry A[i][j] order the rows and columns so that A
         becomes block upper triangular, and det(x*I - A) is the product of
         det(x*I - B) over its diagonal blocks B; a matrix with one component
-        is one block.  A block of size n whose rows have the lcm d of their
-        denominators is 1/d times the integer matrix C of its numerators
-        over d, so det(x*I - B) = d^-n det(d x*I - C): coefficient k is
-        coefficient k of C's polynomial, from `_berkowitz`, times d^k over
-        d^n.  The product of the blocks is an integer polynomial over the
-        product of the d^n, and only the output coefficients are Fractions.
+        is one block.  With C = den A the integer matrix `nums`, det(x*I -
+        A) = den^-n det(den x*I - C), so coefficient k is coefficient k of
+        C's polynomial over den^(n-k).  That polynomial is the product of
+        those of C's diagonal blocks, each from `_berkowitz`, and only the
+        output coefficients are Fractions.
         """
         if self.nrows != self.ncols:
             raise ValueError("characteristic polynomial of a non-square matrix")
-        nums, dens = self.nums, self.dens
-        num, den = [1], 1
+        nums = self.nums
+        num = [1]
         for comp in _strong_components([[j for j, a in enumerate(r) if a] for r in nums]):
-            d = math.lcm(*(dens[i] for i in comp))
-            block = _berkowitz([[nums[i][j] * (d // dens[i]) for j in comp] for i in comp])
-            if d != 1:
-                block = [c * d**k for k, c in enumerate(block)]
-                den *= d ** len(comp)
+            block = _berkowitz([[nums[i][j] for j in comp] for i in comp])
             out = [0] * (len(num) + len(block) - 1)
             for j, c in enumerate(block):
                 if c:
                     for i, a in enumerate(num):
                         out[i + j] += a * c
             num = out
-        return UniPoly([Fraction(c, den) for c in num])
+        n, den = self.nrows, self.den
+        return UniPoly([Fraction(c, den ** (n - k)) for k, c in enumerate(num)])
 
 
 def _strong_components(adj: list) -> list:

@@ -15,7 +15,8 @@ k-th exterior power, by one dense composite of the wedge steps.
 
 The coordinates of a normal form and the product of a matrix and a vector
 are read from Fractions (QuotientRing.normal_form, Matrix.rows), not from
-the integer rows that the program's own matrices use.
+the integer rows that the program's own matrices use; assert_canonical
+checks those integer rows against the Fractions.
 """
 
 import math
@@ -34,6 +35,15 @@ def from_columns(cols, nrows: int = 0) -> Matrix:
     no columns give nrows x 0."""
     cols = list(cols)
     return Matrix(zip(*cols, strict=True) if cols else [()] * nrows, len(cols))
+
+
+def assert_canonical(m: Matrix):
+    """m is its canonical form: one den, the lcm of the entries' reduced
+    denominators, coprime to the integer rows, and rebuilt from its
+    Fraction rows."""
+    assert m.den == math.lcm(*(x.denominator for r in m.rows for x in r))
+    assert math.gcd(m.den, *(x for r in m.nums for x in r)) == 1
+    assert Matrix(m.rows, m.ncols) == m
 
 
 def matvec(m: Matrix, v) -> list:
@@ -64,12 +74,13 @@ def kernel_basis(m: Matrix) -> list:
     for f in range(m.ncols):
         if f in pivot_set:
             continue
-        # row i of rref reads x[pivots[i]] + (nums[i][f] / dens[i]) x[f] = 0
-        entries = [(pc, r[f], d) for pc, r, d in zip(pivots, rref.nums, rref.dens) if r[f]]
-        scale = math.lcm(*(d // math.gcd(x, d) for _, x, d in entries))
+        # row i of rref reads x[pivots[i]] + (nums[i][f] / den) x[f] = 0
+        entries = [(pc, r[f]) for pc, r in zip(pivots, rref.nums) if r[f]]
+        d = rref.den
+        scale = d // math.gcd(d, *(x for _, x in entries))
         v = [0] * m.ncols
         v[f] = scale
-        for pc, x, d in entries:
+        for pc, x in entries:
             v[pc] = -x * scale // d
         basis.append(v)
     return basis
@@ -102,9 +113,9 @@ def induced_action(m: Matrix, reps, denominator) -> Matrix:
     rref, pivots = from_columns([*denominator, *reps, *images]).rref()
     if pivots and pivots[-1] >= d + n:
         raise FalsificationError("action does not preserve the subquotient")
-    # the coefficients are read from the integer rows, each over its pivot
+    # the coefficients are read from the integer rows over their one denominator
     rep_rows = [pivots.index(d + k) for k in range(n)]
-    return Matrix.from_integer_rows(((rref.nums[i][d + n :], rref.dens[i]) for i in rep_rows), n)
+    return Matrix.from_ints((rref.nums[i][d + n :] for i in rep_rows), rref.den, n)
 
 
 def eigen_reports(matrix_of, bound: int) -> dict:

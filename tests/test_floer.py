@@ -1,8 +1,9 @@
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from sympy import bernoulli
 
 from floercas import cli, floer
 from floercas.exactalg import GaussianRational as GR
@@ -37,7 +38,7 @@ from floercas.checks import (
 from floercas.fukaya import delta_module
 from floercas.groebner import VAR_NAMES, GroebnerBasis, QuotientRing
 from floercas.linalg import Matrix, UniPoly, factor_over_candidates
-from floercas.poly import ALPHA, BETA, GAMMA, SparsePoly
+from floercas.poly import ALPHA, BETA, GAMMA, Monomial, SparsePoly
 
 from elimination import (
     eigen_reports,
@@ -53,6 +54,30 @@ from elimination import (
 
 def spectrum(report):
     return {root: mult for root, mult in report.roots}
+
+
+def thaddeus_pairing(g: int, m: int, n: int, p: int) -> Fraction:
+    """<alpha^m beta^n gamma^p, [N_g]> for m + 2n + 3p = 3g - 3, N_g the
+    moduli space of stable rank-2 bundles of odd degree on a genus-g
+    surface (Thaddeus, J. Differential Geom. 35 (1992)):
+    (-1)^(p-g) g!/(g-p)! m!/q! 2^(2g-2-p) (2^q - 2) B_q, q = m + p - g + 1,
+    and 0 for q < 0.  q is even, so the sign of B_1 never enters."""
+    q = m + p - g + 1
+    if q < 0:
+        return Fraction(0)
+    assert q % 2 == 0 and p < g
+    b = bernoulli(q)
+    sign = 1 if (p - g) % 2 == 0 else -1
+    return (
+        sign * Fraction(factorial(g) * factorial(m), factorial(g - p) * factorial(q))
+        * 2 ** (2 * g - 2 - p) * (2**q - 2) * Fraction(int(b.p), int(b.q))
+    )
+
+
+def top_weighted_part(p: SparsePoly) -> SparsePoly:
+    """The terms of p of the largest weighted degree."""
+    top = max((m.weighted_degree for m in p.terms), default=0)
+    return SparsePoly({m: c for m, c in p.terms.items() if m.weighted_degree == top})
 
 
 class TestRelations:
@@ -116,6 +141,29 @@ class TestRelations:
                     p1, p2 = n1, shift * p1
                 else:
                     p1, p2, p3 = n1, shift * p1 + Fraction(2 * r, r + 1) * p3, GAMMA * p1
+
+    @pytest.mark.parametrize("g", range(2, 9))
+    def test_top_degree_pairs_as_on_the_moduli_space(self, g):
+        # classical_ring(g) is H*(N_g): the normal form of each monomial of
+        # top degree 6g - 6 is its pairing with [N_g] times the socle
+        # gamma^(g-1), which pairs to 2^(g-1) g!.  The gamma terms of the
+        # recursion reach this, and no spectrum claim does
+        ring = classical_ring(g)
+        socle = GAMMA ** (g - 1)
+        for p in range(g):
+            for n in range((3 * g - 3 - 3 * p) // 2 + 1):
+                m = 3 * g - 3 - 3 * p - 2 * n
+                c = thaddeus_pairing(g, m, n, p) / (2 ** (g - 1) * factorial(g))
+                nf = ring.normal_form(SparsePoly({Monomial(m, n, p): 1}))
+                assert nf == c * socle, (g, m, n, p)
+
+    def test_r_is_a_deformation_of_q(self):
+        # the +-8 shift is of lower weighted degree, so the top part of each
+        # R relation is the q relation of its level, gamma terms included
+        for r in range(16):
+            deformed, classical = relations("R", r), relations("q", r)
+            for p, q in zip(deformed.components, classical.components):
+                assert top_weighted_part(p) == q, r
 
     def test_bad_flavor(self):
         with pytest.raises(ValueError):

@@ -24,7 +24,7 @@ from floercas.groebner import (
 from floercas.linalg import Matrix, UniPoly, factor_over_candidates
 from floercas.poly import ALPHA, BETA, GAMMA, Monomial, SparsePoly, grlex_key
 
-from elimination import from_columns, kernel_basis, matvec, monomial_matrix
+from elimination import assert_canonical, from_columns, kernel_basis, matvec, monomial_matrix
 
 J2_GENS = [ALPHA**2 + BETA - 8, ALPHA * BETA + 8 * ALPHA + GAMMA, ALPHA * GAMMA]
 
@@ -247,6 +247,7 @@ class TestAgainstFractionReduction:
             assert normal_form(p, ring.gb) == reference_normal_form(p, ring.gb)
         for v in range(3):
             matrix = ring.mult_matrix(v)
+            assert_canonical(matrix)
             for j, m in enumerate(ring.basis):
                 nf = reference_normal_form(mul_monomial(SparsePoly.variable(v), m), ring.gb)
                 col = [Fraction(0)] * ring.dim
@@ -325,6 +326,8 @@ class TestMultMatrices:
         for r in range(1, 5):
             ring = invariant_ring(r)
             ma, mb, mg = (ring.mult_matrix(v) for v in ("alpha", "beta", "gamma"))
+            for m in (ma, mb, mg):
+                assert_canonical(m)
             assert ma @ mb == mb @ ma
             assert ma @ mg == mg @ ma
             assert mb @ mg == mg @ mb

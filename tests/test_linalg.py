@@ -11,7 +11,7 @@ from floercas.exactalg import GaussianRational as GR
 from floercas.floer import gamma_quotient_ring, invariant_ring
 from floercas.linalg import Matrix, UniPoly, _berkowitz, _strong_components
 
-from elimination import eigen_reports, from_columns, induced_action, kernel_basis
+from elimination import assert_canonical, eigen_reports, from_columns, induced_action, kernel_basis
 
 X = sympy.Symbol("x")
 
@@ -155,9 +155,8 @@ def whole(m: Matrix) -> list:
     """Coefficients of det(x*I - m) from Berkowitz over the whole matrix,
     unsplit: the integer rows over their one denominator e, and coefficient
     k of their polynomial over e^(n-k)."""
-    rows, e = m.integer_rows()
-    cp = _berkowitz([list(r) for r in rows])
-    return [sympy.Rational(c, e ** (m.nrows - k)) for k, c in enumerate(cp)]
+    cp = _berkowitz([list(r) for r in m.nums])
+    return [sympy.Rational(c, m.den ** (m.nrows - k)) for k, c in enumerate(cp)]
 
 
 def test_pivot_swap_and_pivot_free_column():
@@ -195,7 +194,7 @@ def test_block_charpolys_match_sympy_and_the_unsplit_reduction(m):
 
 def test_entries_of_very_different_heights():
     # column 0 below the diagonal holds 1234567/89 first and 3 last, and the
-    # rows are over 1, 89 and 5, so the block's integer rows are over 445
+    # entries are over 1, 89 and 5, so the integer rows are over 445
     m = Matrix(
         [
             [1, 2, 0, 1],
@@ -222,7 +221,7 @@ def test_charpoly_fixed_cases():
     assert _strong_components([[(i + 1) % 5] for i in range(5)]) == [[0, 1, 2, 3, 4]]
     assert cyc.charpoly() == UniPoly([-1, 0, 0, 0, 0, 1])
     # one irreducible block whose rows are over 3, 5 and 7: its numerators
-    # over d = 105, and coefficient k rescaled by d^(k-3)
+    # over the one d = 105, and coefficient k rescaled by d^(k-3)
     mixed = Matrix(
         [
             [Fraction(1, 3), Fraction(2, 3), 1],
@@ -230,7 +229,7 @@ def test_charpoly_fixed_cases():
             [Fraction(2, 7), Fraction(-1, 7), Fraction(5, 7)],
         ]
     )
-    assert mixed.dens == (3, 5, 7)
+    assert mixed.den == 105
     assert _strong_components([[j for j, a in enumerate(r) if a] for r in mixed.nums]) == [[0, 1, 2]]
     assert ours(mixed) == whole(mixed) == sympy_charpoly(mixed)
 
@@ -325,6 +324,8 @@ def test_rref_rank_and_kernel_match_the_fraction_elimination(case):
     assert pivots == want_pivots
     assert red.rows == tuple(map(tuple, want_rows))
     assert red == Matrix(want_rows, ncols)
+    assert_canonical(m)
+    assert_canonical(red)
     assert m.rank() == len(want_pivots)
     # each kernel vector is an integer multiple, positive at its free column,
     # of the reference vector that is 1 there
@@ -347,6 +348,7 @@ def test_matmul_matches_the_fraction_sums(case, data):
     other = [[data.draw(_MIXED_ENTRY) for _ in range(k)] for _ in range(ncols)]
     product = m @ Matrix(other, k)
     assert (product.nrows, product.ncols) == (len(rows), k)
+    assert_canonical(product)
     assert product.rows == tuple(
         tuple(sum((r[l] * other[l][j] for l in range(ncols)), Fraction(0)) for j in range(k))
         for r in rows
@@ -356,13 +358,13 @@ def test_matmul_matches_the_fraction_sums(case, data):
 def test_rows_are_canonical_so_equality_is_structural():
     a, b = Matrix([[Fraction(2, 4), 1]]), Matrix([[Fraction(1, 2), 1]])
     assert a == b and hash(a) == hash(b)
-    assert (a.nums, a.dens) == (((1, 2),), (2,))
+    assert (a.nums, a.den) == (((1, 2),), 2)
     # integers over their lcm: 1/2 and 1/3 are 3 and 2 over 6
     assert Matrix([[Fraction(1, 2), Fraction(1, 3)]]).nums == ((3, 2),)
-    # a product and a scaling divide out the gcd of each row and its denominator
+    # a product and a scaling divide out the gcd of the entries and the denominator
     assert Matrix([[2, 4]]).scale(Fraction(1, 2)) == Matrix([[1, 2]])
     assert Matrix([[Fraction(1, 2)]]) @ Matrix([[2, 4]]) == Matrix([[1, 2]])
-    assert Matrix([[0, 0]]).scale(Fraction(1, 3)).dens == (1,)
+    assert Matrix([[0, 0]]).scale(Fraction(1, 3)).den == 1
     # the shape is part of the structure: no rows, different column counts
     assert Matrix([], 2) != Matrix([], 3)
 
@@ -375,5 +377,5 @@ def test_induced_action_divides_by_the_row_denominators():
     m = from_columns([[0, half, 0], [1 + third, 0, 1], [0, -half, 0]])
     action = induced_action(m, [[2, 0, 0], [0, 3, 0]], [[1, 0, 1]])
     assert action == Matrix([[0, Fraction(1, 2)], [Fraction(1, 3), 0]])
-    assert action.dens == (2, 3)
+    assert (action.den, action.nums) == (6, ((0, 3), (2, 0)))
     assert action.charpoly() == UniPoly([Fraction(-1, 6), 0, 1])
