@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
+from operator import add
 from typing import NamedTuple
 
 from .exactalg import DEFAULT_ORDER, TruncatedSeries, rational, to_integers
@@ -252,9 +253,10 @@ class FiberSumInput(NamedTuple):
     splits: tuple
 
     def validate(self):
-        """Check the input; return the solver of result classes (see
-        `_ClassSolver`), whose one elimination of Q also proves Q
-        nondegenerate."""
+        """Check the genus, simple type, vector lengths, Sigma^2 = 0 on both
+        sides, Q symmetric and D^2 = D1^2 + D2^2 for each split, with D^2
+        read off Q's diagonal; return the solver of result classes (see
+        `_ClassSolver`), whose one elimination of Q proves it nondegenerate."""
         if self.genus < 1:
             raise ValueError("gluing genus must be >= 1")
         if not (self.a.simple_type and self.b.simple_type):
@@ -265,20 +267,14 @@ class FiberSumInput(NamedTuple):
         for name, sp in zip(self.basis_names, self.splits):
             if len(sp.d1) != na or len(sp.d2) != nb:
                 raise ValueError(f"split of {name} does not match the sides' bases")
-        if self.a.quadratic_form(self.sigma_in_a) != 0:
-            raise ValueError("glued surface must have self-intersection zero")
-        if self.b.quadratic_form(self.sigma_in_b) != 0:
+        if self.a.quadratic_form(self.sigma_in_a) or self.b.quadratic_form(self.sigma_in_b):
             raise ValueError("glued surface must have self-intersection zero")
         if len(self.splits) != len(self.basis_names):
             raise ValueError("need one split per result basis class")
-        n = len(self.basis_names)
-        result = DonaldsonSeries(self.basis_names, self.q, ())
-        solver = _ClassSolver(result.q)
+        q = DonaldsonSeries(self.basis_names, self.q, ()).q  # checks shape and symmetry
+        solver = _ClassSolver(q)
         for idx, sp in enumerate(self.splits):
-            d = tuple(1 if j == idx else 0 for j in range(n))
-            lhs = result.quadratic_form(d)
-            rhs = self.a.quadratic_form(sp.d1) + self.b.quadratic_form(sp.d2)
-            if lhs != rhs:
+            if q[idx][idx] != self.a.quadratic_form(sp.d1) + self.b.quadratic_form(sp.d2):
                 raise ValueError(
                     f"split of {self.basis_names[idx]} violates D^2 = D1^2 + D2^2"
                 )
@@ -334,70 +330,65 @@ class _ClassSolver:
         return [sum(x * p for x, p in zip(row, pairings)) for row in self.inverse]
 
     def divide(self, lifted) -> tuple:
-        out = []
-        for x in lifted:
-            k, rem = divmod(x, self.den)
-            if rem:
-                raise ValueError("result class does not lie in the tracked lattice")
-            out.append(k)
-        return tuple(out)
+        if any(x % self.den for x in lifted):
+            raise ValueError("result class does not lie in the tracked lattice")
+        return tuple(x // self.den for x in lifted)
 
 
 def fiber_sum(inp: FiberSumInput) -> DonaldsonSeries:
     """Series of the sum along a genus-g surface.
 
-    g >= 2: only class pairs pairing to +-(2g-2) with the surface survive;
-    the plus side gets weight 2^(7g-9) a_j b_k, the minus side the extra
-    sign (-1)^(g-1), and the glued class is shifted by +-2 Sigma.  g = 1:
-    every pair contributes the three-term expansion of sinh^2.
+    Each pair of terms a_j exp(K1), b_k exp(K2), with s1 = K1.Sigma and
+    s2 = K2.Sigma, adds rows (m, w): w a_j b_k at the glued class shifted
+    by m Sigma.  The sum is then multiplied by the common factor c:
+
+        genus   pair                     rows (m, w)                   c
+        1       every pair               (2, 1), (0, -2), (-2, 1)      1/4
+        >= 2    s1 = s2 = 2g - 2         (2, 1)                        2^(7g-9)
+        >= 2    s1 = s2 = -(2g - 2)      (-2, (-1)^(g-1))              2^(7g-9)
+
+    Every other pair adds nothing.  The genus-1 rows expand sinh^2 =
+    exp(2 Sigma)/4 - 1/2 + exp(-2 Sigma)/4.
 
     A result class K solves Q K = p, p the sum of each side's pairings with
-    the splits and a multiple of the sigma_dot vector.  Q^-1 p is linear in
-    p, so each of those vectors is lifted once (see `_ClassSolver`), and a
-    class is a sum of integer vectors, tested for integrality.
+    the splits and m times the sigma_dot vector.  Q^-1 p is linear in p,
+    so each side is read once into (A, lift, s): its coefficient as an
+    integer over the side's lcm, the lift of its pairings (see
+    `_ClassSolver`) and s.  The integer weights are summed per lifted
+    class vector, which is one-to-one with the class, and each vector is
+    divided once, a zero sum included, so a class outside the lattice is
+    refused whatever its weight; each class then gets one Fraction.
     """
     solver = inp.validate()
-    g = inp.genus
-    out_terms = []
-    dots = solver.lift([sp.sigma_dot for sp in inp.splits])
-    pa = {k1: solver.lift([inp.a.pair(k1, sp.d1) for sp in inp.splits]) for k1 in inp.a.classes()}
-    pb = {k2: solver.lift([inp.b.pair(k2, sp.d2) for sp in inp.splits]) for k2 in inp.b.classes()}
-
-    def result_class(k1, k2, sigma_mult):
-        return solver.divide([x + y + sigma_mult * z for x, y, z in zip(pa[k1], pb[k2], dots)])
-
-    if g >= 2:
-        target = 2 * g - 2
-        sign = (-1) ** (g - 1)
-        sigma_b = {k2: inp.b.pair(k2, inp.sigma_in_b) for k2 in inp.b.classes()}
-        for a_c, k1 in inp.a.terms:
-            p1 = inp.a.pair(k1, inp.sigma_in_a)
-            if p1 != target and p1 != -target:
-                continue
-            for b_c, k2 in inp.b.terms:
-                if sigma_b[k2] != p1:
-                    continue
-                if p1 == target:
-                    out_terms.append((a_c * b_c, result_class(k1, k2, 2)))
-                else:
-                    out_terms.append((sign * a_c * b_c, result_class(k1, k2, -2)))
-        if out_terms:  # the weight has about 2g decimal digits: built only when used
-            weight = rational(2 ** (7 * g - 9))
-            out_terms = [(weight * c, k) for c, k in out_terms]
+    g, t = inp.genus, 2 * inp.genus - 2
+    # the rows of a pair by (s1, s2), and of every pair not in the table
+    if g == 1:
+        table, every, c_num, c_den = {}, ((2, 1), (0, -2), (-2, 1)), 1, 4
     else:
-        # sinh^2((Sigma.D) t) = exp(2 Sigma)/4 - 1/2 + exp(-2 Sigma)/4; with
-        # a_j = A_j / L_a and b_k = B_k / L_b, each term is an integer over
-        # 4 L_a L_b, summed per class before any Fraction is made
-        a_ints, la = to_integers(a for a, _ in inp.a.terms)
-        b_ints, lb = to_integers(b for b, _ in inp.b.terms)
-        sums: dict = {}
-        for a_int, (_, k1) in zip(a_ints, inp.a.terms):
-            for b_int, (_, k2) in zip(b_ints, inp.b.terms):
+        table, every = {(t, t): ((2, 1),), (-t, -t): ((-2, (-1) ** (g - 1)),)}, ()
+        c_num, c_den = 2 ** (7 * g - 9), 1
+    dots = solver.lift([sp.sigma_dot for sp in inp.splits])
+    shifts = {m: [m * z for z in dots] for m in (2, 0, -2)}  # m Sigma, lifted
+
+    def side(series, splits, sigma):
+        nums, den = to_integers(a for a, _ in series.terms)
+        return den, [(num, solver.lift([series.pair(k, d) for d in splits]), series.pair(k, sigma))
+                     for num, (_, k) in zip(nums, series.terms)]
+
+    la, side_a = side(inp.a, [sp.d1 for sp in inp.splits], inp.sigma_in_a)
+    lb, side_b = side(inp.b, [sp.d2 for sp in inp.splits], inp.sigma_in_b)
+    sums: dict = {}
+    for a_int, lift1, s1 in side_a:
+        for b_int, lift2, s2 in side_b:
+            rows = table.get((s1, s2), every)
+            if rows:
                 ab = a_int * b_int
-                for mult, weight in ((2, ab), (0, -2 * ab), (-2, ab)):
-                    k = result_class(k1, k2, mult)
-                    sums[k] = sums.get(k, 0) + weight
-        out_terms = [(Fraction(c, 4 * la * lb), k) for k, c in sums.items()]
+                base = list(map(add, lift1, lift2))
+                for m, w in rows:
+                    v = tuple(map(add, base, shifts[m]))
+                    sums[v] = sums.get(v, 0) + w * ab
+    den = c_den * la * lb
+    out_terms = [(Fraction(c * c_num, den), solver.divide(v)) for v, c in sums.items()]
     return DonaldsonSeries(inp.basis_names, inp.q, out_terms, simple_type=True)
 
 

@@ -10,13 +10,13 @@ canonical by their gcd, and every method reads the integers; Fractions
 or EigenReport or leave one, and they are turned into integers by
 `exactalg.to_integers`.
 Elimination is one integer Gauss-Jordan: a row is cleared by
-cross-multiplying with the pivot row and divided by its content, and the
-pivots are divided out only on output (see Matrix.rref).  Products are
-integer sums over the product of the denominators.  A characteristic
-polynomial eliminates nothing: it is the product of those of the diagonal
-blocks that the strongly connected components of the nonzero entries
-give, each from Berkowitz's division-free recurrence on the block's
-integer rows (see Matrix.charpoly).
+cross-multiplying with the pivot row and divided by its content; only
+Matrix.rref divides out the pivots, and Matrix.rank just counts them.
+Products are integer sums over the product of the denominators.  A
+characteristic polynomial eliminates nothing: it is the product of those
+of the diagonal blocks that the strongly connected components of the
+nonzero entries give, each from Berkowitz's division-free recurrence on
+the block's integer rows (see Matrix.charpoly).
 
 The largest matrices are those `check` reads whole: at --max-genus 10,
 gamma on F_12 (364 x 364) and its square, and the matrices of F_10
@@ -158,18 +158,31 @@ class Matrix:
 
     # -- elimination ---------------------------------------------------------
     def rref(self):
-        """(R, pivots): the reduced row echelon form R, a Matrix, and the
-        list of its pivot columns.
+        """(R, pivots): the reduced row echelon form R, a Matrix, and its
+        pivot columns; R is the rows of `_eliminate` over the lcm of the pivots."""
+        rows, pivots = self._eliminate()
+        den = math.lcm(*(rows[i][pc] for i, pc in enumerate(pivots)))
+        for i, pc in enumerate(pivots):
+            f = den // rows[i][pc]
+            if f != 1:
+                rows[i] = [x * f for x in rows[i]]
+        return Matrix.from_ints(rows, den, self.ncols), pivots
 
-        Integer Gauss-Jordan on the numerators; scaling a row leaves the
-        row space as it is, so the denominator is never read.  To clear
-        column pc of row i against the pivot row, with f and p their
-        entries there and g = gcd(p, f), row i becomes (p/g) row_i -
-        (f/g) pivot row and is then divided by its content.  So every row
-        stays a primitive integer multiple of the row Gauss-Jordan over Q
-        would hold, with a positive pivot, and only the output divides by
-        the pivots: R is the integer rows, each brought over the lcm of
-        the pivots.
+    def rank(self) -> int:
+        """The number of pivots of `_eliminate`, with no reduced form built."""
+        return len(self._eliminate()[1])
+
+    def _eliminate(self):
+        """(rows, pivots): integer Gauss-Jordan on the numerators, rows a
+        list of int lists and pivots the list of pivot columns.
+
+        Scaling a row leaves the row space as it is, so the denominator is
+        never read.  To clear column pc of row i against the pivot row,
+        with f and p their entries there and g = gcd(p, f), row i becomes
+        (p/g) row_i - (f/g) pivot row and is then divided by its content.
+        So every row stays a primitive integer multiple of the row
+        Gauss-Jordan over Q would hold, pivot row k with its positive pivot
+        in column pivots[k].
         """
         ncols = self.ncols
         rows = [list(r) for r in self.nums]
@@ -212,15 +225,7 @@ class Matrix:
             pr += 1
             if pr == n:
                 break
-        den = math.lcm(*(rows[i][pc] for i, pc in enumerate(pivots)))
-        for i, pc in enumerate(pivots):
-            f = den // rows[i][pc]
-            if f != 1:
-                rows[i] = [x * f for x in rows[i]]
-        return Matrix.from_ints(rows, den, ncols), pivots
-
-    def rank(self) -> int:
-        return len(self.rref()[1])
+        return rows, pivots
 
     # -- characteristic polynomial ---------------------------------------
     def charpoly(self) -> "UniPoly":

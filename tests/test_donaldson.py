@@ -5,6 +5,7 @@ from hypothesis import Phase, example, given, settings, strategies as st
 
 from floercas import donaldson
 from floercas.exactalg import GaussianRational as GR, TruncatedSeries as TS, rational
+from floercas.exactalg import to_integers
 from floercas.linalg import Matrix
 from floercas.donaldson import (
     DonaldsonSeries,
@@ -253,6 +254,74 @@ def genus_one_sum_by_fractions(inp):
     return DonaldsonSeries(inp.basis_names, inp.q, terms)
 
 
+def fiber_sum_by_pairs(inp):
+    """The per-pair loop fiber_sum replaced, kept as its reference: for
+    g >= 2 a Fraction per surviving pair, for g = 1 integer sums per class
+    with the sinh^2 rows, and one division per pair and shift either way."""
+    solver = inp.validate()
+    g = inp.genus
+    dots = solver.lift([sp.sigma_dot for sp in inp.splits])
+    pa = {k1: solver.lift([inp.a.pair(k1, sp.d1) for sp in inp.splits]) for k1 in inp.a.classes()}
+    pb = {k2: solver.lift([inp.b.pair(k2, sp.d2) for sp in inp.splits]) for k2 in inp.b.classes()}
+
+    def result_class(k1, k2, sigma_mult):
+        return solver.divide([x + y + sigma_mult * z for x, y, z in zip(pa[k1], pb[k2], dots)])
+
+    out_terms = []
+    if g >= 2:
+        target, sign = 2 * g - 2, (-1) ** (g - 1)
+        for a_c, k1 in inp.a.terms:
+            p1 = inp.a.pair(k1, inp.sigma_in_a)
+            for b_c, k2 in inp.b.terms:
+                if p1 == target == inp.b.pair(k2, inp.sigma_in_b):
+                    out_terms.append((a_c * b_c * 2 ** (7 * g - 9), result_class(k1, k2, 2)))
+                elif p1 == -target == inp.b.pair(k2, inp.sigma_in_b):
+                    out_terms.append((sign * a_c * b_c * 2 ** (7 * g - 9), result_class(k1, k2, -2)))
+    else:
+        a_ints, la = to_integers(a for a, _ in inp.a.terms)
+        b_ints, lb = to_integers(b for b, _ in inp.b.terms)
+        sums: dict = {}
+        for a_int, (_, k1) in zip(a_ints, inp.a.terms):
+            for b_int, (_, k2) in zip(b_ints, inp.b.terms):
+                ab = a_int * b_int
+                for mult, weight in ((2, ab), (0, -2 * ab), (-2, ab)):
+                    k = result_class(k1, k2, mult)
+                    sums[k] = sums.get(k, 0) + weight
+        out_terms = [(Fraction(c, 4 * la * lb), k) for k, c in sums.items()]
+    return DonaldsonSeries(inp.basis_names, inp.q, out_terms, simple_type=True)
+
+
+@st.composite
+def fiber_sum_inputs(draw):
+    """A sum of two small random series along Sigma = E at genus 1..4, into
+    the hyperbolic lattice or one of determinant 3 (see Q_DET3), where
+    some sigma_dot vectors put a result class outside the lattice.  A
+    class's second entry is its pairing with Sigma, drawn often at
+    +-(2g - 2) so that pairs survive at genus >= 2."""
+    g = draw(st.integers(1, 4))
+    t = 2 * g - 2
+    classes = st.tuples(st.integers(-4, 4), st.sampled_from((t, -t)) | st.integers(-6, 6))
+    coeffs = st.fractions(min_value=-9, max_value=9, max_denominator=12)
+
+    def side():
+        return series(draw(st.lists(st.tuples(coeffs, classes), min_size=1, max_size=5)))
+
+    a, b = side(), side()
+    if draw(st.booleans()):
+        q, splits = Q_HYP, (SplitClass((1, 0), (0, 0), 0), SplitClass((0, 1), (0, 1), 1))
+    else:
+        s1, s2 = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        q, splits = Q_DET3, (SplitClass((1, 1), (0, 0), s1), SplitClass((0, 0), (1, 1), s2))
+    return FiberSumInput(a, b, g, (1, 0), (1, 0), ("D1", "D2"), q, splits)
+
+
+def outcome(fn, inp):
+    try:
+        return fn(inp)
+    except ValueError as exc:
+        return str(exc)
+
+
 class TestFiberSum:
     def test_glue_two_one_alongside_two_two(self):
         inp = product_sum_input(2, 1, 2)
@@ -294,6 +363,24 @@ class TestFiberSum:
 
         inp = inp._replace(a=rescaled(inp.a, 0), b=rescaled(inp.b, 1))
         assert fiber_sum(inp) == genus_one_sum_by_fractions(inp)
+
+    @settings(max_examples=150, deadline=None)
+    @given(fiber_sum_inputs())
+    def test_matches_the_per_pair_loop(self, inp):
+        assert outcome(fiber_sum, inp) == outcome(fiber_sum_by_pairs, inp)
+
+    def test_one_division_per_class(self, monkeypatch):
+        divided = []
+        divide = donaldson._ClassSolver.divide
+
+        def spy(self, lifted):
+            divided.append(tuple(lifted))
+            return divide(self, lifted)
+
+        monkeypatch.setattr(donaldson._ClassSolver, "divide", spy)
+        fiber_sum(product_sum_input(1, 10, 12))
+        # the per-pair loop divides 19 * 23 pairs * 3 shifts = 1311 times
+        assert len(divided) == len(set(divided)) == 43
 
     def test_genus_three_glue(self):
         assert fiber_sum(product_sum_input(3, 1, 1)).terms == product_series(3, 2).terms
@@ -445,6 +532,14 @@ class TestLatticeSolver:
         # pairings (3, 4) at the shift m = 2: K = (2/3, 5/3)
         with pytest.raises(ValueError, match="tracked lattice"):
             fiber_sum(det3_input((1, 1)))
+
+    def test_fractional_class_with_cancelling_weights_rejected(self):
+        # both terms of side a pair alike with the splits, so every class
+        # gets weight 1 - 1 = 0, and the shift m = 2 gives K = (2/3, 5/3)
+        inp = det3_input((1, 1))._replace(a=series([(1, (1, 0)), (-1, (0, 1))]))
+        for fn in (fiber_sum, fiber_sum_by_pairs):
+            with pytest.raises(ValueError, match="tracked lattice"):
+                fn(inp)
 
     @settings(max_examples=80, deadline=None)
     @given(

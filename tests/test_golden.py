@@ -125,35 +125,46 @@ PRODUCT_SUM_PAIRING = {
     ],
 }
 
-# (donaldson subcommand with its options, file arguments) -> digest of the
-# --format json stdout; {pNM} stands for a file of product_series(N, M),
-# {raw} for one of UNNORMALIZED_SERIES
+# (donaldson subcommand with its options, file arguments) -> (exit code,
+# {format: digest of the stdout}); {pNM} stands for a file of
+# product_series(N, M), {raw} for one of UNNORMALIZED_SERIES
 SERIES_GOLDEN = {
     "eval --series {p23} --class 1,1 --order 12":
-        "3fd70c73c818f8340ba253e037df8f257ac6e2e1933067687ed26267b2c93ef0",
+        (0, {"json": "3fd70c73c818f8340ba253e037df8f257ac6e2e1933067687ed26267b2c93ef0"}),
     "eval --series {p13} --class 2,-1 --order 16":
-        "f358908acf90e52cd8692ca7c35b1d2bec74efa1f97b295ed01daa50b44cdff1",
+        (0, {"json": "f358908acf90e52cd8692ca7c35b1d2bec74efa1f97b295ed01daa50b44cdff1"}),
     "eval --series {p34} --class 0,3 --order 9":
-        "7dba0a0ba9c6034021f7dcbbc4a7966af29d22d752b7601a75f92f9bb78e75ae",
+        (0, {"json": "7dba0a0ba9c6034021f7dcbbc4a7966af29d22d752b7601a75f92f9bb78e75ae"}),
     "eval --series {raw} --class 1,1 --order 7":
-        "389461175104b8f46df20e665429603020bd89a3bb50cbce08444ecd15093f6d",
+        (0, {"json": "389461175104b8f46df20e665429603020bd89a3bb50cbce08444ecd15093f6d"}),
     # Q(D) = -4, so the exp(Q(D) t^2/2) factor is not 1
     "eval --series {p13} --class 2,-1 --order 100":
-        "ddab3fa7e1e5ee065c07fadff1f593f5d1b5b34a5b7c73999a001358ad22204d",
+        (0, {"json": "ddab3fa7e1e5ee065c07fadff1f593f5d1b5b34a5b7c73999a001358ad22204d"}),
     "fibersum --a {p21} --b {p22} --genus 2 --pairing {pairing}":
-        "a0c52bec4afc11807de0dca9b2306fff26f3e1a4430100967525a39dfafcd7b8",
+        (0, {"json": "a0c52bec4afc11807de0dca9b2306fff26f3e1a4430100967525a39dfafcd7b8"}),
     "fibersum --a {p12} --b {p13} --genus 1 --pairing {pairing}":
-        "5f405b743a2233c0a5d798c077e01155ec73edebf8965e41dd28849640ad81c4",
+        (0, {"json": "5f405b743a2233c0a5d798c077e01155ec73edebf8965e41dd28849640ad81c4"}),
     # {p110} and {p112} are the products of a torus with surfaces of genus 10 and 12
     "fibersum --a {p110} --b {p112} --genus 1 --pairing {pairing}":
-        "e2a0bbe88a907567d0cb8eeba75c3b5b9c299a3c4b8173176e9299fee3a98257",
+        (0, {"json": "e2a0bbe88a907567d0cb8eeba75c3b5b9c299a3c4b8173176e9299fee3a98257"}),
+    # the first golden past genus 2 on the gluing path
+    "fibersum --a {p31} --b {p32} --genus 3 --pairing {pairing}":
+        (0, {"json": "922ba7b509d5b952827b47cb724cba6da07f179cecd255357fab9ba307ebb42d"}),
+    # a product passes the congruence along its genus-2 factor; the middle
+    # classes of a torus-factor product fail it along the genus-3 factor
+    "congruence --series {p23} --sigma 1,0 --genus 2":
+        (0, {"text": "fef5f80ce468557394ecdcc029aab2ce4c7c2eb750f055edd2bcc7445e2160c2",
+             "json": "7a9fa3e4d72c4b0952d9be9b46af2c3dba1f93a28fe9251f7ed154a5a10e3fa7"}),
+    "congruence --series {p13} --sigma 0,1 --genus 3":
+        (2, {"text": "85033c7b165a61e236f5f7eab5f347ae59074a59b65e9d3bd763f5ac9e371a6b",
+             "json": "c0e5100170bdf903992137c90a59bf19016d4cbd3ef2668b6de385ec4fa90621"}),
 }
 
 
 @pytest.mark.parametrize("command", sorted(SERIES_GOLDEN))
 def test_series_stdout_digest(command, capsys, tmp_path):
     files = {"raw": UNNORMALIZED_SERIES}
-    for g, h in ((1, 2), (1, 3), (2, 1), (2, 2), (2, 3), (3, 4), (1, 10), (1, 12)):
+    for g, h in ((1, 2), (1, 3), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 4), (1, 10), (1, 12)):
         files[f"p{g}{h}"] = product_series(g, h).to_json()
     names = {}
     for name, obj in files.items():
@@ -161,6 +172,8 @@ def test_series_stdout_digest(command, capsys, tmp_path):
         names[name].write_text(json.dumps(obj))
     argv = [arg.format(**names, pairing=json.dumps(PRODUCT_SUM_PAIRING))
             for arg in command.split()]
-    assert cli.main(["donaldson", *argv, "--format", "json"]) == cli.EXIT_OK
-    out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode()).hexdigest() == SERIES_GOLDEN[command]
+    code, digests = SERIES_GOLDEN[command]
+    for fmt, digest in digests.items():
+        assert cli.main(["donaldson", *argv, "--format", fmt]) == code
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, fmt

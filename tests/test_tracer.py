@@ -9,7 +9,8 @@ The output checker (perfbench/verify.py) lists the claims by name and wants
 one PASS line for each, so a renamed claim, or claim text it rejects, would
 mark every `check` job as incorrect.  It also rebuilds the level rings and
 their characteristic polynomials with sympy, and the output of the ring-g6
-job must pass that check.
+job must pass that check, as must every series-eval job against the closed
+form of the product series.
 """
 
 import json
@@ -71,5 +72,34 @@ def test_verifier_accepts_the_ring_g6_output(capsys):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "perfbench"), PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run([sys.executable, "-c", script], input=text, cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
+
+
+def test_verifier_accepts_the_series_eval_output(tmp_path):
+    # the round jobs of seeds 1..3, each argv run through the CLI and its
+    # output checked as perfbench/run.py checks it
+    script = """
+import contextlib, io, json, sys
+from pathlib import Path
+import verify, workloads
+from floercas import cli
+problems = []
+for seed in (1, 2, 3):
+    workdir = Path(sys.argv[1]) / str(seed)
+    workdir.mkdir()
+    for job in workloads.round_jobs("series-eval", seed, workdir):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(list(job.argv))
+        problems += [[seed, job.key, p]
+                     for p in verify.check(job, out.getvalue(), code, verify.LevelOracle())]
+print(json.dumps(problems))
+"""
+    # no bytecode is written, so the imports leave nothing behind in perfbench/
+    path = os.pathsep.join([str(ROOT / "perfbench"), str(ROOT / "src")])
+    env = dict(os.environ, PYTHONPATH=path, PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == []
