@@ -13,10 +13,9 @@ Elimination is one integer Gauss-Jordan: a row is cleared by
 cross-multiplying with the pivot row and divided by its content; only
 Matrix.rref divides out the pivots, and Matrix.rank just counts them.
 Products are integer sums over the product of the denominators.  A
-characteristic polynomial eliminates nothing: it is the product of those
-of the diagonal blocks that the strongly connected components of the
-nonzero entries give, each from Berkowitz's division-free recurrence on
-the block's integer rows (see Matrix.charpoly).
+characteristic polynomial eliminates nothing: it is Berkowitz's
+division-free recurrence on the whole matrix's integer rows, rescaled
+once by the denominator (see Matrix.charpoly).
 
 The largest matrices are those `check` reads whole: at --max-genus 10,
 gamma on F_12 (364 x 364) and its square, and the matrices of F_10
@@ -231,88 +230,20 @@ class Matrix:
     def charpoly(self) -> "UniPoly":
         """Monic characteristic polynomial det(x*I - A).
 
-        The strongly connected components of the graph with an edge i -> j
-        for each nonzero entry A[i][j] order the rows and columns so that A
-        becomes block upper triangular, and det(x*I - A) is the product of
-        det(x*I - B) over its diagonal blocks B; a matrix with one component
-        is one block.  With C = den A the integer matrix `nums`, det(x*I -
-        A) = den^-n det(den x*I - C), so coefficient k is coefficient k of
-        C's polynomial over den^(n-k).  That polynomial is the product of
-        those of C's diagonal blocks, each from `_berkowitz`, and only the
-        output coefficients are Fractions.
+        With C = den A the integer matrix `nums`, det(x*I - A) = den^-n
+        det(den x*I - C), so coefficient k is coefficient k of C's
+        polynomial, from `_berkowitz` over the whole matrix, divided by
+        den^(n-k); only the output coefficients are Fractions.
         """
         if self.nrows != self.ncols:
             raise ValueError("characteristic polynomial of a non-square matrix")
-        nums = self.nums
-        num = [1]
-        for comp in _strong_components([[j for j, a in enumerate(r) if a] for r in nums]):
-            block = _berkowitz([[nums[i][j] for j in comp] for i in comp])
-            out = [0] * (len(num) + len(block) - 1)
-            for j, c in enumerate(block):
-                if c:
-                    for i, a in enumerate(num):
-                        out[i + j] += a * c
-            num = out
         n, den = self.nrows, self.den
-        return UniPoly([Fraction(c, den ** (n - k)) for k, c in enumerate(num)])
+        return UniPoly([Fraction(c, den ** (n - k)) for k, c in enumerate(_berkowitz(self.nums))])
 
 
-def _strong_components(adj: list) -> list:
-    """Strongly connected components of the graph with edges i -> j for j
-    in adj[i], each a sorted list of vertices.
-
-    Tarjan's algorithm with an explicit stack of (vertex, edge iterator)
-    frames in place of recursion, so a long path of edges does not reach
-    Python's recursion limit.
-    """
-    n = len(adj)
-    index = [-1] * n  # discovery order, -1 while unvisited
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    comps = []
-    counter = 0
-    for root in range(n):
-        if index[root] >= 0:
-            continue
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack[root] = True
-        frames = [(root, iter(adj[root]))]
-        while frames:
-            v, edges = frames[-1]
-            for w in edges:
-                if index[w] < 0:
-                    index[w] = low[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack[w] = True
-                    frames.append((w, iter(adj[w])))
-                    break
-                if on_stack[w] and index[w] < low[v]:
-                    low[v] = index[w]
-            else:
-                # every edge of v is done: pass low[v] up, and pop its
-                # component if v is the first vertex of it that was found
-                frames.pop()
-                if frames and low[v] < low[frames[-1][0]]:
-                    low[frames[-1][0]] = low[v]
-                if low[v] == index[v]:
-                    comp = []
-                    while True:
-                        w = stack.pop()
-                        on_stack[w] = False
-                        comp.append(w)
-                        if w == v:
-                            break
-                    comps.append(sorted(comp))
-    return comps
-
-
-def _berkowitz(rows: list) -> list:
+def _berkowitz(rows) -> list:
     """Coefficients, lowest degree first, of det(x*I - C) for the square
-    list of int rows C, with integer products and sums only.
+    sequence of int rows C, with integer products and sums only.
 
     Berkowitz's recurrence (Inf. Process. Lett. 18, 1984): with C_k the
     leading k x k block, R its row k left of the diagonal, S its column k
@@ -456,9 +387,6 @@ def _strip(p: list, factor: list) -> tuple:
     `_exact_quotient` decides.  Evaluating p at the root of a linear factor
     first made factor_over_candidates slower, so it is not done.
     """
-    if factor == (0, 1):  # x divides p as often as p has zero low coefficients
-        mult = next(k for k, c in enumerate(p) if c)
-        return mult, p[mult:]
     mult = 0
     while len(p) >= len(factor):
         quotient = _exact_quotient(p, factor)

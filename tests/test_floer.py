@@ -337,6 +337,21 @@ class TestBlocks:
 
 
 @pytest.fixture
+def charpoly_sizes(monkeypatch):
+    """The sizes of the matrices whose characteristic polynomials are
+    taken while the test runs, in call order."""
+    sizes = []
+    charpoly = Matrix.charpoly
+
+    def spy(matrix):
+        sizes.append(matrix.nrows)
+        return charpoly(matrix)
+
+    monkeypatch.setattr(Matrix, "charpoly", spy)
+    return sizes
+
+
+@pytest.fixture
 def fresh_level_blocks():
     """level_block's cache emptied before and after: a test that corrupts
     its inputs must build the records it checks, and leave none behind."""
@@ -439,25 +454,28 @@ class TestLevelBlocks:
         assert out == "" and err == f"falsified: {message}\n"
 
     def test_ring_and_eigen_build_no_multiplication_matrix(self, monkeypatch, capsys,
-                                                          fresh_level_blocks):
-        sizes = []
-        charpoly = Matrix.charpoly
-
-        def spy(matrix):
-            sizes.append(matrix.nrows)
-            return charpoly(matrix)
-
+                                                          fresh_level_blocks, charpoly_sizes):
         def no_mult_matrix(ring, var):
             raise AssertionError("a multiplication matrix was built")
 
-        monkeypatch.setattr(Matrix, "charpoly", spy)
         monkeypatch.setattr(QuotientRing, "mult_matrix", no_mult_matrix)
         for argv in (["ring", "--genus", "6", "--format", "json"],
                      ["eigen", "--object", "F", "--r", "6"]):
             level_block.cache_clear()
-            sizes.clear()
+            charpoly_sizes.clear()
             assert cli.main(argv) == cli.EXIT_OK
-            assert sizes and max(sizes) <= 6, (argv, sizes)
+            assert charpoly_sizes and max(charpoly_sizes) <= 6, (argv, charpoly_sizes)
+        capsys.readouterr()
+
+    def test_check_takes_no_charpoly_past_the_genus_bound(self, capsys, fresh_level_blocks,
+                                                          charpoly_sizes):
+        # Matrix.charpoly runs Berkowitz over the whole matrix, which is
+        # cheap only while every matrix stays small: check --max-genus N
+        # takes none larger than max(N + 3, 2N - 1): the socle quotients of
+        # level r <= N + 2 have dimension r + 1, and the reduced rings of
+        # genus g <= N dimension 2g - 1
+        assert cli.main(["check", "--max-genus", "6"]) == cli.EXIT_OK
+        assert max(charpoly_sizes) == max(6 + 3, 2 * 6 - 1) == 11
         capsys.readouterr()
 
 

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from floercas.exactalg import GaussianRational as GR
 from floercas.floer import gamma_quotient_ring, invariant_ring
-from floercas.linalg import Matrix, UniPoly, _berkowitz, _strong_components
+from floercas.linalg import Matrix, UniPoly
 
 from elimination import assert_canonical, eigen_reports, from_columns, induced_action, kernel_basis
 
@@ -151,22 +151,12 @@ def test_matmul_shape_mismatch():
         Matrix([[1, 2]]) @ Matrix([[1, 2]])
 
 
-def whole(m: Matrix) -> list:
-    """Coefficients of det(x*I - m) from Berkowitz over the whole matrix,
-    unsplit: the integer rows over their one denominator e, and coefficient
-    k of their polynomial over e^(n-k)."""
-    cp = _berkowitz([list(r) for r in m.nums])
-    return [sympy.Rational(c, m.den ** (m.nrows - k)) for k, c in enumerate(cp)]
-
-
 def test_pivot_swap_and_pivot_free_column():
     # row 1 is zero and column 0 has its only entry below the diagonal in
     # row 2, so the recurrence meets zero rows R and columns S of the leading
-    # blocks.  Matrix.charpoly splits this matrix into four 1 x 1 blocks, so
-    # the recurrence runs unsplit too
+    # blocks
     m = Matrix([[1, 5, 0, 2], [0, 0, 0, 0], [3, 0, Fraction(1, 2), 0], [0, 0, 0, -2]])
-    assert len(_strong_components([[j for j, a in enumerate(r) if a] for r in m.rows])) == 4
-    assert ours(m) == whole(m) == sympy_charpoly(m)
+    assert ours(m) == sympy_charpoly(m)
 
 
 @st.composite
@@ -189,7 +179,7 @@ def permuted_block_triangular(draw):
 @settings(max_examples=80, deadline=None)
 @given(permuted_block_triangular())
 def test_block_charpolys_match_sympy_and_the_unsplit_reduction(m):
-    assert ours(m) == whole(m) == sympy_charpoly(m)
+    assert ours(m) == sympy_charpoly(m)
 
 
 def test_entries_of_very_different_heights():
@@ -203,25 +193,23 @@ def test_entries_of_very_different_heights():
             [3, 0, 1, Fraction(1, 5)],
         ]
     )
-    assert _strong_components([[j for j, a in enumerate(r) if a] for r in m.rows]) == [[0, 1, 2, 3]]
-    assert ours(m) == whole(m) == sympy_charpoly(m)
+    assert ours(m) == sympy_charpoly(m)
 
 
 def test_charpoly_fixed_cases():
-    # no rows: the empty product
+    # no rows: the polynomial 1
     assert Matrix([], 0).charpoly() == UniPoly([1])
-    # the zero matrix is four 1 x 1 blocks: x^4
+    # the zero matrix: x^4
     assert Matrix([[0] * 4] * 4).charpoly() == UniPoly([0, 0, 0, 0, 1])
     # a diagonal matrix: one linear factor per entry
     d = [Fraction(-1, 3), 2, 4]
     diag = Matrix([[d[i] if i == j else 0 for j in range(3)] for i in range(3)])
     assert diag.charpoly() == UniPoly([-d[0], 1]) * UniPoly([-d[1], 1]) * UniPoly([-d[2], 1])
-    # the cyclic permutation 0 -> 1 -> ... -> 4 -> 0 is one irreducible block
+    # the cyclic permutation 0 -> 1 -> ... -> 4 -> 0: x^5 - 1
     cyc = Matrix([[1 if j == (i + 1) % 5 else 0 for j in range(5)] for i in range(5)])
-    assert _strong_components([[(i + 1) % 5] for i in range(5)]) == [[0, 1, 2, 3, 4]]
     assert cyc.charpoly() == UniPoly([-1, 0, 0, 0, 0, 1])
-    # one irreducible block whose rows are over 3, 5 and 7: its numerators
-    # over the one d = 105, and coefficient k rescaled by d^(k-3)
+    # rows over 3, 5 and 7: the numerators over the one d = 105, and
+    # coefficient k rescaled by d^(k-3)
     mixed = Matrix(
         [
             [Fraction(1, 3), Fraction(2, 3), 1],
@@ -230,16 +218,7 @@ def test_charpoly_fixed_cases():
         ]
     )
     assert mixed.den == 105
-    assert _strong_components([[j for j, a in enumerate(r) if a] for r in mixed.nums]) == [[0, 1, 2]]
-    assert ours(mixed) == whole(mixed) == sympy_charpoly(mixed)
-
-
-def test_strong_components_need_no_recursion():
-    # a path and a cycle far deeper than Python's recursion limit
-    n = 5000
-    path = [[i + 1] for i in range(n - 1)] + [[]]
-    assert _strong_components(path) == [[i] for i in range(n - 1, -1, -1)]
-    assert _strong_components([[(i + 1) % n] for i in range(n)]) == [list(range(n))]
+    assert ours(mixed) == sympy_charpoly(mixed)
 
 
 # -- the integer engine against the Fraction Gauss-Jordan it replaced --------
