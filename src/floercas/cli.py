@@ -26,7 +26,6 @@ from math import factorial
 
 from . import donaldson
 from .exactalg import DEFAULT_ORDER, FalsificationError, to_integers
-from .linalg import EigenReport
 
 EXIT_OK = 0
 EXIT_USAGE = 1

@@ -14,13 +14,12 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations
 from math import comb
-from operator import sub
 from typing import NamedTuple
 
 from .exactalg import FalsificationError, GaussianRational, rational
 from .groebner import VAR_NAMES, QuotientRing
 from .linalg import EigenReport, Matrix, UniPoly, factor_over_candidates
-from .poly import ALPHA, BETA, GAMMA, Monomial, SparsePoly, grlex_key
+from .poly import ALPHA, BETA, GAMMA, VARIABLES, SparsePoly, divides, monomial, render_monomial
 
 FLAVORS = ("q", "R", "Rbar")
 
@@ -150,21 +149,17 @@ def monomial_simplex(r: int, nvars: int = 3) -> list:
     for a in range(r):
         for b in range(r - a):
             if nvars == 2:
-                out.append(Monomial(a, b, 0))
+                out.append(monomial(a, b, 0))
             else:
                 for c in range(r - a - b):
-                    out.append(Monomial(a, b, c))
-    out.sort(key=grlex_key)
+                    out.append(monomial(a, b, c))
+    out.sort()
     return out
 
 
 # ---------------------------------------------------------------------------
 # the top layer of each level: one r x r block, and the spectra of F_r and
 # Fbar_r from the blocks of levels 1..r
-
-
-#: the monomials alpha, beta, gamma
-_VAR_MONOMIALS = (Monomial(1, 0, 0), Monomial(0, 1, 0), Monomial(0, 0, 1))
 
 
 class LevelBlock(NamedTuple):
@@ -223,23 +218,25 @@ def level_block(obj: str, r: int) -> LevelBlock:
         if any(ring.normal_form(GAMMA * p) for p in _level_generators(obj, r - 1)):
             raise FalsificationError(
                 f"gamma times the level-{r - 1} relations of F is not in the ideal of level {r}")
-        gamma = _VAR_MONOMIALS[2]
+        gamma = VARIABLES[2]
         for g in level_ring(obj, r - 2).gb.generators if r >= 2 else ():
             n = g.leading_monomial()
-            if {m.mul(gamma): c for m, c in g.terms.items()} != gens.get(n.mul(gamma)):
+            if {m + gamma: c for m, c in g.terms.items()} != gens.get(n + gamma):
                 raise FalsificationError(
-                    f"gamma times the level-{r - 2} Groebner element of F led by {n.render()}"
-                    f" is not the level-{r - 1} one")
+                    f"gamma times the level-{r - 2} Groebner element of F led by"
+                    f" {render_monomial(n)} is not the level-{r - 1} one")
     upper = {g.leading_monomial(): g.terms for g in ring.gb.generators}
-    free = [Monomial(a, r - 1 - a, 0) for a in range(r)]
+    free = [monomial(a, r - 1 - a, 0) for a in range(r)]
     blocks = {}
-    for name, x in zip(VAR_NAMES, _VAR_MONOMIALS):
+    for name, x in zip(VAR_NAMES, VARIABLES):
         rows = []
         for n in free:
-            # x tail(g_m) meets n in the term of g_m at q = n / x; where x does
-            # not divide n, q has a negative exponent and g_m no term there
-            q = tuple(map(sub, n, x))
-            rows.append([gens[m].get(q, 0) - upper.get(m.mul(x), {}).get(n, 0) for m in free])
+            # x tail(g_m) meets n in the term of g_m at q = n / x, which is a
+            # monomial only where x divides n; elsewhere g_m has no term
+            # there (q = None), and n - x is no monomial but a borrow across
+            # exponent fields
+            q = n - x if divides(x, n) else None
+            rows.append([gens[m].get(q, 0) - upper.get(m + x, {}).get(n, 0) for m in free])
         blocks[name] = Matrix(rows, r)
     charpolys = {name: m.charpoly() for name, m in blocks.items()}
     cands = default_candidates(r)

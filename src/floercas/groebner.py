@@ -11,18 +11,16 @@ no pair on any ideal the program builds, and is left out.  The returned
 basis is reduced, monic and sorted, hence canonical, so which pairs are
 reduced never shows in it.  The term order is grlex throughout.
 
-The engine runs on integers.  A monomial is packed into one int: its total
-degree above its three exponents, each exponent in a field of `_BITS` bits
-whose top bit is a guard.  The integer order of packed monomials is grlex,
-a product is a sum, and m is divisible by d exactly when no guard bit of
-m + _GUARD - d is cleared, one masked add.  Packing refuses an exponent of
-2^15 or more, and so does Buchberger for a new basis element, so no field
-can overflow inside a reduction (a reduction never raises the total
+The engine runs on integers, with the monomials of poly: ints whose
+integer order is grlex, multiplied by adding and divided by subtracting.
+`monomial` and products refuse an exponent of 2^15 or more, and so does
+Buchberger for a new basis element (an S-polynomial can reach 2^16), so no
+field can overflow inside a reduction (a reduction never raises the total
 degree, which stays below 3 * 2^15).
 
 A divisor is a polynomial made primitive over Z and split as (lm, lc,
-tail, _GUARD - lm).  Reduction runs on a mutable map from packed monomials
-to integer coefficients, with a max-heap to find the next largest term, and
+tail, GUARD - lm).  Reduction runs on a mutable map from monomials to
+integer coefficients, with a max-heap to find the next largest term, and
 with a scale: where lc does not divide the coefficient c to cancel, the
 map and the remainder so far are multiplied by lc / gcd(c, lc) first.  So
 the remainder is the Q-remainder times the scale.  Buchberger needs
@@ -43,61 +41,26 @@ from typing import NamedTuple, Sequence
 
 from .exactalg import to_integers
 from .linalg import Matrix
-from .poly import Monomial, SparsePoly
+from .poly import BITS, DEG, FIELD, GUARD, VARIABLES, WIDE, SparsePoly, divides, exponents, monomial
 
 VAR_NAMES = ("alpha", "beta", "gamma")
 
-# -- packed monomials -------------------------------------------------------
-
-#: width of one exponent field; exponents enter below 2^15 and stay below
-#: 3 * 2^15 inside a reduction, under the guard bit at the top of the field
-_BITS = 18
-_FIELD = (1 << _BITS) - 1
-#: the total degree sits above the three exponent fields
-_DEG = 3 * _BITS
-_GUARD = sum(1 << (k * _BITS + _BITS - 1) for k in range(3))
-#: bits of an exponent of 2^15 or more
-_WIDE = sum(7 << (k * _BITS + 15) for k in range(3))
-
-
-def _packed(a: int, b: int, c: int) -> int:
-    return (a + b + c) << _DEG | a << 2 * _BITS | b << _BITS | c
-
-
-#: the packed variables alpha, beta, gamma
-_VARS = (_packed(1, 0, 0), _packed(0, 1, 0), _packed(0, 0, 1))
-
-
-def _pack(m: Monomial) -> int:
-    a, b, c = m
-    if a >> 15 or b >> 15 or c >> 15:
-        raise ValueError(f"exponent of {m.render()} is 2^15 or more")
-    return _packed(a, b, c)
-
-
-def _unpack(k: int) -> Monomial:
-    return Monomial(k >> 2 * _BITS & _FIELD, k >> _BITS & _FIELD, k & _FIELD)
-
-
-def _divides(d: int, m: int) -> bool:
-    return (m + _GUARD - d) & _GUARD == _GUARD
-
 
 def _lcm(x: int, y: int) -> int:
-    a = max(x >> 2 * _BITS & _FIELD, y >> 2 * _BITS & _FIELD)
-    b = max(x >> _BITS & _FIELD, y >> _BITS & _FIELD)
-    return _packed(a, b, max(x & _FIELD, y & _FIELD))
+    a = max(x >> 2 * BITS & FIELD, y >> 2 * BITS & FIELD)
+    b = max(x >> BITS & FIELD, y >> BITS & FIELD)
+    return monomial(a, b, max(x & FIELD, y & FIELD))
 
 
 def _integer_terms(p: SparsePoly) -> tuple:
-    """(terms, den): the terms of p packed and scaled by den, the lcm of
-    their denominators."""
+    """(terms, den): the terms of p scaled by den, the lcm of their
+    denominators."""
     ints, den = to_integers(p.terms.values())
-    return dict(zip(map(_pack, p.terms), ints)), den
+    return dict(zip(p.terms, ints)), den
 
 
 def _divisor(r: dict) -> tuple:
-    """The divisor (lm, lc, tail, _GUARD - lm) of the nonzero integer term
+    """The divisor (lm, lc, tail, GUARD - lm) of the nonzero integer term
     map r, whose first key is its leading monomial: r made primitive, with a
     positive leading coefficient."""
     lm = next(iter(r))
@@ -105,13 +68,13 @@ def _divisor(r: dict) -> tuple:
     if r[lm] < 0:
         content = -content
     tail = tuple((m, c // content) for m, c in r.items() if m != lm)
-    return (lm, r[lm] // content, tail, _GUARD - lm)
+    return (lm, r[lm] // content, tail, GUARD - lm)
 
 
 def _monic(r: dict) -> SparsePoly:
     """The nonzero integer term map r, first key leading, made monic over Q."""
     lc = next(iter(r.values()))
-    return SparsePoly({_unpack(m): Fraction(c, lc) for m, c in r.items()})
+    return SparsePoly({m: Fraction(c, lc) for m, c in r.items()})
 
 
 class InfiniteStaircaseError(ValueError):
@@ -128,7 +91,7 @@ class GroebnerBasis(NamedTuple):
     """Reduced monic Groebner basis, generators sorted by leading monomial.
 
     divisors holds each generator as the primitive integer divisor (lm, lc,
-    tail, _GUARD - lm) that reduction reads.  They are a function of the
+    tail, GUARD - lm) that reduction reads.  They are a function of the
     generators, so comparing them too leaves equality unchanged.
     """
 
@@ -166,7 +129,7 @@ def _reduce(work: dict, divisors: Sequence[tuple]) -> tuple:
         if c is None:
             continue
         for d in divisors:
-            if (m + d[3]) & _GUARD == _GUARD:
+            if (m + d[3]) & GUARD == GUARD:
                 break
         else:
             rem[m] = c
@@ -202,7 +165,7 @@ def normal_form(p: SparsePoly, gb: GroebnerBasis) -> SparsePoly:
     """Unique remainder of p modulo the ideal of gb."""
     work, den = _integer_terms(p)
     rem, scale = _reduce(work, gb.divisors)
-    return SparsePoly({_unpack(m): Fraction(c, scale * den) for m, c in rem.items()})
+    return SparsePoly({m: Fraction(c, scale * den) for m, c in rem.items()})
 
 
 def _update_pairs(basis, sugar, pairs, lm, s):
@@ -218,8 +181,8 @@ def _update_pairs(basis, sugar, pairs, lm, s):
     chain criterion on old pairs, and retiring basis elements from pairing)
     dropped and retired nothing, so it is left out.
 
-    Monomials are packed (the lcm of two is their product exactly when they
-    are coprime), and a pair is (sugar, lcm, i, j).
+    The lcm of two monomials is their product exactly when they are
+    coprime, and a pair is (sugar, lcm, i, j).
     """
     k, by_lcm = len(basis), {}  # lcm -> the indices i of the new pairs (i, k) with it
     for i, d in enumerate(basis):
@@ -228,15 +191,15 @@ def _update_pairs(basis, sugar, pairs, lm, s):
     # an lcm needs testing only against the least ones found before it
     least: list = []
     for l in sorted(by_lcm):
-        lg = l + _GUARD
-        if any((lg - o) & _GUARD == _GUARD for o in least):
+        lg = l + GUARD
+        if any((lg - o) & GUARD == GUARD for o in least):
             continue
         least.append(l)
         indices = by_lcm[l]
         if any(l == basis[i][0] + lm for i in indices):
             continue
         i = indices[0]
-        s_pair = max(sugar[i] + ((l - basis[i][0]) >> _DEG), s + ((l - lm) >> _DEG))
+        s_pair = max(sugar[i] + ((l - basis[i][0]) >> DEG), s + ((l - lm) >> DEG))
         heappush(pairs, (s_pair, l, i, k))
 
 
@@ -252,12 +215,12 @@ def buchberger(gens: Sequence[SparsePoly]) -> GroebnerBasis:
     if not work:
         raise ValueError("no nonzero generators")
 
-    basis: list[tuple] = []  # primitive divisors (lm, lc, tail, _GUARD - lm)
+    basis: list[tuple] = []  # primitive divisors (lm, lc, tail, GUARD - lm)
     sugar: list[int] = []
     pairs: list[tuple] = []  # heap of (sugar, lcm, i, j)
 
     def add_poly(r: dict, s: int):
-        if any(m & _WIDE for m in r):
+        if any(m & WIDE for m in r):
             raise ValueError("exponent of a basis element is 2^15 or more")
         d = _divisor(r)
         _update_pairs(basis, sugar, pairs, d[0], s)
@@ -267,7 +230,7 @@ def buchberger(gens: Sequence[SparsePoly]) -> GroebnerBasis:
     for g in sorted(work, key=max):
         r, _ = _reduce(g, basis)
         if r:
-            add_poly(r, next(iter(r)) >> _DEG)
+            add_poly(r, next(iter(r)) >> DEG)
 
     while pairs:
         _, l, i, j = heappop(pairs)
@@ -289,13 +252,13 @@ def buchberger(gens: Sequence[SparsePoly]) -> GroebnerBasis:
                 spoly[t] = d - c
         r, _ = _reduce(spoly, basis)
         if r:
-            s_new = max(sugar[i] + (ui >> _DEG), sugar[j] + (uj >> _DEG), next(iter(r)) >> _DEG)
+            s_new = max(sugar[i] + (ui >> DEG), sugar[j] + (uj >> DEG), next(iter(r)) >> DEG)
             add_poly(r, s_new)
 
     # minimalize: drop generators whose leading monomial another one divides
     minimal: list[tuple] = []
     for d in sorted(basis, key=lambda d: d[0]):
-        if not any(_divides(h[0], d[0]) for h in minimal):
+        if not any(divides(h[0], d[0]) for h in minimal):
             minimal.append(d)
 
     # inter-reduce tails; leading monomials are already pairwise indivisible,
@@ -316,10 +279,10 @@ def staircase_basis(gb: GroebnerBasis) -> tuple:
     among the leading monomials; otherwise InfiniteStaircaseError names a
     witness variable.
     """
-    lms = gb.leading_monomials()
+    lms = [exponents(m) for m in gb.leading_monomials()]
     bounds = []
     for v in range(3):
-        pure = [m[v] for m in lms if all(m[w] == 0 for w in range(3) if w != v)]
+        pure = [e[v] for e in lms if sum(e) == e[v]]
         if not pure:
             raise InfiniteStaircaseError(VAR_NAMES[v])
         bounds.append(min(pure))
@@ -331,15 +294,15 @@ def staircase_basis(gb: GroebnerBasis) -> tuple:
         for b in range(bounds[1]):
             c = 0
             while c < bounds[2]:
-                m = _packed(a, b, c)
-                if any((m + g) & _GUARD == _GUARD for g in guards):
+                m = monomial(a, b, c)
+                if any((m + g) & GUARD == GUARD for g in guards):
                     break
                 out.append(m)
                 c += 1
             if c == 0:
                 break
     out.sort()
-    return tuple(map(_unpack, out))
+    return tuple(out)
 
 
 class QuotientRing:
@@ -355,8 +318,8 @@ class QuotientRing:
     def __init__(self, gb: GroebnerBasis):
         object.__setattr__(self, "gb", gb)
         object.__setattr__(self, "basis", staircase_basis(gb))
-        # packed staircase monomial -> its index in the basis
-        object.__setattr__(self, "_index", {_pack(m): i for i, m in enumerate(self.basis)})
+        # staircase monomial -> its index in the basis
+        object.__setattr__(self, "_index", {m: i for i, m in enumerate(self.basis)})
         object.__setattr__(self, "_mult", {})
 
     def __setattr__(self, name, value):
@@ -380,7 +343,7 @@ class QuotientRing:
         if isinstance(var, str):
             var = VAR_NAMES.index(var)
         if var not in self._mult:
-            x = _VARS[var]
+            x = VARIABLES[var]
             index, divisors = self._index, self.gb.divisors
             cols = []
             for m in index:
@@ -400,6 +363,6 @@ class QuotientRing:
     def to_json(self) -> dict:
         return {
             "groebner_basis": self.gb.to_json(),
-            "staircase": [list(m) for m in self.basis],
+            "staircase": [list(exponents(m)) for m in self.basis],
             "dim": self.dim,
         }

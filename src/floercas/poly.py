@@ -6,6 +6,16 @@ undeformed ring — same arithmetic, different display name).  Coefficients
 lie in Q, as rationals (`fractions.Fraction`): every relation of the theory
 is real, and the constructor refuses a coefficient with a nonzero imaginary
 part.
+
+A monomial is one int: its total degree above its three exponents, each
+exponent in a field of `BITS` bits whose top bit is a guard.  The integer
+order of monomials is grlex, the one term order (total degree, then lex
+with alpha > beta > gamma), a product is a sum, and m is divisible by d
+exactly when no guard bit of m + GUARD - d is cleared, one masked add.
+`monomial` refuses an exponent of 2^15 or more, and so does a product, so
+two exponents add without reaching a guard bit; the Groebner engine relies
+on that bound too (see groebner).  Exponents are read back only to print
+or grade a monomial, and to bound a staircase.
 """
 
 from __future__ import annotations
@@ -16,41 +26,54 @@ from typing import Iterable
 
 from .exactalg import Q_ONE, rational, rational_json, render_terms
 
-
-class Monomial(tuple):
-    """Exponent triple (e_alpha, e_beta, e_gamma)."""
-
-    __slots__ = ()
-
-    def __new__(cls, ea: int = 0, eb: int = 0, ec: int = 0):
-        if ea < 0 or eb < 0 or ec < 0:
-            raise ValueError("negative exponent")
-        return tuple.__new__(cls, (ea, eb, ec))
-
-    @property
-    def weighted_degree(self) -> int:
-        return 2 * self[0] + 4 * self[1] + 6 * self[2]
-
-    def mul(self, other: "Monomial") -> "Monomial":
-        return Monomial(self[0] + other[0], self[1] + other[1], self[2] + other[2])
-
-    def render(self, names=("alpha", "beta", "gamma")) -> str:
-        parts = []
-        for e, name in zip(self, names):
-            if e == 1:
-                parts.append(name)
-            elif e > 1:
-                parts.append(f"{name}^{e}")
-        return "*".join(parts) if parts else "1"
+#: width of one exponent field; exponents enter below 2^15 and stay below
+#: 3 * 2^15 inside a Groebner reduction, under the guard bit at the top
+BITS = 18
+FIELD = (1 << BITS) - 1
+#: the total degree sits above the three exponent fields
+DEG = 3 * BITS
+GUARD = sum(1 << (k * BITS + BITS - 1) for k in range(3))
+#: bits of an exponent of 2^15 or more
+WIDE = sum(7 << (k * BITS + 15) for k in range(3))
 
 
-MONOMIAL_ONE = Monomial(0, 0, 0)
+def monomial(a: int = 0, b: int = 0, c: int = 0) -> int:
+    """The monomial alpha^a beta^b gamma^c."""
+    if a < 0 or b < 0 or c < 0:
+        raise ValueError("negative exponent")
+    if a >> 15 or b >> 15 or c >> 15:
+        raise ValueError(f"exponent of alpha^{a}*beta^{b}*gamma^{c} is 2^15 or more")
+    return (a + b + c) << DEG | a << 2 * BITS | b << BITS | c
 
 
-def grlex_key(m: Monomial) -> tuple:
-    """Sort key of grlex, the one term order: total degree, then lex with
-    alpha > beta > gamma.  A bigger key is a bigger monomial."""
-    return (m[0] + m[1] + m[2], m[0], m[1], m[2])
+def exponents(m: int) -> tuple:
+    """The exponent triple (a, b, c) of m."""
+    return (m >> 2 * BITS & FIELD, m >> BITS & FIELD, m & FIELD)
+
+
+def divides(d: int, m: int) -> bool:
+    """Whether d divides m."""
+    return (m + GUARD - d) & GUARD == GUARD
+
+
+def weighted_degree(m: int) -> int:
+    """The cohomological degree of m: alpha, beta, gamma weigh 2, 4, 6."""
+    a, b, c = exponents(m)
+    return 2 * a + 4 * b + 6 * c
+
+
+def render_monomial(m: int, names=("alpha", "beta", "gamma")) -> str:
+    parts = []
+    for e, name in zip(exponents(m), names):
+        if e == 1:
+            parts.append(name)
+        elif e > 1:
+            parts.append(f"{name}^{e}")
+    return "*".join(parts) if parts else "1"
+
+
+#: the monomials alpha, beta, gamma
+VARIABLES = (monomial(1, 0, 0), monomial(0, 1, 0), monomial(0, 0, 1))
 
 
 class SparsePoly:
@@ -65,15 +88,14 @@ class SparsePoly:
         """Sum the (monomial, coefficient) pairs of terms; zero sums are dropped.
 
         This is the one place that merges terms: sums and products hand
-        their unmerged pairs to it.  Coefficients go through
+        their unmerged pairs to it.  The monomials are ints made by
+        `monomial` or by products of them.  Coefficients go through
         exactalg.rational, so a nonreal one raises TypeError.
         """
         if isinstance(terms, dict):
             terms = terms.items()
         acc: dict = {}
         for m, c in terms:
-            if not isinstance(m, Monomial):
-                m = Monomial(*m)
             c = rational(c)
             if m in acc:
                 c = acc[m] + c
@@ -81,9 +103,7 @@ class SparsePoly:
                 acc[m] = c
             elif m in acc:
                 del acc[m]
-        object.__setattr__(
-            self, "terms", dict(sorted(acc.items(), key=lambda mc: grlex_key(mc[0])))
-        )
+        object.__setattr__(self, "terms", dict(sorted(acc.items())))
 
     def __setattr__(self, name, value):
         raise AttributeError("SparsePoly is immutable")
@@ -95,13 +115,11 @@ class SparsePoly:
 
     @staticmethod
     def constant(c) -> "SparsePoly":
-        return SparsePoly({MONOMIAL_ONE: c})
+        return SparsePoly({0: c})  # 0 is the monomial 1
 
     @staticmethod
     def variable(i: int) -> "SparsePoly":
-        e = [0, 0, 0]
-        e[i] = 1
-        return SparsePoly({Monomial(*e): Q_ONE})
+        return SparsePoly({VARIABLES[i]: Q_ONE})
 
     @staticmethod
     def coerce(value) -> "SparsePoly":
@@ -127,11 +145,14 @@ class SparsePoly:
 
     def __mul__(self, other):
         other = SparsePoly.coerce(other)
-        return SparsePoly(
-            (m1.mul(m2), c1 * c2)
+        out = SparsePoly(
+            (m1 + m2, c1 * c2)
             for m1, c1 in self.terms.items()
             for m2, c2 in other.terms.items()
         )
+        if any(m & WIDE for m in out.terms):
+            raise ValueError("exponent of a product is 2^15 or more")
+        return out
 
     __rmul__ = __mul__
 
@@ -143,8 +164,9 @@ class SparsePoly:
         while n:
             if n & 1:
                 out = out * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return out
 
     # -- predicates / access ------------------------------------------------
@@ -165,25 +187,25 @@ class SparsePoly:
         """(monomial, coeff) pairs, descending in grlex."""
         return list(reversed(self.terms.items()))
 
-    def leading_monomial(self) -> Monomial:
+    def leading_monomial(self) -> int:
         if not self.terms:
             raise ValueError("zero polynomial has no leading monomial")
         return next(reversed(self.terms))
 
     def is_homogeneous(self, degree: int) -> bool:
         """Every term has the given weighted (cohomological) degree."""
-        return all(m.weighted_degree == degree for m in self.terms)
+        return all(weighted_degree(m) == degree for m in self.terms)
 
     def mod4_degree(self):
         """Common weighted degree class mod 4 of all terms, else None."""
-        classes = {m.weighted_degree % 4 for m in self.terms}
+        classes = {weighted_degree(m) % 4 for m in self.terms}
         if len(classes) > 1:
             return None
         return classes.pop() if classes else 0
 
     # -- rendering ----------------------------------------------------------
     def render(self, names=("alpha", "beta", "gamma")) -> str:
-        return render_terms((c, m.render(names)) for m, c in self.sorted_terms())
+        return render_terms((c, render_monomial(m, names)) for m, c in self.sorted_terms())
 
     def __str__(self) -> str:
         return self.render()
@@ -193,7 +215,9 @@ class SparsePoly:
 
     # -- serialization ---------------------------------------------------
     def to_json(self) -> dict:
-        return {"terms": [{"m": list(m), "c": rational_json(c)} for m, c in self.sorted_terms()]}
+        return {
+            "terms": [{"m": list(exponents(m)), "c": rational_json(c)} for m, c in self.sorted_terms()]
+        }
 
 
 ALPHA = SparsePoly.variable(0)

@@ -38,7 +38,7 @@ from floercas.checks import (
 from floercas.fukaya import delta_module
 from floercas.groebner import VAR_NAMES, GroebnerBasis, QuotientRing
 from floercas.linalg import Matrix, UniPoly, factor_over_candidates
-from floercas.poly import ALPHA, BETA, GAMMA, Monomial, SparsePoly
+from floercas.poly import ALPHA, BETA, GAMMA, SparsePoly, monomial, weighted_degree
 
 from elimination import (
     eigen_reports,
@@ -76,8 +76,8 @@ def thaddeus_pairing(g: int, m: int, n: int, p: int) -> Fraction:
 
 def top_weighted_part(p: SparsePoly) -> SparsePoly:
     """The terms of p of the largest weighted degree."""
-    top = max((m.weighted_degree for m in p.terms), default=0)
-    return SparsePoly({m: c for m, c in p.terms.items() if m.weighted_degree == top})
+    top = max(map(weighted_degree, p.terms), default=0)
+    return SparsePoly({m: c for m, c in p.terms.items() if weighted_degree(m) == top})
 
 
 class TestRelations:
@@ -124,9 +124,9 @@ class TestRelations:
     def test_leading_monomials(self):
         for r in range(1, 6):
             tri = relations("R", r)
-            assert tri.p1.leading_monomial() == (r, 0, 0)
-            assert tri.p2.leading_monomial() == (r - 1, 1, 0)
-            assert tri.p3.leading_monomial() == (r - 1, 0, 1)
+            assert tri.p1.leading_monomial() == monomial(r, 0, 0)
+            assert tri.p2.leading_monomial() == monomial(r - 1, 1, 0)
+            assert tri.p3.leading_monomial() == monomial(r - 1, 0, 1)
 
     def test_levels_match_the_recursion_from_zero(self):
         # relations builds each level from the cached one below; the oracle
@@ -154,7 +154,7 @@ class TestRelations:
             for n in range((3 * g - 3 - 3 * p) // 2 + 1):
                 m = 3 * g - 3 - 3 * p - 2 * n
                 c = thaddeus_pairing(g, m, n, p) / (2 ** (g - 1) * factorial(g))
-                nf = ring.normal_form(SparsePoly({Monomial(m, n, p): 1}))
+                nf = ring.normal_form(SparsePoly({monomial(m, n, p): 1}))
                 assert nf == c * socle, (g, m, n, p)
 
     def test_r_is_a_deformation_of_q(self):
@@ -187,7 +187,8 @@ class TestLevelRings:
             assert classical_ring(r).dim == comb(r + 2, 3)
 
     def test_staircase_level_two(self):
-        assert set(invariant_ring(2).basis) == {(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)}
+        assert set(invariant_ring(2).basis) == {
+            monomial(0, 0, 0), monomial(1, 0, 0), monomial(0, 1, 0), monomial(0, 0, 1)}
 
     def test_monomial_simplex_is_basis(self):
         for r in range(1, 6):
@@ -383,7 +384,8 @@ def groebner_element_corrupted(monkeypatch):
     # divisors, which normal forms and the staircase read, stay as they are
     real = floer.invariant_ring
     gb = real(2).gb
-    gens = tuple(g + ALPHA if g.leading_monomial() == (0, 0, 2) else g for g in gb.generators)
+    gens = tuple(g + ALPHA if g.leading_monomial() == monomial(0, 0, 2) else g
+                 for g in gb.generators)
     bad = QuotientRing(GroebnerBasis(gens, gb.divisors))
     monkeypatch.setattr(floer, "invariant_ring", lambda r: bad if r == 2 else real(r))
 
