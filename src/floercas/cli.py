@@ -49,8 +49,8 @@ MAX_EVAL_BITS = 14284
 
 #: largest level accepted by eigen --r; every object reads r x r blocks, and
 #: --object F, the slowest, reads those of levels 1..r, so it pays Buchberger
-#: for every level ring up to F_r: 1.5-2.1 s at 16 and 2.6-3.2 s at 17
-#: (--object K 0.9-1.1 s at 16, 1.8 s at 17)
+#: for every level ring up to F_r: 0.52-0.57 s at 16 and 0.69-0.70 s at 17
+#: (--object K 0.32-0.34 s at 16, 0.40-0.54 s at 17)
 MAX_EIGEN_R = 16
 
 #: largest genus accepted by donaldson product --g and --h; the series of
@@ -65,15 +65,15 @@ MAX_PRODUCT_GENUS = 46
 MAX_RELATIONS_R = 50
 
 #: largest genus accepted by check --max-genus, where every claim reaches
-#: level N + 2 or genus N (fresh processes: 0.1 s at 1, 0.20-0.22 s at 6,
-#: 0.52-0.73 s at 9, 1.08-1.44 s at 10 and 2.55-3.48 s at 11, of which
+#: level N + 2 or genus N (fresh processes: 0.07 s at 1, 0.14 s at 6,
+#: 0.41-0.42 s at 9, 0.82-0.86 s at 10 and 2.1-2.3 s at 11, of which
 #: primitive-parts takes about 1.4 s at genus 11 alone)
 MAX_CHECK_GENUS = 10
 
 #: largest genus accepted by ring --genus; the slowest form, --format json
-#: with the spectra of every level ring, takes 0.3 s at 10, 0.9 s at 13,
-#: 1.5-1.7 s (8 MB of output, 100 MB resident) at 15 and 2.4-2.6 s at 16
-#: (text 2.0-2.1 s at 16, --invariant-only 2.2-2.3 s at 16)
+#: with the spectra of every level ring, takes 0.27 s at 10, 0.42-0.65 s at
+#: 13, 0.72-0.95 s (8 MB of output, 100 MB resident) at 15 and 0.96-1.32 s
+#: at 16 (text 0.46-0.47 s at 16, --invariant-only 0.57-0.61 s at 16)
 MAX_RING_GENUS = 15
 
 #: largest genus accepted by rhff and effective --genus; each prints 2g - 1

@@ -11,6 +11,7 @@ bookkeeping.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import comb
@@ -196,7 +197,7 @@ def level_block(obj: str, r: int) -> LevelBlock:
     for F only:
     3. gamma times the level-(r-1) generators reduces to zero modulo I_r;
     4. gamma g_n, for g_n the Groebner element of I_{r-2} led by n, is the
-       g_{gamma n} of I_{r-1} as a polynomial.
+       g_{gamma n} of I_{r-1} as a polynomial (their divisors are equal).
     By 3 and 4, with 2 one level down, the g_{gamma n} span a submodule on
     which x acts as on the kernel of pi one level down, and K_r(x) is the
     action on the quotient by it.  So, with the records of every level
@@ -213,19 +214,19 @@ def level_block(obj: str, r: int) -> LevelBlock:
     if any(lower.normal_form(p) for p in _level_generators(obj, r)):
         raise FalsificationError(
             f"the level-{r} relations of {obj} are not in the ideal of level {r - 1}")
-    gens = {g.leading_monomial(): g.terms for g in lower.gb.generators}
+    # lm -> (lc, tail) of the integer divisors: g_lm is (lm + tail) / lc
+    gens = {lm: (lc, dict(tail)) for lm, lc, tail, _ in lower.gb.divisors}
     if obj == "F":
         if any(ring.normal_form(GAMMA * p) for p in _level_generators(obj, r - 1)):
             raise FalsificationError(
                 f"gamma times the level-{r - 1} relations of F is not in the ideal of level {r}")
         gamma = VARIABLES[2]
-        for g in level_ring(obj, r - 2).gb.generators if r >= 2 else ():
-            n = g.leading_monomial()
-            if {m + gamma: c for m, c in g.terms.items()} != gens.get(n + gamma):
+        for n, lc, tail, _ in level_ring(obj, r - 2).gb.divisors if r >= 2 else ():
+            if (lc, {m + gamma: c for m, c in tail}) != gens.get(n + gamma):
                 raise FalsificationError(
                     f"gamma times the level-{r - 2} Groebner element of F led by"
                     f" {render_monomial(n)} is not the level-{r - 1} one")
-    upper = {g.leading_monomial(): g.terms for g in ring.gb.generators}
+    upper = {lm: (lc, dict(tail)) for lm, lc, tail, _ in ring.gb.divisors}
     free = [monomial(a, r - 1 - a, 0) for a in range(r)]
     blocks = {}
     for name, x in zip(VAR_NAMES, VARIABLES):
@@ -236,7 +237,11 @@ def level_block(obj: str, r: int) -> LevelBlock:
             # there (q = None), and n - x is no monomial but a borrow across
             # exponent fields
             q = n - x if divides(x, n) else None
-            rows.append([gens[m].get(q, 0) - upper.get(m + x, {}).get(n, 0) for m in free])
+            row = []
+            for m in free:
+                (lc, tail), (uc, utail) = gens[m], upper.get(m + x, (1, {}))
+                row.append(Fraction(tail.get(q, 0) * uc - utail.get(n, 0) * lc, lc * uc))
+            rows.append(row)
         blocks[name] = Matrix(rows, r)
     charpolys = {name: m.charpoly() for name, m in blocks.items()}
     cands = default_candidates(r)

@@ -8,8 +8,8 @@ new-pair rule keeps (see _update_pairs): most S-polynomials of the
 level-ring ideals reduce to zero, and the rule skips those in advance (at
 level 7, 30 zero remainders instead of 576).  The chain criterion dropped
 no pair on any ideal the program builds, and is left out.  The returned
-basis is reduced, monic and sorted, hence canonical, so which pairs are
-reduced never shows in it.  The term order is grlex throughout.
+basis is reduced and sorted, hence canonical, so which pairs are reduced
+never shows in it.  The term order is grlex throughout.
 
 The engine runs on integers, with the monomials of poly: ints whose
 integer order is grlex, multiplied by adding and divided by subtracting.
@@ -18,18 +18,22 @@ Buchberger for a new basis element (an S-polynomial can reach 2^16), so no
 field can overflow inside a reduction (a reduction never raises the total
 degree, which stays below 3 * 2^15).
 
-A divisor is a polynomial made primitive over Z and split as (lm, lc,
-tail, GUARD - lm).  Reduction runs on a mutable map from monomials to
-integer coefficients, with a max-heap to find the next largest term, and
-with a scale: where lc does not divide the coefficient c to cancel, the
-map and the remainder so far are multiplied by lc / gcd(c, lc) first.  So
-the remainder is the Q-remainder times the scale.  Buchberger needs
-remainders only up to a unit and ignores the scale; a normal form divides
-by it once at the end.  `Fraction` appears only at the edge: reading a
-SparsePoly in, and writing a normal form or a reduced basis out.  A
-multiplication matrix takes each column from the staircase index or from
-one remainder and its scale, and its rows stay integers over one
-denominator, the lcm of the scales.
+A divisor is a polynomial made primitive over Z, with a positive leading
+coefficient, and split as (lm, lc, tail, GUARD - lm); a basis is stored in
+this one form, and its monic generators over Q are made from it on demand.
+Reduction runs on a mutable map from monomials to integer coefficients,
+with a max-heap to find the next largest term, and with a scale: where lc
+does not divide the coefficient c to cancel, the map and the remainder so
+far are multiplied by lc / gcd(c, lc) first.  So the remainder is the
+Q-remainder times the scale.  Buchberger needs remainders only up to a unit
+and ignores the scale; a normal form divides by it once at the end.  In
+grlex no multiple of a monomial is smaller than it, so a term below the
+least leading monomial goes to the remainder with no divisor tested
+(Becker-Weispfenning, Groebner Bases, ch. 5): on the level rings, most
+terms.  `Fraction` appears only at the edge: reading a SparsePoly in, and
+writing a normal form or a basis out.  A multiplication matrix takes each
+column from one remainder and its scale, and its rows stay integers over
+one denominator, the lcm of the scales.
 """
 
 from __future__ import annotations
@@ -71,12 +75,6 @@ def _divisor(r: dict) -> tuple:
     return (lm, r[lm] // content, tail, GUARD - lm)
 
 
-def _monic(r: dict) -> SparsePoly:
-    """The nonzero integer term map r, first key leading, made monic over Q."""
-    lc = next(iter(r.values()))
-    return SparsePoly({m: Fraction(c, lc) for m, c in r.items()})
-
-
 class InfiniteStaircaseError(ValueError):
     """Quotient is not finite-dimensional; carries a witness variable."""
 
@@ -88,18 +86,20 @@ class InfiniteStaircaseError(ValueError):
 
 
 class GroebnerBasis(NamedTuple):
-    """Reduced monic Groebner basis, generators sorted by leading monomial.
+    """Reduced Groebner basis, held only as the divisors that reduction
+    reads, sorted by leading monomial.  A divisor is its reduced monic
+    element times the lcm of its denominators, so it is canonical too."""
 
-    divisors holds each generator as the primitive integer divisor (lm, lc,
-    tail, GUARD - lm) that reduction reads.  They are a function of the
-    generators, so comparing them too leaves equality unchanged.
-    """
-
-    generators: tuple
     divisors: tuple
 
+    @property
+    def generators(self) -> tuple:
+        """The reduced monic basis over Q, sorted by leading monomial."""
+        return tuple(SparsePoly({lm: 1, **{m: Fraction(c, lc) for m, c in tail}})
+                     for lm, lc, tail, _ in self.divisors)
+
     def leading_monomials(self) -> list:
-        return [g.leading_monomial() for g in self.generators]
+        return [d[0] for d in self.divisors]
 
     def to_json(self) -> dict:
         return {"order": "grlex", "generators": [g.to_json() for g in self.generators]}
@@ -111,14 +111,16 @@ def _reduce(work: dict, divisors: Sequence[tuple]) -> tuple:
 
     The largest term left is popped from a max-heap and either cancelled by
     the first divisor whose leading monomial divides it (lm * q = m) or
-    moved to the remainder.  To cancel c * m, the map and the remainder are
-    multiplied by f = lc / gcd(c, lc) and (c * f / lc) * q * tail is
+    moved to the remainder; a term below the least leading monomial (the
+    floor) is moved with no divisor tested, as in grlex no multiple of a
+    monomial is smaller than it.  To cancel c * m, the map and the remainder
+    are multiplied by f = lc / gcd(c, lc) and (c * f / lc) * q * tail is
     subtracted, so every coefficient stays an integer.  A monomial that
     cancels leaves its heap entry behind; the entry is skipped when popped.
     The remainder receives its terms in descending order, so its first key
-    is its leading monomial.  The divisors are scanned for each term; a
-    memo of the divisor found per monomial made Buchberger no faster.
+    is its leading monomial.
     """
+    floor = min((d[0] for d in divisors), default=0)
     heap = [-m for m in work]
     heapify(heap)
     rem: dict = {}
@@ -128,7 +130,7 @@ def _reduce(work: dict, divisors: Sequence[tuple]) -> tuple:
         c = work.pop(m, None)
         if c is None:
             continue
-        for d in divisors:
+        for d in divisors if m >= floor else ():
             if (m + d[3]) & GUARD == GUARD:
                 break
         else:
@@ -208,8 +210,7 @@ def buchberger(gens: Sequence[SparsePoly]) -> GroebnerBasis:
 
     Sugar selection strategy, the new-pair rule of _update_pairs, full
     inter-reduction.  Deterministic: identical input gives an identical
-    basis.  The basis is kept as primitive integer divisors; the reduced
-    monic generators are made once, at the end.
+    basis.
     """
     work = [_integer_terms(g)[0] for g in gens if g]
     if not work:
@@ -263,13 +264,11 @@ def buchberger(gens: Sequence[SparsePoly]) -> GroebnerBasis:
 
     # inter-reduce tails; leading monomials are already pairwise indivisible,
     # so each result keeps its leading term and the sorted order
-    reduced, divisors = [], []
+    divisors = []
     for idx, (lm, lc, tail, _) in enumerate(minimal):
-        work_map = {lm: lc, **dict(tail)}
-        r, _ = _reduce(work_map, minimal[:idx] + minimal[idx + 1 :])
-        reduced.append(_monic(r))
+        r, _ = _reduce({lm: lc, **dict(tail)}, minimal[:idx] + minimal[idx + 1 :])
         divisors.append(_divisor(r))
-    return GroebnerBasis(tuple(reduced), tuple(divisors))
+    return GroebnerBasis(tuple(divisors))
 
 
 def staircase_basis(gb: GroebnerBasis) -> tuple:
@@ -337,22 +336,16 @@ class QuotientRing:
         return normal_form(p, self.gb)
 
     def mult_matrix(self, var) -> Matrix:
-        """Matrix of multiplication by a variable; column j is x_v * basis_j,
-        a unit vector where that is a staircase monomial, otherwise its
-        remainder over its scale."""
+        """Matrix of multiplication by a variable; column j is the remainder
+        of x_v * basis_j over its scale (a staircase monomial is its own
+        remainder, over scale 1)."""
         if isinstance(var, str):
             var = VAR_NAMES.index(var)
         if var not in self._mult:
             x = VARIABLES[var]
             index, divisors = self._index, self.gb.divisors
-            cols = []
-            for m in index:
-                t = m + x
-                if t in index:
-                    cols.append(({index[t]: 1}, 1))
-                else:
-                    rem, scale = _reduce({t: 1}, divisors)
-                    cols.append(({index[k]: c for k, c in rem.items()}, scale))
+            rems = (_reduce({m + x: 1}, divisors) for m in index)
+            cols = [({index[k]: c for k, c in rem.items()}, scale) for rem, scale in rems]
             self._mult[var] = Matrix.from_scaled_columns(cols, self.dim)
         return self._mult[var]
 

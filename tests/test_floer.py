@@ -38,7 +38,7 @@ from floercas.checks import (
 from floercas.fukaya import delta_module
 from floercas.groebner import VAR_NAMES, GroebnerBasis, QuotientRing
 from floercas.linalg import Matrix, UniPoly, factor_over_candidates
-from floercas.poly import ALPHA, BETA, GAMMA, SparsePoly, monomial, weighted_degree
+from floercas.poly import ALPHA, BETA, GAMMA, GUARD, SparsePoly, monomial, weighted_degree
 
 from elimination import (
     eigen_reports,
@@ -380,14 +380,15 @@ def relation_corrupted(level, replace):
 
 
 def groebner_element_corrupted(monkeypatch):
-    # the element of I_2 led by gamma^2 gains a term alpha; its integer
-    # divisors, which normal forms and the staircase read, stay as they are
+    # F_1 from a basis of the same ideal that is not reduced: the element
+    # led by gamma becomes gamma + alpha; alpha is in the ideal, so the
+    # staircase and every normal form stay as they are
     real = floer.invariant_ring
-    gb = real(2).gb
-    gens = tuple(g + ALPHA if g.leading_monomial() == monomial(0, 0, 2) else g
-                 for g in gb.generators)
-    bad = QuotientRing(GroebnerBasis(gens, gb.divisors))
-    monkeypatch.setattr(floer, "invariant_ring", lambda r: bad if r == 2 else real(r))
+    gamma, alpha = monomial(0, 0, 1), monomial(1, 0, 0)
+    divisors = tuple((gamma, 1, ((alpha, 1),), GUARD - gamma) if d[0] == gamma else d
+                     for d in real(1).gb.divisors)
+    bad = QuotientRing(GroebnerBasis(divisors))
+    monkeypatch.setattr(floer, "invariant_ring", lambda r: bad if r == 1 else real(r))
 
 
 class TestLevelBlocks:
@@ -443,7 +444,7 @@ class TestLevelBlocks:
         (relation_corrupted(2, lambda tri: {"p3": ALPHA}),
          "gamma times the level-2 relations of F is not in the ideal of level 3"),
         (groebner_element_corrupted,
-         "gamma times the level-1 Groebner element of F led by gamma is not the level-2 one"),
+         "gamma times the level-0 Groebner element of F led by 1 is not the level-1 one"),
     ])
     def test_each_guard_fails_on_a_corrupted_input(self, monkeypatch, capsys, fresh_level_blocks,
                                                    corrupt, message):

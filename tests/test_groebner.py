@@ -303,6 +303,44 @@ class TestAgainstFractionReduction:
         assert not normal_form(top, invariant_ring(2).gb)
 
 
+class TestDivisorRule:
+    """_reduce tests a term only against divisors that can divide it: none
+    for a term below the least leading monomial, and divisors in list order
+    up to the first that divides."""
+
+    # the least of them is alpha*beta
+    LMS = (monomial(1, 1, 0), monomial(2, 0, 0), monomial(0, 3, 0))
+
+    class Spy(tuple):
+        """A divisor that counts the reads of its guard, index 3."""
+
+        reads = [0]
+
+        def __getitem__(self, i):
+            if i == 3:
+                self.reads[0] += 1
+            return tuple.__getitem__(self, i)
+
+    def reduce_counting(self, work):
+        self.Spy.reads[0] = 0
+        divisors = [self.Spy(groebner._divisor({lm: 1})) for lm in self.LMS]
+        rem, scale = groebner._reduce(work, divisors)
+        return rem, scale, self.Spy.reads[0]
+
+    def test_no_divisor_read_below_the_least_leading_monomial(self):
+        work = {monomial(1, 0, 0): 3, monomial(0, 1, 1): 2, monomial(0, 2, 0): -1, 0: 7}
+        assert self.reduce_counting(dict(work)) == (work, 1, 0)
+
+    def test_a_term_above_stops_at_its_first_divisor(self):
+        # alpha^2 beta: the first divisor, alpha*beta, divides it
+        assert self.reduce_counting({monomial(2, 1, 0): 5}) == ({}, 1, 1)
+        # beta^3 gamma: the third
+        assert self.reduce_counting({monomial(0, 3, 1): 5}) == ({}, 1, 3)
+        # beta^2 gamma^3 above every leading monomial: none divides it
+        m = monomial(0, 2, 3)
+        assert self.reduce_counting({m: 5}) == ({m: 5}, 1, 3)
+
+
 class TestStaircase:
     def test_level_one(self):
         gb = buchberger([ALPHA, BETA - 8, GAMMA])
