@@ -237,7 +237,7 @@ def check_gamma_nilpotency(max_genus: int) -> CheckResult:
 
 def reduced_spectrum_ring(g: int) -> QuotientRing:
     """F_g/(gamma, beta^2 - 64): the exact model of the reduced module at t=0."""
-    return invariant_ring(g).extend([GAMMA, BETA * BETA - 64])
+    return QuotientRing.from_generators(relations("R", g).generators() + [GAMMA, BETA * BETA - 64])
 
 
 def check_reduced_consistency(max_genus: int) -> CheckResult:

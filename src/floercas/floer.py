@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 from .exactalg import FalsificationError, GaussianRational, rational
 from .groebner import VAR_NAMES, QuotientRing
-from .linalg import EigenReport, Matrix, UniPoly, factor_over_candidates
+from .linalg import EigenReport, Matrix, UniPoly
 from .poly import ALPHA, BETA, GAMMA, VARIABLES, SparsePoly, divides, monomial, render_monomial
 
 FLAVORS = ("q", "R", "Rbar")
@@ -165,12 +165,10 @@ def monomial_simplex(r: int, nvars: int = 3) -> list:
 
 class LevelBlock(NamedTuple):
     """The r x r blocks K_r(x) of x = alpha, beta, gamma at level r of F or
-    Fbar (see level_block), their characteristic polynomials, and those
-    factored over default_candidates(r).  On F it is the torsion block
+    Fbar (see level_block) and their spectra: on F the torsion block
     psi1_block(r), on Fbar the filtration layer filtration_step(r - 1)."""
 
     blocks: dict
-    charpolys: dict
     reports: dict
 
 
@@ -197,13 +195,20 @@ def level_block(obj: str, r: int) -> LevelBlock:
     for F only:
     3. gamma times the level-(r-1) generators reduces to zero modulo I_r;
     4. gamma g_n, for g_n the Groebner element of I_{r-2} led by n, is the
-       g_{gamma n} of I_{r-1} as a polynomial (their divisors are equal).
+       g_{gamma n} of I_{r-1} as a polynomial (their divisors are equal);
+    for F and Fbar alike:
+    5. the blocks are (T_r, b I, 0), b = beta_eigenvalue(r - 1), with index
+       a for alpha^a beta^(r-1-a): T_r[a][a+1] = -(a+1)^2, T_r[a][a-1] = 2b
+       for a >= 1 and a = r - 1 mod 2, and T_r is 0 elsewhere.
     By 3 and 4, with 2 one level down, the g_{gamma n} span a submodule on
     which x acts as on the kernel of pi one level down, and K_r(x) is the
-    action on the quotient by it.  So, with the records of every level
-    <= r, cp(x | F_r) is the product of cp(K_i(x))^(r-i+1) over i <= r.  On
-    Fbar the kernel of pi is spanned by the gamma-free g_m alone, and
-    cp(x | Fbar_r) is the product of the cp(K_i(x)).
+    action on the quotient by it; on Fbar the gamma-free g_m alone span the
+    kernel of pi.  By 5 the spectra take no characteristic polynomial: T_r
+    is block triangular, 0 at index 0 for r odd and [[0, -a^2], [2b, 0]] on
+    each pair (a - 1, a), a = r - 1 mod 2, whose roots (the 2 x 2 lemma)
+    are alpha_eigenvalue(+-a), as x^2 + 2b a^2 = x^2 +- 16 a^2 with b = 8
+    exactly when a is even.  So alpha has each alpha_eigenvalue(k), |k| < r
+    and k = r - 1 mod 2, once, and beta has b and gamma 0, r times.
     """
     ring, lower = level_ring(obj, r), level_ring(obj, r - 1)
     nvars = 3 if obj == "F" else 2
@@ -243,43 +248,40 @@ def level_block(obj: str, r: int) -> LevelBlock:
                 row.append(Fraction(tail.get(q, 0) * uc - utail.get(n, 0) * lc, lc * uc))
             rows.append(row)
         blocks[name] = Matrix(rows, r)
-    charpolys = {name: m.charpoly() for name, m in blocks.items()}
-    cands = default_candidates(r)
-    return LevelBlock(blocks, charpolys,
-                      {name: factor_over_candidates(cp, cands) for name, cp in charpolys.items()})
+    b = beta_eigenvalue(r - 1)
+    t = [[0] * r for _ in range(r)]
+    for a in range(1, r):
+        t[a - 1][a], t[a][a - 1] = -a * a, 2 * b.re if (r - a) % 2 else 0
+    identity = Matrix.identity(r)
+    for name, want in zip(VAR_NAMES, (Matrix(t, r), identity.scale(b.re), identity.scale(0))):
+        if blocks[name] != want:
+            raise FalsificationError(
+                f"the {name} block of {obj} at level {r} is not the one of the recursion")
+    alpha = set(map(alpha_eigenvalue, range(1 - r, r, 2)))
+    roots = ([(z, 1) for z in default_candidates(r) if z in alpha], [(b, r)],
+             [(GaussianRational(0), r)])
+    return LevelBlock(blocks, {name: EigenReport(tuple(zm), UniPoly([1]))
+                               for name, zm in zip(VAR_NAMES, roots)})
 
 
 def level_reports(obj: str, r: int) -> dict:
     """The alpha, beta and gamma spectra of F_r (obj "F") or Fbar_r (obj
     "Fbar"): the characteristic polynomials of the multiplication matrices
-    of level_ring(obj, r), factored over default_candidates(r + 1), read
-    from the blocks of levels 1..r (see level_block).
+    of level_ring(obj, r), whose roots all lie in default_candidates(r + 1),
+    read from the blocks of levels 1..r (see level_block).
 
-    The block of level i counts r - i + 1 times on F_r and once on Fbar_r.
-    The weighted multiplicities of the roots of the blocks are added and
-    listed in candidate order, and their remainders multiplied: by unique
-    factorization that is the report of the product, the characteristic
-    polynomial.  A block's own report is over default_candidates(i), which
-    default_candidates(r + 1) begins with, so a complete one is the same
-    over both; a block that leaves a factor is factored again over
-    default_candidates(r + 1).
+    By the guards of level_block, cp(x | F_r) is the product of the
+    cp(K_i(x))^(r-i+1), i <= r, and cp(x | Fbar_r) that of the cp(K_i(x)):
+    the root multiplicities of the blocks are added with these weights and
+    listed in candidate order.
     """
-    cands = default_candidates(r + 1)
-    rank = {z: k for k, z in enumerate(cands)}
-    records = [level_block(obj, i) for i in range(1, r + 1)]
     reports = {}
     for name in VAR_NAMES:
-        mults, rem = {}, UniPoly([1])
-        for i, record in enumerate(records, 1):
-            weight = r - i + 1 if obj == "F" else 1
-            rep = record.reports[name]
-            if not rep.complete():
-                rep = factor_over_candidates(record.charpolys[name], cands)
-                for _ in range(weight):
-                    rem = rem * rep.remainder
-            for z, m in rep.roots:
-                mults[z] = mults.get(z, 0) + weight * m
-        reports[name] = EigenReport(tuple(sorted(mults.items(), key=lambda zm: rank[zm[0]])), rem)
+        mults = dict.fromkeys(default_candidates(r + 1), 0)
+        for i in range(1, r + 1):
+            for z, m in level_block(obj, i).reports[name].roots:
+                mults[z] += (r - i + 1 if obj == "F" else 1) * m
+        reports[name] = EigenReport(tuple((z, m) for z, m in mults.items() if m), UniPoly([1]))
     return reports
 
 

@@ -28,10 +28,11 @@ far are multiplied by lc / gcd(c, lc) first.  So the remainder is the
 Q-remainder times the scale.  Buchberger needs remainders only up to a unit
 and ignores the scale; a normal form divides by it once at the end.  In
 grlex no multiple of a monomial is smaller than it, so a term below the
-least leading monomial goes to the remainder with no divisor tested
-(Becker-Weispfenning, Groebner Bases, ch. 5): on the level rings, most
-terms.  `Fraction` appears only at the edge: reading a SparsePoly in, and
-writing a normal form or a basis out.  A multiplication matrix takes each
+least leading monomial goes to the remainder, and a monomial below it into
+the staircase, with no divisor tested (Becker-Weispfenning, Groebner
+Bases, ch. 5): most terms of the level rings, and F_r's whole staircase.
+`Fraction` appears only at the edge: reading a SparsePoly in, and writing
+a normal form or a basis out.  A multiplication matrix takes each
 column from one remainder and its scale, and its rows stay integers over
 one denominator, the lcm of the scales.
 """
@@ -286,6 +287,7 @@ def staircase_basis(gb: GroebnerBasis) -> tuple:
             raise InfiniteStaircaseError(VAR_NAMES[v])
         bounds.append(min(pure))
     guards = [d[3] for d in gb.divisors]
+    floor = min(d[0] for d in gb.divisors)
     out = []
     # a multiple of a leading monomial stays one when gamma (or beta) is
     # multiplied in, so each line of the box ends at its first such monomial
@@ -294,7 +296,7 @@ def staircase_basis(gb: GroebnerBasis) -> tuple:
             c = 0
             while c < bounds[2]:
                 m = monomial(a, b, c)
-                if any((m + g) & GUARD == GUARD for g in guards):
+                if m >= floor and any((m + g) & GUARD == GUARD for g in guards):
                     break
                 out.append(m)
                 c += 1
@@ -348,10 +350,6 @@ class QuotientRing:
             cols = [({index[k]: c for k, c in rem.items()}, scale) for rem, scale in rems]
             self._mult[var] = Matrix.from_scaled_columns(cols, self.dim)
         return self._mult[var]
-
-    def extend(self, extra: Sequence[SparsePoly]) -> "QuotientRing":
-        """Quotient by the ideal enlarged with extra generators."""
-        return QuotientRing.from_generators(list(self.gb.generators) + list(extra))
 
     def to_json(self) -> dict:
         return {

@@ -20,9 +20,9 @@ once by the denominator (see Matrix.charpoly).
 The largest matrices are those `check` reads whole: at --max-genus 10,
 gamma on F_12 (364 x 364) and its square, and the matrices of F_10
 (220 x 220).  Storage is dense and elimination skips zero entries, which
-is enough at these sizes.  No characteristic polynomial on a command's
-path is larger than 19 x 19 (the reduced ring of genus 10), as spectra
-are read from r x r level blocks (see floer.level_block).
+is enough at these sizes.  Only `check` takes characteristic polynomials,
+none larger than 19 x 19 (the reduced ring of genus 10): `ring` and
+`eigen` read spectra from r x r level blocks (see floer.level_block).
 
 Q(i) enters only in factor_over_candidates, whose candidates and
 reported roots are GaussianRationals: a pair of conjugate roots is one

@@ -11,7 +11,7 @@ import time
 from math import comb
 
 from floercas import checks, donaldson, fukaya
-from floercas.checks import CheckResult
+from floercas.checks import CheckResult, reduced_spectrum_ring
 from floercas.exactalg import GaussianRational as GR
 from floercas.floer import (
     default_candidates,
@@ -25,7 +25,6 @@ from floercas.floer import (
     socle_quotient_charpoly,
 )
 from floercas.linalg import factor_over_candidates
-from floercas.poly import BETA, GAMMA
 
 from elimination import monomial_matrix
 
@@ -164,7 +163,7 @@ def test_block_and_loop_totals_spot():
 
 
 def test_reduced_spot():
-    ring = invariant_ring(5).extend([GAMMA, BETA * BETA - 64])
+    ring = reduced_spectrum_ring(5)
     assert ring.dim == 9
     rep = factor_over_candidates(ring.mult_matrix("alpha").charpoly(), default_candidates(5))
     assert rep.complete()

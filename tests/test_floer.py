@@ -1,14 +1,16 @@
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 from sympy import bernoulli
 
-from floercas import cli, floer
+from floercas import checks, cli, floer
 from floercas.exactalg import GaussianRational as GR
 from floercas.floer import (
     FalsificationError,
+    RelationTriple,
     SubquotientModule,
     alpha_eigenvalue,
     beta_eigenvalue,
@@ -201,7 +203,7 @@ class TestLevelRings:
         # quotient by the two-term recursion + gamma equals F_r modulo gamma
         for r in range(1, 5):
             direct = gamma_quotient_ring(r)
-            via_f = invariant_ring(r).extend([GAMMA])
+            via_f = QuotientRing.from_generators(list(invariant_ring(r).gb.generators) + [GAMMA])
             assert direct.basis == via_f.basis
             for g in direct.gb.generators:
                 assert not via_f.normal_form(g)
@@ -299,7 +301,8 @@ class TestSocleQuotient:
         # level-(r+1) relations equals F_{r+1} extended by the same generators
         for r in range(1, 8):
             shift = BETA + (-1) ** (r + 1) * 8
-            via_f = invariant_ring(r + 1).extend([shift, GAMMA])
+            via_f = QuotientRing.from_generators(
+                list(invariant_ring(r + 1).gb.generators) + [shift, GAMMA])
             direct = socle_quotient_ring(r)
             assert direct.gb == via_f.gb
             assert direct.basis == via_f.basis
@@ -353,12 +356,16 @@ def charpoly_sizes(monkeypatch):
 
 
 @pytest.fixture
-def fresh_level_blocks():
-    """level_block's cache emptied before and after: a test that corrupts
-    its inputs must build the records it checks, and leave none behind."""
-    level_block.cache_clear()
+def fresh_level_rings():
+    """The caches of the level rings and blocks emptied before and after: a
+    test that corrupts their inputs must build what it checks, and leave
+    nothing behind."""
+    caches = (invariant_ring, gamma_quotient_ring, classical_ring, level_block)
+    for cached in caches:
+        cached.cache_clear()
     yield
-    level_block.cache_clear()
+    for cached in caches:
+        cached.cache_clear()
 
 
 def staircase_corrupted(monkeypatch):
@@ -377,6 +384,23 @@ def relation_corrupted(level, replace):
             real(flavor, r)._replace(**replace(real(flavor, r))) if (flavor, r) == ("R", level)
             else real(flavor, r)))
     return corrupt
+
+
+def k_squared_mutant(k0, factor):
+    """floer.relations with k^2 multiplied by factor in the step from level
+    k0 to k0 + 1, for every flavor, and cached as the real one is."""
+    @lru_cache(maxsize=None)
+    def mutant(flavor, r):
+        if r <= k0:
+            return relations(flavor, r)
+        _, _, p1, p2, p3 = mutant(flavor, r - 1)
+        k = r - 1
+        shift = BETA if flavor == "q" else BETA + (-1) ** (k + 1) * 8
+        n1 = ALPHA * p1 + (factor if k == k0 else 1) * k * k * p2
+        if flavor == "Rbar":
+            return RelationTriple(flavor, r, n1, shift * p1, SparsePoly.zero())
+        return RelationTriple(flavor, r, n1, shift * p1 + Fraction(2 * k, k + 1) * p3, GAMMA * p1)
+    return mutant
 
 
 def groebner_element_corrupted(monkeypatch):
@@ -402,7 +426,7 @@ class TestLevelBlocks:
                     product = UniPoly([1])
                     for i in range(1, r + 1):
                         for _ in range(r - i + 1 if obj == "F" else 1):
-                            product = product * level_block(obj, i).charpolys[name]
+                            product = product * level_block(obj, i).blocks[name].charpoly()
                     want = level_ring(obj, r).mult_matrix(name).charpoly()
                     assert product == want, (obj, r, name)
 
@@ -421,22 +445,6 @@ class TestLevelBlocks:
         for r in range(1, 9):
             assert level_block("F", r).blocks == level_block("Fbar", r).blocks, r
 
-    def test_a_block_that_leaves_a_factor_is_factored_again(self, monkeypatch):
-        # alpha on the level-1 block given the root 12, a candidate from
-        # level 3 on, and a factor x^2 - 3 that no candidate explains
-        real_block = floer.level_block
-        real = real_block("F", 1)
-        cp = UniPoly([-12, 1]) * UniPoly([-3, 0, 1])
-        report = factor_over_candidates(cp, default_candidates(1))
-        fake = real._replace(charpolys=dict(real.charpolys, alpha=cp),
-                             reports=dict(real.reports, alpha=report))
-        assert not fake.reports["alpha"].complete()
-        monkeypatch.setattr(floer, "level_block",
-                            lambda obj, i: fake if i == 1 else real_block(obj, i))
-        product = cp * cp * real_block("F", 2).charpolys["alpha"]
-        want = factor_over_candidates(product, default_candidates(3))
-        assert level_reports("F", 2)["alpha"] == want
-
     @pytest.mark.parametrize("corrupt, message", [
         (staircase_corrupted, "the staircase of F_2 is not the monomials of degree < 2"),
         (relation_corrupted(3, lambda tri: {"p1": tri.p1 + 1}),
@@ -445,8 +453,11 @@ class TestLevelBlocks:
          "gamma times the level-2 relations of F is not in the ideal of level 3"),
         (groebner_element_corrupted,
          "gamma times the level-0 Groebner element of F led by 1 is not the level-1 one"),
+        # a consistent recursion, built level by level: guards 1-4 hold
+        (lambda monkeypatch: monkeypatch.setattr(floer, "relations", k_squared_mutant(1, 2)),
+         "the alpha block of F at level 2 is not the one of the recursion"),
     ])
-    def test_each_guard_fails_on_a_corrupted_input(self, monkeypatch, capsys, fresh_level_blocks,
+    def test_each_guard_fails_on_a_corrupted_input(self, monkeypatch, capsys, fresh_level_rings,
                                                    corrupt, message):
         corrupt(monkeypatch)
         with pytest.raises(FalsificationError, match=f"^{message}$"):
@@ -457,7 +468,7 @@ class TestLevelBlocks:
         assert out == "" and err == f"falsified: {message}\n"
 
     def test_ring_and_eigen_build_no_multiplication_matrix(self, monkeypatch, capsys,
-                                                          fresh_level_blocks, charpoly_sizes):
+                                                          fresh_level_rings, charpoly_sizes):
         def no_mult_matrix(ring, var):
             raise AssertionError("a multiplication matrix was built")
 
@@ -467,10 +478,10 @@ class TestLevelBlocks:
             level_block.cache_clear()
             charpoly_sizes.clear()
             assert cli.main(argv) == cli.EXIT_OK
-            assert charpoly_sizes and max(charpoly_sizes) <= 6, (argv, charpoly_sizes)
+            assert charpoly_sizes == [], argv
         capsys.readouterr()
 
-    def test_check_takes_no_charpoly_past_the_genus_bound(self, capsys, fresh_level_blocks,
+    def test_check_takes_no_charpoly_past_the_genus_bound(self, capsys, fresh_level_rings,
                                                           charpoly_sizes):
         # Matrix.charpoly runs Berkowitz over the whole matrix, which is
         # cheap only while every matrix stays small: check --max-genus N
@@ -480,6 +491,19 @@ class TestLevelBlocks:
         assert cli.main(["check", "--max-genus", "6"]) == cli.EXIT_OK
         assert max(charpoly_sizes) == max(6 + 3, 2 * 6 - 1) == 11
         capsys.readouterr()
+
+
+@pytest.mark.parametrize("k0, factor", [
+    pytest.param(k0, factor, id=f"k^2 times {factor} at k={k0}")
+    for k0 in (1, 2, 3) for factor in (2, -1, Fraction(3, 2))
+])
+def test_every_k_squared_mutant_fails_a_claim(monkeypatch, fresh_level_rings, k0, factor):
+    # the first rows of a mutation table: the k^2 coefficient of the
+    # recursion, changed at one step, is watched by some claim of check
+    mutant = k_squared_mutant(k0, factor)
+    monkeypatch.setattr(floer, "relations", mutant)
+    monkeypatch.setattr(checks, "relations", mutant)
+    assert [result.name for result in checks.run_all(3) if not result.passed]
 
 
 def greedy_independent(vectors, seed):

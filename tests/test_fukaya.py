@@ -2,8 +2,9 @@ import random
 
 import pytest
 
+from floercas.checks import reduced_spectrum_ring
 from floercas.exactalg import GaussianRational as GR, TruncatedSeries as TS
-from floercas.floer import default_candidates, invariant_ring, primitive_dim, psi1_block
+from floercas.floer import default_candidates, primitive_dim, psi1_block
 from floercas.fukaya import (
     YHomologyClass,
     delta_module,
@@ -12,7 +13,6 @@ from floercas.fukaya import (
     reduced_module,
 )
 from floercas.linalg import factor_over_candidates
-from floercas.poly import BETA, GAMMA
 
 
 def ts(*coeffs, order=16):
@@ -49,7 +49,7 @@ class TestReducedModule:
         module = reduced_module(2, 0)
         vals = sorted(str(c.alpha) for c in module.components)
         assert vals == ["-4", "0", "4"]
-        ring = invariant_ring(2).extend([GAMMA, BETA * BETA - 64])
+        ring = reduced_spectrum_ring(2)
         rep = factor_over_candidates(ring.mult_matrix("alpha").charpoly(), default_candidates(2))
         assert rep.complete()
         assert {r: m for r, m in rep.roots} == {GR(-4): 1, GR(0): 1, GR(4): 1}
@@ -61,7 +61,7 @@ class TestReducedModule:
 
     def test_t_zero_spectrum_matches_ring_for_all_genera(self):
         for g in range(1, 5):
-            ring = invariant_ring(g).extend([GAMMA, BETA * BETA - 64])
+            ring = reduced_spectrum_ring(g)
             assert ring.dim == 2 * g - 1
             rep = factor_over_candidates(
                 ring.mult_matrix("alpha").charpoly(), default_candidates(g)
