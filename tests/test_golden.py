@@ -66,6 +66,11 @@ GOLDEN = {
         "279598fa9b015d90ec705163e9dc7ea6542e87737852c7a330ec49bf008b7e95",
     "relations --flavor R --r 6":
         "5981e262562e223b8b83dfeabb2de3d160880e16df7a2e978167111790f3f0c2",
+    # the largest accepted level, whose coefficients reach hundreds of digits
+    "relations --flavor R --r 50 --format json":
+        "3c93a390b54293290e8d46bf868a71b86a8ff8edd88412a3b796f7dfb60eef7c",
+    "relations --flavor q --r 50":
+        "142d0679fe00b6680a335405e1badf0a2760b42307490032730b4e310a43788d",
     "relations --flavor q --r 5 --format json":
         "d5a133237aea13ed6cfe45432a089da516b0779a195634fea4ab1a6111cf2561",
     "relations --flavor Rbar --r 5 --format json":
