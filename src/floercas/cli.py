@@ -61,7 +61,7 @@ MAX_PRODUCT_GENUS = 46
 
 #: largest level accepted by relations --r; the cost of the three relations
 #: grows more than tenfold when r doubles (relations --flavor R takes
-#: 1.6-1.9 s at 50 and 28 s at 100)
+#: 0.22-0.28 s at 50 and 2.6 s at 100)
 MAX_RELATIONS_R = 50
 
 #: largest genus accepted by check --max-genus, where every claim reaches

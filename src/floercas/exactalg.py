@@ -5,9 +5,9 @@ Every computation in the package bottoms out here; there is no floating
 point anywhere.  Each layer has one scalar type:
 
 * the rings -- polynomials, Groebner bases, matrices and characteristic
-  polynomials -- take rationals (`fractions.Fraction`, made by `rational`,
-  which refuses a nonreal value) and compute on integers over a common
-  denominator, made by `to_integers`, the one such conversion;
+  polynomials -- hold integers over one common denominator, and read
+  rationals (`fractions.Fraction`, made by `rational`, which refuses a
+  nonreal value) into that form with `to_integers`, the one such conversion;
 * the spectra (candidate eigenvalues and the roots of an eigenvalue
   report) and the truncated series hold GaussianRationals a + b*i, since
   sqrt(-1) enters the theory only there.  They hash by their integers.

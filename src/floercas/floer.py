@@ -17,7 +17,7 @@ from itertools import combinations
 from math import comb
 from typing import NamedTuple
 
-from .exactalg import FalsificationError, GaussianRational, rational
+from .exactalg import FalsificationError, GaussianRational
 from .groebner import VAR_NAMES, QuotientRing
 from .linalg import EigenReport, Matrix, UniPoly
 from .poly import ALPHA, BETA, GAMMA, VARIABLES, SparsePoly, divides, monomial, render_monomial
@@ -80,7 +80,8 @@ def relations(flavor: str, r: int) -> RelationTriple:
     n1 = ALPHA * p1 + k * k * p2
     if flavor == "Rbar":
         return RelationTriple(flavor, r, n1, shift * p1, zero)
-    return RelationTriple(flavor, r, n1, shift * p1 + rational(2 * k, k + 1) * p3, GAMMA * p1)
+    n2 = shift * p1 + SparsePoly.from_ints({0: 2 * k}, k + 1) * p3
+    return RelationTriple(flavor, r, n1, n2, GAMMA * p1)
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,9 @@ no pair on any ideal the program builds, and is left out.  The returned
 basis is reduced and sorted, hence canonical, so which pairs are reduced
 never shows in it.  The term order is grlex throughout.
 
-The engine runs on integers, with the monomials of poly: ints whose
-integer order is grlex, multiplied by adding and divided by subtracting.
+The engine runs on integers and converts nothing at its edge: monomials
+are ints in grlex order, multiplied by adding and divided by subtracting,
+and a SparsePoly is already integers over one denominator.
 `monomial` and products refuse an exponent of 2^15 or more, and so does
 Buchberger for a new basis element (an S-polynomial can reach 2^16), so no
 field can overflow inside a reduction (a reduction never raises the total
@@ -31,37 +32,36 @@ grlex no multiple of a monomial is smaller than it, so a term below the
 least leading monomial goes to the remainder, and a monomial below it into
 the staircase, with no divisor tested (Becker-Weispfenning, Groebner
 Bases, ch. 5): most terms of the level rings, and F_r's whole staircase.
-`Fraction` appears only at the edge: reading a SparsePoly in, and writing
-a normal form or a basis out.  A multiplication matrix takes each
-column from one remainder and its scale, and its rows stay integers over
-one denominator, the lcm of the scales.
+A multiplication matrix takes each column from one remainder and its
+scale, and its rows stay integers over one denominator, the lcm of the
+scales.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd
 from typing import NamedTuple, Sequence
 
-from .exactalg import to_integers
 from .linalg import Matrix
 from .poly import BITS, DEG, FIELD, GUARD, VARIABLES, WIDE, SparsePoly, divides, exponents, monomial
 
 VAR_NAMES = ("alpha", "beta", "gamma")
 
 
+_EXPONENTS, _FIELD_SUM = (1 << DEG) - 1, 1 + (1 << BITS) + (1 << 2 * BITS)
+
+
 def _lcm(x: int, y: int) -> int:
-    a = max(x >> 2 * BITS & FIELD, y >> 2 * BITS & FIELD)
-    b = max(x >> BITS & FIELD, y >> BITS & FIELD)
-    return monomial(a, b, max(x & FIELD, y & FIELD))
-
-
-def _integer_terms(p: SparsePoly) -> tuple:
-    """(terms, den): the terms of p scaled by den, the lcm of their
-    denominators."""
-    ints, den = to_integers(p.terms.values())
-    return dict(zip(p.terms, ints)), den
+    """The lcm of two monomials with exponents below 2^15: a field's guard
+    bit of (x | GUARD) - y stays set where x's exponent is at least y's, g -
+    (g >> (BITS - 1)) spreads it into a mask of that field, and the fields
+    times _FIELD_SUM add up in the top one."""
+    x, y = x & _EXPONENTS, y & _EXPONENTS
+    g = ((x | GUARD) - y) & GUARD
+    sel = g - (g >> (BITS - 1))
+    v = (x & sel) | (y & ~sel)
+    return ((v * _FIELD_SUM) >> 2 * BITS & FIELD) << DEG | v
 
 
 def _divisor(r: dict) -> tuple:
@@ -96,7 +96,7 @@ class GroebnerBasis(NamedTuple):
     @property
     def generators(self) -> tuple:
         """The reduced monic basis over Q, sorted by leading monomial."""
-        return tuple(SparsePoly({lm: 1, **{m: Fraction(c, lc) for m, c in tail}})
+        return tuple(SparsePoly.from_ints({lm: lc, **dict(tail)}, lc)
                      for lm, lc, tail, _ in self.divisors)
 
     def leading_monomials(self) -> list:
@@ -166,9 +166,8 @@ def _reduce(work: dict, divisors: Sequence[tuple]) -> tuple:
 
 def normal_form(p: SparsePoly, gb: GroebnerBasis) -> SparsePoly:
     """Unique remainder of p modulo the ideal of gb."""
-    work, den = _integer_terms(p)
-    rem, scale = _reduce(work, gb.divisors)
-    return SparsePoly({m: Fraction(c, scale * den) for m, c in rem.items()})
+    rem, scale = _reduce(dict(p.nums), gb.divisors)
+    return SparsePoly.from_ints(rem, scale * p.den)
 
 
 def _update_pairs(basis, sugar, pairs, lm, s):
@@ -213,7 +212,7 @@ def buchberger(gens: Sequence[SparsePoly]) -> GroebnerBasis:
     inter-reduction.  Deterministic: identical input gives an identical
     basis.
     """
-    work = [_integer_terms(g)[0] for g in gens if g]
+    work = [dict(g.nums) for g in gens if g]
     if not work:
         raise ValueError("no nonzero generators")
 

@@ -3,9 +3,10 @@
 The three variables are the generators of the invariant ring: alpha, beta,
 gamma of cohomological degree 2, 4, 6 (written a, b, c in the classical
 undeformed ring — same arithmetic, different display name).  Coefficients
-lie in Q, as rationals (`fractions.Fraction`): every relation of the theory
-is real, and the constructor refuses a coefficient with a nonzero imaginary
-part.
+lie in Q, as every relation of the theory is real, held as integers over
+one denominator, the form of linalg.Matrix and of the Groebner engine, so
+sums and products run on ints; `Fraction` appears only in the `terms` view
+that renders and serializes them.
 
 A monomial is one int: its total degree above its three exponents, each
 exponent in a field of `BITS` bits whose top bit is a guard.  The integer
@@ -21,10 +22,10 @@ or grade a monomial, and to bound a staircase.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
+from math import gcd, lcm
 from typing import Iterable
 
-from .exactalg import Q_ONE, rational, rational_json, render_terms
+from .exactalg import rational_json, render_terms, to_integers
 
 #: width of one exponent field; exponents enter below 2^15 and stay below
 #: 3 * 2^15 inside a Groebner reduction, under the guard bit at the top
@@ -77,33 +78,30 @@ VARIABLES = (monomial(1, 0, 0), monomial(0, 1, 0), monomial(0, 0, 1))
 
 
 class SparsePoly:
-    """Map from monomials to nonzero coefficients, canonical and immutable.
+    """Integer numerators `nums` over one denominator `den`, canonical and
+    immutable: `nums` maps monomials to nonzero ints, ascending in grlex so
+    that the last one leads, den > 0 and gcd(den, *nums) == 1."""
 
-    The terms are stored ascending in grlex, so the last one leads.
-    """
+    __slots__ = ("nums", "den")
 
-    __slots__ = ("terms",)
+    def __new__(cls, terms: dict | Iterable = ()):
+        """Sum the (monomial, rational coefficient) pairs of terms, read by
+        exactalg.to_integers, so a nonreal coefficient raises TypeError."""
+        pairs = list(terms.items() if isinstance(terms, dict) else terms)
+        ints, den = to_integers(c for _, c in pairs)
+        nums: dict = {}
+        for (m, _), c in zip(pairs, ints):
+            nums[m] = nums.get(m, 0) + c
+        return SparsePoly.from_ints(nums, den)
 
-    def __init__(self, terms: dict | Iterable = ()):
-        """Sum the (monomial, coefficient) pairs of terms; zero sums are dropped.
-
-        This is the one place that merges terms: sums and products hand
-        their unmerged pairs to it.  The monomials are ints made by
-        `monomial` or by products of them.  Coefficients go through
-        exactalg.rational, so a nonreal one raises TypeError.
-        """
-        if isinstance(terms, dict):
-            terms = terms.items()
-        acc: dict = {}
-        for m, c in terms:
-            c = rational(c)
-            if m in acc:
-                c = acc[m] + c
-            if c:
-                acc[m] = c
-            elif m in acc:
-                del acc[m]
-        object.__setattr__(self, "terms", dict(sorted(acc.items())))
+    @staticmethod
+    def from_ints(nums: dict, den: int = 1) -> "SparsePoly":
+        """nums / den for a positive int den, made canonical (zeros dropped,
+        keys sorted, the gcd divided out); every polynomial is made here."""
+        p, g = object.__new__(SparsePoly), gcd(den, *nums.values())
+        object.__setattr__(p, "nums", {m: c // g for m, c in sorted(nums.items()) if c})
+        object.__setattr__(p, "den", den // g)
+        return p
 
     def __setattr__(self, name, value):
         raise AttributeError("SparsePoly is immutable")
@@ -119,23 +117,26 @@ class SparsePoly:
 
     @staticmethod
     def variable(i: int) -> "SparsePoly":
-        return SparsePoly({VARIABLES[i]: Q_ONE})
+        return SparsePoly.from_ints({VARIABLES[i]: 1})
 
     @staticmethod
     def coerce(value) -> "SparsePoly":
-        if isinstance(value, SparsePoly):
-            return value
-        return SparsePoly.constant(value)
+        return value if isinstance(value, SparsePoly) else SparsePoly.constant(value)
 
     # -- arithmetic -------------------------------------------------------
     def __add__(self, other):
         other = SparsePoly.coerce(other)
-        return SparsePoly(chain(self.terms.items(), other.terms.items()))
+        den = lcm(self.den, other.den)
+        f = den // other.den
+        nums = {m: c * (den // self.den) for m, c in self.nums.items()}
+        for m, c in other.nums.items():
+            nums[m] = nums.get(m, 0) + c * f
+        return SparsePoly.from_ints(nums, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return SparsePoly({m: -c for m, c in self.terms.items()})
+        return SparsePoly.from_ints({m: -c for m, c in self.nums.items()}, self.den)
 
     def __sub__(self, other):
         return self + (-SparsePoly.coerce(other))
@@ -145,14 +146,14 @@ class SparsePoly:
 
     def __mul__(self, other):
         other = SparsePoly.coerce(other)
-        out = SparsePoly(
-            (m1 + m2, c1 * c2)
-            for m1, c1 in self.terms.items()
-            for m2, c2 in other.terms.items()
-        )
-        if any(m & WIDE for m in out.terms):
+        nums: dict = {}
+        for m1, c1 in self.nums.items():
+            for m2, c2 in other.nums.items():
+                m = m1 + m2
+                nums[m] = nums.get(m, 0) + c1 * c2
+        if any(m & WIDE for m in nums):
             raise ValueError("exponent of a product is 2^15 or more")
-        return out
+        return SparsePoly.from_ints(nums, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -160,7 +161,7 @@ class SparsePoly:
         """self**n for an int n >= 0, by square and multiply."""
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        out, base = SparsePoly.constant(Q_ONE), self
+        out, base = SparsePoly.from_ints({0: 1}), self
         while n:
             if n & 1:
                 out = out * base
@@ -171,37 +172,38 @@ class SparsePoly:
 
     # -- predicates / access ------------------------------------------------
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.nums)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = SparsePoly.constant(other)
         if not isinstance(other, SparsePoly):
             return NotImplemented
-        return self.terms == other.terms
+        return self.den == other.den and self.nums == other.nums
 
     def __hash__(self):
-        return hash(tuple(self.terms.items()))
+        return hash((tuple(self.nums.items()), self.den))
+
+    @property
+    def terms(self) -> dict:
+        """A fresh map from monomials to rational coefficients, ascending."""
+        return {m: Fraction(c, self.den) for m, c in self.nums.items()}
 
     def sorted_terms(self) -> list:
         """(monomial, coeff) pairs, descending in grlex."""
         return list(reversed(self.terms.items()))
 
     def leading_monomial(self) -> int:
-        if not self.terms:
+        if not self.nums:
             raise ValueError("zero polynomial has no leading monomial")
-        return next(reversed(self.terms))
+        return next(reversed(self.nums))
 
     def is_homogeneous(self, degree: int) -> bool:
         """Every term has the given weighted (cohomological) degree."""
-        return all(weighted_degree(m) == degree for m in self.terms)
+        return all(weighted_degree(m) == degree for m in self.nums)
 
     def mod4_degree(self):
         """Common weighted degree class mod 4 of all terms, else None."""
-        classes = {weighted_degree(m) % 4 for m in self.terms}
-        if len(classes) > 1:
-            return None
-        return classes.pop() if classes else 0
+        classes = {weighted_degree(m) % 4 for m in self.nums} or {0}
+        return classes.pop() if len(classes) == 1 else None
 
     # -- rendering ----------------------------------------------------------
     def render(self, names=("alpha", "beta", "gamma")) -> str:
@@ -215,9 +217,7 @@ class SparsePoly:
 
     # -- serialization ---------------------------------------------------
     def to_json(self) -> dict:
-        return {
-            "terms": [{"m": list(exponents(m)), "c": rational_json(c)} for m, c in self.sorted_terms()]
-        }
+        return {"terms": [{"m": list(exponents(m)), "c": rational_json(c)} for m, c in self.sorted_terms()]}
 
 
 ALPHA = SparsePoly.variable(0)

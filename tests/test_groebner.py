@@ -341,6 +341,14 @@ class TestDivisorRule:
         assert self.reduce_counting({m: 5}) == ({m: 5}, 1, 3)
 
 
+class TestLcm:
+    EXPONENTS = st.tuples(*[st.integers(0, 2**15 - 1) | st.integers(0, 3)] * 3)
+
+    @given(EXPONENTS, EXPONENTS)
+    def test_is_the_max_of_the_exponent_triples(self, e1, e2):
+        assert groebner._lcm(monomial(*e1), monomial(*e2)) == monomial(*lcm(e1, e2))
+
+
 class TestStaircase:
     def test_level_one(self):
         gb = buchberger([ALPHA, BETA - 8, GAMMA])

@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
@@ -36,6 +39,15 @@ def to_sympy(p):
     """p as a sympy polynomial over Q, built term by term."""
     terms = {exponents(m): sympy.Rational(str(c)) for m, c in p.terms.items()}
     return sympy.Poly.from_dict(terms, *SYMBOLS, domain=sympy.QQ)
+
+
+def assert_canonical(p):
+    """p is in its one form: a positive den coprime to the numerators, no
+    zero numerator, and the monomials ascending."""
+    assert p.den > 0
+    assert math.gcd(p.den, *p.nums.values()) == 1
+    assert all(p.nums.values())
+    assert list(p.nums) == sorted(p.nums)
 
 
 def grlex(e: tuple) -> tuple:
@@ -116,25 +128,37 @@ class TestArithmetic:
     @settings(max_examples=60)
     @given(polys, polys)
     def test_commutative(self, p, q):
+        assert_canonical(p * q)
         assert p * q == q * p
 
     @settings(max_examples=40)
     @given(polys, polys, polys)
     def test_associative(self, p, q, r):
+        assert_canonical((p * q) * r)
         assert (p * q) * r == p * (q * r)
 
     @settings(max_examples=40)
     @given(polys, polys, polys)
     def test_distributive(self, p, q, r):
+        assert_canonical(q + r)
+        assert_canonical(p * q + p * r)
         assert p * (q + r) == p * q + p * r
 
     @settings(max_examples=60, deadline=None)
     @given(polys, polys)
     def test_against_sympy(self, p, q):
         sp, sq = to_sympy(p), to_sympy(q)
+        for x in (p, q, p + q, p - q, p * q, -p):
+            assert_canonical(x)
         assert to_sympy(p + q) == sp + sq
         assert to_sympy(p - q) == sp - sq
         assert to_sympy(p * q) == sp * sq
+
+    def test_equality_agrees_with_hash(self):
+        # a polynomial equals no scalar, so a set keeps both
+        assert SparsePoly.constant(1) != 1
+        assert len({SparsePoly.constant(1), 1}) == 2
+        assert len({SparsePoly.constant(1), SparsePoly({0: Fraction(2, 2)})}) == 1
 
     def test_canonical_form_prunes_zeros(self):
         p = ALPHA - ALPHA
