@@ -2,16 +2,16 @@
 
 Everything here is exact commutative algebra: the three-term relation
 recursions, the finite-dimensional level rings F_r and their gamma
-quotients, the r x r block of each level's top layer with the spectra of
-F_r and Fbar_r read from those blocks, the filtration layers and torsion
-blocks, which are those top layers, the kernel dimensions of gamma,
+quotients, the spectra of each level's top layer, on which the variables
+act as r x r blocks checked in integers against the recursion's, the
+spectra of F_r and Fbar_r summed from them, the filtration layers and
+torsion blocks, which are those top layers, the kernel dimensions of gamma,
 primitive exterior powers, and the assembled total ring with its dimension
 bookkeeping.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import comb
@@ -164,19 +164,25 @@ def monomial_simplex(r: int, nvars: int = 3) -> list:
 # Fbar_r from the blocks of levels 1..r
 
 
-class LevelBlock(NamedTuple):
-    """The r x r blocks K_r(x) of x = alpha, beta, gamma at level r of F or
-    Fbar (see level_block) and their spectra: on F the torsion block
-    psi1_block(r), on Fbar the filtration layer filtration_step(r - 1)."""
-
-    blocks: dict
-    reports: dict
+def recursion_block(r: int) -> dict:
+    """The alpha, beta and gamma blocks of level r >= 1 that the recursion
+    gives, as r x r integer rows: (T_r, b I, 0), b = beta_eigenvalue(r - 1),
+    index a for alpha^a beta^(r-1-a), T_r[a][a+1] = -(a+1)^2, T_r[a][a-1] =
+    2b for a >= 1 and a = r - 1 mod 2, and T_r 0 elsewhere."""
+    b = int(beta_eigenvalue(r - 1).re)
+    t = [[0] * r for _ in range(r)]
+    for a in range(1, r):
+        t[a - 1][a], t[a][a - 1] = -a * a, 2 * b if (r - a) % 2 else 0
+    scalar = [[b * (i == j) for j in range(r)] for i in range(r)]
+    return dict(zip(VAR_NAMES, (t, scalar, [[0] * r for _ in range(r)])))
 
 
 @lru_cache(maxsize=None)
-def level_block(obj: str, r: int) -> LevelBlock:
-    """The action of alpha, beta and gamma on the top layer of F_r (obj
-    "F") or Fbar_r (obj "Fbar"), r >= 1, as one r x r block each.
+def level_block(obj: str, r: int) -> dict:
+    """The alpha, beta and gamma spectra, as EigenReports, of the top layer
+    of F_r (obj "F") or Fbar_r (obj "Fbar"), r >= 1, on which each acts as
+    one r x r block: on F the torsion block psi1_block(r), on Fbar the
+    filtration layer filtration_step(r - 1).
 
     Write L_r = Q[alpha, beta, gamma]/I_r for the level ring and pi for the
     projection L_r -> L_{r-1}.  Its kernel I_{r-1}/I_r is spanned by the
@@ -198,9 +204,10 @@ def level_block(obj: str, r: int) -> LevelBlock:
     4. gamma g_n, for g_n the Groebner element of I_{r-2} led by n, is the
        g_{gamma n} of I_{r-1} as a polynomial (their divisors are equal);
     for F and Fbar alike:
-    5. the blocks are (T_r, b I, 0), b = beta_eigenvalue(r - 1), with index
-       a for alpha^a beta^(r-1-a): T_r[a][a+1] = -(a+1)^2, T_r[a][a-1] = 2b
-       for a >= 1 and a = r - 1 mod 2, and T_r is 0 elsewhere.
+    5. K_r(x) is recursion_block(r)[x], checked in integers: with the
+       divisors g_m = (m + tail) / lc and G = (x m + utail) / uc, entry
+       [n, m] is (tail[n / x] uc - utail[n] lc) / (lc uc), so that
+       numerator is compared with the wanted entry times lc uc.
     By 3 and 4, with 2 one level down, the g_{gamma n} span a submodule on
     which x acts as on the kernel of pi one level down, and K_r(x) is the
     action on the quotient by it; on Fbar the gamma-free g_m alone span the
@@ -234,42 +241,29 @@ def level_block(obj: str, r: int) -> LevelBlock:
                     f" {render_monomial(n)} is not the level-{r - 1} one")
     upper = {lm: (lc, dict(tail)) for lm, lc, tail, _ in ring.gb.divisors}
     free = [monomial(a, r - 1 - a, 0) for a in range(r)]
-    blocks = {}
-    for name, x in zip(VAR_NAMES, VARIABLES):
-        rows = []
-        for n in free:
-            # x tail(g_m) meets n in the term of g_m at q = n / x, which is a
-            # monomial only where x divides n; elsewhere g_m has no term
-            # there (q = None), and n - x is no monomial but a borrow across
-            # exponent fields
+    for (name, want), x in zip(recursion_block(r).items(), VARIABLES):
+        for n, want_row in zip(free, want):
+            # x tail(g_m) meets n in the term of g_m at q = n / x, a monomial
+            # only where x divides n; elsewhere g_m has no term there (q =
+            # None), and n - x is no monomial but a borrow across fields
             q = n - x if divides(x, n) else None
-            row = []
-            for m in free:
+            for m, w in zip(free, want_row):
                 (lc, tail), (uc, utail) = gens[m], upper.get(m + x, (1, {}))
-                row.append(Fraction(tail.get(q, 0) * uc - utail.get(n, 0) * lc, lc * uc))
-            rows.append(row)
-        blocks[name] = Matrix(rows, r)
+                if tail.get(q, 0) * uc - utail.get(n, 0) * lc != w * lc * uc:
+                    raise FalsificationError(
+                        f"the {name} block of {obj} at level {r} is not the one of the recursion")
     b = beta_eigenvalue(r - 1)
-    t = [[0] * r for _ in range(r)]
-    for a in range(1, r):
-        t[a - 1][a], t[a][a - 1] = -a * a, 2 * b.re if (r - a) % 2 else 0
-    identity = Matrix.identity(r)
-    for name, want in zip(VAR_NAMES, (Matrix(t, r), identity.scale(b.re), identity.scale(0))):
-        if blocks[name] != want:
-            raise FalsificationError(
-                f"the {name} block of {obj} at level {r} is not the one of the recursion")
     alpha = set(map(alpha_eigenvalue, range(1 - r, r, 2)))
     roots = ([(z, 1) for z in default_candidates(r) if z in alpha], [(b, r)],
              [(GaussianRational(0), r)])
-    return LevelBlock(blocks, {name: EigenReport(tuple(zm), UniPoly([1]))
-                               for name, zm in zip(VAR_NAMES, roots)})
+    return {name: EigenReport(tuple(zm), UniPoly([1])) for name, zm in zip(VAR_NAMES, roots)}
 
 
 def level_reports(obj: str, r: int) -> dict:
     """The alpha, beta and gamma spectra of F_r (obj "F") or Fbar_r (obj
     "Fbar"): the characteristic polynomials of the multiplication matrices
     of level_ring(obj, r), whose roots all lie in default_candidates(r + 1),
-    read from the blocks of levels 1..r (see level_block).
+    summed from the spectra of the blocks of levels 1..r (see level_block).
 
     By the guards of level_block, cp(x | F_r) is the product of the
     cp(K_i(x))^(r-i+1), i <= r, and cp(x | Fbar_r) that of the cp(K_i(x)):
@@ -280,7 +274,7 @@ def level_reports(obj: str, r: int) -> dict:
     for name in VAR_NAMES:
         mults = dict.fromkeys(default_candidates(r + 1), 0)
         for i in range(1, r + 1):
-            for z, m in level_block(obj, i).reports[name].roots:
+            for z, m in level_block(obj, i)[name].roots:
                 mults[z] += (r - i + 1 if obj == "F" else 1) * m
         reports[name] = EigenReport(tuple((z, m) for z, m in mults.items() if m), UniPoly([1]))
     return reports
@@ -300,8 +294,8 @@ class SubquotientModule(NamedTuple):
     @staticmethod
     def build(obj: str, r: int) -> "SubquotientModule":
         """The top layer of level r of F (obj "F") or Fbar (obj "Fbar"),
-        r >= 1: the r x r blocks of level_block(obj, r) and their spectra."""
-        return SubquotientModule(r, level_block(obj, r).reports)
+        r >= 1: its dimension r and the block spectra level_block(obj, r)."""
+        return SubquotientModule(r, level_block(obj, r))
 
 
 def filtration_step(r: int) -> SubquotientModule:

@@ -30,15 +30,12 @@ rational quadratic factor.  The factors are stripped over Z: the
 polynomial and each candidate factor are scaled to primitive integer
 polynomials, and by Gauss's lemma a primitive factor divides over Q
 exactly when it divides over Z, so the divisions are exact integer ones.
-The candidate factors are derived once per candidate list, cached by the
-list's value: a GaussianRational hashes by its integers.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 from itertools import chain, islice
 from typing import NamedTuple
 
@@ -396,53 +393,37 @@ def _strip(p: list, factor: list) -> tuple:
     return mult, p
 
 
-@lru_cache(maxsize=64)
-def _plan(candidates: tuple) -> tuple:
-    """How factor_over_candidates treats each candidate: (z, primitive
-    factor) for a real z or the first of a conjugate pair, (z, k) for the
-    second of a pair, whose multiplicity is that of step k.  A nonreal
-    candidate without its conjugate, or one listed before, has no step.
-
-    The plan is derived once per tuple of candidates and then found by its
-    value, so equal lists share one plan.
-    """
-    listed = dict.fromkeys(map(GaussianRational.coerce, candidates))  # in order, once each
-    steps, first = [], {}  # first: conjugate of a pair's first member -> its step
-    for z in listed:
-        if z in first:
-            steps.append((z, first.pop(z)))
-        elif not z.im:
-            steps.append((z, tuple(_primitive([-z.re, Q_ONE]))))
-        elif (conj := z.conjugate()) in listed:
-            first[conj] = len(steps)
-            steps.append((z, tuple(_primitive([z.re * z.re + z.im * z.im, -2 * z.re, Q_ONE]))))
-    return tuple(steps)
-
-
 def factor_over_candidates(cp: UniPoly, candidates) -> EigenReport:
     """Strip the factors of cp over Q that the Q(i) candidates give, in order.
 
     A real candidate c gives the factor x - c.  A nonreal candidate z whose
     conjugate is a candidate too gives (x - z)(x - conj z), the rational
-    quadratic x^2 - 2 Re(z) x + |z|^2; both roots get the multiplicity of
-    that factor, each reported at its own place in the candidate order.  A
-    nonreal candidate without its conjugate strips nothing, since its linear
-    factor is not over Q; any such factor stays in the remainder.
+    quadratic x^2 - 2 Re(z) x + |z|^2, stripped at the first of the pair;
+    both roots get the multiplicity of that factor, each reported at its own
+    place in the candidate order.  A nonreal candidate without its conjugate
+    strips nothing, since its linear factor is not over Q; any such factor
+    stays in the remainder.
 
-    The factors are derived once per candidate list (see `_plan`), the
-    division runs over Z (see `_strip`), and the remainder is made monic
-    again at the end.
+    Each factor is made a primitive integer polynomial where its candidate
+    is reached and divided out over Z (see `_strip`); the remainder is made
+    monic again at the end.
     """
     if not cp.is_monic():
         raise ValueError("characteristic polynomial must be monic")
-    mults, roots = [], []
+    listed = dict.fromkeys(map(GaussianRational.coerce, candidates))  # in order, once each
+    paired = {}  # the second member of a stripped pair -> the pair's multiplicity
+    roots = []
     rem = _primitive(cp.coeffs)
-    for z, factor in _plan(tuple(candidates)):
-        if isinstance(factor, int):
-            mult = mults[factor]
+    for z in listed:
+        if z in paired:
+            mult = paired.pop(z)
+        elif not z.im:
+            mult, rem = _strip(rem, _primitive([-z.re, Q_ONE]))
+        elif (conj := z.conjugate()) in listed:
+            mult, rem = _strip(rem, _primitive([z.re * z.re + z.im * z.im, -2 * z.re, Q_ONE]))
+            paired[conj] = mult
         else:
-            mult, rem = _strip(rem, factor)
-        mults.append(mult)
+            continue
         if mult:
             roots.append((z, mult))
     return EigenReport(tuple(roots), UniPoly([Fraction(c, rem[-1]) for c in rem]))
