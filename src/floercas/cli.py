@@ -26,6 +26,7 @@ from math import factorial
 
 from . import donaldson
 from .exactalg import DEFAULT_ORDER, FalsificationError, to_integers
+from .linalg import EigenReport
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -330,7 +331,7 @@ def _field_int(text: str) -> int:
         raise ValueError(f"field {text!r} is not an integer") from None
 
 
-def _parse_homology_class(spec: str, g: int) -> fukaya.YHomologyClass:
+def _parse_homology_class(spec: str, g: int):
     """A class spec as `mu --class` takes it; a key or field it would not
     read is a usage error, not ignored."""
     from . import fukaya

@@ -10,7 +10,9 @@ point anywhere.  Each layer has one scalar type:
   nonreal value) into that form with `to_integers`, the one such conversion;
 * the spectra (candidate eigenvalues and the roots of an eigenvalue
   report) and the truncated series hold GaussianRationals a + b*i, since
-  sqrt(-1) enters the theory only there.  They hash by their integers.
+  sqrt(-1) enters the theory only there.  They hash by their integers,
+  and == holds only within one type, so it agrees with hash: a
+  GaussianRational or a constant series never equals an int.
 
 Truncated series are elements of Q(i)[t]/(t^N) with a uniform truncation
 order N inside one computation context.
@@ -151,8 +153,6 @@ class GaussianRational:
         return self.re != 0 or self.im != 0
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = GaussianRational(other)
         if not isinstance(other, GaussianRational):
             return NotImplemented
         return self.re == other.re and self.im == other.im
@@ -297,10 +297,7 @@ class TruncatedSeries:
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncatedSeries):
-            if isinstance(other, (int, GaussianRational)):
-                other = TruncatedSeries.constant(other, self.order)
-            else:
-                return NotImplemented
+            return NotImplemented
         return self.order == other.order and self.coeffs == other.coeffs
 
     def __hash__(self):

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import typing
 from pathlib import Path
 
 import pytest
@@ -974,6 +975,16 @@ class TestStartup:
                               text=True, timeout=60, env=dict(os.environ, PYTHONPATH=str(src)))
         assert (done.returncode, done.stderr) == (0, "")
         assert done.stdout == "[] True\n[] [0, 0] True\n"
+
+
+    def test_every_annotation_resolves(self):
+        # annotations stay strings until resolved, so a name the module does
+        # not define shows only here
+        functions = [f for f in vars(cli).values()
+                     if callable(f) and getattr(f, "__module__", None) == cli.__name__]
+        assert len(functions) > 20
+        for f in functions:
+            typing.get_type_hints(f)
 
 
 class TestDeterminism:

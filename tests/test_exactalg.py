@@ -163,6 +163,11 @@ def test_equal_values_hash_equal(p, k):
         made.append(GR(int(re), int(im)))
     assert all(z == made[0] for z in made)
     assert len({hash(z) for z in made}) == 1
+    # == holds only within one type, as hash does: a set keeps a real value
+    # apart from its rational, and a dict keyed by one does not find the other
+    real, whole = GR(re), TS.constant(int(re), k)
+    assert real != re and len({real, re}) == 2 and {real: 1}.get(re) is None
+    assert whole != int(re) and whole != GR(int(re)) and len({whole, int(re)}) == 2
 
 
 def _primes(n: int) -> set:

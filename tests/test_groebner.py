@@ -380,8 +380,8 @@ class TestMultMatrices:
         one = ring.basis.index(monomial(0, 0, 0))
         gam = ring.basis.index(monomial(0, 0, 1))
         col = [row[one] for row in ring.mult_matrix("gamma").rows]
-        expect = [GR(0)] * 4
-        expect[gam] = GR(1)
+        expect = [Fraction(0)] * 4
+        expect[gam] = Fraction(1)
         assert col == expect
 
     def test_alpha_squared_column(self):
