@@ -19,8 +19,8 @@ from collections import Counter
 from math import comb
 from typing import NamedTuple
 
-from . import donaldson, fukaya
-from .exactalg import GaussianRational
+from . import donaldson, floer, fukaya
+from .exactalg import FalsificationError, GaussianRational
 from .floer import (
     alpha_eigenvalue,
     beta_eigenvalue,
@@ -76,6 +76,20 @@ def expected_filtration_alpha(r: int) -> dict:
     return {alpha_eigenvalue(k): 1 for k in range(-r, r + 1, 2)}
 
 
+def expected_level_spectra(obj: str, r: int) -> dict:
+    """The alpha, beta and gamma spectra of F_r (obj "F") or Fbar_r (obj
+    "Fbar"), root -> multiplicity: at alpha_eigenvalue(k), |k| <= r - 1, the
+    dimension of the local ring (Munoz, Topology 38 (1999)), and beta and
+    gamma summed over those lines."""
+    alpha, beta = {}, {}
+    for k in range(1 - r, r):
+        mult = (r + 1 - abs(k)) ** 2 // 4 if obj == "F" else (r - 1 - abs(k)) // 2 + 1
+        alpha[alpha_eigenvalue(k)] = mult
+        beta[beta_eigenvalue(k)] = beta.get(beta_eigenvalue(k), 0) + mult
+    dim = comb(r + 2, 3) if obj == "F" else comb(r + 1, 2)
+    return {"alpha": alpha, "beta": beta, "gamma": {GaussianRational(0): dim}}
+
+
 def expected_socle_charpoly(r: int) -> UniPoly:
     """The displayed product: (x^2+16r^2)...(x^2+16*2^2)*x for r even,
     (x^2-16r^2)...(x^2-16*1^2) for r odd."""
@@ -101,11 +115,22 @@ def check_dimensions(max_genus: int) -> CheckResult:
         for obj, nvars in (("F", 3), ("Fbar", 2)):
             if level_ring(obj, r).basis != tuple(monomial_simplex(r, nvars)):
                 failures.append(f"staircase of {obj}_{r} is not the monomials of degree < {r}")
+                continue
+            try:
+                # by module attribute, as `ring` and `eigen` read the spectra they print
+                reports = floer.level_reports(obj, r)
+            except FalsificationError as exc:
+                failures.append(f"spectra of {obj}_{r}: {exc}")
+                continue
+            for name, want in expected_level_spectra(obj, r).items():
+                if not reports[name].complete() or reports[name].root_set() != want:
+                    failures.append(f"{obj}_{r}: {name} spectrum mismatch")
     return _result(
         "dimensions",
         f"the staircases of F_r and Fbar_r are the monomials of degree < r in "
         f"alpha, beta, gamma and in alpha, beta: bases of dims C(r+2,3) and "
-        f"C(r+1,2), r <= {max_level}",
+        f"C(r+1,2), and their alpha, beta and gamma spectra are those of the "
+        f"local rings, r <= {max_level}",
         failures,
     )
 

@@ -34,7 +34,7 @@ from floercas.cli import (
 )
 from floercas.donaldson import product_series
 from floercas.floer import FalsificationError, SubquotientModule
-from floercas.linalg import Matrix, UniPoly
+from floercas.linalg import EigenReport, Matrix, UniPoly
 from floercas.poly import ALPHA
 
 from elimination import eigen_reports
@@ -390,6 +390,28 @@ def corrupt_finite_type_order(monkeypatch):
                         lambda g, b1_zero=False: order(g, b1_zero) + ((g, b1_zero) == (2, False)))
 
 
+def corrupt_level_weight(obj, weight):
+    """floer.level_reports with the spectra of the level-i block counted
+    weight(r, i) times in those of obj at level r."""
+    def corrupt(monkeypatch):
+        real = floer.level_reports
+
+        def reweighted(o, r):
+            if o != obj:
+                return real(o, r)
+            reports = {}
+            for name in ("alpha", "beta", "gamma"):
+                mults = {}
+                for i in range(1, r + 1):
+                    for z, m in floer.level_block(o, i)[name].roots:
+                        mults[z] = mults.get(z, 0) + weight(r, i) * m
+                reports[name] = EigenReport(tuple(mults.items()), UniPoly([1]))
+            return reports
+
+        monkeypatch.setattr(floer, "level_reports", reweighted)
+    return corrupt
+
+
 def corrupt_fiber_sum(monkeypatch):
     # every coefficient of the glued series doubled when gluing along genus 3
     fiber_sum = donaldson.fiber_sum
@@ -501,6 +523,12 @@ class TestCheckCommand:
                      "order(2, b1_zero=False) = 3 != 2", id="order-2-general"),
         pytest.param(corrupt_fiber_sum, "fiber-sum", "glue genus 3, parts (1,1): ",
                      id="fiber-sum-genus-3"),
+        # the spectra that ring and eigen print: the F weight r - i + 1 made
+        # r - i + 2, and the level-1 block counted twice on Fbar
+        pytest.param(corrupt_level_weight("F", lambda r, i: r - i + 2), "dimensions",
+                     "F_1: alpha spectrum mismatch", id="f-weight"),
+        pytest.param(corrupt_level_weight("Fbar", lambda r, i: 2 if i == 1 else 1), "dimensions",
+                     "Fbar_1: alpha spectrum mismatch", id="fbar-level-1-twice"),
     ])
     def test_a_corrupted_input_fails_its_claim(self, capsys, monkeypatch, corrupt, claim, detail):
         corrupt(monkeypatch)

@@ -18,22 +18,22 @@ GOLDEN = {
     # first that the caps they once had would cut, and genus 5 the first past
     # the dense wedge kernel's cap on primitive-parts
     "check --max-genus 1":
-        "0b6509136066f63612784a7d5f078d80ae2d570d4621ee07eb16e4d6bd469ce8",
+        "b1831785efa107d9c77521f02c4468ee1b4b772b5bbe7adc800c21c9aa001c55",
     "check --max-genus 2":
-        "61d3e11ba8a4eee2dca0aa8026ebee4a44c1c370ba67e802c656432fabb1bef8",
+        "d95f654e955bdfb83fae3dd7be6abe5fd40cbec5c050f491da9dc3317c5472b9",
     "check --max-genus 3":
-        "9b9a7117966351bbf3c87a7727b9c2a16b6ecd5e95d10413b12ace6f0f1143d4",
+        "9560dec71d4e8316b4aae66e81f24ef5285e5615db1ed21c2375a0e5e64e396a",
     "check --max-genus 4":
-        "0a0957c50589ee430d3c666a432ca3e622afee8799decf194353a4b6eff2b956",
+        "1d416bbdc04038de1af79482c8297bae82173e4daf72d91293d98063ed6d47d2",
     "check --max-genus 5":
-        "4933e05f9135bdeeeea5e2e837987e34ec71300ae7adad983bc40dfaed9af5b2",
+        "43136de17ec9404c1dfc795721cfe2f0e3cb3c1d7d7591a5b52b588d375ad3bb",
     "check --max-genus 6":
-        "c9b5376c90d6fc41356054f6a142cdecce44f96997acd9d1ae2a9d6c66c9b4b8",
+        "5c5fd17c2a77d1029189e67f589573fd51f910247bca22c92e08c2bdb39ef97a",
     "check --max-genus 9":
-        "496dae746c28851771a271c61c371cf66294f5e0d1645daaf023b289331547e5",
+        "af21cc0225ca3ac8b356aef466d0b5340c6a1c71feb9db2f3c4dc87b3198044a",
     # the largest accepted genus
     "check --max-genus 10":
-        "6731d425b567b34589e8603e19f4828cc99c31ad997c6ce148e48f9cd82c83d3",
+        "651c1af275b0187d0edea2177156c372fd49df491c607e2c00ffe5c27f45ffc0",
     # the spectra of F_r for every r <= 10, and of F_9 at the largest eigen level
     "ring --genus 10 --format json":
         "cd8596f8901a16132209a6f9fa6d614f09405fb5f7cace39821e9ea220295604",
