@@ -25,7 +25,7 @@ from json.encoder import encode_basestring_ascii
 from math import factorial
 
 from . import donaldson
-from .exactalg import DEFAULT_ORDER, FalsificationError, to_integers
+from .exactalg import DEFAULT_ORDER, FalsificationError, integer, integers, to_integers
 from .linalg import EigenReport
 
 EXIT_OK = 0
@@ -86,9 +86,9 @@ MAX_MODULE_GENUS = 200
 #: multiplicities of up to g bits (--format json 1.6-1.8 s at 250, 2.6 s at 300)
 MAX_DELTA_GENUS = 250
 
-#: largest genus accepted by mu --genus; a class spec that lists curves
-#: reads 2g coefficients (a grade-2 JSON class: 1.6 s at 2 * 10^6, 2.4 s
-#: at 3 * 10^6)
+#: largest genus accepted by mu --genus; a spec that lists curves reads 2g coefficients: through
+#: cli.main a grade-2 JSON class takes 1.0-1.3 s at 2 * 10^6, but Linux passes no argument over
+#: 128 KiB (genus ~20000); --class torus:1 takes 0.21-0.26 s a process, 0.14-0.18 s start-up
 MAX_MU_GENUS = 2_000_000
 
 #: largest genus accepted by donaldson order --genus; the bound sums g terms
@@ -303,22 +303,10 @@ def _cmd_delta(args):
     return EXIT_OK, module.to_json(), "\n".join(lines)
 
 
-def _integer(value, name: str):
-    _require(isinstance(value, int) and not isinstance(value, bool), f"{name} must be an integer")
-    return value
-
-
 #: the keys a JSON class spec of each grade reads besides "grade"
 _CLASS_KEYS = {2: {"sigma", "torus"}, 1: {"circle", "curves"}, 0: {"mult"}}
 #: the most colon-separated fields each kind of short class spec reads
 _CLASS_FIELDS = {"pt": 2, "Sigma": 2, "S1": 2, "gamma": 3, "torus": 3}
-
-
-def _integer_array(obj: dict, key: str, g: int) -> tuple:
-    """The 2g-entry integer array obj[key] of a JSON class spec, zeros if absent."""
-    values = obj.get(key, [0] * (2 * g))
-    _require(isinstance(values, list), f"{key} must be a JSON array of integers")
-    return tuple(_integer(c, f"{key} entry") for c in values)
 
 
 def _field_int(text: str) -> int:
@@ -339,19 +327,18 @@ def _parse_homology_class(spec: str, g: int):
     if spec.startswith("{"):
         obj = json.loads(spec)
         _require("grade" in obj, "a JSON class spec needs a grade")
-        grade = _integer(obj["grade"], "grade")
+        grade = integer(obj["grade"], "grade")
         _require(grade in _CLASS_KEYS, "grade must be 0, 1 or 2")
         unknown = sorted(set(obj) - _CLASS_KEYS[grade] - {"grade"})
         _require(not unknown, f"unknown keys for a grade-{grade} class: {unknown}")
-        if grade == 2:
-            torus = _integer_array(obj, "torus", g)
-            _require(len(torus) == 2 * g, f"torus must have {2 * g} coefficients")
-            return fukaya.YHomologyClass.surface(_integer(obj.get("sigma", 0), "sigma"), torus)
-        if grade == 1:
-            surface = _integer_array(obj, "curves", g)
-            _require(len(surface) == 2 * g, f"curves must have {2 * g} coefficients")
-            return fukaya.YHomologyClass.curve(_integer(obj.get("circle", 0), "circle"), surface)
-        return fukaya.YHomologyClass.point(_integer(obj.get("mult", 1), "mult"))
+        if grade == 0:
+            return fukaya.YHomologyClass.point(integer(obj.get("mult", 1), "mult"))
+        # a 2g-entry array, zeros if absent, and the surface or circle coefficient
+        array, scalar = ("torus", "sigma") if grade == 2 else ("curves", "circle")
+        coeffs = integers(obj.get(array, [0] * (2 * g)), array)
+        _require(len(coeffs) == 2 * g, f"{array} must have {2 * g} coefficients")
+        make = fukaya.YHomologyClass.surface if grade == 2 else fukaya.YHomologyClass.curve
+        return make(integer(obj.get(scalar, 0), scalar), coeffs)
     parts = spec.split(":")
     kind = parts[0]
     _require(kind in _CLASS_FIELDS, f"unknown class spec {spec!r}")

@@ -17,14 +17,14 @@ from math import comb
 from operator import add
 from typing import NamedTuple
 
-from .exactalg import DEFAULT_ORDER, TruncatedSeries, rational, to_integers
+from .exactalg import DEFAULT_ORDER, TruncatedSeries, integer, integers, rational, to_integers
 from .linalg import Matrix
 
 
 def _norm_terms(terms) -> tuple:
     acc: dict[tuple, object] = {}
     for a, k in terms:
-        k = tuple(int(x) for x in k)
+        k = integers(k, "K")
         a = rational(a)
         if k in acc:
             acc[k] = acc[k] + a
@@ -43,9 +43,10 @@ class _SeriesFields(NamedTuple):
 class DonaldsonSeries(_SeriesFields):
     """exp(Q/2) * sum a_i exp(K_i) over a named sublattice of 2-homology.
 
-    The constructor checks that Q is a symmetric integer form on the basis
-    and normalizes the terms: equal classes are merged, zero coefficients
-    dropped and the classes sorted.
+    The constructor reads each row of Q and each K by `exactalg.integers`,
+    so an entry that is not an int raises ValueError naming Q or K, checks
+    that Q is a symmetric form on the basis and normalizes the terms: equal
+    classes are merged, zero coefficients dropped and the classes sorted.
     """
 
     __slots__ = ()
@@ -53,7 +54,7 @@ class DonaldsonSeries(_SeriesFields):
     def __new__(cls, basis_names, q, terms, simple_type: bool = True):
         basis_names = tuple(basis_names)
         n = len(basis_names)
-        q = tuple(tuple(int(x) for x in row) for row in q)
+        q = tuple(integers(row, "Q") for row in q)
         if len(q) != n or any(len(row) != n for row in q):
             raise ValueError("intersection form shape does not match basis")
         if q != tuple(tuple(row[i] for row in q) for i in range(n)):
@@ -67,7 +68,7 @@ class DonaldsonSeries(_SeriesFields):
     def pair(self, u, v) -> int:
         """u^T Q v for integer vectors in the tracked lattice."""
         return sum(
-            int(u[i]) * self.q[i][j] * int(v[j])
+            u[i] * self.q[i][j] * v[j]
             for i in range(len(self.basis_names))
             for j in range(len(self.basis_names))
         )
@@ -89,7 +90,8 @@ class DonaldsonSeries(_SeriesFields):
     @staticmethod
     def from_json(obj: dict) -> "DonaldsonSeries":
         """The series of a JSON object with basis, Q, terms and optionally
-        simple_type; a field of the wrong shape raises ValueError naming it."""
+        simple_type; a field of the wrong shape raises ValueError naming it,
+        and the constructor checks that Q and each K hold integers."""
         if not isinstance(obj, dict):
             raise ValueError("a series must be a JSON object")
         simple_type = obj.get("simple_type", True)
@@ -97,7 +99,7 @@ class DonaldsonSeries(_SeriesFields):
             # bool() would read the string "false" as simple type
             raise ValueError("simple_type must be a boolean")
         basis_names = _names(_field(obj, "basis", "a series"))
-        q = _form(_field(obj, "Q", "a series"))
+        q = _array(_field(obj, "Q", "a series"), "Q")
         terms = []
         for t in _array(_field(obj, "terms", "a series"), "terms"):
             if not isinstance(t, dict):
@@ -109,7 +111,7 @@ class DonaldsonSeries(_SeriesFields):
                 a = rational(a)
             except (ValueError, ZeroDivisionError):
                 raise ValueError(f"a term's a is {a!r}, not a rational number") from None
-            terms.append((a, _integers(_field(t, "K", "a term"), "K")))
+            terms.append((a, _field(t, "K", "a term")))
         return DonaldsonSeries(basis_names, q, tuple(terms), simple_type)
 
 
@@ -136,24 +138,6 @@ def _names(values) -> tuple:
     return tuple(values)
 
 
-def _integers(values, name: str) -> tuple:
-    """A JSON array as a tuple, rejecting any entry that is not an integer:
-    int() would truncate a fractional class or form entry without a word."""
-    if not isinstance(values, list):
-        raise ValueError(f"{name} must be a JSON array of integers")
-    if not all(isinstance(x, int) and not isinstance(x, bool) for x in values):
-        raise ValueError(f"{name} entries must be integers")
-    return tuple(values)
-
-
-def _form(value) -> tuple:
-    """An intersection form given as a JSON array of integer rows."""
-    rows = _array(value, "Q")
-    if not all(isinstance(row, list) for row in rows):
-        raise ValueError("each row of Q must be a JSON array")
-    return tuple(_integers(row, "Q") for row in rows)
-
-
 _HYPERBOLIC_Q = ((0, 1), (1, 0))
 
 
@@ -173,13 +157,10 @@ def product_series(g: int, h: int) -> DonaldsonSeries:
         # 4^m * sinh^(2m-2)(X) where X is the genus-1 factor class
         x = (0, 1) if h == 1 else (1, 0)
         n = 2 * m - 2
-        lead = rational(4**m) / rational(2**n)
-        for j in range(n + 1):
-            coeff = lead * comb(n, j) * (-1) ** j
-            k = tuple((n - 2 * j) * c for c in x)
-            terms.append((coeff, k))
+        for j in range(n + 1):  # 4^m / 2^n = 4
+            terms.append((4 * comb(n, j) * (-1) ** j, tuple((n - 2 * j) * c for c in x)))
     else:
-        weight = rational(2 ** (7 * (g - 1) * (h - 1) + 3)) / 2
+        weight = 2 ** (7 * (g - 1) * (h - 1) + 2)  # 2^(7(g-1)(h-1)+3) times the 1/2 of sinh or cosh
         k = (2 * h - 2, 2 * g - 2)
         minus = -weight if (g % 2 == 0 and h % 2 == 0) else weight
         terms = [(weight, k), (minus, tuple(-c for c in k))]
@@ -199,9 +180,10 @@ def evaluate(series: DonaldsonSeries, d, order: int = DEFAULT_ORDER) -> Truncate
     with the integers w(n, j) = n! / (j! (n - 2j)!) q^j 2^(h - j), so each
     coefficient is one integer sum and one division.  w(n, 0) = 2^h, and
     w(n, j + 1) = w(n, j) (n - 2j) (n - 2j - 1) q / (2 (j + 1)) exactly.
-    The result is wrapped in a series over Q(i) only at the end.
+    The result is wrapped in a series over Q(i) only at the end.  D is read
+    by `exactalg.integers`, so an entry that is not an int raises ValueError.
     """
-    d = tuple(int(x) for x in d)
+    d = integers(d, "class")
     nums, den = to_integers(a for a, _ in series.terms)
     s = [0] * order
     for term, (_, k) in zip(nums, series.terms):  # term: A_i c_i^m, one running term per class
@@ -253,10 +235,18 @@ class FiberSumInput(NamedTuple):
     splits: tuple
 
     def validate(self):
-        """Check the genus, simple type, vector lengths, Sigma^2 = 0 on both
-        sides, Q symmetric and D^2 = D1^2 + D2^2 for each split, with D^2
+        """Check that each split's sigma_dot, d1 and d2 and sigma_in_a/b
+        (named sigma_a/b, as in a pairing) hold ints (`exactalg.integer`),
+        then the genus, simple type, vector lengths, Sigma^2 = 0 on both
+        sides, Q a symmetric integer form and D^2 = D1^2 + D2^2 for each split, with D^2
         read off Q's diagonal; return the solver of result classes (see
         `_ClassSolver`), whose one elimination of Q proves it nondegenerate."""
+        for sp in self.splits:
+            integer(sp.sigma_dot, "sigma_dot")
+            integers(sp.d1, "d1")
+            integers(sp.d2, "d2")
+        integers(self.sigma_in_a, "sigma_a")
+        integers(self.sigma_in_b, "sigma_b")
         if self.genus < 1:
             raise ValueError("gluing genus must be >= 1")
         if not (self.a.simple_type and self.b.simple_type):
@@ -283,7 +273,8 @@ class FiberSumInput(NamedTuple):
     @staticmethod
     def from_json(a: DonaldsonSeries, b: DonaldsonSeries, genus: int, obj: dict) -> "FiberSumInput":
         """The input of a JSON pairing object with sigma_a, sigma_b, basis, Q
-        and splits; a field of the wrong shape raises ValueError naming it."""
+        and splits; a field of the wrong shape raises ValueError naming it,
+        and `validate` checks that the vectors, Q and sigma_dot hold integers."""
         if not isinstance(obj, dict):
             raise ValueError("a pairing must be a JSON object")
         splits = []
@@ -291,18 +282,15 @@ class FiberSumInput(NamedTuple):
             if not isinstance(s, dict):
                 raise ValueError("each entry of splits must be a JSON object")
             dot = _field(s, "sigma_dot", "a split")
-            if not isinstance(dot, int) or isinstance(dot, bool):
-                raise ValueError("sigma_dot must be an integer")
-            d1 = _integers(_field(s, "d1", "a split"), "d1")
-            splits.append(SplitClass(d1, _integers(_field(s, "d2", "a split"), "d2"), dot))
+            splits.append(SplitClass(_field(s, "d1", "a split"), _field(s, "d2", "a split"), dot))
         return FiberSumInput(
             a=a,
             b=b,
             genus=genus,
-            sigma_in_a=_integers(_field(obj, "sigma_a", "a pairing"), "sigma_a"),
-            sigma_in_b=_integers(_field(obj, "sigma_b", "a pairing"), "sigma_b"),
+            sigma_in_a=_field(obj, "sigma_a", "a pairing"),
+            sigma_in_b=_field(obj, "sigma_b", "a pairing"),
             basis_names=_names(_field(obj, "basis", "a pairing")),
-            q=_form(_field(obj, "Q", "a pairing")),
+            q=_array(_field(obj, "Q", "a pairing"), "Q"),
             splits=tuple(splits),
         )
 
@@ -444,8 +432,9 @@ class CongruenceReport(NamedTuple):
 
 def congruence_check(series: DonaldsonSeries, sigma, g: int) -> CongruenceReport:
     """Check K . Sigma = 2g-2 (mod 4) for every basic class; Sigma is given
-    as a vector in the tracked lattice and must have square zero."""
-    sigma = tuple(int(x) for x in sigma)
+    as an integer vector in the tracked lattice (read by `exactalg.integers`)
+    and must have square zero."""
+    sigma = integers(sigma, "sigma")
     if series.quadratic_form(sigma) != 0:
         raise ValueError("congruence test requires a square-zero surface class")
     target = (2 * g - 2) % 4

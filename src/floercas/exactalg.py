@@ -4,10 +4,10 @@ series in t.
 Every computation in the package bottoms out here; there is no floating
 point anywhere.  Each layer has one scalar type:
 
-* the rings -- polynomials, Groebner bases, matrices and characteristic
-  polynomials -- hold integers over one common denominator, and read
-  rationals (`fractions.Fraction`, made by `rational`, which refuses a
-  nonreal value) into that form with `to_integers`, the one such conversion;
+* polynomials, Groebner bases and matrices hold integers over one common
+  denominator, read from rationals (`fractions.Fraction`, made by `rational`,
+  which refuses a nonreal value) by `to_integers` alone; a `linalg.UniPoly`,
+  such as a characteristic polynomial, holds its coefficients as Fractions;
 * the spectra (candidate eigenvalues and the roots of an eigenvalue
   report) and the truncated series hold GaussianRationals a + b*i, since
   sqrt(-1) enters the theory only there.  They hash by their integers,
@@ -66,6 +66,23 @@ def rational(value=0, den=None):
     if isinstance(value, float):
         raise TypeError("floating point input is not allowed in exact arithmetic")
     return Fraction(value)
+
+
+def integer(value, name: str) -> int:
+    """An integer read from outside: an int that is not a bool, else ValueError
+    naming the field, where int() would truncate 1.5 and read True as 1."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ValueError(f"{name} must be an integer")
+
+
+def integers(values, name: str) -> tuple:
+    """A list or tuple of `integer`s as a tuple, else ValueError naming the field."""
+    if not isinstance(values, (list, tuple)):
+        raise ValueError(f"{name} must be a JSON array of integers")
+    if not all(isinstance(x, int) and not isinstance(x, bool) for x in values):
+        raise ValueError(f"{name} entries must be integers")
+    return tuple(values)
 
 
 def to_integers(values) -> tuple:

@@ -5,10 +5,10 @@ Every matrix the package builds is real -- the multiplication matrices of
 the level rings, the inclusion matrices of subsets, the intersection
 forms -- so a nonreal entry raises TypeError.  A Matrix holds its rows as
 integers over one positive denominator for the whole matrix, made
-canonical by their gcd, and every method reads the integers; Fractions
-(`fractions.Fraction`) appear only where values enter a Matrix, UniPoly
-or EigenReport or leave one, and they are turned into integers by
-`exactalg.to_integers`.
+canonical by their gcd, and every method reads the integers.  Fractions
+(`fractions.Fraction`) are what a Matrix reads in (`exactalg.to_integers`)
+and hands out, and what a UniPoly holds: a characteristic polynomial's
+coefficients stay Fractions until factor_over_candidates reads them.
 Elimination is one integer Gauss-Jordan: a row is cleared by
 cross-multiplying with the pivot row and divided by its content; only
 Matrix.rref divides out the pivots, and Matrix.rank just counts them.

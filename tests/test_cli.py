@@ -572,16 +572,22 @@ class TestUsageErrors:
         self.assert_one_line_usage_error(code, err)
 
     def test_non_integer_json_surface_coefficient(self, capsys):
-        code, _, err = run(
-            capsys, "mu", "--genus", "2", "--i", "1", "--class", '{"grade": 2, "sigma": "x"}'
-        )
-        self.assert_one_line_usage_error(code, err)
+        for spec, message in (
+            ('{"grade": 2, "sigma": "x"}', "sigma must be an integer"),
+            ('{"grade": 2, "torus": [0, 1.5, 0, 0]}', "torus entries must be integers"),
+            ('{"grade": 2, "torus": "0000"}', "torus must be a JSON array of integers"),
+            ('{"grade": 1, "curves": [0, true, 0, 0]}', "curves entries must be integers"),
+            ('{"grade": 1, "circle": 0.5}', "circle must be an integer"),
+        ):
+            code, out, err = run(capsys, "mu", "--genus", "2", "--i", "1", "--class", spec)
+            self.assert_one_line_usage_error(code, err)
+            assert f"malformed class spec {spec!r}: {message}\n" in err and out == ""
 
     def test_non_integer_json_point_multiple(self, capsys):
-        code, _, err = run(
-            capsys, "mu", "--genus", "2", "--i", "1", "--class", '{"grade": 0, "mult": [1]}'
-        )
-        self.assert_one_line_usage_error(code, err)
+        for spec in ('{"grade": 0, "mult": [1]}', '{"grade": 0, "mult": true}'):
+            code, out, err = run(capsys, "mu", "--genus", "2", "--i", "1", "--class", spec)
+            self.assert_one_line_usage_error(code, err)
+            assert "mult must be an integer" in err and out == ""
 
     def test_curve_list_length(self, capsys):
         code, _, err = run(
@@ -611,7 +617,7 @@ class TestUsageErrors:
                 capsys, "mu", "--genus", "2", "--i", "1", "--class", f'{{"grade": {grade}}}'
             )
             self.assert_one_line_usage_error(code, err)
-            assert out == ""
+            assert "grade must be an integer" in err and out == ""
 
     def test_zero_denominator_in_series(self, capsys, tmp_path):
         obj = product_series(1, 1).to_json()
@@ -625,7 +631,9 @@ class TestUsageErrors:
 
     def test_non_integer_class_or_form_in_series(self, capsys, tmp_path):
         # int() would truncate these to K = [1] and Q = [[0]] and answer "value: 1"
-        for q, k in (([[0]], [1.5]), ([[0.5]], [1])):
+        for q, k, message in (([[0]], [1.5], "K entries must be integers"),
+                              ([[0.5]], [1], "Q entries must be integers"),
+                              ([0], [1], "Q must be a JSON array of integers")):
             obj = {"basis": ["E"], "Q": q, "terms": [{"a": "1", "K": k}]}
             path = tmp_path / "series.json"
             path.write_text(json.dumps(obj))
@@ -633,7 +641,7 @@ class TestUsageErrors:
                 capsys, "donaldson", "eval", "--series", str(path), "--class", "1"
             )
             self.assert_one_line_usage_error(code, err)
-            assert out == ""
+            assert message in err and out == ""
 
     def test_fractional_fibersum_pairing(self, capsys, tmp_path):
         # int() would truncate each of these and print the unperturbed series

@@ -649,3 +649,29 @@ class TestSerialization:
     def test_symmetry_enforced(self):
         with pytest.raises(ValueError):
             DonaldsonSeries(("E", "F"), ((0, 1), (2, 0)), [])
+
+
+# Each call reads a fraction, a float or a bool where an integer belongs.
+# int() truncated each one and gave an answer: the hyperbolic form, the
+# terms merged into 4 at (0, 0), the value at (1, 0), a passing congruence
+# test, a +-512 sum, or a zero Q reported as "must be nondegenerate".
+NON_INTEGER_CALLS = {
+    "Q-entry": (lambda: DonaldsonSeries(("E", "F"), ((0, 1.5), (1.5, 0)), [(1, (1, 0))]), "Q"),
+    "K-half": (lambda: series([(2, (Fraction(1, 2), 0)), (2, (0, 0))]), "K"),
+    "K-float": (lambda: series([(2, (0.9, 0)), (2, (0, 0))]), "K"),
+    "K-bool": (lambda: series([(1, (True, 0))]), "K"),
+    "evaluate-class": (lambda: evaluate(product_series(2, 2), (1.5, 0), 3), "class"),
+    "congruence-sigma": (lambda: congruence_check(product_series(2, 2), (1.9, 0), 2), "sigma"),
+    "fiber-sum-sigma": (
+        lambda: fiber_sum(product_sum_input(2, 1, 1)._replace(sigma_in_a=(1.5, 0))), "sigma_a"),
+    "fiber-sum-Q": (
+        lambda: fiber_sum(product_sum_input(2, 1, 1)._replace(q=((Fraction(1, 2),) * 2,) * 2)),
+        "Q"),
+}
+
+
+@pytest.mark.parametrize("case", NON_INTEGER_CALLS)
+def test_library_calls_refuse_a_non_integer(case):
+    call, field = NON_INTEGER_CALLS[case]
+    with pytest.raises(ValueError, match=rf"^{field} entries must be integers$"):
+        call()
