@@ -198,8 +198,7 @@ def _json_text(payload) -> str:
 
 def _eigen_text(report: EigenReport) -> str:
     roots = ", ".join(f"{value} (x{mult})" for value, mult in report.roots)
-    tail = "" if report.complete() else "  UNEXPLAINED-FACTOR"
-    return f"roots: {roots or '-'}{tail}"
+    return f"roots: {roots or '-'}"
 
 
 def _series_payload_text(series: donaldson.DonaldsonSeries) -> str:
@@ -321,8 +320,9 @@ def _field_int(text: str) -> int:
 
 def _parse_homology_class(spec: str, g: int):
     """A class spec as `mu --class` takes it; a key or field it would not
-    read is a usage error, not ignored."""
-    from . import fukaya
+    read is a usage error, not ignored.  Every field is checked, also those
+    of a grade-1 class, which is held by its grade alone."""
+    from .fukaya import YHomologyClass
 
     if spec.startswith("{"):
         obj = json.loads(spec)
@@ -332,33 +332,31 @@ def _parse_homology_class(spec: str, g: int):
         unknown = sorted(set(obj) - _CLASS_KEYS[grade] - {"grade"})
         _require(not unknown, f"unknown keys for a grade-{grade} class: {unknown}")
         if grade == 0:
-            return fukaya.YHomologyClass.point(integer(obj.get("mult", 1), "mult"))
+            return YHomologyClass.point(integer(obj.get("mult", 1), "mult"))
         # a 2g-entry array, zeros if absent, and the surface or circle coefficient
         array, scalar = ("torus", "sigma") if grade == 2 else ("curves", "circle")
         coeffs = integers(obj.get(array, [0] * (2 * g)), array)
         _require(len(coeffs) == 2 * g, f"{array} must have {2 * g} coefficients")
-        make = fukaya.YHomologyClass.surface if grade == 2 else fukaya.YHomologyClass.curve
-        return make(integer(obj.get(scalar, 0), scalar), coeffs)
+        c = integer(obj.get(scalar, 0), scalar)
+        return YHomologyClass.surface(c, coeffs) if grade == 2 else YHomologyClass.curve()
     parts = spec.split(":")
     kind = parts[0]
     _require(kind in _CLASS_FIELDS, f"unknown class spec {spec!r}")
     _require(len(parts) <= _CLASS_FIELDS[kind], f"too many fields in class spec {spec!r}")
-    if kind == "pt":
-        mult = _field_int(parts[1]) if len(parts) > 1 else 1
-        return fukaya.YHomologyClass.point(mult)
-    if kind == "Sigma":
+    if kind in ("pt", "Sigma", "S1"):
         c = _field_int(parts[1]) if len(parts) > 1 else 1
-        return fukaya.YHomologyClass.surface(c, ())
-    if kind == "S1":
-        c = _field_int(parts[1]) if len(parts) > 1 else 1
-        return fukaya.YHomologyClass.curve(circle_coeff=c)
+        if kind == "pt":
+            return YHomologyClass.point(c)
+        return YHomologyClass.surface(c) if kind == "Sigma" else YHomologyClass.curve()
     _require(len(parts) >= 2, f"{kind}:<j> needs a curve index")
     j = _field_int(parts[1])
     _require(1 <= j <= 2 * g, f"curve index must be in 1..{2 * g}")
+    c = _field_int(parts[2]) if len(parts) > 2 else 1
+    if kind == "gamma":
+        return YHomologyClass.curve()
     coeffs = [0] * (2 * g)
-    coeffs[j - 1] = _field_int(parts[2]) if len(parts) > 2 else 1
-    make = fukaya.YHomologyClass.curve if kind == "gamma" else fukaya.YHomologyClass.surface
-    return make(0, coeffs)
+    coeffs[j - 1] = c
+    return YHomologyClass.surface(0, coeffs)
 
 
 def _cmd_mu(args):

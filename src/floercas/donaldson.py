@@ -66,12 +66,12 @@ class DonaldsonSeries(_SeriesFields):
 
     # -- lattice pairings ---------------------------------------------------
     def pair(self, u, v) -> int:
-        """u^T Q v for integer vectors in the tracked lattice."""
-        return sum(
-            u[i] * self.q[i][j] * v[j]
-            for i in range(len(self.basis_names))
-            for j in range(len(self.basis_names))
-        )
+        """u^T Q v for integer vectors in the tracked lattice; a vector of
+        another length than the basis raises ValueError."""
+        n = len(self.basis_names)
+        if len(u) != n or len(v) != n:
+            raise ValueError("class vector length does not match basis")
+        return sum(u[i] * self.q[i][j] * v[j] for i in range(n) for j in range(n))
 
     def quadratic_form(self, v) -> int:
         return self.pair(v, v)
@@ -433,7 +433,8 @@ class CongruenceReport(NamedTuple):
 def congruence_check(series: DonaldsonSeries, sigma, g: int) -> CongruenceReport:
     """Check K . Sigma = 2g-2 (mod 4) for every basic class; Sigma is given
     as an integer vector in the tracked lattice (read by `exactalg.integers`)
-    and must have square zero."""
+    and must have square zero, and g is read by `exactalg.integer`."""
+    g = integer(g, "genus")
     sigma = integers(sigma, "sigma")
     if series.quadratic_form(sigma) != 0:
         raise ValueError("congruence test requires a square-zero surface class")

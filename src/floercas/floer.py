@@ -17,7 +17,7 @@ from itertools import combinations
 from math import comb
 from typing import NamedTuple
 
-from .exactalg import FalsificationError, GaussianRational
+from .exactalg import FalsificationError, GaussianRational, integer
 from .groebner import VAR_NAMES, QuotientRing
 from .linalg import EigenReport, Matrix, UniPoly
 from .poly import ALPHA, BETA, GAMMA, VARIABLES, SparsePoly, divides, monomial, render_monomial
@@ -64,10 +64,12 @@ class RelationTriple(NamedTuple):
 @lru_cache(maxsize=None)
 def relations(flavor: str, r: int) -> RelationTriple:
     """The level-r relations of the given flavor: (1, 0, 0) at level 0, and
-    above it one step of the recursion from the cached level r - 1."""
+    above it one step of the recursion from the cached level r - 1.  r is
+    read by `exactalg.integer` in the cached body, so a refused r, such as
+    True (a key equal to 1), caches nothing."""
     if flavor not in FLAVORS:
         raise ValueError(f"unknown flavor {flavor!r}")
-    if r < 0:
+    if integer(r, "level") < 0:
         raise ValueError("level must be >= 0")
     zero = SparsePoly.zero()
     if r == 0:
@@ -256,7 +258,7 @@ def level_block(obj: str, r: int) -> dict:
     alpha = set(map(alpha_eigenvalue, range(1 - r, r, 2)))
     roots = ([(z, 1) for z in default_candidates(r) if z in alpha], [(b, r)],
              [(GaussianRational(0), r)])
-    return {name: EigenReport(tuple(zm), UniPoly([1])) for name, zm in zip(VAR_NAMES, roots)}
+    return {name: EigenReport(tuple(zm)) for name, zm in zip(VAR_NAMES, roots)}
 
 
 def level_reports(obj: str, r: int) -> dict:
@@ -276,7 +278,7 @@ def level_reports(obj: str, r: int) -> dict:
         for i in range(1, r + 1):
             for z, m in level_block(obj, i)[name].roots:
                 mults[z] += (r - i + 1 if obj == "F" else 1) * m
-        reports[name] = EigenReport(tuple((z, m) for z, m in mults.items() if m), UniPoly([1]))
+        reports[name] = EigenReport(tuple((z, m) for z, m in mults.items() if m))
     return reports
 
 

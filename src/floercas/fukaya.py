@@ -70,7 +70,7 @@ class EffectiveEigenvalue(NamedTuple):
     i: int
     alpha: TruncatedSeries
     beta: GaussianRational
-    gamma: GaussianRational
+    gamma: GaussianRational = GaussianRational(0)  # gamma is nilpotent
 
     def to_json(self) -> dict:
         return {
@@ -86,9 +86,8 @@ def effective_eigenvalues(g: int, order: int = DEFAULT_ORDER) -> tuple:
     (-2t, 8, 0), (+-4 + 2t, -8, 0), (+-8*sqrt(-1) - 2t, 8, 0), ...  These
     are the lines of reduced_module(g) in order of |i|, positive i first;
     gamma is nilpotent, so its only eigenvalue is 0."""
-    zero = GaussianRational(0)
     lines = sorted(reduced_module(g, 1, order).components, key=lambda c: (abs(c.i), -c.i))
-    return tuple(EffectiveEigenvalue(c.i, c.alpha, c.beta, zero) for c in lines)
+    return tuple(EffectiveEigenvalue(c.i, c.alpha, c.beta) for c in lines)
 
 
 class DeltaComponent(NamedTuple):
@@ -145,51 +144,36 @@ def delta_module(g: int) -> DeltaHffModule:
 
 
 class YHomologyClass(NamedTuple):
-    """A homology class of the product three-manifold in the tracked basis.
-
-    grade 2: sigma_coeff * [surface] + sum_j torus_coeffs[j] * (gamma_j x circle)
-    grade 1: circle_coeff * [circle] + sum_j surface_coeffs[j] * gamma_j
-    grade 0: point_mult * [point]
+    """A homology class of the product three-manifold, held as the
+    pairings the mu-action reads: a grade-2 class by its intersections
+    with the circle fiber and with the loop, a grade-0 class by its
+    multiple of [point]; a grade-1 class acts by zero and is held by its
+    grade alone.
     """
 
     grade: int
-    sigma_coeff: int = 0
-    torus_coeffs: tuple = ()
-    circle_coeff: int = 0
-    surface_coeffs: tuple = ()
+    circle_pairing: int = 0
+    loop_pairing: int = 0
     point_mult: int = 0
 
     @staticmethod
     def surface(sigma_coeff: int = 1, torus_coeffs=()) -> "YHomologyClass":
-        return YHomologyClass(2, sigma_coeff=sigma_coeff, torus_coeffs=tuple(torus_coeffs))
+        """sigma_coeff * [surface] + sum_j torus_coeffs[j] * (gamma_j x circle),
+        torus_coeffs empty or of length 2g.  Only [surface] meets the circle
+        fiber; with the symplectic basis convention gamma_j . gamma_{j+g} =
+        point, only gamma_{g+1} x circle meets the loop gamma_1 (value -1)."""
+        if len(torus_coeffs) % 2:
+            raise ValueError("torus_coeffs must have even length 2g")
+        loop = -torus_coeffs[len(torus_coeffs) // 2] if torus_coeffs else 0
+        return YHomologyClass(2, sigma_coeff, loop)
 
     @staticmethod
-    def curve(circle_coeff: int = 0, surface_coeffs=()) -> "YHomologyClass":
-        return YHomologyClass(
-            1, circle_coeff=circle_coeff, surface_coeffs=tuple(surface_coeffs)
-        )
+    def curve() -> "YHomologyClass":
+        return YHomologyClass(1)
 
     @staticmethod
     def point(mult: int = 1) -> "YHomologyClass":
         return YHomologyClass(0, point_mult=mult)
-
-    def circle_pairing(self) -> int:
-        """Intersection with the circle fiber: only [surface] meets it."""
-        return self.sigma_coeff
-
-    def loop_pairing(self) -> int:
-        """Intersection with the loop, normalized to the first basis curve.
-
-        With the symplectic basis convention gamma_j . gamma_{j+g} = point,
-        only gamma_{g+1} x circle pairs (value -1) with gamma_1.
-        """
-        if not self.torus_coeffs:
-            return 0
-        n = len(self.torus_coeffs)
-        if n % 2:
-            raise ValueError("torus_coeffs must have even length 2g")
-        g = n // 2
-        return -self.torus_coeffs[g]
 
 
 def mu_action(i: int, cls: YHomologyClass, order: int = DEFAULT_ORDER) -> TruncatedSeries:
@@ -204,4 +188,4 @@ def mu_action(i: int, cls: YHomologyClass, order: int = DEFAULT_ORDER) -> Trunca
         return TruncatedSeries.constant(beta_eigenvalue(i) * cls.point_mult, order)
     if cls.grade != 2:
         raise ValueError("grade must be 0, 1 or 2")
-    return _deformed_alpha(i, cls.circle_pairing(), cls.loop_pairing(), order)
+    return _deformed_alpha(i, cls.circle_pairing, cls.loop_pairing, order)

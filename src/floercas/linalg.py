@@ -330,13 +330,14 @@ class EigenReport(NamedTuple):
 
     The roots are GaussianRationals and the remainder a polynomial over Q.
     The product of (x - root)^mult over all roots times `remainder` equals
-    the characteristic polynomial exactly.  remainder == 1 means the
-    candidate set explained the whole spectrum; anything else is surfaced
-    to the caller as a falsification signal, not an error.
+    the characteristic polynomial exactly.  remainder == 1, the default
+    (one UniPoly for every report), means the candidate set explained the
+    whole spectrum; anything else is surfaced to the caller as a
+    falsification signal, not an error.
     """
 
     roots: tuple
-    remainder: UniPoly
+    remainder: UniPoly = UniPoly([1])
 
     def complete(self) -> bool:
         return self.remainder.is_one()

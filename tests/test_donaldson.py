@@ -675,3 +675,27 @@ def test_library_calls_refuse_a_non_integer(case):
     call, field = NON_INTEGER_CALLS[case]
     with pytest.raises(ValueError, match=rf"^{field} entries must be integers$"):
         call()
+
+
+# pair reads every entry of both vectors: a long class is not evaluated at
+# its first len(basis) entries, and a short one ends in no bare IndexError
+WRONG_LENGTH_CALLS = {
+    "evaluate-long": lambda: evaluate(product_series(2, 2), (1, 0, 5), 3),
+    "evaluate-short": lambda: evaluate(product_series(2, 2), (1,), 3),
+    "congruence-long": lambda: congruence_check(product_series(2, 2), (1, 0, 7), 2),
+    "congruence-short": lambda: congruence_check(product_series(2, 2), (1,), 2),
+    "pair": lambda: product_series(2, 2).pair((1, 0), (1, 0, 0)),
+}
+
+
+@pytest.mark.parametrize("case", WRONG_LENGTH_CALLS)
+def test_library_calls_refuse_a_class_of_the_wrong_length(case):
+    with pytest.raises(ValueError, match="^class vector length does not match basis$"):
+        WRONG_LENGTH_CALLS[case]()
+
+
+@pytest.mark.parametrize("genus", [2.5, True, "2"])
+def test_congruence_check_refuses_a_non_integer_genus(genus):
+    # 2.5 would give the target residue 3.0, which no class meets, and True genus 1
+    with pytest.raises(ValueError, match="^genus must be an integer$"):
+        congruence_check(product_series(2, 2), (1, 0), genus)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from sympy import bernoulli
 
-from floercas import checks, cli, floer
+from floercas import checks, cli, donaldson, floer, fukaya
 from floercas.exactalg import GaussianRational as GR
 from floercas.floer import (
     FalsificationError,
@@ -38,6 +38,7 @@ from floercas.checks import (
     expected_socle_charpoly,
     layer_failures,
 )
+from floercas.donaldson import DonaldsonSeries, product_series
 from floercas.fukaya import delta_module
 from floercas.groebner import VAR_NAMES, GroebnerBasis, QuotientRing
 from floercas.linalg import Matrix, UniPoly, factor_over_candidates
@@ -173,6 +174,20 @@ class TestRelations:
             relations("S", 1)
         with pytest.raises(ValueError):
             relations("R", -1)
+
+    @pytest.mark.parametrize("level", [True, 2.5])
+    def test_a_non_integer_level_is_refused_and_not_cached(self, level):
+        # True == 1 and hashes as 1: a cold cache would store the record of
+        # relations("R", True), r = True, under the key of ("R", 1)
+        relations.cache_clear()
+        try:
+            with pytest.raises(ValueError, match="^level must be an integer$"):
+                relations("R", level)
+            assert type(relations("R", 1).r) is int
+            with pytest.raises(ValueError, match="^level must be >= 0$"):
+                relations("R", -1)
+        finally:
+            relations.cache_clear()
 
 
 class TestLevelRings:
@@ -507,6 +522,37 @@ def test_every_k_squared_mutant_fails_a_claim(monkeypatch, fresh_level_rings, k0
     mutant = k_squared_mutant(k0, factor)
     monkeypatch.setattr(floer, "relations", mutant)
     monkeypatch.setattr(checks, "relations", mutant)
+    assert [result.name for result in checks.run_all(3) if not result.passed]
+
+
+def doubled_weight(g, h):
+    """product_series with its weight doubled when both genera are >= 2."""
+    series = product_series(g, h)
+    if min(g, h) < 2:
+        return series
+    return DonaldsonSeries(series.basis_names, series.q, [(2 * a, k) for a, k in series.terms])
+
+
+# the other rows of the mutation table: one value of a closed form the model
+# reads, changed, and patched in every module that imports the name
+CLOSED_FORM_MUTANTS = {
+    "alpha_eigenvalue(3) = 20": ("alpha_eigenvalue", (floer, checks, fukaya),
+                                 lambda k: GR(20) if k == 3 else alpha_eigenvalue(k)),
+    "alpha_eigenvalue(2) = 12i": ("alpha_eigenvalue", (floer, checks, fukaya),
+                                  lambda k: GR(0, 12) if k == 2 else alpha_eigenvalue(k)),
+    "beta_eigenvalue(2) = -8": ("beta_eigenvalue", (floer, checks, fukaya),
+                                lambda k: GR(-8) if k == 2 else beta_eigenvalue(k)),
+    "primitive_dim(3, 1) + 1": ("primitive_dim", (floer, checks, fukaya),
+                                lambda g, k: primitive_dim(g, k) + ((g, k) == (3, 1))),
+    "product_series weight doubled": ("product_series", (donaldson,), doubled_weight),
+}
+
+
+@pytest.mark.parametrize("row", CLOSED_FORM_MUTANTS)
+def test_every_closed_form_mutant_fails_a_claim(monkeypatch, fresh_level_rings, row):
+    name, modules, mutant = CLOSED_FORM_MUTANTS[row]
+    for module in modules:
+        monkeypatch.setattr(module, name, mutant)
     assert [result.name for result in checks.run_all(3) if not result.passed]
 
 

@@ -158,8 +158,8 @@ class TestMuAction:
         assert mu_action(1, YHomologyClass.point()) == ts(-8)
 
     def test_grade_one_vanishes(self):
-        assert not mu_action(1, YHomologyClass.curve(1, (1, 0, 0, 1)))
-        assert not mu_action(0, YHomologyClass.curve(0, (0, 1)))
+        assert not mu_action(1, YHomologyClass.curve())
+        assert not mu_action(0, YHomologyClass.curve())
 
     def test_even_line_surface(self):
         got = mu_action(2, YHomologyClass.surface(1, ()))
