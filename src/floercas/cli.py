@@ -86,13 +86,13 @@ MAX_MODULE_GENUS = 200
 #: multiplicities of up to g bits (--format json 1.6-1.8 s at 250, 2.6 s at 300)
 MAX_DELTA_GENUS = 250
 
-#: largest genus accepted by mu --genus; a spec that lists curves reads 2g coefficients: through
-#: cli.main a grade-2 JSON class takes 1.0-1.3 s at 2 * 10^6, but Linux passes no argument over
-#: 128 KiB (genus ~20000); --class torus:1 takes 0.21-0.26 s a process, 0.14-0.18 s start-up
+#: largest genus accepted by mu --genus; a JSON class that lists its 2g curves takes 1.0-1.4 s
+#: at 2 * 10^6 through cli.main, as Linux passes no argument over 128 KiB (genus ~20000); one
+#: without its array and --class torus:1 take 0.12-0.18 s a process, nearly all start-up
 MAX_MU_GENUS = 2_000_000
 
-#: largest genus accepted by donaldson order --genus; the bound sums g terms
-#: (2.0 s at 10^7, 4.1 s at 2 * 10^7)
+#: largest genus accepted by donaldson order --genus; the bound guards only the printed int,
+#: a closed form of about g^2 / 4 (14 digits, 0.12-0.14 s a process, all start-up, at 10^7)
 MAX_FINITE_TYPE_GENUS = 10_000_000
 
 #: largest gluing genus accepted by donaldson fibersum --genus; a surviving
@@ -333,10 +333,12 @@ def _parse_homology_class(spec: str, g: int):
         _require(not unknown, f"unknown keys for a grade-{grade} class: {unknown}")
         if grade == 0:
             return YHomologyClass.point(integer(obj.get("mult", 1), "mult"))
-        # a 2g-entry array, zeros if absent, and the surface or circle coefficient
+        # a 2g-entry array, no coefficients if absent, and the surface or circle coefficient
         array, scalar = ("torus", "sigma") if grade == 2 else ("curves", "circle")
-        coeffs = integers(obj.get(array, [0] * (2 * g)), array)
-        _require(len(coeffs) == 2 * g, f"{array} must have {2 * g} coefficients")
+        coeffs = ()
+        if array in obj:
+            coeffs = integers(obj[array], array)
+            _require(len(coeffs) == 2 * g, f"{array} must have {2 * g} coefficients")
         c = integer(obj.get(scalar, 0), scalar)
         return YHomologyClass.surface(c, coeffs) if grade == 2 else YHomologyClass.curve()
     parts = spec.split(":")

@@ -142,14 +142,14 @@ _HYPERBOLIC_Q = ((0, 1), (1, 0))
 
 
 def product_series(g: int, h: int) -> DonaldsonSeries:
-    """Series of the product of two surfaces of genus g and h (both >= 1),
-    over the basis (E, F) of the two factor classes, E.F = 1, E^2 = F^2 = 0.
+    """Series of the product of two surfaces of genus g and h, ints >= 1 read
+    by `exactalg.integer`, over the factor classes (E, F), E.F = 1, E^2 = F^2 = 0.
 
     One factor of genus 1: 4^m sinh^(2m-2) of the genus-1 class, m the
     other genus.  Both factors > 1: 2^(7(g-1)(h-1)+3) times sinh of the
     canonical class when both genera are even, cosh otherwise.
     """
-    if g < 1 or h < 1:
+    if integer(g, "g") < 1 or integer(h, "h") < 1:
         raise ValueError("genera must be >= 1")
     terms = []
     if min(g, h) == 1:
@@ -235,19 +235,19 @@ class FiberSumInput(NamedTuple):
     splits: tuple
 
     def validate(self):
-        """Check that each split's sigma_dot, d1 and d2 and sigma_in_a/b
-        (named sigma_a/b, as in a pairing) hold ints (`exactalg.integer`),
-        then the genus, simple type, vector lengths, Sigma^2 = 0 on both
-        sides, Q a symmetric integer form and D^2 = D1^2 + D2^2 for each split, with D^2
-        read off Q's diagonal; return the solver of result classes (see
-        `_ClassSolver`), whose one elimination of Q proves it nondegenerate."""
+        """Check that the genus, each split's sigma_dot, d1 and d2 and sigma_in_a/b
+        (named sigma_a/b, as in a pairing) hold ints (`exactalg.integer`), then
+        genus >= 1, simple type, vector lengths, Sigma^2 = 0 on both sides, Q a
+        symmetric integer form and D^2 = D1^2 + D2^2 for each split, with D^2 read
+        off Q's diagonal; return the solver of result classes (see `_ClassSolver`),
+        whose one elimination of Q proves it nondegenerate."""
         for sp in self.splits:
             integer(sp.sigma_dot, "sigma_dot")
             integers(sp.d1, "d1")
             integers(sp.d2, "d2")
         integers(self.sigma_in_a, "sigma_a")
         integers(self.sigma_in_b, "sigma_b")
-        if self.genus < 1:
+        if integer(self.genus, "genus") < 1:
             raise ValueError("gluing genus must be >= 1")
         if not (self.a.simple_type and self.b.simple_type):
             raise ValueError("fiber sum requires simple-type inputs")
@@ -401,15 +401,12 @@ def product_sum_input(g: int, h1: int, h2: int) -> FiberSumInput:
 
 def finite_type_order(g: int, b1_zero: bool = False) -> int:
     """Upper bound for the annihilation order of (x^2-4) coming from an
-    embedded genus-g surface of square zero; with vanishing first Betti
-    number only the top level contributes."""
-    if g < 0:
+    embedded genus-g surface of square zero (g read by `exactalg.integer`):
+    the levels i = 1..g give sum (2g - 2i) // 4 + 1 = g + (g-1)^2 // 4, and
+    with vanishing first Betti number only the top one, (g + 1) // 2."""
+    if integer(g, "genus") < 0:
         raise ValueError("genus must be >= 0")
-    if g == 0:
-        return 0
-    if b1_zero:
-        return (2 * g - 2) // 4 + 1
-    return sum((2 * g - 2 * i) // 4 + 1 for i in range(1, g + 1))
+    return (g + 1) // 2 if b1_zero else g + (g - 1) ** 2 // 4
 
 
 class CongruenceReport(NamedTuple):

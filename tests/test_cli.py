@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 import typing
 from pathlib import Path
 
@@ -201,6 +202,20 @@ class TestFukayaCommands:
         code, payload, _ = run_json(capsys, "mu", "--genus", "2", "--i", "0", "--class", spec)
         assert code == 0
         assert payload["value"]["coeffs"][0]["re"] == "16"
+
+    @pytest.mark.parametrize("spec", ['{"grade": 2, "sigma": 1}', '{"grade": 1}'])
+    def test_mu_json_class_without_array_builds_no_list(self, spec):
+        # an absent torus/curves array is no coefficients, not 2g zeros: a
+        # 2g-entry list at the bound would be 32 MB of pointers alone
+        tracemalloc.start()
+        try:
+            cls = cli._parse_homology_class(spec, MAX_MU_GENUS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert cls == (fukaya.YHomologyClass.surface(1) if "sigma" in spec
+                       else fukaya.YHomologyClass.curve())
 
     def test_mu_index_out_of_range(self, capsys):
         code, _, err = run(capsys, "mu", "--genus", "2", "--i", "5", "--class", "pt")

@@ -593,6 +593,20 @@ class TestFiniteTypeOrder:
         with pytest.raises(ValueError):
             finite_type_order(-1)
 
+    @staticmethod
+    def level_sum(g, b1_zero):
+        # the defining sum: level i = 1..g of an embedded genus-g surface
+        # contributes (2g - 2i) // 4 + 1, and with b1 = 0 only level 1 does
+        return sum((2 * g - 2 * i) // 4 + 1 for i in range(1, 2 if b1_zero else g + 1))
+
+    def test_closed_forms_equal_the_level_sums(self):
+        for g in range(3000):
+            for b1_zero in (False, True):
+                assert finite_type_order(g, b1_zero) == self.level_sum(g, b1_zero), (g, b1_zero)
+        for b1_zero in (False, True):
+            assert finite_type_order(10**7, b1_zero) == self.level_sum(10**7, b1_zero)
+        assert finite_type_order(10**7) == 25000005000000
+
 
 class TestCongruence:
     def test_product_two_three_passes(self):
@@ -699,3 +713,22 @@ def test_congruence_check_refuses_a_non_integer_genus(genus):
     # 2.5 would give the target residue 3.0, which no class meets, and True genus 1
     with pytest.raises(ValueError, match="^genus must be an integer$"):
         congruence_check(product_series(2, 2), (1, 0), genus)
+
+
+# Each call passes a float or a bool as a size.  The closed form of the order
+# would turn 2.5 into a float bound, True was read as genus 1 (a genus-1
+# product series, and genus-2 products glued by the genus-1 rule)
+NON_INTEGER_SIZES = {
+    "order-float": (lambda: finite_type_order(2.5), "genus"),
+    "order-bool": (lambda: finite_type_order(True), "genus"),
+    "product-bool": (lambda: product_series(True, 3), "g"),
+    "fiber-sum-genus": (lambda: fiber_sum(product_sum_input(2, 1, 1)._replace(genus=True)),
+                        "genus"),
+}
+
+
+@pytest.mark.parametrize("case", NON_INTEGER_SIZES)
+def test_library_calls_refuse_a_non_integer_size(case):
+    call, field = NON_INTEGER_SIZES[case]
+    with pytest.raises(ValueError, match=rf"^{field} must be an integer$"):
+        call()
