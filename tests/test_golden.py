@@ -87,6 +87,14 @@ GOLDEN = {
         "3ecf374e0a5c5c9f9eb9aca2ba24b88dfc4f22564e5fa51b44e770d4ed718ac8",
     "mu --genus 3 --i 1 --class torus:4:2":
         "f75fde09ab78bafea38dc67ff4c3d161f16fdd1a536d7353a6218eb2dca5f88c",
+    # the JSON forms, whose alpha slots are series: of the loop module, the
+    # effective table and the one torus of genus 3 that meets the loop
+    "delta --genus 40 --format json":
+        "0e26f79789b25178727095b267d6733446ce106a64701faf82624df845b37650",
+    "effective --genus 6 --format json":
+        "34262f1465b0860562e75fb361e395718cd50c2b48e13ec0fbde32d6445f88cc",
+    "mu --genus 3 --i 1 --class torus:4:2 --format json":
+        "97bbce4eeb9adbddffa7a86d7d0ad879945dea6cf54fdd211c33520c45715661",
     "mu --genus 3 --i -2 --class pt:2":
         "3ac302d61fec8befc75b7de631ad676421fa4423367ca6fa9696da262859f60d",
     "eigen --object K --r 3":
