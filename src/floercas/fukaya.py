@@ -91,27 +91,27 @@ def effective_eigenvalues(g: int, order: int = DEFAULT_ORDER) -> tuple:
 
 
 class DeltaComponent(NamedTuple):
+    """The index-i line of reduced_module(g, 0, 1) times the k-th reduced primitive part."""
+
     k: int
     i: int
     multiplicity: int
-    alpha: GaussianRational
+    alpha: TruncatedSeries
     beta: GaussianRational
 
     def to_json(self) -> dict:
-        # the alpha slot is a series on the wire even though the loop-module
-        # eigenvalue carries no t-correction
         return {
             "k": self.k,
             "i": self.i,
             "mult": self.multiplicity,
-            "alpha": TruncatedSeries.constant(self.alpha, 1).to_json(),
+            "alpha": self.alpha.to_json(),
             "beta": self.beta.to_json(),
         }
 
 
 class DeltaHffModule(NamedTuple):
-    """Homology for a loop inside the surface: lines R_i tensored with the
-    reduced primitive parts, all degree-3 generators acting by zero."""
+    """Homology for a loop inside the surface: the lines R_i of reduced_module(g, 0, 1)
+    tensored with the reduced primitive parts, all degree-3 generators acting by zero."""
 
     genus: int
     components: tuple
@@ -131,15 +131,13 @@ class DeltaHffModule(NamedTuple):
 def delta_module(g: int) -> DeltaHffModule:
     """Components (k, i) with 0 <= k <= g-1, |i| <= g-k-1, i = g-k-1 mod 2,
     of multiplicity primitive_dim(g-1, k); alpha and beta act on the line
-    by alpha_eigenvalue(i) and beta_eigenvalue(i)."""
-    if g < 1:
-        raise ValueError("genus must be >= 1")
+    as on the index-i line of reduced_module(g, 0, 1): t-free, of order 1."""
+    lines = reduced_module(g, 0, 1).components  # the index-i line at i + g - 1
     comps = []
     for k in range(g):
         mult = primitive_dim(g - 1, k)
-        bound = g - k - 1
-        for i in range(-bound, bound + 1, 2):
-            comps.append(DeltaComponent(k, i, mult, alpha_eigenvalue(i), beta_eigenvalue(i)))
+        for c in lines[k : 2 * g - 1 - k : 2]:
+            comps.append(DeltaComponent(k, c.i, mult, c.alpha, c.beta))
     return DeltaHffModule(genus=g, components=tuple(comps))
 
 

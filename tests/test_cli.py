@@ -34,6 +34,7 @@ from floercas.cli import (
     main,
 )
 from floercas.donaldson import product_series
+from floercas.exactalg import TruncatedSeries
 from floercas.floer import FalsificationError, SubquotientModule
 from floercas.linalg import EigenReport, Matrix, UniPoly
 from floercas.poly import ALPHA
@@ -513,9 +514,9 @@ class TestCheckCommand:
 
         def shifted_at_genus_3(g):
             # the line (k, i) = (0, 2) of genus 3 moved to i = 4, with the
-            # eigenvalues of its new index
+            # eigenvalues of its new index, alpha as the order-1 series it is
             module = delta_module(g)
-            comps = [c._replace(i=4, alpha=floer.alpha_eigenvalue(4),
+            comps = [c._replace(i=4, alpha=TruncatedSeries.constant(floer.alpha_eigenvalue(4), 1),
                                 beta=floer.beta_eigenvalue(4))
                      if (g, c.k, c.i) == (3, 0, 2) else c for c in module.components]
             return module._replace(components=tuple(comps))
@@ -526,30 +527,39 @@ class TestCheckCommand:
         assert failed.endswith("[(g,k)=(3,0): loop module alpha values are not "
                                "the alpha roots of block 3]")
 
-    @pytest.mark.parametrize("corrupt, claim, detail", [
-        pytest.param(corrupt_primitive_dim, "primitive-parts",
-                     "(g,k)=(3,1): binomial 7 != wedge kernel 6", id="primitive-dim-3-1"),
-        pytest.param(corrupt_reduced_beta, "reduced-module",
-                     "genus 2: t=0 beta spectrum mismatch", id="reduced-beta-genus-2"),
-        pytest.param(corrupt_socle_charpoly, "socle-charpoly", "step 2: ", id="socle-step-2"),
-        pytest.param(corrupt_q_relation, "grading",
-                     "q component of level 2 not homogeneous of degree 4", id="q-level-2"),
-        pytest.param(corrupt_finite_type_order, "finite-type-orders",
-                     "order(2, b1_zero=False) = 3 != 2", id="order-2-general"),
-        pytest.param(corrupt_fiber_sum, "fiber-sum", "glue genus 3, parts (1,1): ",
+    @pytest.mark.parametrize("corrupt, fails", [
+        pytest.param(corrupt_primitive_dim,
+                     {"primitive-parts": "(g,k)=(3,1): binomial 7 != wedge kernel 6"},
+                     id="primitive-dim-3-1"),
+        # the loop module takes its lines from the reduced module, so it is wrong too
+        pytest.param(corrupt_reduced_beta,
+                     {"torsion-blocks": "(g,k)=(2,0): loop module beta is not the beta root of "
+                                        "block 2",
+                      "reduced-module": "genus 2: t=0 beta spectrum mismatch"},
+                     id="reduced-beta-genus-2"),
+        pytest.param(corrupt_socle_charpoly, {"socle-charpoly": "step 2: "}, id="socle-step-2"),
+        pytest.param(corrupt_q_relation,
+                     {"grading": "q component of level 2 not homogeneous of degree 4"},
+                     id="q-level-2"),
+        pytest.param(corrupt_finite_type_order,
+                     {"finite-type-orders": "order(2, b1_zero=False) = 3 != 2"},
+                     id="order-2-general"),
+        pytest.param(corrupt_fiber_sum, {"fiber-sum": "glue genus 3, parts (1,1): "},
                      id="fiber-sum-genus-3"),
         # the spectra that ring and eigen print: the F weight r - i + 1 made
         # r - i + 2, and the level-1 block counted twice on Fbar
-        pytest.param(corrupt_level_weight("F", lambda r, i: r - i + 2), "dimensions",
-                     "F_1: alpha spectrum mismatch", id="f-weight"),
-        pytest.param(corrupt_level_weight("Fbar", lambda r, i: 2 if i == 1 else 1), "dimensions",
-                     "Fbar_1: alpha spectrum mismatch", id="fbar-level-1-twice"),
+        pytest.param(corrupt_level_weight("F", lambda r, i: r - i + 2),
+                     {"dimensions": "F_1: alpha spectrum mismatch"}, id="f-weight"),
+        pytest.param(corrupt_level_weight("Fbar", lambda r, i: 2 if i == 1 else 1),
+                     {"dimensions": "Fbar_1: alpha spectrum mismatch"}, id="fbar-level-1-twice"),
     ])
-    def test_a_corrupted_input_fails_its_claim(self, capsys, monkeypatch, corrupt, claim, detail):
+    def test_a_corrupted_input_fails_its_claim(self, capsys, monkeypatch, corrupt, fails):
+        # fails: each claim that fails, in output order, with the start of its detail
         corrupt(monkeypatch)
-        (failed,) = self.failed_lines(capsys)
-        assert failed.startswith(f"FAIL {claim}:")
-        assert f" [{detail}" in failed
+        failed = self.failed_lines(capsys)
+        assert [line.split(":")[0] for line in failed] == [f"FAIL {claim}" for claim in fails]
+        for line, detail in zip(failed, fails.values()):
+            assert f" [{detail}" in line
 
     def test_genus_bounded_up_front(self, capsys, monkeypatch):
         def no_work(max_genus):
