@@ -354,11 +354,7 @@ def _parse_homology_class(spec: str, g: int):
     j = _field_int(parts[1])
     _require(1 <= j <= 2 * g, f"curve index must be in 1..{2 * g}")
     c = _field_int(parts[2]) if len(parts) > 2 else 1
-    if kind == "gamma":
-        return YHomologyClass.curve()
-    coeffs = [0] * (2 * g)
-    coeffs[j - 1] = c
-    return YHomologyClass.surface(0, coeffs)
+    return YHomologyClass.curve() if kind == "gamma" else YHomologyClass.torus(g, j, c)
 
 
 def _cmd_mu(args):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .exactalg import DEFAULT_ORDER, GaussianRational, TruncatedSeries
+from .exactalg import DEFAULT_ORDER, GaussianRational, TruncatedSeries, integer
 from .floer import alpha_eigenvalue, beta_eigenvalue, primitive_dim
 
 
@@ -57,6 +57,7 @@ class RhffModule(NamedTuple):
 def reduced_module(g: int, n: int = 1, order: int = DEFAULT_ORDER) -> RhffModule:
     """The reduced module of genus g with 2-cycle boundary running n times
     around the circle factor."""
+    g, n = integer(g, "genus"), integer(n, "n")
     if g < 1:
         raise ValueError("genus must be >= 1")
     comps = tuple(
@@ -156,14 +157,21 @@ class YHomologyClass(NamedTuple):
 
     @staticmethod
     def surface(sigma_coeff: int = 1, torus_coeffs=()) -> "YHomologyClass":
-        """sigma_coeff * [surface] + sum_j torus_coeffs[j] * (gamma_j x circle),
+        """sigma_coeff * [surface] + sum_j torus_coeffs[j - 1] * torus(g, j),
         torus_coeffs empty or of length 2g.  Only [surface] meets the circle
-        fiber; with the symplectic basis convention gamma_j . gamma_{j+g} =
-        point, only gamma_{g+1} x circle meets the loop gamma_1 (value -1)."""
-        if len(torus_coeffs) % 2:
+        fiber, and only the torus that meets the loop is read."""
+        g, odd = divmod(len(torus_coeffs), 2)
+        if odd:
             raise ValueError("torus_coeffs must have even length 2g")
-        loop = -torus_coeffs[len(torus_coeffs) // 2] if torus_coeffs else 0
+        loop = YHomologyClass.torus(g, g + 1, torus_coeffs[g]).loop_pairing if g else 0
         return YHomologyClass(2, sigma_coeff, loop)
+
+    @staticmethod
+    def torus(g: int, j: int, c: int = 1) -> "YHomologyClass":
+        """c * (gamma_j x circle) in genus g, 1 <= j <= 2g.  With the symplectic
+        basis convention gamma_j . gamma_{j+g} = point, only gamma_{g+1} x circle
+        meets the loop gamma_1, with -1."""
+        return YHomologyClass(2, 0, -c if j == g + 1 else 0)
 
     @staticmethod
     def curve() -> "YHomologyClass":

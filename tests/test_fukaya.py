@@ -178,6 +178,14 @@ class TestMuAction:
             total = YHomologyClass.surface(su + sv, [x + y for x, y in zip(u, v)])
             assert mu_action(i, total) == mu_action(i, a) + mu_action(i, b)
 
+    def test_torus_is_its_array(self):
+        # the short spec torus:<j>:<c> and the JSON array with c at entry j
+        for g in range(1, 5):
+            for j in range(1, 2 * g + 1):
+                coeffs = [0] * (2 * g)
+                coeffs[j - 1] = 3
+                assert YHomologyClass.torus(g, j, 3) == YHomologyClass.surface(0, coeffs)
+
     def test_odd_torus_length_rejected(self):
         with pytest.raises(ValueError):
             mu_action(1, YHomologyClass.surface(0, (1, 0, 0)))
@@ -189,3 +197,21 @@ class TestCrossTotals:
         for g in range(1, 5):
             total = sum(primitive_dim(g - 1, k) * psi1_block(g - k).dim for k in range(g))
             assert delta_module(g).total_rank == total
+
+
+# a float or a bool as a size: True was read as genus 1, and the floats met a
+# bare TypeError inside range() or the exact arithmetic
+NON_INTEGER_SIZES = {
+    "delta-bool": (lambda: delta_module(True), "genus"),
+    "delta-float": (lambda: delta_module(2.0), "genus"),
+    "effective-bool": (lambda: effective_eigenvalues(True), "genus"),
+    "reduced-float": (lambda: reduced_module(2.5), "genus"),
+    "reduced-n-float": (lambda: reduced_module(2, 1.5), "n"),
+}
+
+
+@pytest.mark.parametrize("case", NON_INTEGER_SIZES)
+def test_library_calls_refuse_a_non_integer_size(case):
+    call, field = NON_INTEGER_SIZES[case]
+    with pytest.raises(ValueError, match=rf"^{field} must be an integer$"):
+        call()
