@@ -83,12 +83,12 @@ MAX_RING_GENUS = 15
 MAX_MODULE_GENUS = 200
 
 #: largest genus accepted by delta --genus; about g^2/4 components with
-#: multiplicities of up to g bits (--format json 1.6-1.8 s at 250, 2.6 s at 300)
+#: multiplicities of up to g bits (--format json 0.6-1.0 s at 250, 0.8-1.3 s at 300)
 MAX_DELTA_GENUS = 250
 
 #: largest genus accepted by mu --genus; a JSON class that lists its 2g curves takes 1.0-1.4 s
 #: at 2 * 10^6 through cli.main, as Linux passes no argument over 128 KiB (genus ~20000); one
-#: without its array and --class torus:1 take 0.12-0.18 s a process, nearly all start-up
+#: without its array and --class torus:<j>[:c] take 0.04-0.10 s a process, all start-up
 MAX_MU_GENUS = 2_000_000
 
 #: largest genus accepted by donaldson order --genus; the bound guards only the printed int,
