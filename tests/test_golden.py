@@ -85,6 +85,14 @@ GOLDEN = {
         "f7866b194cd6e9e5a81b9f64acf05e4862ec5de446e909151fb6e06622e35fbf",
     "delta --genus 4":
         "3ecf374e0a5c5c9f9eb9aca2ba24b88dfc4f22564e5fa51b44e770d4ed718ac8",
+    # the text forms past the smallest genera: every part of the loop module
+    # of genus 40, and the effective table with its gamma column to genus 10
+    "delta --genus 40":
+        "c4c477730a2182bafb3ca62d1c3429b7f349b43d80a7ef1aeee980fede4e8114",
+    "effective --genus 10":
+        "5f19063bc18e76b808885d003aef0a2da94b3f3d40d7dea13a6ee778dc9be607",
+    "--format json --trunc 3 effective --genus 10":
+        "53070ceb62a99f3971cd0e295b44dfcd1113faf39bd3a64793acbc36f706aece",
     "mu --genus 3 --i 1 --class torus:4:2":
         "f75fde09ab78bafea38dc67ff4c3d161f16fdd1a536d7353a6218eb2dca5f88c",
     # the JSON forms, whose alpha slots are series: of the loop module, the
