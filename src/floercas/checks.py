@@ -220,10 +220,8 @@ def check_blocks(max_genus: int) -> CheckResult:
     for r in range(1, max_level + 1):
         failures += layer_failures(f"block {r}", psi1_block(r), r - 1)
     for g in range(1, max_genus + 1):
-        module = fukaya.delta_module(g)
-        for k in range(g):
+        for k, _, lines in fukaya.delta_module(g).parts():
             block = psi1_block(g - k).eigen
-            lines = [c for c in module.components if c.k == k]
             if Counter(c.alpha.constant_term() for c in lines) != block["alpha"].root_set():
                 failures.append(f"(g,k)=({g},{k}): loop module alpha values are not "
                                 f"the alpha roots of block {g - k}")

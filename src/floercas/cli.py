@@ -25,7 +25,7 @@ from json.encoder import encode_basestring_ascii
 from math import factorial
 
 from . import donaldson
-from .exactalg import DEFAULT_ORDER, FalsificationError, integer, integers, to_integers
+from .exactalg import DEFAULT_ORDER, GR_ZERO, FalsificationError, integer, integers, to_integers
 from .linalg import EigenReport
 
 EXIT_OK = 0
@@ -283,10 +283,11 @@ def _cmd_effective(args):
     from . import fukaya
 
     vals = fukaya.effective_eigenvalues(args.genus, order=args.trunc)
-    payload = {"genus": args.genus, "eigenvalues": [v.to_json() for v in vals]}
+    gamma = GR_ZERO.to_json()
+    payload = {"genus": args.genus, "eigenvalues": [{**v.to_json(), "gamma": gamma} for v in vals]}
     lines = [f"genus {args.genus}: {len(vals)} joint eigenvalues"]
     for v in vals:
-        lines.append(f"  (alpha, beta, gamma) = ({v.alpha}, {v.beta}, {v.gamma})")
+        lines.append(f"  (alpha, beta, gamma) = ({v.alpha}, {v.beta}, {GR_ZERO})")
     return EXIT_OK, payload, "\n".join(lines)
 
 
@@ -294,11 +295,10 @@ def _cmd_delta(args):
     from . import fukaya
 
     module = fukaya.delta_module(args.genus)
+    rendered = {c.i: f"alpha = {c.alpha}  beta = {c.beta}" for c in module.lines}
     lines = [f"genus {module.genus}: total rank {module.total_rank}"]
-    for c in module.components:
-        lines.append(
-            f"  k={c.k}  i={c.i:+d}  mult {c.multiplicity}  alpha = {c.alpha}  beta = {c.beta}"
-        )
+    for k, mult, part in module.parts():
+        lines += [f"  k={k}  i={c.i:+d}  mult {mult}  {rendered[c.i]}" for c in part]
     return EXIT_OK, module.to_json(), "\n".join(lines)
 
 

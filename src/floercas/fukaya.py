@@ -2,6 +2,10 @@
 first-order t-corrections, the effective eigenvalue table, the module
 attached to a loop inside the surface, and the mu-action evaluators.
 
+One record, RhffComponent, holds a line R_i of the reduced module.  The
+effective table lists those lines, and the loop module holds its t-free
+lines once and reads each of its parts off them.
+
 Only the exactly-known content of the deformation is modelled.  The
 undetermined higher deformation terms of the full relation recursion are
 not representable here on purpose: every number below is pinned by the
@@ -25,6 +29,8 @@ def _deformed_alpha(i: int, sigma: int, n: int, order: int) -> TruncatedSeries:
 
 
 class RhffComponent(NamedTuple):
+    """The index-i line R_i: alpha acts on it as a series in t, beta as a constant."""
+
     i: int
     alpha: TruncatedSeries
     beta: GaussianRational
@@ -67,79 +73,54 @@ def reduced_module(g: int, n: int = 1, order: int = DEFAULT_ORDER) -> RhffModule
     return RhffModule(genus=g, n=n, components=comps)
 
 
-class EffectiveEigenvalue(NamedTuple):
-    i: int
-    alpha: TruncatedSeries
-    beta: GaussianRational
-    gamma: GaussianRational = GaussianRational(0)  # gamma is nilpotent
-
-    def to_json(self) -> dict:
-        return {
-            "i": self.i,
-            "alpha": self.alpha.to_json(),
-            "beta": self.beta.to_json(),
-            "gamma": self.gamma.to_json(),
-        }
-
-
 def effective_eigenvalues(g: int, order: int = DEFAULT_ORDER) -> tuple:
     """Joint (alpha, beta, gamma) eigenvalues on the effective submodule:
     (-2t, 8, 0), (+-4 + 2t, -8, 0), (+-8*sqrt(-1) - 2t, 8, 0), ...  These
-    are the lines of reduced_module(g) in order of |i|, positive i first;
-    gamma is nilpotent, so its only eigenvalue is 0."""
-    lines = sorted(reduced_module(g, 1, order).components, key=lambda c: (abs(c.i), -c.i))
-    return tuple(EffectiveEigenvalue(c.i, c.alpha, c.beta) for c in lines)
-
-
-class DeltaComponent(NamedTuple):
-    """The index-i line of reduced_module(g, 0, 1) times the k-th reduced primitive part."""
-
-    k: int
-    i: int
-    multiplicity: int
-    alpha: TruncatedSeries
-    beta: GaussianRational
-
-    def to_json(self) -> dict:
-        return {
-            "k": self.k,
-            "i": self.i,
-            "mult": self.multiplicity,
-            "alpha": self.alpha.to_json(),
-            "beta": self.beta.to_json(),
-        }
+    are the lines of reduced_module(g) in order of |i|, positive i first,
+    each with gamma = 0: gamma is nilpotent, so its only eigenvalue is 0."""
+    return tuple(sorted(reduced_module(g, 1, order).components, key=lambda c: (abs(c.i), -c.i)))
 
 
 class DeltaHffModule(NamedTuple):
-    """Homology for a loop inside the surface: the lines R_i of reduced_module(g, 0, 1)
-    tensored with the reduced primitive parts, all degree-3 generators acting by zero."""
+    """Homology for a loop inside the surface: the sum over k of the k-th
+    reduced primitive part, of dimension primitive_dim(g-1, k), tensored
+    with the lines R_i of reduced_module(g, 0, 1), |i| <= g-k-1 and
+    i = g-k-1 mod 2, all degree-3 generators acting by zero.  Held as those
+    t-free lines of order 1, which the parts share."""
 
     genus: int
-    components: tuple
+    lines: tuple
+
+    def parts(self):
+        """(k, primitive_dim(g-1, k), the lines of part k) for 0 <= k <= g-1."""
+        g = self.genus
+        for k in range(g):  # the index-i line sits at i + g - 1
+            yield k, primitive_dim(g - 1, k), self.lines[k : 2 * g - 1 - k : 2]
 
     @property
     def total_rank(self) -> int:
-        return sum(c.multiplicity for c in self.components)
+        return sum(mult * len(lines) for _, mult, lines in self.parts())
 
     def to_json(self) -> dict:
+        """One component (k, i, mult, alpha, beta) per line of each part;
+        each line's alpha and beta are rendered once."""
+        rendered = {c.i: c.to_json() for c in self.lines}
         return {
             "genus": self.genus,
             "total_rank": self.total_rank,
-            "components": [c.to_json() for c in self.components],
+            "components": [
+                {"k": k, "i": c.i, "mult": mult, "alpha": rendered[c.i]["alpha"],
+                 "beta": rendered[c.i]["beta"]}
+                for k, mult, lines in self.parts()
+                for c in lines
+            ],
         }
 
 
 def delta_module(g: int) -> DeltaHffModule:
-    """Components (k, i) with 0 <= k <= g-1, |i| <= g-k-1, i = g-k-1 mod 2,
-    of multiplicity primitive_dim(g-1, k); alpha and beta act on the line
-    as on the index-i line of reduced_module(g, 0, 1): t-free, of order 1."""
-    lines = reduced_module(g, 0, 1).components  # the index-i line at i + g - 1
-    comps = []
-    for k in range(g):
-        mult = primitive_dim(g - 1, k)
-        for c in lines[k : 2 * g - 1 - k : 2]:
-            comps.append(DeltaComponent(k, c.i, mult, c.alpha, c.beta))
-    return DeltaHffModule(genus=g, components=tuple(comps))
+    """The loop module of genus g; alpha and beta act on each part as on
+    the index-i line of reduced_module(g, 0, 1): t-free, of order 1."""
+    return DeltaHffModule(g, reduced_module(g, 0, 1).components)
 
 
 class YHomologyClass(NamedTuple):

@@ -522,13 +522,14 @@ class TestCheckCommand:
         delta_module = fukaya.delta_module
 
         def shifted_at_genus_3(g):
-            # the line (k, i) = (0, 2) of genus 3 moved to i = 4, with the
-            # eigenvalues of its new index, alpha as the order-1 series it is
+            # the shared line i = 2 of genus 3, which only part k = 0 holds,
+            # moved to i = 4 with the eigenvalues of its new index, alpha as
+            # the order-1 series it is
             module = delta_module(g)
-            comps = [c._replace(i=4, alpha=TruncatedSeries.constant(floer.alpha_eigenvalue(4), 1),
+            lines = [c._replace(i=4, alpha=TruncatedSeries.constant(floer.alpha_eigenvalue(4), 1),
                                 beta=floer.beta_eigenvalue(4))
-                     if (g, c.k, c.i) == (3, 0, 2) else c for c in module.components]
-            return module._replace(components=tuple(comps))
+                     if (g, c.i) == (3, 2) else c for c in module.lines]
+            return module._replace(lines=tuple(lines))
 
         monkeypatch.setattr(fukaya, "delta_module", shifted_at_genus_3)
         (failed,) = self.failed_lines(capsys)

@@ -707,16 +707,16 @@ class TestPsi1Homology:
 
     def test_summands_genus_two(self):
         # block 2 has alpha roots +-4 and beta -8, block 1 the roots 0 and 8
-        lines = {(c.k, c.multiplicity, c.alpha.constant_term(), c.beta)
-                 for c in delta_module(2).components}
+        lines = {(k, mult, c.alpha.constant_term(), c.beta)
+                 for k, mult, part in delta_module(2).parts() for c in part}
         assert lines == {(0, 1, GR(4), GR(-8)), (0, 1, GR(-4), GR(-8)), (1, 2, GR(0), GR(8))}
         assert psi1_block(2).eigen["alpha"].root_set() == {GR(4): 1, GR(-4): 1}
         assert psi1_block(1).eigen["beta"].root_set() == {GR(8): 1}
 
     def test_block_dims_match_concrete_blocks(self):
         for g in range(1, 5):
-            components = delta_module(g).components
-            for k in range(g):
-                lines = [c for c in components if c.k == k]
+            parts = list(delta_module(g).parts())
+            assert [k for k, _, _ in parts] == list(range(g))
+            for k, mult, lines in parts:
                 assert len(lines) == psi1_block(g - k).dim == g - k
-                assert {c.multiplicity for c in lines} == {primitive_dim(g - 1, k)}
+                assert mult == primitive_dim(g - 1, k)

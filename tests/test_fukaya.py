@@ -1,7 +1,9 @@
+import json
 import random
 
 import pytest
 
+from floercas import cli
 from floercas.checks import reduced_spectrum_ring
 from floercas.exactalg import GaussianRational as GR, TruncatedSeries as TS
 from floercas.floer import default_candidates, primitive_dim, psi1_block
@@ -74,19 +76,38 @@ class TestReducedModule:
             assert {r: m for r, m in rep.roots} == want
 
 
+def delta_components(g):
+    """(k, i, mult, line) for each line of each part of delta_module(g)."""
+    return [(k, c.i, mult, c) for k, mult, lines in delta_module(g).parts() for c in lines]
+
+
 class TestEffectiveEigenvalues:
     def test_genus_one(self):
         (v,) = effective_eigenvalues(1)
-        assert (v.alpha, v.beta, v.gamma) == (ts(0, -2), GR(8), GR(0))
+        assert (v.alpha, v.beta) == (ts(0, -2), GR(8))
 
     def test_genus_two_list(self):
         vals = effective_eigenvalues(2)
-        got = [(v.alpha, v.beta, v.gamma) for v in vals]
+        got = [(v.alpha, v.beta) for v in vals]
         assert got == [
-            (ts(0, -2), GR(8), GR(0)),
-            (ts(4, 2), GR(-8), GR(0)),
-            (ts(-4, 2), GR(-8), GR(0)),
+            (ts(0, -2), GR(8)),
+            (ts(4, 2), GR(-8)),
+            (ts(-4, 2), GR(-8)),
         ]
+
+    @pytest.mark.parametrize("g", range(1, 7))
+    def test_printed_gamma_is_zero(self, g, capsys):
+        # each printed line is a line of the table with gamma = 0, in text and JSON
+        vals = effective_eigenvalues(g)
+        assert cli.main(["effective", "--genus", str(g)]) == cli.EXIT_OK
+        head, *lines = capsys.readouterr().out.splitlines()
+        assert head == f"genus {g}: {2 * g - 1} joint eigenvalues"
+        assert lines == [f"  (alpha, beta, gamma) = ({v.alpha}, {v.beta}, 0)" for v in vals]
+        assert cli.main(["--format", "json", "effective", "--genus", str(g)]) == cli.EXIT_OK
+        printed = json.loads(capsys.readouterr().out)["eigenvalues"]
+        assert [(e["i"], e["alpha"], e["beta"]) for e in printed] == [
+            (v.i, v.alpha.to_json(), v.beta.to_json()) for v in vals]
+        assert all(e["gamma"] == GR(0).to_json() for e in printed)
 
     def test_genus_three_adds_imaginary_pair(self):
         vals = effective_eigenvalues(3)
@@ -103,41 +124,38 @@ class TestEffectiveEigenvalues:
             eff = {(v.i, v.alpha, v.beta) for v in effective_eigenvalues(g)}
             red = {(c.i, c.alpha, c.beta) for c in reduced_module(g, 1).components}
             assert eff == red
-            assert all(v.gamma == GR(0) for v in effective_eigenvalues(g))
 
 
 class TestDeltaModule:
     def test_genus_one(self):
-        module = delta_module(1)
-        assert [(c.k, c.i, c.multiplicity) for c in module.components] == [(0, 0, 1)]
-        assert module.total_rank == 1
+        assert [(k, i, mult) for k, i, mult, _ in delta_components(1)] == [(0, 0, 1)]
+        assert delta_module(1).total_rank == 1
 
     def test_genus_two(self):
-        module = delta_module(2)
-        assert [(c.k, c.i, c.multiplicity) for c in module.components] == [
+        assert [(k, i, mult) for k, i, mult, _ in delta_components(2)] == [
             (0, -1, 1),
             (0, 1, 1),
             (1, 0, 2),
         ]
-        assert module.total_rank == 4
+        assert delta_module(2).total_rank == 4
 
     def test_genus_three_rank(self):
         assert delta_module(3).total_rank == 16
 
     def test_eigen_data(self):
-        for c in delta_module(4).components:
-            if c.i % 2:
-                assert c.alpha.constant_term() == GR(4 * c.i)
+        for _, i, _, c in delta_components(4):
+            if i % 2:
+                assert c.alpha.constant_term() == GR(4 * i)
                 assert c.beta == GR(-8)
             else:
-                assert c.alpha.constant_term() == GR(0, 4 * c.i)
+                assert c.alpha.constant_term() == GR(0, 4 * i)
                 assert c.beta == GR(8)
 
     def test_index_parity(self):
         for g in range(1, 6):
-            for c in delta_module(g).components:
-                assert abs(c.i) <= g - c.k - 1
-                assert (c.i - (g - c.k - 1)) % 2 == 0
+            for k, i, _, _ in delta_components(g):
+                assert abs(i) <= g - k - 1
+                assert (i - (g - k - 1)) % 2 == 0
 
 
 class TestMuAction:
