@@ -181,9 +181,10 @@ def evaluate(series: DonaldsonSeries, d, order: int = DEFAULT_ORDER) -> Truncate
     coefficient is one integer sum and one division.  w(n, 0) = 2^h, and
     w(n, j + 1) = w(n, j) (n - 2j) (n - 2j - 1) q / (2 (j + 1)) exactly.
     The result is wrapped in a series over Q(i) only at the end.  D is read
-    by `exactalg.integers`, so an entry that is not an int raises ValueError.
+    by `exactalg.integers` and the order by `exactalg.integer`, so an entry
+    or an order that is not an int raises ValueError.
     """
-    d = integers(d, "class")
+    d, order = integers(d, "class"), integer(order, "order")
     nums, den = to_integers(a for a, _ in series.terms)
     s = [0] * order
     for term, (_, k) in zip(nums, series.terms):  # term: A_i c_i^m, one running term per class

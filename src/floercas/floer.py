@@ -61,12 +61,13 @@ class RelationTriple(NamedTuple):
         }
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def relations(flavor: str, r: int) -> RelationTriple:
     """The level-r relations of the given flavor: (1, 0, 0) at level 0, and
     above it one step of the recursion from the cached level r - 1.  r is
-    read by `exactalg.integer` in the cached body, so a refused r, such as
-    True (a key equal to 1), caches nothing."""
+    read by `exactalg.integer` in the cached body; the cache is typed, so
+    True or 2.0 (keys equal to 1 and 2) never finds an int's record, and a
+    refused r caches nothing."""
     if flavor not in FLAVORS:
         raise ValueError(f"unknown flavor {flavor!r}")
     if integer(r, "level") < 0:
@@ -124,13 +125,13 @@ def _level_generators(obj: str, r: int) -> list:
     return relations("Rbar", r).generators() + [GAMMA]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def invariant_ring(r: int) -> QuotientRing:
     """F_r: the invariant part of the level-r ring, dim C(r+2,3)."""
     return QuotientRing.from_generators(_level_generators("F", r))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def gamma_quotient_ring(r: int) -> QuotientRing:
     """Fbar_r = F_r/(gamma), presented by the two-term recursion; dim C(r+1,2)."""
     return QuotientRing.from_generators(_level_generators("Fbar", r))
@@ -141,7 +142,7 @@ def level_ring(obj: str, r: int) -> QuotientRing:
     return invariant_ring(r) if obj == "F" else gamma_quotient_ring(r)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def classical_ring(r: int) -> QuotientRing:
     """The undeformed level-r ring C[a,b,c]/(q-relations); dim C(r+2,3)."""
     return QuotientRing.from_generators(relations("q", r).generators())
@@ -179,7 +180,7 @@ def recursion_block(r: int) -> dict:
     return dict(zip(VAR_NAMES, (t, scalar, [[0] * r for _ in range(r)])))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def level_block(obj: str, r: int) -> dict:
     """The alpha, beta and gamma spectra, as EigenReports, of the top layer
     of F_r (obj "F") or Fbar_r (obj "Fbar"), r >= 1, on which each acts as
@@ -272,6 +273,7 @@ def level_reports(obj: str, r: int) -> dict:
     the root multiplicities of the blocks are added with these weights and
     listed in candidate order.
     """
+    r = integer(r, "level")
     reports = {}
     for name in VAR_NAMES:
         mults = dict.fromkeys(default_candidates(r + 1), 0)
@@ -307,7 +309,7 @@ def filtration_step(r: int) -> SubquotientModule:
     Dimension r+1; alpha spectrum {4k : |k| <= r, k = r mod 2} for r odd,
     {4k*sqrt(-1)} for r even; beta acts as -8 (r odd) or +8 (r even).
     """
-    return SubquotientModule.build("Fbar", r + 1)
+    return SubquotientModule.build("Fbar", integer(r, "level") + 1)
 
 
 def psi1_block(r: int) -> SubquotientModule:
@@ -319,7 +321,7 @@ def psi1_block(r: int) -> SubquotientModule:
     is ker pi, and gamma * ker gamma^2 is spanned by the g_{gamma n}: the
     block is the top layer of level r of F.
     """
-    if r < 1:
+    if integer(r, "level") < 1:
         raise ValueError("level must be >= 1")
     return SubquotientModule.build("F", r)
 
@@ -340,6 +342,7 @@ def socle_quotient_ring(r: int) -> QuotientRing:
     Built from the level-(r+1) relations and the two extra generators, not
     from the basis of F_{r+1}: a reduced Groebner basis is unique, so the
     ring is the same, and no Buchberger run for F_{r+1} is paid for it."""
+    r = integer(r, "level")
     shift = BETA + ((-1) ** (r + 1) * 8)
     return QuotientRing.from_generators(relations("R", r + 1).generators() + [shift, GAMMA])
 
@@ -355,7 +358,7 @@ def socle_quotient_charpoly(r: int) -> UniPoly:
 def primitive_dim(g: int, k: int) -> int:
     """Closed form C(2g,k) - C(2g,k-2) for the primitive part of the k-th
     exterior power of a 2g-dimensional symplectic space."""
-    if not 0 <= k <= 2 * g:
+    if not 0 <= integer(k, "k") <= 2 * integer(g, "genus"):
         return 0
     return comb(2 * g, k) - (comb(2 * g, k - 2) if k >= 2 else 0)
 
@@ -377,7 +380,7 @@ def primitive_dim_exact(g: int, k: int) -> int:
     other planes in their (j+m)-subsets, and each kernel is read from one
     rank of that matrix.
     """
-    if not 0 <= k <= g:
+    if not 0 <= integer(k, "k") <= integer(g, "genus"):
         raise ValueError("need 0 <= k <= g")
     m = g - k + 1
     total = 0
@@ -446,7 +449,7 @@ class FloerRing(NamedTuple):
 def floer_cohomology(g: int) -> FloerRing:
     """Assemble the genus-g ring; total dim = sum of primitive multiplicity
     times the level-ring dimension (the k = g summand is the zero ring)."""
-    if g < 1:
+    if integer(g, "genus") < 1:
         raise ValueError("genus must be >= 1")
     summands = []
     for k in range(g + 1):

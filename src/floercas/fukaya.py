@@ -63,7 +63,7 @@ class RhffModule(NamedTuple):
 def reduced_module(g: int, n: int = 1, order: int = DEFAULT_ORDER) -> RhffModule:
     """The reduced module of genus g with 2-cycle boundary running n times
     around the circle factor."""
-    g, n = integer(g, "genus"), integer(n, "n")
+    g, n, order = integer(g, "genus"), integer(n, "n"), integer(order, "order")
     if g < 1:
         raise ValueError("genus must be >= 1")
     comps = tuple(
@@ -169,6 +169,7 @@ def mu_action(i: int, cls: YHomologyClass, order: int = DEFAULT_ORDER) -> Trunca
     grade 2 returns the value of twice the mu-class, grade 0 the value of
     -4 times the point class (namely (-1)^i 8 per point), grade 1 returns 0.
     """
+    order = integer(order, "order")
     if cls.grade == 1:
         return TruncatedSeries.constant(0, order)
     if cls.grade == 0:

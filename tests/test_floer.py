@@ -720,3 +720,58 @@ class TestPsi1Homology:
             for k, mult, lines in parts:
                 assert len(lines) == psi1_block(g - k).dim == g - k
                 assert mult == primitive_dim(g - 1, k)
+
+
+# Each call passes a bool or a float as a genus, level or order.  lru_cache
+# gave True and 1, or 2.0 and 2, one key, so once the int call had run, a
+# cached builder answered with the int's record; the uncached calls returned
+# a record of size True, or raised a bare TypeError from range() or comb()
+NON_INTEGER_SIZES = {
+    "relations-bool": (lambda: relations("R", True), lambda: relations("R", 1), "level"),
+    "relations-float": (lambda: relations("R", 2.0), lambda: relations("R", 2), "level"),
+    "invariant-ring-bool": (lambda: invariant_ring(True), lambda: relations("R", 1), "level"),
+    "gamma-quotient-ring-float": (lambda: gamma_quotient_ring(2.0),
+                                  lambda: gamma_quotient_ring(2), "level"),
+    "classical-ring-bool": (lambda: classical_ring(True), lambda: classical_ring(1), "level"),
+    "level-block-bool": (lambda: level_block("F", True), lambda: level_block("F", 1), "level"),
+    "level-reports-bool": (lambda: level_reports("F", True), lambda: level_reports("F", 1),
+                           "level"),
+    "psi1-block-bool": (lambda: psi1_block(True), lambda: psi1_block(1), "level"),
+    "filtration-step-bool": (lambda: filtration_step(True), lambda: filtration_step(1), "level"),
+    "socle-charpoly-bool": (lambda: socle_quotient_charpoly(True),
+                            lambda: socle_quotient_charpoly(1), "level"),
+    "floer-cohomology-bool": (lambda: floer_cohomology(True), lambda: floer_cohomology(1),
+                              "genus"),
+    "floer-cohomology-float": (lambda: floer_cohomology(2.0), lambda: floer_cohomology(2),
+                               "genus"),
+    "primitive-dim-float": (lambda: primitive_dim(2.5, 1), lambda: primitive_dim(2, 1), "genus"),
+    "primitive-dim-k-bool": (lambda: primitive_dim(2, True), lambda: primitive_dim(2, 1), "k"),
+    "primitive-dim-exact-float": (lambda: primitive_dim_exact(2.0, 1),
+                                  lambda: primitive_dim_exact(2, 1), "genus"),
+    "reduced-order-float": (lambda: fukaya.reduced_module(2, 1, 2.5),
+                            lambda: fukaya.reduced_module(2, 1, 2), "order"),
+    "effective-order-float": (lambda: fukaya.effective_eigenvalues(2, 2.5),
+                              lambda: fukaya.effective_eigenvalues(2, 2), "order"),
+    "mu-order-float": (lambda: fukaya.mu_action(1, fukaya.YHomologyClass.point(), 2.5),
+                       lambda: fukaya.mu_action(1, fukaya.YHomologyClass.point(), 2), "order"),
+    "evaluate-order-float": (lambda: donaldson.evaluate(product_series(2, 2), (1, 0), 2.5),
+                             lambda: donaldson.evaluate(product_series(2, 2), (1, 0), 2),
+                             "order"),
+    "evaluate-order-bool": (lambda: donaldson.evaluate(product_series(2, 2), (1, 0), order=True),
+                            lambda: donaldson.evaluate(product_series(2, 2), (1, 0), order=1),
+                            "order"),
+}
+
+
+@pytest.mark.parametrize("cache", ["warm", "cold"])
+@pytest.mark.parametrize("case", NON_INTEGER_SIZES)
+def test_a_non_integer_size_is_refused_whatever_the_cache_holds(case, cache):
+    call, int_call, field = NON_INTEGER_SIZES[case]
+    if cache == "warm":
+        int_call()
+    else:
+        for builder in (relations, invariant_ring, gamma_quotient_ring, classical_ring,
+                        level_block):
+            builder.cache_clear()
+    with pytest.raises(ValueError, match=rf"^{field} must be an integer$"):
+        call()
