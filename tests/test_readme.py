@@ -1,18 +1,21 @@
 """The README's library example runs as printed, the top level of the
 package exports exactly the names that example imports, plus __version__,
-and the README's size table gives the ranges the parser enforces."""
+the README's size table gives the ranges the parser enforces, and CI runs
+each bounded option at its upper end."""
 
 import argparse
 import ast
 import contextlib
 import io
 import re
+import shlex
 from pathlib import Path
 
 import floercas
 from floercas import cli, floer, linalg
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+WORKFLOW = README.parent / ".github" / "workflows" / "tests.yml"
 
 
 def library_example() -> str:
@@ -84,3 +87,36 @@ def test_size_limits_table_matches_the_parser():
         if action.hi is not None:
             want = ranges.get((path, option)) or ranges.get(((), option))
             assert want == (action.lo, action.hi), (path, option)
+
+
+def bound_step_commands() -> list:
+    """The arguments after `floercas` of each floercas command line of the CI
+    step "The slowest forms at their bounds", without shell redirections."""
+    step = WORKFLOW.read_text(encoding="utf-8").split(
+        "- name: The slowest forms at their bounds\n", 1)[1]
+    script = re.match(r" *run: \|\n((?: {10}.*\n|\n)*)", step).group(1)
+    commands = []
+    for line in script.splitlines():
+        words = shlex.split(line, comments=True)
+        if "floercas" in words:
+            args = words[words.index("floercas") + 1:]
+            commands.append([arg for arg in args if not arg.startswith(">")])
+    return commands
+
+
+def test_ci_runs_each_bounded_option_at_its_upper_end():
+    parser = cli.build_parser()
+    at_bound = []  # (command words, namespace) of each command line of the step
+    for args in bound_step_commands():
+        ns = parser.parse_args(args)
+        at_bound.append(((ns.command, ns.don_command) if ns.command == "donaldson"
+                         else (ns.command,), ns))
+    assert at_bound
+    global_flags = {option for action in parser._actions for option in action.option_strings}
+    for (path, option), action in bounded_actions(parser).items():
+        if action.hi is None:
+            continue
+        paths = {words for words, ns in at_bound if getattr(ns, action.dest, None) == action.hi}
+        # a global flag is accepted by every subcommand, so it is at its
+        # bound once on any of them; any other option on its own command
+        assert paths if option in global_flags else path in paths, (path, option)
