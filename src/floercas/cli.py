@@ -83,7 +83,7 @@ MAX_RING_GENUS = 15
 MAX_MODULE_GENUS = 200
 
 #: largest genus accepted by delta --genus; about g^2/4 components with
-#: multiplicities of up to g bits (--format json 0.6-1.0 s at 250, 0.8-1.3 s at 300)
+#: multiplicities of up to g bits (--format json 0.4-0.7 s at 250, 0.6-1.0 s at 300)
 MAX_DELTA_GENUS = 250
 
 #: largest genus accepted by mu --genus; a JSON class that lists its 2g curves takes 1.0-1.4 s
