@@ -77,8 +77,8 @@ class TestReducedModule:
 
 
 def delta_components(g):
-    """(k, i, mult, line) for each line of each part of delta_module(g)."""
-    return [(k, c.i, mult, c) for k, mult, lines in delta_module(g).parts() for c in lines]
+    """(k, mult, line) for each line of each part of delta_module(g)."""
+    return [(k, mult, c) for k, mult, lines in delta_module(g).parts() for c in lines]
 
 
 class TestEffectiveEigenvalues:
@@ -128,11 +128,11 @@ class TestEffectiveEigenvalues:
 
 class TestDeltaModule:
     def test_genus_one(self):
-        assert [(k, i, mult) for k, i, mult, _ in delta_components(1)] == [(0, 0, 1)]
+        assert [(k, c.i, mult) for k, mult, c in delta_components(1)] == [(0, 0, 1)]
         assert delta_module(1).total_rank == 1
 
     def test_genus_two(self):
-        assert [(k, i, mult) for k, i, mult, _ in delta_components(2)] == [
+        assert [(k, c.i, mult) for k, mult, c in delta_components(2)] == [
             (0, -1, 1),
             (0, 1, 1),
             (1, 0, 2),
@@ -143,19 +143,19 @@ class TestDeltaModule:
         assert delta_module(3).total_rank == 16
 
     def test_eigen_data(self):
-        for _, i, _, c in delta_components(4):
-            if i % 2:
-                assert c.alpha.constant_term() == GR(4 * i)
+        for _, _, c in delta_components(4):
+            if c.i % 2:
+                assert c.alpha.constant_term() == GR(4 * c.i)
                 assert c.beta == GR(-8)
             else:
-                assert c.alpha.constant_term() == GR(0, 4 * i)
+                assert c.alpha.constant_term() == GR(0, 4 * c.i)
                 assert c.beta == GR(8)
 
     def test_index_parity(self):
         for g in range(1, 6):
-            for k, i, _, _ in delta_components(g):
-                assert abs(i) <= g - k - 1
-                assert (i - (g - k - 1)) % 2 == 0
+            for k, _, c in delta_components(g):
+                assert abs(c.i) <= g - k - 1
+                assert (c.i - (g - k - 1)) % 2 == 0
 
 
 class TestMuAction:
